@@ -11,7 +11,7 @@ import json
 import sys
 
 from .deformation import deform_from_basis
-from .globalbasis import global_basis, reduce_degree, reduced_basis_global
+from .globalbasis import global_basis, reduce_degree
 from .localbasis import local_basis, reduce_order, reduced_basis
 from .mpoly import render_mpoly
 from .numsgp import NumSgp
@@ -110,8 +110,7 @@ def _basis_command(args, setting: str) -> None:
         rep["basis"] = report.basis_report(basis)
         lines += report.basis_lines(basis, "basis")
     if args.show in ("reduced", "all"):
-        reduced = (reduced_basis(basis) if setting == "local"
-                   else reduced_basis_global(basis))
+        reduced = reduced_basis(basis)
         rep["reduced_basis"] = report.basis_report(reduced)
         lines += report.basis_lines(reduced, "reduced basis")
     if args.show == "all":

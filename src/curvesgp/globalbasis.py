@@ -16,6 +16,7 @@ from .reduction import (
     ValueBasis,
     build_basis,
     reduce_poly,
+    reduced_basis,
 )
 
 
@@ -31,18 +32,6 @@ def global_basis(gens: list[Poly], limits: dict | None = None) -> ValueBasis:
     return build_basis(gens, "global", limits)
 
 
-def reduced_basis_global(basis: ValueBasis) -> ValueBasis:
-    """Tails moved onto the gaps of the degree semigroup."""
-    from .localbasis import _rebuilt
-
-    ctx = basis.context()
-    new_elements = []
-    for elem in basis.elements:
-        tail = elem.poly - elem.poly.leading_monomial()
-        if tail.is_zero:
-            new_elements.append(elem)
-            continue
-        out = reduce_poly(tail, ctx, "reduced")
-        new_elements.append(
-            BasisElement(elem.poly.leading_monomial() + out.remainder, elem.value))
-    return _rebuilt(basis, new_elements)
+# tails moved onto the gaps of the degree semigroup; the shared
+# reduced_basis reads the setting off the basis
+reduced_basis_global = reduced_basis

@@ -10,6 +10,7 @@ tail onto the gaps of the semigroup, which makes the result canonical
 
 from __future__ import annotations
 
+from .numsgp import NumSgp, presentation_for_generators
 from .poly import Poly
 from .reduction import (
     BasisElement,
@@ -18,6 +19,7 @@ from .reduction import (
     ValueBasis,
     build_basis,
     reduce_poly,
+    reduced_basis,
 )
 
 
@@ -44,21 +46,6 @@ def local_basis(gens: list[Poly], limits: dict | None = None) -> ValueBasis:
     return build_basis(gens, "local", limits)
 
 
-def reduced_basis(basis: ValueBasis) -> ValueBasis:
-    """Replace every tail by its division remainder, supported on gaps."""
-    ctx = basis.context()
-    new_elements = []
-    for elem in basis.elements:
-        tail = elem.poly - elem.poly.trailing_monomial()
-        if tail.is_zero:
-            new_elements.append(elem)
-            continue
-        out = reduce_poly(tail, ctx, "reduced")
-        new_elements.append(
-            BasisElement(elem.poly.trailing_monomial() + out.remainder, elem.value))
-    return _rebuilt(basis, new_elements)
-
-
 def minimal_basis(basis: ValueBasis) -> ValueBasis:
     """Drop elements whose value the others already generate, then reduce."""
     minimal_values = set(basis.semigroup.minimal_generators())
@@ -68,17 +55,8 @@ def minimal_basis(basis: ValueBasis) -> ValueBasis:
         if elem.value in minimal_values and elem.value not in seen:
             kept.append(elem)
             seen.add(elem.value)
-    return reduced_basis(_rebuilt(basis, kept))
-
-
-def _rebuilt(basis: ValueBasis, elements: list[BasisElement]) -> ValueBasis:
-    from .numsgp import NumSgp, presentation_for_generators
-    from .reduction import relation_element
-
-    values = tuple(e.value for e in elements)
-    pres = presentation_for_generators(values)
-    ctx = ReductionContext(elements, basis.setting)
-    traces = [reduce_poly(relation_element(ctx, a, b), ctx, "expression")
-              for a, b, _ in pres.pairs]
-    return ValueBasis(basis.setting, elements, NumSgp(values), pres, traces,
-                      n_input=min(basis.n_input, len(elements)))
+    values = tuple(e.value for e in kept)
+    trimmed = ValueBasis(basis.setting, kept, NumSgp(values),
+                         presentation_for_generators(values),
+                         n_input=min(basis.n_input, len(kept)))
+    return reduced_basis(trimmed)

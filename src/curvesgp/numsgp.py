@@ -8,8 +8,9 @@ conductor-style questions are only meaningful for S/d).
 
 Presentations are binomial: pairs of exponent vectors with equal value,
 generating the kernel of the monomial map X_i -> x^{a_i}.  They are found
-by the factorisation-graph method, and a connectivity sweep certifies
-completeness independently of the candidate bound.
+by the factorisation-graph method over the values up to Frobenius + 2*max,
+a range that holds every value with a disconnected graph by the Apery-set
+bound (see :func:`presentation_for_generators`).
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ class NumSgp:
             raise ValueError("value must be nonnegative")
         return _factorizations(n, self.generators)
 
-    def minimal_presentation(self, certify: bool = True) -> Presentation:
-        return presentation_for_generators(self.generators, certify=certify)
+    def minimal_presentation(self) -> Presentation:
+        return presentation_for_generators(self.generators)
 
     def __repr__(self):
         return f"NumSgp{self.generators}"
@@ -270,7 +271,7 @@ class _UnionFind:
         return list(comps.values())
 
 
-def presentation_for_generators(gens: Sequence[int], certify: bool = True) -> Presentation:
+def presentation_for_generators(gens: Sequence[int]) -> Presentation:
     """Binomial generators of the kernel of X_i -> x^{a_i}.
 
     Works for arbitrary positive generator tuples (scaling by the gcd
@@ -278,6 +279,14 @@ def presentation_for_generators(gens: Sequence[int], certify: bool = True) -> Pr
     Frobenius + 2*max; when a factorisation graph (edges: common support)
     is disconnected, one pair per extra component is added, joining each
     component's lex-least vector to the overall lex-least one.
+
+    The candidate range is complete (Rosales and Garcia-Sanchez, Numerical
+    Semigroups, 2009, ch. 7).  Let n have a disconnected graph and let
+    m = a_j be a least generator.  The factorisations using a_j share
+    support, so some component C has none that uses a_j; take v in C and
+    i with v_i > 0.  Were n - a_i - m in S, n would have a factorisation
+    using both a_i and a_j, joining C to the component of a_j.  So n - a_i
+    lies in Ap(S, m), and n <= (F + m) + max a <= (c - 1) + 2*max a.
     """
     gens = tuple(gens)
     d = reduce(math.gcd, gens)
@@ -304,33 +313,7 @@ def presentation_for_generators(gens: Sequence[int], certify: bool = True) -> Pr
                 local = min(comp)
                 if local != overall:
                     pairs.append(RelationPair(local, overall, n * d))
-    pres = Presentation(gens, tuple(pairs))
-    if certify:
-        _certify_presentation(scaled, pairs, member, 2 * bound)
-    return pres
-
-
-def _certify_presentation(scaled, pairs, member, sweep_bound):
-    """Connectivity sweep: the returned pairs generate the whole kernel."""
-    for n in range(1, sweep_bound + 1):
-        if not member(n):
-            continue
-        vecs = _factorizations(n, scaled)
-        if len(vecs) < 2:
-            continue
-        vset = set(vecs)
-        uf = _UnionFind(vecs)
-        _union_common_support(uf, vecs)
-        for v in vecs:
-            for alpha, beta, _ in pairs:
-                for src, dst in ((alpha, beta), (beta, alpha)):
-                    if all(x >= y for x, y in zip(v, src)):
-                        w = tuple(x - y + z for x, y, z in zip(v, src, dst))
-                        if w in vset:
-                            uf.union(v, w)
-        if len(uf.components()) > 1:
-            raise AssertionError(
-                f"presentation incomplete: factorisations of {n} stay disconnected")
+    return Presentation(gens, tuple(pairs))
 
 
 # -- free semigroups and complete intersections ------------------------

@@ -29,10 +29,10 @@ Reduction modes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fields import check_same_field
-from .numsgp import NumSgp
+from .numsgp import NumSgp, presentation_for_generators
 from .poly import Poly
 
 
@@ -210,7 +210,6 @@ class ValueBasis:
     elements: list[BasisElement]
     semigroup: NumSgp
     presentation: object
-    traces: list[ReductionOutcome]
     n_input: int
 
     @property
@@ -248,8 +247,6 @@ def relation_element(ctx: ReductionContext, alpha, beta) -> Poly:
 
 def build_basis(gens: list[Poly], setting: str, limits: dict | None = None) -> ValueBasis:
     """The adjoin-and-restart loop shared by both settings."""
-    from .numsgp import presentation_for_generators
-
     if not gens:
         raise ValueError("at least one generator is required")
     field = gens[0].field
@@ -293,8 +290,27 @@ def build_basis(gens: list[Poly], setting: str, limits: dict | None = None) -> V
             adjoined = True
             break
         if not adjoined:
-            traces = [reduce_poly(relation_element(ctx, a, b), ctx, "expression")
-                      for a, b, _ in pres.pairs]
-            return ValueBasis(setting, elements, ctx.monoid, pres, traces,
+            return ValueBasis(setting, elements, ctx.monoid, pres,
                               n_input=len(prepared))
+
+
+def reduced_basis(basis: ValueBasis) -> ValueBasis:
+    """Replace every tail by its division remainder, supported on gaps.
+
+    The extremal monomial (trailing in the local setting, leading in the
+    global one) stays; reduction keeps every value, so the semigroup and
+    presentation carry over unchanged.
+    """
+    ctx = basis.context()
+    new_elements = []
+    for elem in basis.elements:
+        head = (elem.poly.trailing_monomial() if basis.setting == "local"
+                else elem.poly.leading_monomial())
+        tail = elem.poly - head
+        if tail.is_zero:
+            new_elements.append(elem)
+            continue
+        out = reduce_poly(tail, ctx, "reduced")
+        new_elements.append(BasisElement(head + out.remainder, elem.value))
+    return replace(basis, elements=new_elements)
 

@@ -30,7 +30,7 @@ from curvesgp import (
 from curvesgp.cli import main
 from curvesgp.planebranch import char_sequence_from_support, delta_sequence
 from curvesgp.reduction import BasisElement, ReductionContext, reduce_poly
-from util import UX, XY, P, xp
+from util import UX, XY, P, presentation_is_complete, xp
 
 
 def ok(n, text):
@@ -315,7 +315,8 @@ def _suite_presentation_sweep():
     for _ in range(200):
         k = rng.randrange(2, 4)
         vals = [rng.randrange(2, 13) for _ in range(k)]
-        presentation_for_generators(tuple(vals))  # certification sweep inside
+        pres = presentation_for_generators(tuple(vals))
+        assert presentation_is_complete(vals, pres.pairs)
         cases += 1
     return cases
 

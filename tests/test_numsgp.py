@@ -1,7 +1,12 @@
+import math
+import random
+from collections import Counter
+
 import pytest
 
 from curvesgp import NumSgp, ci_relations, from_generators, is_free, presentation_for_generators
-from util import brute_conductor, brute_semigroup_members
+from util import (brute_conductor, brute_semigroup_members, factorization_components,
+                  presentation_is_complete, presentation_sweep)
 
 
 def test_from_generators_conductor_18():
@@ -122,6 +127,35 @@ def test_presentation_handles_nonminimal_tuples():
     # 10 = 4 + 6 forces a relation whose one side is the pure third variable
     assert any(set(p.alpha) == {0, 1} or set(p.beta) == {0, 1} for p in pres.pairs
                if (0, 0, 1) in (p.alpha, p.beta))
+
+
+def _random_generator_tuple(rng):
+    """2-5 generators, sometimes with a repeat, a non-minimal sum or gcd > 1."""
+    gens = [rng.randrange(3, 12) for _ in range(rng.randrange(2, 4))]
+    if rng.random() < 0.3:
+        gens.append(rng.choice(gens))
+    if rng.random() < 0.3:
+        gens.append(rng.choice(gens) + rng.choice(gens))
+    if math.gcd(*gens) == 1 and rng.random() < 0.3:
+        gens = [rng.choice((2, 3)) * g for g in gens]
+    return tuple(gens)
+
+
+def test_presentation_complete_and_minimal_on_random_tuples():
+    rng = random.Random(2009)
+    cases = [(4, 4, 6), (4, 6, 10), (8, 12, 30)]
+    cases += [_random_generator_tuple(rng) for _ in range(60)]
+    for gens in cases:
+        pairs = presentation_for_generators(gens).pairs
+        assert presentation_is_complete(gens, pairs), gens
+        # one pair per extra component of each factorisation graph
+        d, sweep = presentation_sweep(gens)
+        expected = Counter()
+        for n, vecs in sweep.items():
+            extra = factorization_components(vecs) - 1
+            if extra:
+                expected[n * d] = extra
+        assert Counter(p.value for p in pairs) == expected, gens
 
 
 def test_is_free():

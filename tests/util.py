@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 from curvesgp import MPoly, Poly, QQ
 
@@ -46,3 +48,63 @@ def brute_conductor(gens):
     while c > 0 and table[c - 1]:
         c -= 1
     return c
+
+
+def factorization_table(gens, top):
+    """Entry n: every exponent vector over the tuple gens with value n <= top."""
+    g = gens[-1]
+    table = [[(n // g,)] if n % g == 0 else [] for n in range(top + 1)]
+    for g in reversed(gens[:-1]):
+        table = [[(k,) + tail for k in range(n // g + 1) for tail in table[n - k * g]]
+                 for n in range(top + 1)]
+    return table
+
+
+def factorization_components(vecs, pairs=()):
+    """Number of classes of vecs joined by a common positive coordinate and
+    by the moves u + alpha <-> u + beta along the given pairs."""
+    parent = {v: v for v in vecs}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    for i in range(len(vecs[0])):
+        # a common positive coordinate i: chaining them suffices
+        users = [v for v in vecs if v[i]]
+        for v, w in zip(users, users[1:]):
+            union(v, w)
+    for v in vecs:
+        for alpha, beta, *_ in pairs:
+            for src, dst in ((alpha, beta), (beta, alpha)):
+                if all(x >= y for x, y in zip(v, src)):
+                    w = tuple(x - y + z for x, y, z in zip(v, src, dst))
+                    if w in parent:
+                        union(v, w)
+    return len({find(v) for v in vecs})
+
+
+def presentation_sweep(gens):
+    """(d, {n: factorisations of n over gens / d}) for the nonzero members n
+    of <gens / d> up to 2 * bound, bound = Frobenius + 2*max being the
+    presentation's candidate range."""
+    d = reduce(math.gcd, gens)
+    scaled = tuple(g // d for g in gens)
+    top = 2 * (brute_conductor(scaled) - 1 + 2 * max(scaled))
+    table = factorization_table(scaled, top)
+    return d, {n: vecs for n, vecs in enumerate(table) if n and vecs}
+
+
+def presentation_is_complete(gens, pairs):
+    """Connectivity sweep: the pairs generate the kernel of X_i -> x^{a_i}.
+
+    By induction on the value, they do when at every value the
+    factorisations are connected by common support and the pair moves;
+    the sweep checks this up to twice the candidate bound.
+    """
+    _, sweep = presentation_sweep(tuple(gens))
+    return all(factorization_components(vecs, pairs) == 1 for vecs in sweep.values())
