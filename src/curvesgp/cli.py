@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .deformation import deform_from_basis
 from .globalbasis import global_basis, reduce_degree
@@ -94,28 +95,37 @@ def _require_char_zero(args):
         raise ValueError("plane-branch commands need characteristic zero")
 
 
-def _emit(args, rep: dict, lines: list[str]) -> None:
+def _emit(args, rep: dict, lines: Callable[[], list[str]]) -> None:
+    """Print the JSON report, or the text lines, built only when printed."""
     if args.json:
         print(json.dumps(rep, indent=2))
     else:
-        print("\n".join(lines))
+        print("\n".join(lines()))
 
 
 def _basis_command(args, setting: str) -> None:
     gens = parse_poly_list(args.polys, args.char)
     basis = local_basis(gens) if setting == "local" else global_basis(gens)
+    show_basis = args.show in ("basis", "all")
+    reduced = reduced_basis(basis) if args.show in ("reduced", "all") else None
     rep = {"command": setting, "semigroup": report.semigroup_report(basis.semigroup)}
-    lines = report.semigroup_lines(basis.semigroup)
-    if args.show in ("basis", "all"):
+    if show_basis:
         rep["basis"] = report.basis_report(basis)
-        lines += report.basis_lines(basis, "basis")
-    if args.show in ("reduced", "all"):
-        reduced = reduced_basis(basis)
+    if reduced is not None:
         rep["reduced_basis"] = report.basis_report(reduced)
-        lines += report.basis_lines(reduced, "reduced basis")
     if args.show == "all":
         rep["presentation"] = report.presentation_report(basis.presentation)
-        lines.append(f"presentation pairs: {len(basis.presentation.pairs)}")
+
+    def lines():
+        out = report.semigroup_lines(basis.semigroup)
+        if show_basis:
+            out += report.basis_lines(basis, "basis")
+        if reduced is not None:
+            out += report.basis_lines(reduced, "reduced basis")
+        if args.show == "all":
+            out.append(f"presentation pairs: {len(basis.presentation.pairs)}")
+        return out
+
     _emit(args, rep, lines)
 
 
@@ -129,17 +139,23 @@ def _plane_report(args, result, setting: str) -> None:
         "roots": [render_mpoly(g) for g in result.roots],
         "curve": render_mpoly(result.curve),
     }
-    lines = [f"F(x,y) = {rep['curve']}"]
-    lines += report.semigroup_lines(S)
-    lines.append(f"r sequence: {list(seq.r)}   d: {list(seq.d)}   e: {list(seq.e)}")
-    lines.append(f"conductor formula: {conductor_formula(seq)}")
-    if result.roots:
-        lines.append("approximate roots: "
-                     + ", ".join(render_mpoly(g) for g in result.roots))
     if result.evaluated:
         rep["evaluated"] = [report.poly_entry(p) for p in result.evaluated]
-        lines.append("evaluated roots: "
-                     + ", ".join(render_poly(p, "x") for p in result.evaluated))
+
+    def lines():
+        out = [f"F(x,y) = {rep['curve']}"]
+        out += report.semigroup_lines(S)
+        out.append(f"r sequence: {list(seq.r)}   d: {list(seq.d)}   "
+                   f"e: {list(seq.e)}")
+        out.append(f"conductor formula: {conductor_formula(seq)}")
+        if result.roots:
+            out.append("approximate roots: "
+                       + ", ".join(render_mpoly(g) for g in result.roots))
+        if result.evaluated:
+            out.append("evaluated roots: "
+                       + ", ".join(render_poly(p, "x") for p in result.evaluated))
+        return out
+
     _emit(args, rep, lines)
 
 
@@ -163,10 +179,8 @@ def run(argv: list[str]) -> int:
                    "semigroup": report.semigroup_report(S),
                    "char_sequence": report.char_sequence_report(
                        seq, conductor_formula(seq))}
-            lines = report.semigroup_lines(S)
-            lines.append(f"r sequence: {list(seq.r)}   d: {list(seq.d)}   "
-                         f"e: {list(seq.e)}")
-            _emit(args, rep, lines)
+            _emit(args, rep, lambda: report.semigroup_lines(S) + [
+                f"r sequence: {list(seq.r)}   d: {list(seq.d)}   e: {list(seq.e)}"])
 
     elif cmd == "plane-infinity":
         _require_char_zero(args)
@@ -186,9 +200,8 @@ def run(argv: list[str]) -> int:
         rep = {"command": "deform",
                "semigroup": report.semigroup_report(basis.semigroup),
                "deformation": report.deformation_report(ds)}
-        lines = report.semigroup_lines(basis.semigroup)
-        lines += report.deformation_lines(ds)
-        _emit(args, rep, lines)
+        _emit(args, rep, lambda: report.semigroup_lines(basis.semigroup)
+              + report.deformation_lines(ds))
 
     elif cmd == "reduce":
         f = parse_poly(args.poly, args.char)
@@ -203,11 +216,11 @@ def run(argv: list[str]) -> int:
             out = reduce_degree(f, elems, args.mode)
         rep = {"command": "reduce",
                "reduction": report.reduction_report(out, f.field)}
-        lines = [f"remainder: {render_poly(out.remainder, 'x')}",
-                 f"complete: {out.complete}   "
-                 f"shortcut: {out.consumed_conductor_shortcut}",
-                 f"expression terms: {len(out.expression)}"]
-        _emit(args, rep, lines)
+        _emit(args, rep, lambda: [
+            f"remainder: {render_poly(out.remainder, 'x')}",
+            f"complete: {out.complete}   "
+            f"shortcut: {out.consumed_conductor_shortcut}",
+            f"expression terms: {len(out.expression)}"])
 
     elif cmd == "semigroup":
         try:
@@ -219,7 +232,7 @@ def run(argv: list[str]) -> int:
         if S.is_numerical:
             rep["presentation"] = report.presentation_report(
                 S.minimal_presentation())
-        _emit(args, rep, report.semigroup_lines(S))
+        _emit(args, rep, lambda: report.semigroup_lines(S))
 
     return 0
 

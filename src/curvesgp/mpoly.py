@@ -1,10 +1,14 @@
-"""Sparse multivariate polynomials, Sylvester resultants and Y-adic division.
+"""Sparse multivariate polynomials, resultants and Y-adic division.
 
 Exponent tuples (one entry per variable) map to nonzero coefficients.  The
 variable tuple is part of the value: ``MPoly(("x", "y"), ...)`` and the same
 data over ``("u", "x")`` are different things, and mixing them is an error.
-Resultants go through the Sylvester matrix with fraction-free (Bareiss)
-elimination so every intermediate entry stays a polynomial.
+General resultants go through the Sylvester matrix with fraction-free
+(Bareiss) elimination, so every intermediate entry stays a polynomial.  The
+curve of a parametrisation, Res_t(X - f(t), Y - g(t)), is instead the norm
+of Y - g(t) over K[X][t]/(f(t) - X) and comes from power sums and Newton's
+identities in K[X], without a matrix; that route needs characteristic 0 or
+above deg f.
 """
 
 from __future__ import annotations
@@ -360,18 +364,62 @@ def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
     """Res_t(X - f(t), Y - g(t)), normalised monic in the second variable.
 
     This is the minimal polynomial F(X, Y) of the parametrised curve
-    X = f(t), Y = g(t) when the parametrisation is proper.
+    X = f(t), Y = g(t) when the parametrisation is proper (a power of it
+    otherwise).  F is the characteristic polynomial of multiplication by g
+    on K(X)[t]/(f(t) - X), that is F = prod_i (Y - g(tau_i)) over the n =
+    deg f roots tau_i of f(t) = X, and it is computed from power sums
+    without a matrix: with f(t) - X = c*(t^n + b_{n-1} t^{n-1} + ... + b_0)
+    (only b_0 = (f_0 - X)/c involves X), Newton's identities give the
+    power sums s_j of the tau_i in K[X] for j <= n*deg g; then the traces
+    p_k = Tr(g^k) = sum_j [t^j]g^k * s_j for k <= n, and the elementary
+    symmetric functions of the g(tau_i) from k*e_k = sum_{i=1}^{k}
+    (-1)^(i-1) e_{k-i} p_i, so F = sum_k (-1)^k e_k Y^(n-k).  The last step
+    divides by 1, ..., n, so the characteristic must be 0 or exceed deg f.
+    The value equals :func:`resultant_eliminate` on the same pair.
     """
-    work_vars = ("_t",) + tuple(vars)
-    P = MPoly.variable(work_vars, vars[0], f.field) - MPoly.from_poly(f, work_vars, "_t")
-    Q = MPoly.variable(work_vars, vars[1], f.field) - MPoly.from_poly(g, work_vars, "_t")
-    res = resultant_eliminate(P, Q, "_t", monic_in=vars[1])
+    check_same_field(f.field, g.field)
+    field = f.field
+    if f.is_zero or f.degree < 1:
+        raise ValueError("first generator must have positive degree")
+    n = int(f.degree)
+    if 0 < field.char <= n:
+        raise ValueError(
+            f"characteristic {field.char} does not exceed the degree {n}")
+    c_inv = field.inv(f.leading_coeff)
+    # (i, b_{n-i}) for the nonzero b_{n-i}, as polynomials in X
+    b = [(i, Poly.constant(f.coeff(n - i), field).scale(c_inv)) for i in range(1, n)]
+    b.append((n, Poly(field, {0: f.coeff(0), 1: field.neg(field.one)}).scale(c_inv)))
+    b = [(i, bi) for i, bi in b if not bi.is_zero]
+    m = int(g.degree) if not g.is_zero else 0
+    s = [Poly.constant(n, field)]
+    for j in range(1, n * m + 1):
+        acc = Poly.zero(field)
+        for i, bi in b:
+            if i < j:
+                acc = acc + bi * s[j - i]
+            elif i == j:
+                acc = acc + bi.scale(j)
+        s.append(-acc)
+    p = [Poly.zero(field)]
+    gk = Poly.constant(1, field)
+    for _ in range(n):
+        gk = gk * g
+        tr = Poly.zero(field)
+        for j, cj in gk.coeffs.items():
+            tr = tr + s[j].scale(cj)
+        p.append(tr)
+    e = [Poly.constant(1, field)]
+    for k in range(1, n + 1):
+        acc = Poly.zero(field)
+        for i in range(1, k + 1):
+            term = e[k - i] * p[i]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc.scale(field.inv(field.coerce(k))))
     out = {}
-    for e, c in res.coeffs.items():
-        if e[0] != 0:
-            raise ArithmeticError("eliminated variable survived")
-        out[e[1:]] = c
-    return MPoly(tuple(vars), f.field, out)
+    for k, ek in enumerate(e):
+        for ex, c in ek.coeffs.items():
+            out[(ex, n - k)] = field.neg(c) if k % 2 else c
+    return MPoly(tuple(vars), field, out)
 
 
 def eval_bipoly(G: MPoly, f: Poly, g: Poly) -> Poly:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .fields import check_same_field
 from .mpoly import MPoly, curve_resultant, eval_bipoly, sylvester_resultant
 from .numsgp import NumSgp, gcd_chain
 from .poly import Poly
-from .series import SeriesApprox, compose_series, nth_root_series, reverse_series
+from .series import SeriesApprox
 
 
 class NotOnePlaceAtInfinity(ValueError):
@@ -131,22 +132,44 @@ def conductor_formula(seq) -> int:
 def reparametrize(f: Poly, g: Poly, prec: int) -> SeriesApprox:
     """g rewritten in the uniformiser that turns f into an exact n-th power.
 
-    With xt(t) = t * (f/t^n)^(1/n) and t(xt) its reverse, the result is
-    g(t(xt)) mod xt^prec, so that K[[f, g]] = K[[xt^n, result]].
+    With s(t) = t * (f/t^n)^(1/n) and t(s) its reverse, the result is
+    g(t(s)) mod s^prec, so that K[[f, g]] = K[[s^n, result]].  By Lagrange
+    inversion (t = s * u(t)^(-1/n) with u = f/t^n, u(0) = 1),
+    [s^k] g(t(s)) = (1/k) [t^(k-1)] g'(t) u(t)^(-k/n) for k >= 1, and
+    [s^0] = g(0); each u^(-k/n) comes from the J.C.P. Miller recurrence
+    j v_j = sum_{i=1}^{j} ((alpha + 1) i - j) u_i v_{j-i}, linear in the
+    support of u.  Both divide by arbitrary integers, so the field must
+    have characteristic zero.  The value equals
+    ``compose_series(g, reverse_series(s))``.
     """
     if f.is_zero:
         raise ValueError("zero first generator")
-    n = int(f.order)
     field = f.field
-    if field.char and n % field.char == 0:
-        raise ValueError(f"characteristic {field.char} divides the order {n}")
+    if field.char != 0:
+        raise ValueError("reparametrisation needs characteristic zero")
+    n = int(f.order)
+    if n < 1:
+        raise ValueError("first generator must have positive order")
     if f.trailing_coeff != field.one:
         raise ValueError("first generator must have trailing coefficient 1")
-    unit_part = SeriesApprox(f.shift(-n), prec)
-    root = nth_root_series(unit_part, n)
-    xt = SeriesApprox(root.poly.shift(1), prec)  # t * (f/t^n)^{1/n}
-    t_of_x = reverse_series(xt)
-    return compose_series(SeriesApprox(g, prec), t_of_x)
+    u = [(i, c) for i, c in sorted(f.shift(-n).truncate(prec).coeffs.items()) if i]
+    dg = sorted(g.truncate(prec).derivative().coeffs.items())
+    out = {0: g.coeff(0)}
+    for k in range(1, prec):
+        terms = [(e, c) for e, c in dg if e < k]
+        if not terms:
+            continue
+        alpha1 = Fraction(n - k, n)  # alpha + 1 for alpha = -k/n
+        v = [field.one]
+        for j in range(1, k - terms[0][0]):
+            acc = field.zero
+            for i, ui in u:
+                if i > j:
+                    break
+                acc += (alpha1 * i - j) * ui * v[j - i]
+            v.append(acc / j)
+        out[k] = sum((c * v[k - 1 - e] for e, c in terms), field.zero) / k
+    return SeriesApprox(Poly(field, out), prec)
 
 
 def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
@@ -269,12 +292,14 @@ class PlaneResult:
 
 
 def gamma_at_infinity(f: Poly, g: Poly) -> PlaneResult:
-    """Degree semigroup of K[f, g] via approximate roots of the resultant."""
+    """Degree semigroup of K[f, g] via approximate roots of the resultant.
+
+    A parametrisation that is not proper ([K(t):K(f, g)] > 1) makes the
+    resultant a power and raises ValueError.
+    """
     f, g = _normalize_global_pair(f, g)
     F = curve_resultant(f, g)
     n = F.degree_in("y")
-    if n != int(f.degree):
-        raise ValueError("parametrisation is not proper (resultant degree drop)")
     rs = [n]
     roots: list[MPoly] = []
     evaluated: list[Poly] = []
@@ -283,7 +308,11 @@ def gamma_at_infinity(f: Poly, g: Poly) -> PlaneResult:
         G = approximate_root(F, d)
         gk = eval_bipoly(G, f, g)
         if gk.is_zero:
-            raise NotOnePlaceAtInfinity("approximate root evaluates to zero")
+            # a monic root of y-degree n/d < n = deg_y F vanishes on the
+            # curve only if F is a power of its minimal polynomial
+            raise ValueError(
+                f"parametrisation is not proper: the approximate root of "
+                f"y-degree {n // d} vanishes at (f, g)")
         rk = int(gk.degree)
         nxt = math.gcd(d, rk)
         if nxt == d:

@@ -129,6 +129,16 @@ def test_plane_commands_reject_char(capsys):
     assert "characteristic zero" in err
 
 
+def test_plane_infinity_rejects_non_proper_parametrisation(capsys):
+    # ((t^2+t)^2, (t^2+t)^3) factors through u = t^2+t: the resultant is
+    # (y^3-x^2)^2 and its approximate root y^3-x^2 vanishes on the pair
+    code, out, err = run(capsys, "plane-infinity", "x^4+2*x^3+x^2",
+                         "x^6+3*x^5+3*x^4+x^3")
+    assert code == 1
+    assert out == ""
+    assert "error[ValueError]: parametrisation is not proper" in err
+
+
 def test_json_output_deterministic(capsys):
     code, out1, _ = run(capsys, "local", "x^4+x^5,x^6,x^15+x^16",
                         "--show", "all", "--json")

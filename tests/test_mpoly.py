@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from curvesgp import MPoly, curve_resultant, eval_bipoly, resultant_eliminate
+from curvesgp import (GF, QQ, MPoly, Poly, curve_resultant, eval_bipoly,
+                      resultant_eliminate)
 from curvesgp.mpoly import sylvester_resultant
 from util import XY, P, xp
 
@@ -107,3 +108,78 @@ def test_degree_queries():
     assert F.degree_in("y") == 4
     assert F.degree_in("x") == 7
     assert MPoly.zero(("x", "y")).degree_in("x") == -1
+
+
+def _sylvester_curve(f, g):
+    """The Sylvester/Bareiss route to Res_t(X - f(t), Y - g(t)), monic in y."""
+    vars = ("_t", "x", "y")
+    P = MPoly.variable(vars, "x", f.field) - MPoly.from_poly(f, vars, "_t")
+    Q = MPoly.variable(vars, "y", f.field) - MPoly.from_poly(g, vars, "_t")
+    res = resultant_eliminate(P, Q, "_t", monic_in="y")
+    assert all(e[0] == 0 for e in res.coeffs)
+    return MPoly(("x", "y"), f.field, {e[1:]: c for e, c in res.coeffs.items()})
+
+
+def _resultant_cases():
+    """60 seeded (f, g): monomial f up to x^20, non-monic f, constant terms,
+    deg g below and above deg f, constant and zero g, and GF(p), p > deg f."""
+    rng = random.Random(41)
+    coeffs = (1, -1, 2, -3, "1/2", "-2/3")
+    cases = []
+    for k in range(60):
+        kind = k % 6
+        field = GF(rng.choice((7, 11, 13))) if kind == 5 else QQ
+
+        def dense(deg, lead):
+            terms = [(e, rng.choice(coeffs + (0,))) for e in range(deg)]
+            return P(*(terms + [(deg, lead)]), field=field)
+
+        if kind == 0:
+            n = 2 + k // 3  # 2, 4, ..., 20
+            a = rng.randrange(n + 1, n + 6)
+            f = xp(n, field=field)
+            g = P((a, 1), (a + rng.randrange(1, 4), rng.choice(coeffs)), field=field)
+        elif kind == 1:
+            f = dense(rng.randrange(1, 6), rng.choice((2, -3, "1/2")))
+            g = dense(rng.randrange(1, 8), rng.choice(coeffs))
+        elif kind == 2:
+            n = rng.randrange(2, 7)
+            f = dense(n, 1) + P((0, rng.choice((1, -2, "3/4"))), field=field)
+            g = dense(rng.randrange(1, n), 1)
+        elif kind == 3:
+            f = dense(rng.randrange(1, 6), rng.choice(coeffs))
+            g = P((0, rng.choice((0,) + coeffs)), field=field)
+        elif kind == 4:
+            f = dense(rng.randrange(1, 5), rng.choice(coeffs))
+            g = dense(rng.randrange(4, 9), rng.choice(coeffs))
+        else:
+            f = dense(rng.randrange(1, 7), rng.choice((1, 2, 3)))
+            g = dense(rng.randrange(0, 7), rng.choice((1, 2, 3)))
+        cases.append((f, g))
+    return cases
+
+
+def test_curve_resultant_matches_sylvester_route():
+    cases = _resultant_cases()
+    assert max(f.degree for f, _ in cases) == 20
+    assert any(g.is_zero for _, g in cases)
+    assert any(f.field.char for f, _ in cases)
+    for f, g in cases:
+        F = curve_resultant(f, g)
+        assert F == _sylvester_curve(f, g), (f, g)
+        assert F.degree_in("y") == f.degree
+        assert eval_bipoly(F, f, g).is_zero
+
+
+def test_curve_resultant_characteristic_and_degree_conditions():
+    F5 = GF(5)
+    g = Poly.x_power(2, F5)
+    # p > deg f is fine, p <= deg f divides by p in Newton's identities
+    assert curve_resultant(Poly.x_power(4, F5), g) == \
+        _sylvester_curve(Poly.x_power(4, F5), g)
+    for n in (5, 6):
+        with pytest.raises(ValueError, match="characteristic 5"):
+            curve_resultant(Poly.x_power(n, F5), g)
+    for f in (P((0, 3)), Poly.zero()):
+        with pytest.raises(ValueError, match="positive degree"):
+            curve_resultant(f, xp(2))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,8 +20,10 @@ from curvesgp import (
     gamma_curve_infinity,
     gamma_local_pair,
     local_basis,
+    nth_root_series,
     plane_local,
     reparametrize,
+    reverse_series,
 )
 from util import XY, P, xp
 
@@ -277,3 +280,49 @@ def test_char_p_is_rejected():
         gamma_local_pair(a, b)
     with pytest.raises(ValueError):
         gamma_at_infinity(b, a)
+
+
+def _reversion_route(f, g, prec):
+    """g(t(s)) mod s^prec by n-th root, Newton reversion and composition."""
+    n = int(f.order)
+    root = nth_root_series(SeriesApprox(f.shift(-n), prec), n)
+    s = SeriesApprox(root.poly.shift(1), prec)
+    return compose_series(SeriesApprox(g, prec), reverse_series(s))
+
+
+def test_reparametrize_matches_reversion_route():
+    rng = random.Random(29)
+    coeffs = (1, -1, 2, -3, "1/2", "-2/3")
+    for _ in range(30):
+        n = rng.randrange(1, 7)
+        tail = [(n + rng.randrange(1, 7), rng.choice(coeffs))
+                for _ in range(rng.randrange(0, 4))]
+        f = P((n, 1), *tail)
+        exps = rng.sample(range(16), rng.randrange(0, 5))
+        g = P(*[(e, rng.choice(coeffs)) for e in exps])
+        for prec in (2, rng.randrange(3, 12), rng.randrange(12, 25)):
+            got = reparametrize(f, g, prec)
+            assert got == _reversion_route(f, g, prec), (f, g, prec)
+            assert all(isinstance(c, Fraction) for c in got.poly.coeffs.values())
+
+
+def test_reparametrize_matches_reversion_route_on_doubling_path():
+    # the precisions gamma_local_pair tries: 2 (n + max supp g), then doubled
+    rng = random.Random(31)
+    for _ in range(3):
+        n = rng.randrange(2, 5)
+        f = P((n, 1), (n + 1, rng.choice((1, -2))), (n + 3, "1/3"))
+        g = P((n + 1, 1), (n + 2, rng.choice((-1, 2))))
+        prec = 2 * (n + max(g.support))
+        for p in (prec, 2 * prec):
+            assert reparametrize(f, g, p) == _reversion_route(f, g, p), (f, g, p)
+
+
+def test_reparametrize_needs_characteristic_zero():
+    for p in (5, 7):  # 5 divides the order 5, 7 does not: both rejected
+        F = GF(p)
+        f = Poly.x_power(5, F) + Poly.x_power(6, F)
+        with pytest.raises(ValueError, match="characteristic zero"):
+            reparametrize(f, Poly.x_power(7, F), 10)
+    with pytest.raises(ValueError, match="positive order"):
+        reparametrize(P((0, 1), (1, 1)), xp(3), 10)
