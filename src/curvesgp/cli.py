@@ -95,10 +95,10 @@ def _require_char_zero(args):
         raise ValueError("plane-branch commands need characteristic zero")
 
 
-def _emit(args, rep: dict, lines: Callable[[], list[str]]) -> None:
-    """Print the JSON report, or the text lines, built only when printed."""
+def _emit(args, rep: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
+    """Print the JSON report or the text lines; only the one printed is built."""
     if args.json:
-        print(json.dumps(rep, indent=2))
+        print(json.dumps(rep(), indent=2))
     else:
         print("\n".join(lines()))
 
@@ -108,13 +108,17 @@ def _basis_command(args, setting: str) -> None:
     basis = local_basis(gens) if setting == "local" else global_basis(gens)
     show_basis = args.show in ("basis", "all")
     reduced = reduced_basis(basis) if args.show in ("reduced", "all") else None
-    rep = {"command": setting, "semigroup": report.semigroup_report(basis.semigroup)}
-    if show_basis:
-        rep["basis"] = report.basis_report(basis)
-    if reduced is not None:
-        rep["reduced_basis"] = report.basis_report(reduced)
-    if args.show == "all":
-        rep["presentation"] = report.presentation_report(basis.presentation)
+
+    def rep():
+        out = {"command": setting,
+               "semigroup": report.semigroup_report(basis.semigroup)}
+        if show_basis:
+            out["basis"] = report.basis_report(basis)
+        if reduced is not None:
+            out["reduced_basis"] = report.basis_report(reduced)
+        if args.show == "all":
+            out["presentation"] = report.presentation_report(basis.presentation)
+        return out
 
     def lines():
         out = report.semigroup_lines(basis.semigroup)
@@ -132,18 +136,21 @@ def _basis_command(args, setting: str) -> None:
 def _plane_report(args, result, setting: str) -> None:
     S = result.semigroup
     seq = result.sequence
-    rep = {
-        "command": f"plane-{setting}",
-        "semigroup": report.semigroup_report(S),
-        "char_sequence": report.char_sequence_report(seq, conductor_formula(seq)),
-        "roots": [render_mpoly(g) for g in result.roots],
-        "curve": render_mpoly(result.curve),
-    }
-    if result.evaluated:
-        rep["evaluated"] = [report.poly_entry(p) for p in result.evaluated]
+
+    def rep():
+        out = {
+            "command": f"plane-{setting}",
+            "semigroup": report.semigroup_report(S),
+            "char_sequence": report.char_sequence_report(seq, conductor_formula(seq)),
+            "roots": [render_mpoly(g) for g in result.roots],
+            "curve": render_mpoly(result.curve),
+        }
+        if result.evaluated:
+            out["evaluated"] = [report.poly_entry(p) for p in result.evaluated]
+        return out
 
     def lines():
-        out = [f"F(x,y) = {rep['curve']}"]
+        out = [f"F(x,y) = {render_mpoly(result.curve)}"]
         out += report.semigroup_lines(S)
         out.append(f"r sequence: {list(seq.r)}   d: {list(seq.d)}   "
                    f"e: {list(seq.e)}")
@@ -175,12 +182,14 @@ def run(argv: list[str]) -> int:
             _plane_report(args, result, "local")
         else:
             S, seq = gamma_local_pair(f, g)
-            rep = {"command": "plane-local",
-                   "semigroup": report.semigroup_report(S),
-                   "char_sequence": report.char_sequence_report(
-                       seq, conductor_formula(seq))}
-            _emit(args, rep, lambda: report.semigroup_lines(S) + [
-                f"r sequence: {list(seq.r)}   d: {list(seq.d)}   e: {list(seq.e)}"])
+            _emit(args,
+                  lambda: {"command": "plane-local",
+                           "semigroup": report.semigroup_report(S),
+                           "char_sequence": report.char_sequence_report(
+                               seq, conductor_formula(seq))},
+                  lambda: report.semigroup_lines(S) + [
+                      f"r sequence: {list(seq.r)}   d: {list(seq.d)}   "
+                      f"e: {list(seq.e)}"])
 
     elif cmd == "plane-infinity":
         _require_char_zero(args)
@@ -197,10 +206,11 @@ def run(argv: list[str]) -> int:
         gens = parse_poly_list(args.polys, args.char)
         basis = local_basis(gens) if args.setting == "local" else global_basis(gens)
         ds = deform_from_basis(basis)
-        rep = {"command": "deform",
-               "semigroup": report.semigroup_report(basis.semigroup),
-               "deformation": report.deformation_report(ds)}
-        _emit(args, rep, lambda: report.semigroup_lines(basis.semigroup)
+        _emit(args,
+              lambda: {"command": "deform",
+                       "semigroup": report.semigroup_report(basis.semigroup),
+                       "deformation": report.deformation_report(ds)},
+              lambda: report.semigroup_lines(basis.semigroup)
               + report.deformation_lines(ds))
 
     elif cmd == "reduce":
@@ -214,13 +224,13 @@ def run(argv: list[str]) -> int:
             elems = [BasisElement(p.monic_leading()[0], int(p.degree))
                      for p in gens]
             out = reduce_degree(f, elems, args.mode)
-        rep = {"command": "reduce",
-               "reduction": report.reduction_report(out, f.field)}
-        _emit(args, rep, lambda: [
-            f"remainder: {render_poly(out.remainder, 'x')}",
-            f"complete: {out.complete}   "
-            f"shortcut: {out.consumed_conductor_shortcut}",
-            f"expression terms: {len(out.expression)}"])
+        _emit(args,
+              lambda: {"command": "reduce",
+                       "reduction": report.reduction_report(out, f.field)},
+              lambda: [f"remainder: {render_poly(out.remainder, 'x')}",
+                       f"complete: {out.complete}   "
+                       f"shortcut: {out.consumed_conductor_shortcut}",
+                       f"expression terms: {len(out.expression)}"])
 
     elif cmd == "semigroup":
         try:
@@ -228,10 +238,14 @@ def run(argv: list[str]) -> int:
         except ValueError:
             raise ParseError("generators must be integers", 0) from None
         S = NumSgp(gens)
-        rep = {"command": "semigroup", "semigroup": report.semigroup_report(S)}
-        if S.is_numerical:
-            rep["presentation"] = report.presentation_report(
-                S.minimal_presentation())
+
+        def rep():
+            out = {"command": "semigroup", "semigroup": report.semigroup_report(S)}
+            if S.is_numerical:
+                out["presentation"] = report.presentation_report(
+                    S.minimal_presentation())
+            return out
+
         _emit(args, rep, lambda: report.semigroup_lines(S))
 
     return 0

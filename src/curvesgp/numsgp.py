@@ -1,16 +1,21 @@
 """Finitely generated submonoids of the natural numbers.
 
 A monoid generated by positive integers is stored as its gcd d together
-with a membership table of the numerical semigroup S/d up to its conductor,
-so membership, gaps, Apery sets and friends are table lookups.  Monoids
-with gcd > 1 answer the scaled queries (their complement is infinite, so
-conductor-style questions are only meaningful for S/d).
+with the Apery set Ap(S, m) of the numerical semigroup S = <gens>/d with
+respect to its multiplicity m: the least element of S in each residue
+class mod m.  Everything else follows from it in closed form (Rosales and
+Garcia-Sanchez, Numerical Semigroups, 2009, ch. 1-2): k is in S iff
+k >= Ap[k mod m], the Frobenius number is max Ap - m, the genus is
+sum w // m (the gaps below each w in its class), and the pseudo-Frobenius
+numbers are w - m for the w that are maximal in Ap under the order of
+S.  Monoids with gcd > 1 answer the scaled queries (their complement is
+infinite, so conductor-style questions are only meaningful for S/d).
 
 Presentations are binomial: pairs of exponent vectors with equal value,
 generating the kernel of the monomial map X_i -> x^{a_i}.  They are found
-by the factorisation-graph method over the values up to Frobenius + 2*max,
-a range that holds every value with a disconnected graph by the Apery-set
-bound (see :func:`presentation_for_generators`).
+by the factorisation-graph method over the values w + a_i with w in
+Ap(S, m), which hold every value with a disconnected graph (see
+:func:`presentation_for_generators`).
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ class NumSgp:
         self.generators = tuple(gens)
         self.d = reduce(math.gcd, gens)
         self._scaled = tuple(sorted(set(g // self.d for g in gens)))
-        self._table, self._c = _membership_table(self._scaled)
+        self._m = self._scaled[0]
+        self._ap = _apery(self._scaled, self._m)
+        self._c = max(self._ap) - self._m + 1
 
     # -- membership and basic invariants -------------------------------
 
@@ -67,11 +74,14 @@ class NumSgp:
         """d * c(S/d); the truncation bound used by the basis algorithms."""
         return self.d * self._c
 
+    def _has(self, k: int) -> bool:
+        """Membership in S/d, for k >= 0."""
+        return k >= self._ap[k % self._m]
+
     def contains(self, n: int) -> bool:
         if n < 0 or n % self.d:
             return False
-        m = n // self.d
-        return m >= self._c or self._table[m]
+        return self._has(n // self.d)
 
     __contains__ = contains
 
@@ -91,16 +101,18 @@ class NumSgp:
 
     def gaps(self) -> list[int]:
         self._require_numerical()
-        return [n for n in range(self._c) if not self._table[n]]
+        m, ap = self._m, self._ap
+        return [n for n in range(self._c) if n < ap[n % m]]
 
     @property
     def genus(self) -> int:
-        return len(self.gaps())
+        self._require_numerical()
+        return sum(w // self._m for w in self._ap)
 
     def sporadic_count(self) -> int:
         """Number of semigroup elements below the conductor."""
         self._require_numerical()
-        return sum(1 for n in range(self._c) if self._table[n])
+        return self._c - self.genus
 
     def is_symmetric(self) -> bool:
         self._require_numerical()
@@ -111,39 +123,26 @@ class NumSgp:
         self._require_numerical()
         if n <= 0 or not self.contains(n):
             raise ValueError(f"{n} is not a nonzero element of the semigroup")
-        out = []
-        for r in range(n):
-            m = r
-            while not self.contains(m):
-                m += n
-            out.append(m)
-        return out
+        return _apery(self._scaled, n)
 
     def type_set(self) -> list[int]:
-        """Pseudo-Frobenius numbers: x not in S with x + S* inside S."""
+        """Pseudo-Frobenius numbers: x not in S with x + S* inside S.
+
+        They are w - m for the w in Ap(S, m) with no w + a in Ap(S, m),
+        a a generator (Rosales and Garcia-Sanchez, ch. 2).
+        """
         self._require_numerical()
-        mult = min(g for g in self.generators)
-        out = []
-        for x in range(-mult, self._c):
-            if self.contains(x):
-                continue
-            # s >= c - x gives x + s >= c, which is in S automatically
-            if all(self.contains(x + s) for s in range(1, self._c - x)
-                   if self.contains(s)):
-                out.append(x)
-        return out
+        m, ap = self._m, self._ap
+        return sorted(w - m for w in ap
+                      if all(ap[(w + a) % m] != w + a for a in self._scaled))
 
     def minimal_generators(self) -> list[int]:
         """The unique minimal generating set (atoms of the monoid)."""
-        atoms = []
-        for g in self._scaled:
-            if not _is_sum_of_two(g, self._table, self._c):
-                atoms.append(g * self.d)
-        return atoms
+        return [g * self.d for g in self._scaled
+                if not any(self._has(g - a) for a in self._scaled if a < g)]
 
     def equals(self, other: "NumSgp") -> bool:
-        return (self.d == other.d and self._c == other._c
-                and self._table == other._table)
+        return self.d == other.d and self._ap == other._ap
 
     # -- factorisations and presentations -------------------------------
 
@@ -164,32 +163,32 @@ def from_generators(gens: Sequence[int]) -> NumSgp:
     return NumSgp(gens)
 
 
-def _membership_table(gens: tuple[int, ...]) -> tuple[list[bool], int]:
-    """Membership of the gcd-1 semigroup, up to its conductor."""
-    mult = min(gens)
-    if mult == 1:
-        return [True], 0
-    bound = 2 * max(gens)
-    while True:
-        table = [False] * (bound + 1)
-        table[0] = True
-        for n in range(1, bound + 1):
-            table[n] = any(n >= g and table[n - g] for g in gens)
-        run = 0
-        for n in range(bound + 1):
-            run = run + 1 if table[n] else 0
-            if run == mult:
-                c = n - mult + 1
-                return table[:c], c
-        bound *= 2
+def _apery(gens: Sequence[int], n: int) -> list[int]:
+    """Least element of <gens> in each residue class mod n, for n in <gens>.
 
-
-def _is_sum_of_two(g: int, table: list[bool], c: int) -> bool:
-    def member(m):
-        return m >= c or table[m]
-
-    return any(member(a) and member(g - a) for a in range(1, g // 2 + 1)
-               if member(a) and g - a > 0)
+    The round-robin algorithm of Boecker and Liptak (A fast and simple
+    algorithm for the money changing problem, Algorithmica 2007): adding
+    a generator a splits the residues into gcd(a, n) cycles r -> r + a;
+    one walk round each cycle from its least entry, carrying
+    w -> min(Ap[r + a], w + a), updates the table in O(n) steps.
+    """
+    ap: list = [0] + [None] * (n - 1)
+    for a in gens:
+        k = math.gcd(a, n)
+        for r in range(k):
+            reached = [p for p in range(r, n, k) if ap[p] is not None]
+            if not reached:
+                continue
+            p = min(reached, key=ap.__getitem__)
+            w = ap[p]
+            for _ in range(n // k - 1):
+                p = (p + a) % n
+                w += a
+                if ap[p] is None or w < ap[p]:
+                    ap[p] = w
+                else:
+                    w = ap[p]
+    return ap
 
 
 class _Factorizer:
@@ -275,32 +274,26 @@ def presentation_for_generators(gens: Sequence[int]) -> Presentation:
     """Binomial generators of the kernel of X_i -> x^{a_i}.
 
     Works for arbitrary positive generator tuples (scaling by the gcd
-    changes nothing).  Candidate values run through the semigroup up to
-    Frobenius + 2*max; when a factorisation graph (edges: common support)
+    changes nothing).  The candidate values are {w + a_i : w in Ap(S, m)},
+    m a least generator, at most m*s of them.  They are visited in
+    increasing order; when a factorisation graph (edges: common support)
     is disconnected, one pair per extra component is added, joining each
     component's lex-least vector to the overall lex-least one.
 
-    The candidate range is complete (Rosales and Garcia-Sanchez, Numerical
+    The candidate set is complete (Rosales and Garcia-Sanchez, Numerical
     Semigroups, 2009, ch. 7).  Let n have a disconnected graph and let
-    m = a_j be a least generator.  The factorisations using a_j share
-    support, so some component C has none that uses a_j; take v in C and
-    i with v_i > 0.  Were n - a_i - m in S, n would have a factorisation
-    using both a_i and a_j, joining C to the component of a_j.  So n - a_i
-    lies in Ap(S, m), and n <= (F + m) + max a <= (c - 1) + 2*max a.
+    m = a_j.  The factorisations using a_j share support, so some
+    component C has none that uses a_j; take v in C and i with v_i > 0.
+    Were n - a_i - m in S, n would have a factorisation using both a_i
+    and a_j, joining C to the component of a_j.  So n - a_i lies in
+    Ap(S, m).
     """
     gens = tuple(gens)
     d = reduce(math.gcd, gens)
     scaled = tuple(g // d for g in gens)
-    table, c = _membership_table(tuple(sorted(set(scaled))))
-
-    def member(m):
-        return m >= c or (0 <= m < len(table) and table[m]) or m == 0
-
-    bound = (c - 1) + 2 * max(scaled)
+    ap = _apery(scaled, min(scaled))
     pairs: list[RelationPair] = []
-    for n in range(1, bound + 1):
-        if not member(n):
-            continue
+    for n in sorted({w + a for w in ap for a in scaled}):
         vecs = _factorizations(n, scaled)
         if len(vecs) < 2:
             continue

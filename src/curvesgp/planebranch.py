@@ -20,6 +20,7 @@ from .fields import check_same_field
 from .mpoly import MPoly, curve_resultant, eval_bipoly, sylvester_resultant
 from .numsgp import NumSgp, gcd_chain
 from .poly import Poly
+from .reduction import LimitExceeded
 from .series import SeriesApprox
 
 
@@ -173,7 +174,23 @@ def reparametrize(f: Poly, g: Poly, prec: int) -> SeriesApprox:
 
 
 def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
-    """Semigroup of orders of K[[f, g]] via the Newton-Puiseux descent."""
+    """Semigroup of orders of K[[f, g]] via the Newton-Puiseux descent.
+
+    g is reparametrised to doubling precisions until the descent on its
+    support completes, which happens below precision (D - 1)^2 + 1,
+    D = max(deg f, deg g), whenever t -> (f, g) parametrises its branch
+    primitively.  Then the branch lies on a rational plane curve of
+    degree at most D, so its delta invariant is at most (D - 1)(D - 2)/2
+    (genus formula, Fulton, Algebraic Curves, ch. 8), and its conductor
+    is c = 2 delta, the semigroup of a plane branch being symmetric.
+    Zariski's formula c = sum (d_k - d_{k+1}) m_k - n + 1 (The Moduli
+    Problem for Plane Branches) gives
+    m_h <= c + n - 1 <= (D - 1)^2 for the last characteristic exponent.
+    A descent still incomplete at that precision proves the
+    parametrisation imprimitive (K[[f, g]] lies in K[[s^d]], d > 1) and
+    raises ValueError; reaching ``PRECISION_CAP`` first raises
+    LimitExceeded.
+    """
     check_same_field(f.field, g.field)
     if f.field.char != 0:
         raise ValueError("the plane-branch pipeline needs characteristic zero")
@@ -192,18 +209,25 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     if f == Poly.x_power(n, f.field):
         seq = char_sequence_from_support(n, g.support)
         return NumSgp(seq.r), seq
+    D = max(f.degree, g.degree)
+    bound = (D - 1) ** 2 + 1
     prec = 2 * (n + max(g.support))
     while True:
         gt = reparametrize(f, g, prec)
         try:
             seq = char_sequence_from_support(n, gt.poly.support)
             return NumSgp(seq.r), seq
-        except ValueError:
-            if prec >= PRECISION_CAP:
+        except ValueError as err:
+            if prec >= bound:
                 raise ValueError(
-                    f"gcd descent still incomplete at precision {prec}: "
-                    "degenerate input")
-            prec = min(2 * prec, PRECISION_CAP)
+                    f"{err} at precision {prec} >= (D - 1)^2 + 1, D = {D} "
+                    "the larger degree: t -> (f, g) is not a primitive "
+                    "parametrisation") from None
+            if prec >= PRECISION_CAP:
+                raise LimitExceeded(
+                    f"{err} at precision {prec} (PRECISION_CAP), below the "
+                    f"bound {bound}") from None
+            prec = min(2 * prec, bound, PRECISION_CAP)
 
 
 # -- approximate roots -------------------------------------------------

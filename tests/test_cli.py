@@ -1,5 +1,7 @@
 import json
+import time
 
+from curvesgp import numsgp, planebranch
 from curvesgp.cli import main
 
 
@@ -137,6 +139,45 @@ def test_plane_infinity_rejects_non_proper_parametrisation(capsys):
     assert code == 1
     assert out == ""
     assert "error[ValueError]: parametrisation is not proper" in err
+
+
+def test_plane_local_imprimitive_pair_stops_at_degree_bound(capsys):
+    # g = f + f^2 lies in K[[f]] and f has order 2, so the descent on the
+    # reparametrised g never leaves 2*N; the degree bound ends it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "plane-local", "x^2+x^3",
+                         "x^2+x^3+x^4+2*x^5+x^6")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert "at precision 26 >=" in err
+    assert "not a primitive parametrisation" in err
+
+
+def test_plane_local_precision_cap_below_degree_bound_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(planebranch, "PRECISION_CAP", 16)
+    code, out, err = run(capsys, "plane-local", "x^2+x^3",
+                         "x^2+x^3+x^4+2*x^5+x^6")
+    assert code == 3
+    assert out == ""
+    assert "at precision 16 (PRECISION_CAP), below the bound 26" in err
+
+
+def test_presentation_computed_only_for_json(capsys, monkeypatch):
+    calls = []
+    original = numsgp.presentation_for_generators
+
+    def counted(gens):
+        calls.append(gens)
+        return original(gens)
+
+    monkeypatch.setattr(numsgp, "presentation_for_generators", counted)
+    code, out, _ = run(capsys, "semigroup", "61,97,113")
+    assert code == 0 and "type set:" in out
+    assert calls == []
+    code, out, _ = run(capsys, "semigroup", "61,97,113", "--json")
+    assert code == 0 and json.loads(out)["presentation"]
+    assert len(calls) == 1
 
 
 def test_json_output_deterministic(capsys):

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from curvesgp import NumSgp, ci_relations, from_generators, is_free, presentation_for_generators
+from curvesgp import (NumSgp, RelationPair, ci_relations, from_generators, is_free,
+                      presentation_for_generators)
 from util import (brute_conductor, brute_semigroup_members, factorization_components,
                   presentation_is_complete, presentation_sweep)
 
@@ -184,3 +185,77 @@ def test_ci_relations():
 def test_conductor_matches_brute_force():
     for gens in ([3, 5], [4, 7, 9], [5, 6, 7], [6, 10, 15]):
         assert NumSgp(gens).conductor == brute_conductor(gens)
+
+
+def _brute_invariants(scaled):
+    """Invariants of the gcd-1 semigroup <scaled> read off a DP table."""
+    c = brute_conductor(scaled)
+    top = 2 * c + 2 * max(scaled)
+    member = brute_semigroup_members(scaled, top)
+    gaps = [n for n in range(c) if not member[n]]
+    return {
+        "c": c,
+        "top": top,
+        "member": member,
+        "gaps": gaps,
+        "symmetric": all(member[x] != member[c - 1 - x] for x in range(c)),
+        "pseudo_frobenius": [
+            x for x in range(-max(scaled), c) if x < 0 or not member[x]
+            if all(x + s >= 0 and member[x + s]
+                   for s in range(1, c - x + 1) if member[s])],
+        "atoms": [n for n in range(1, top + 1) if member[n]
+                  and not any(member[a] and member[n - a] for a in range(1, n))],
+    }
+
+
+def test_apery_invariants_match_brute_force_on_random_tuples():
+    rng = random.Random(1979)
+    cases = [(1,), (2, 3), (4, 4, 6), (4, 6, 10), (8, 12, 30), (6, 10, 15)]
+    cases += [_random_generator_tuple(rng) for _ in range(60)]
+    for gens in cases:
+        S = NumSgp(gens)
+        d = math.gcd(*gens)
+        scaled = [g // d for g in gens]
+        b = _brute_invariants(scaled)
+        c, member = b["c"], b["member"]
+        assert [S.contains(n) for n in range(-d, d * b["top"] + 1)] == [
+            n >= 0 and n % d == 0 and member[n // d]
+            for n in range(-d, d * b["top"] + 1)], gens
+        assert S.scaled_conductor == d * c, gens
+        atoms = [d * a for a in b["atoms"]]
+        assert S.minimal_generators() == atoms, gens
+        assert S.equals(NumSgp(atoms)) and NumSgp(atoms).equals(S), gens
+        # adjoining the Frobenius number changes the semigroup
+        assert not S.equals(NumSgp(atoms + [d * (c - 1)] if c else [2 * d, 3 * d]))
+        assert S.equals(NumSgp(scaled)) == (d == 1), gens
+        if d != 1:
+            assert not S.is_numerical
+            with pytest.raises(ValueError):
+                S.gaps()
+            continue
+        assert (S.conductor, S.frobenius) == (c, c - 1), gens
+        assert S.gaps() == b["gaps"], gens
+        assert S.genus == len(b["gaps"]), gens
+        assert S.sporadic_count() == sum(member[:c]), gens
+        assert S.is_symmetric() == b["symmetric"], gens
+        assert S.type_set() == b["pseudo_frobenius"], gens
+        for a in sorted(set(gens)):
+            assert S.apery_set(a) == [
+                next(n for n in range(r, b["top"] + 1, a) if member[n])
+                for r in range(a)], (gens, a)
+
+
+def test_apery_invariants_at_large_conductor():
+    # Sylvester: <a, b> with gcd 1 has c = (a - 1)(b - 1), is symmetric,
+    # and is presented by the single relation X^b = Y^a
+    a, b = 1009, 1013
+    S = NumSgp([a, b])
+    c = (a - 1) * (b - 1)
+    assert (S.conductor, S.genus, S.sporadic_count()) == (c, c // 2, c // 2)
+    assert S.is_symmetric() and S.type_set() == [c - 1]
+    assert not S.contains(c - 1) and S.contains(c) and S.contains(a * b)
+    assert len(S.gaps()) == c // 2
+    assert S.minimal_generators() == [a, b]
+    assert max(S.apery_set(b)) == c - 1 + b
+    assert presentation_for_generators((a, b)).pairs == (
+        RelationPair((b, 0), (0, a), a * b),)

@@ -90,8 +90,9 @@ def factorization_components(vecs, pairs=()):
 
 def presentation_sweep(gens):
     """(d, {n: factorisations of n over gens / d}) for the nonzero members n
-    of <gens / d> up to 2 * bound, bound = Frobenius + 2*max being the
-    presentation's candidate range."""
+    of <gens / d> up to 2 * bound, bound = Frobenius + 2*max being at
+    least every candidate value w + a_i, w in Ap(S, min gens), of the
+    presentation."""
     d = reduce(math.gcd, gens)
     scaled = tuple(g // d for g in gens)
     top = 2 * (brute_conductor(scaled) - 1 + 2 * max(scaled))
