@@ -79,11 +79,34 @@ class Rationals:
         return "QQ"
 
 
+# Miller-Rabin to the prime bases 2, ..., 41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin in integer arithmetic, for p < _MR_BOUND."""
+    if p >= _MR_BOUND:
+        raise ValueError(f"cannot certify {p} as prime: the test is exact "
+                         f"only below {_MR_BOUND}")
+    if p in _MR_BASES or p < 2 or p % 2 == 0:
+        return p in _MR_BASES
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:  # a base sharing a factor with p finds it composite
+        xs = [pow(a, d << i, p) for i in range(r)]
+        if xs[0] != 1 and p - 1 not in xs:
+            return False
+    return True
+
+
 class PrimeField:
     """GF(p) for a prime p; residues stored as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p

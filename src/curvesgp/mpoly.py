@@ -1,14 +1,14 @@
-"""Sparse multivariate polynomials, resultants and Y-adic division.
+"""Sparse multivariate polynomials and resultants.
 
 Exponent tuples (one entry per variable) map to nonzero coefficients.  The
 variable tuple is part of the value: ``MPoly(("x", "y"), ...)`` and the same
 data over ``("u", "x")`` are different things, and mixing them is an error.
-General resultants go through the Sylvester matrix with fraction-free
-(Bareiss) elimination, so every intermediate entry stays a polynomial.  The
-curve of a parametrisation, Res_t(X - f(t), Y - g(t)), is instead the norm
-of Y - g(t) over K[X][t]/(f(t) - X) and comes from power sums and Newton's
+The curve of a parametrisation, Res_t(X - f(t), Y - g(t)), is the norm of
+Y - g(t) over K[X][t]/(f(t) - X) and comes from power sums and Newton's
 identities in K[X], without a matrix; that route needs characteristic 0 or
-above deg f.
+above deg f; ``planebranch.intersection_degree`` shares its helpers.  The
+Sylvester matrix with fraction-free (Bareiss) elimination now serves only
+:func:`resultant_eliminate` and the tests, as their reference route.
 """
 
 from __future__ import annotations
@@ -177,27 +177,6 @@ class MPoly:
                     rem[tgt] = v
         return MPoly(self.vars, f, quot)
 
-    def divmod_in(self, name: str, divisor: "MPoly") -> tuple["MPoly", "MPoly"]:
-        """Polynomial division along one variable; divisor monic in it."""
-        self._check(divisor)
-        i = self.vars.index(name)
-        d = divisor.degree_in(name)
-        lead = divisor.coeff_in(name, d)
-        if not lead.is_constant() or self.field.is_zero(lead.constant_value()):
-            raise ValueError(f"divisor must have unit leading coefficient in {name}")
-        lc = lead.constant_value()
-        f = self.field
-        rem = self
-        quot = MPoly.zero(self.vars, f)
-        while not rem.is_zero and rem.degree_in(name) >= d:
-            k = rem.degree_in(name)
-            head = rem.coeff_in(name, k).scale(f.inv(lc))
-            shift = MPoly.variable(self.vars, name, f, power=k - d)
-            term = head * shift
-            quot = quot + term
-            rem = rem - term * divisor
-        return quot, rem
-
     # -- substitution ------------------------------------------------
 
     def subs(self, values: Mapping[str, "MPoly"]) -> "MPoly":
@@ -360,6 +339,39 @@ def resultant_eliminate(p: MPoly, q: MPoly, name: str, monic_in: str | None = No
     return res
 
 
+def _power_sums(b: list, n: int, top: int, field) -> list[Poly]:
+    """s_0, ..., s_top of the roots of t^n + sum_i b_i t^(n-i), b = [(i, b_i)]
+    with b_i in K[X], by Newton's identities (no division)."""
+    b = [(i, bi) for i, bi in b if not bi.is_zero]
+    s = [Poly.constant(n, field)]
+    for j in range(1, top + 1):
+        acc = Poly.zero(field)
+        for i, bi in b:
+            if i < j:
+                acc = acc + bi * s[j - i]
+            elif i == j:
+                acc = acc + bi.scale(j)
+        s.append(-acc)
+    return s
+
+
+def _elementary_symmetric(p: list[Poly], field) -> list[Poly]:
+    """e_0, ..., e_n of n values from their power sums p_1, ..., p_n (p[0]
+    unused); dividing by 1, ..., n needs characteristic 0 or above n."""
+    n = len(p) - 1
+    if 0 < field.char <= n:
+        raise ValueError(
+            f"characteristic {field.char} does not exceed the degree {n}")
+    e = [Poly.constant(1, field)]
+    for k in range(1, n + 1):
+        acc = Poly.zero(field)
+        for i in range(1, k + 1):
+            term = e[k - i] * p[i]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc.scale(field.inv(field.coerce(k))))
+    return e
+
+
 def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
     """Res_t(X - f(t), Y - g(t)), normalised monic in the second variable.
 
@@ -382,24 +394,12 @@ def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
     if f.is_zero or f.degree < 1:
         raise ValueError("first generator must have positive degree")
     n = int(f.degree)
-    if 0 < field.char <= n:
-        raise ValueError(
-            f"characteristic {field.char} does not exceed the degree {n}")
     c_inv = field.inv(f.leading_coeff)
-    # (i, b_{n-i}) for the nonzero b_{n-i}, as polynomials in X
+    # (i, b_{n-i}), as polynomials in X
     b = [(i, Poly.constant(f.coeff(n - i), field).scale(c_inv)) for i in range(1, n)]
     b.append((n, Poly(field, {0: f.coeff(0), 1: field.neg(field.one)}).scale(c_inv)))
-    b = [(i, bi) for i, bi in b if not bi.is_zero]
     m = int(g.degree) if not g.is_zero else 0
-    s = [Poly.constant(n, field)]
-    for j in range(1, n * m + 1):
-        acc = Poly.zero(field)
-        for i, bi in b:
-            if i < j:
-                acc = acc + bi * s[j - i]
-            elif i == j:
-                acc = acc + bi.scale(j)
-        s.append(-acc)
+    s = _power_sums(b, n, n * m, field)
     p = [Poly.zero(field)]
     gk = Poly.constant(1, field)
     for _ in range(n):
@@ -408,13 +408,7 @@ def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
         for j, cj in gk.coeffs.items():
             tr = tr + s[j].scale(cj)
         p.append(tr)
-    e = [Poly.constant(1, field)]
-    for k in range(1, n + 1):
-        acc = Poly.zero(field)
-        for i in range(1, k + 1):
-            term = e[k - i] * p[i]
-            acc = acc + term if i % 2 else acc - term
-        e.append(acc.scale(field.inv(field.coerce(k))))
+    e = _elementary_symmetric(p, field)
     out = {}
     for k, ek in enumerate(e):
         for ex, c in ek.coeffs.items():

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fields import check_same_field
-from .mpoly import MPoly, curve_resultant, eval_bipoly, sylvester_resultant
+from .mpoly import (MPoly, _elementary_symmetric, _power_sums, curve_resultant,
+                    eval_bipoly)
 from .numsgp import NumSgp, gcd_chain
 from .poly import Poly
 from .reduction import LimitExceeded
@@ -233,55 +234,72 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
 # -- approximate roots -------------------------------------------------
 
 
-def g_adic_expansion(F: MPoly, G: MPoly, var: str = "y") -> list[MPoly]:
-    """Digits [a_d, ..., a_1, a_0] with F = sum a_i G^i, deg_var a_i < deg_var G."""
-    digits = []
-    rem = F
-    while not rem.is_zero and rem.degree_in(var) >= G.degree_in(var):
-        rem, digit = rem.divmod_in(var, G)
-        digits.append(digit)
-    digits.append(rem)
-    return list(reversed(digits))
-
-
 def approximate_root(F: MPoly, d: int, var: str = "y") -> MPoly:
-    """The unique monic G with deg G = n/d whose G-adic alpha_1 vanishes.
+    """App_d(F): the one monic G of degree q = n/d in ``var`` with
+    deg(F - G^d) < n - q, n = deg F (Abhyankar-Moh, 1973).
 
-    Tschirnhaus iteration G <- G + alpha_1/d from G = Y^{n/d}; each pass
-    strictly lowers the degree of F - G^d, so deg_Y F passes suffice.
+    With F = y^n (1 + sum_{i>=1} a_i y^(-i)), G is the polynomial part
+    sum_{j=0}^{q} v_j y^(q-j) of F^(1/d) in K[x]((y^(-1))), where
+    v = (1 + sum_i a_i z^i)^(1/d) by the J.C.P. Miller recurrence
+    j v_j = sum_{i=1}^{j} ((1/d + 1) i - j) a_i v_{j-i} of
+    :func:`reparametrize` (characteristic zero).  Then F^(1/d) = G + R with
+    deg R < 0, so F - G^d = sum_{k>=1} C(d, k) G^(d-k) R^k has degree at
+    most (d - 1) q - 1 < n - q.  And only one monic G of degree q does: for
+    two, G^d - G'^d = (G - G') (d y^((d-1)q) + lower) has degree at least
+    (d - 1) q = n - q unless G = G'.
     """
     if F.field.char != 0:
         raise ValueError("approximate roots need characteristic zero")
     n = F.degree_in(var)
     if n <= 0:
         raise ValueError("input must involve the root variable")
-    lead = F.coeff_in(var, n)
-    if not lead.is_constant() or lead.constant_value() != F.field.one:
+    if F.coeff_in(var, n) != MPoly.constant(F.vars, 1, F.field):
         raise ValueError(f"input must be monic in {var}")
     if d < 1 or n % d:
         raise ValueError(f"{d} does not divide the {var}-degree {n}")
     q = n // d
+    a = [F.coeff_in(var, n - i) for i in range(q + 1)]
+    alpha1 = Fraction(d + 1, d)  # alpha + 1 for alpha = 1/d
+    v = [a[0]]
     G = MPoly.variable(F.vars, var, F.field, power=q)
-    inv_d = F.field.inv(F.field.coerce(d))
-    for _ in range(n + 1):
-        digits = g_adic_expansion(F, G, var)
-        assert len(digits) == d + 1
-        alpha1 = digits[1]  # coefficient of G^{d-1} in [a_d*G^d + a_{d-1}G^{d-1} + ...]
-        if alpha1.is_zero:
-            return G
-        G = G + alpha1.scale(inv_d)
-    raise RuntimeError("Tschirnhaus iteration failed to converge")  # unreachable
+    for j in range(1, q + 1):
+        acc = MPoly.zero(F.vars, F.field)
+        for i in range(1, j + 1):
+            acc = acc + (a[i] * v[j - i]).scale(alpha1 * i - j)
+        v.append(acc.scale(Fraction(1, j)))
+        G = G + v[j] * MPoly.variable(F.vars, var, F.field, power=q - j)
+    return G
 
 
 # -- global pipelines --------------------------------------------------
 
 
 def intersection_degree(F: MPoly, G: MPoly) -> int:
-    """int(F, G) for an unparametrised curve: deg_X of Res_Y(F, G)."""
-    res = sylvester_resultant(F, G, "y")
+    """int(F, G) = deg_x Res_y(F, G), for F monic in y.
+
+    Res_y(F, G) = prod_i G(y_i) over the roots y_i of F is the e_n of the
+    values G(y_i), found as in :func:`curve_resultant`: the power sums s_j
+    of the y_i, the traces p_k = Tr(G^k) = sum_j [y^j]G^k s_j, then e_n.
+    """
+    field = F.field
+    n = F.degree_in("y")
+    if F.vars != ("x", "y") or F.coeff_in("y", n) != MPoly.constant(F.vars, 1, field):
+        raise ValueError("the first curve must be in (x, y) and monic in y")
+    b = [(i, F.coeff_in("y", n - i).to_poly()) for i in range(1, n + 1)]
+    s = _power_sums(b, n, n * max(G.degree_in("y"), 0), field)
+    p = [Poly.zero(field)]
+    gk = MPoly.constant(F.vars, 1, field)
+    for _ in range(n):
+        gk = gk * G
+        tr: dict = {}
+        for (ex, ey), c in gk.coeffs.items():
+            for es, cs in s[ey].coeffs.items():
+                tr[ex + es] = field.add(tr.get(ex + es, field.zero), field.mul(c, cs))
+        p.append(Poly(field, tr))
+    res = _elementary_symmetric(p, field)[n]
     if res.is_zero:
         raise ValueError("the two curves share a component")
-    return res.degree_in("x")
+    return int(res.degree)
 
 
 def _normalize_global_pair(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -315,37 +333,48 @@ class PlaneResult:
     generators: list[Poly]      # normalised f, g when a parametrisation exists
 
 
-def gamma_at_infinity(f: Poly, g: Poly) -> PlaneResult:
-    """Degree semigroup of K[f, g] via approximate roots of the resultant.
-
-    A parametrisation that is not proper ([K(t):K(f, g)] > 1) makes the
-    resultant a power and raises ValueError.
-    """
-    f, g = _normalize_global_pair(f, g)
-    F = curve_resultant(f, g)
-    n = F.degree_in("y")
-    rs = [n]
+def _descend_at_infinity(F: MPoly, value) -> tuple[list[int], list[MPoly]]:
+    """r_0 = deg_y F, then r_k = value(App_{d_k}(F)) with d_0 = r_0 and
+    d_{k+1} = gcd(d_k, r_{k+1}) until d reaches 1; returns the r_k, roots."""
+    d = F.degree_in("y")
+    rs = [d]
     roots: list[MPoly] = []
-    evaluated: list[Poly] = []
-    d = n
     while d != 1:
         G = approximate_root(F, d)
-        gk = eval_bipoly(G, f, g)
-        if gk.is_zero:
-            # a monic root of y-degree n/d < n = deg_y F vanishes on the
-            # curve only if F is a power of its minimal polynomial
-            raise ValueError(
-                f"parametrisation is not proper: the approximate root of "
-                f"y-degree {n // d} vanishes at (f, g)")
-        rk = int(gk.degree)
+        rk = value(G)
         nxt = math.gcd(d, rk)
         if nxt == d:
             raise NotOnePlaceAtInfinity(
                 f"gcd descent stalls at {d} (int value {rk})")
         rs.append(rk)
         roots.append(G)
-        evaluated.append(gk)
         d = nxt
+    return rs, roots
+
+
+def gamma_at_infinity(f: Poly, g: Poly) -> PlaneResult:
+    """Degree semigroup of K[f, g] via approximate roots of the resultant.
+
+    The value of a root G is deg G(f, g).  A parametrisation that is not
+    proper ([K(t):K(f, g)] > 1) makes the resultant a power and raises
+    ValueError.
+    """
+    f, g = _normalize_global_pair(f, g)
+    F = curve_resultant(f, g)
+    evaluated: list[Poly] = []
+
+    def degree_at(G: MPoly) -> int:
+        gk = eval_bipoly(G, f, g)
+        if gk.is_zero:
+            # a monic root of y-degree n/d < n = deg_y F vanishes on the
+            # curve only if F is a power of its minimal polynomial
+            raise ValueError(
+                f"parametrisation is not proper: the approximate root of "
+                f"y-degree {G.degree_in('y')} vanishes at (f, g)")
+        evaluated.append(gk)
+        return int(gk.degree)
+
+    rs, roots = _descend_at_infinity(F, degree_at)
     seq = delta_sequence(rs)
     return PlaneResult(NumSgp(rs), seq, F, roots, evaluated, [f, g])
 
@@ -355,7 +384,8 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
 
     Only the necessary delta-sequence conditions are checked; when they
     fail the input cannot have one place at infinity and the error says
-    so.  int(F, G) is computed as deg_X Res_Y(F, G).
+    so.  The value of a root G is the intersection number int(F, G) of
+    :func:`intersection_degree`.
     """
     if F.field.char != 0:
         raise ValueError("the plane-branch pipeline needs characteristic zero")
@@ -366,19 +396,7 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     if not lead.is_constant():
         raise NotOnePlaceAtInfinity("leading y-coefficient is not a unit")
     F = F.scale(F.field.inv(lead.constant_value()))
-    rs = [n]
-    roots: list[MPoly] = []
-    d = n
-    while d != 1:
-        G = approximate_root(F, d)
-        rk = intersection_degree(F, G)
-        nxt = math.gcd(d, rk)
-        if nxt == d:
-            raise NotOnePlaceAtInfinity(
-                f"gcd descent stalls at {d} (int value {rk})")
-        rs.append(rk)
-        roots.append(G)
-        d = nxt
+    rs, roots = _descend_at_infinity(F, lambda G: intersection_degree(F, G))
     seq = delta_sequence(rs)
     return PlaneResult(NumSgp(rs), seq, F, roots, [], [])
 

@@ -36,6 +36,32 @@ def test_global_command(capsys):
     assert "minimal generators: [4, 6, 9]" in out
 
 
+def test_char_option_large_prime_answers_quickly(capsys):
+    # 10^18 + 3 is prime; trial division to its square root did not finish
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "local", "x^2,x^3", "--char", "1000000000000000003")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert "minimal generators: [2, 3]" in out
+
+
+def test_char_option_square_of_a_prime_is_rejected_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "local", "x^2,x^3", "--char",
+                         str((2 ** 31 - 1) ** 2))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert "is not prime" in err
+
+
+def test_char_option_above_the_primality_bound_exits_1(capsys):
+    code, out, err = run(capsys, "local", "x^2,x^3", "--char", str(10 ** 25 + 13))
+    assert code == 1
+    assert out == ""
+    assert "exact only below 3317044064679887385961981" in err
+
+
 def test_global_char_option(capsys):
     code, out, _ = run(capsys, "global", "x^6+x^3,x^4", "--char", "5")
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 
 from curvesgp import (GF, QQ, MPoly, Poly, curve_resultant, eval_bipoly,
                       resultant_eliminate)
-from curvesgp.mpoly import sylvester_resultant
+from curvesgp.mpoly import _elementary_symmetric, _power_sums, sylvester_resultant
 from util import XY, P, xp
 
 
@@ -58,14 +58,6 @@ def test_eval_bipoly_examples():
     assert eval_bipoly(X, xp(5) + xp(2), xp(9)) == xp(5) + xp(2)
 
 
-def test_divmod_in():
-    F = XY({(0, 4): 1, (3, 2): -2, (6, 0): 1, (5, 1): -4, (7, 0): -1})
-    G = XY({(0, 2): 1, (3, 0): -1})
-    q, r = F.divmod_in("y", G)
-    assert q * G + r == F
-    assert r.degree_in("y") < 2
-
-
 def test_exact_div_round_trip():
     a = XY({(1, 0): 1, (0, 1): 2, (0, 0): -1})
     b = XY({(2, 1): 3, (0, 2): -5, (1, 0): 1})
@@ -94,13 +86,6 @@ def test_bareiss_determinant_with_zero_pivot():
     assert det == MPoly(vars, x.field, {(0, 0): Fraction(-1), (1, 0): Fraction(-6)})
     singular = [[zero, zero], [c(1), c(1)]]
     assert bareiss_determinant(singular, vars, x.field).is_zero
-
-
-def test_divmod_requires_unit_leading_coefficient():
-    F = XY({(0, 2): 1, (3, 0): -1})
-    G = XY({(1, 1): 1})  # leading y-coefficient is x, not a unit
-    with pytest.raises(ValueError):
-        F.divmod_in("y", G)
 
 
 def test_degree_queries():
@@ -183,3 +168,25 @@ def test_curve_resultant_characteristic_and_degree_conditions():
     for f in (P((0, 3)), Poly.zero()):
         with pytest.raises(ValueError, match="positive degree"):
             curve_resultant(f, xp(2))
+
+
+def test_power_sums_and_elementary_symmetric_on_known_roots():
+    # roots r_i in Q[X]: prod (t - r_i) = t^n + sum_i b_i t^(n-i) with
+    # b_i = (-1)^i e_i; the helpers must give sum r_i^j and back the e_i
+    rng = random.Random(37)
+    for field in (QQ, GF(13)):
+        for n in range(1, 7):
+            roots = [P(*[(e, rng.choice((0, 1, -1, 2, "1/3")))
+                         for e in range(3)], field=field) for _ in range(n)]
+            e = [Poly.constant(1, field)]  # elementary symmetric, by expansion
+            for r in roots:
+                e = [e[0]] + [e[k] + e[k - 1] * r for k in range(1, len(e))] \
+                    + [e[-1] * r]
+            b = [(i, e[i] if i % 2 == 0 else -e[i]) for i in range(1, n + 1)]
+            s = _power_sums(b, n, 2 * n, field)
+            for j in range(2 * n + 1):
+                want = Poly.zero(field)
+                for r in roots:
+                    want = want + r ** j
+                assert s[j] == want, (field, n, j)
+            assert _elementary_symmetric(s[:n + 1], field) == e

@@ -25,6 +25,8 @@ from curvesgp import (
     reparametrize,
     reverse_series,
 )
+from curvesgp.mpoly import sylvester_resultant
+from curvesgp.planebranch import intersection_degree
 from util import XY, P, xp
 
 
@@ -124,17 +126,66 @@ def test_approximate_root_rejects_bad_divisor():
         approximate_root(F, 4)
 
 
-def test_approximate_root_degree_and_expansion():
-    # deg_Y App(F,d) = n/d and the G-adic alpha_1 vanishes, via a fresh expansion
-    from curvesgp.planebranch import g_adic_expansion
+def _assert_is_approximate_root(F, G, d):
+    """The defining property: G monic of y-degree q = n/d and
+    deg_y(F - G^d) < n - q."""
+    n = F.degree_in("y")
+    q = n // d
+    assert G.degree_in("y") == q
+    assert G.coeff_in("y", q) == XY({(0, 0): 1})
+    assert (F - G ** d).degree_in("y") < n - q, (F, d)
 
+
+def test_approximate_root_degree_and_expansion():
+    # deg(F - G^d) < n - n/d says the G-adic digit of G^(d-1) vanishes
     F = curve_resultant(xp(6) + xp(3), xp(4))
     for d in (1, 2, 3, 6):
-        G = approximate_root(F, d)
-        assert G.degree_in("y") == 6 // d
-        digits = g_adic_expansion(F, G, "y")
-        assert digits[0] == XY({(0, 0): 1})
-        assert digits[1].is_zero
+        _assert_is_approximate_root(F, approximate_root(F, d), d)
+
+
+def _random_monic(rng, n, xdeg=3):
+    """Monic in y of degree n over Q[x], coefficients of x-degree <= xdeg."""
+    terms = {(0, n): 1}
+    for j in range(n):
+        for ex in range(xdeg + 1):
+            if rng.random() < 0.4:
+                terms[(ex, j)] = rng.choice((1, -1, 2, -3, "1/2", "-2/3"))
+    return XY(terms)
+
+
+def test_approximate_root_defining_property_on_random_curves():
+    rng = random.Random(23)
+    checked = 0
+    for n in range(1, 13):
+        for _ in range(2):
+            F = _random_monic(rng, n)
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    _assert_is_approximate_root(F, approximate_root(F, d), d)
+                    checked += 1
+    assert checked == 70
+
+
+def test_intersection_degree_matches_sylvester_route():
+    rng = random.Random(29)
+    for _ in range(24):
+        F = _random_monic(rng, rng.randrange(1, 7), xdeg=2)
+        G = _random_monic(rng, rng.randrange(0, 5), xdeg=2)
+        res = sylvester_resultant(F, G, "y")
+        if res.is_zero:
+            with pytest.raises(ValueError, match="share a component"):
+                intersection_degree(F, G)
+        else:
+            assert intersection_degree(F, G) == res.degree_in("x"), (F, G)
+    # a shared component: F = A*B, G = A*C
+    A = XY({(0, 2): 1, (3, 0): -1})
+    F = A * XY({(0, 1): 1, (1, 0): 2})
+    G = A * XY({(0, 3): 1, (2, 1): -1, (0, 0): 5})
+    assert sylvester_resultant(F, G, "y").is_zero
+    with pytest.raises(ValueError, match="share a component"):
+        intersection_degree(F, G)
+    with pytest.raises(ValueError, match="monic in y"):
+        intersection_degree(F.scale(3), G)
 
 
 def test_gamma_at_infinity_x6x3_x4():

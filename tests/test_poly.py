@@ -73,6 +73,23 @@ def test_gf_requires_prime():
         GF(6)
 
 
+def test_primality_matches_trial_division_and_rejects_strong_pseudoprimes():
+    from curvesgp.fields import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(20000) if _is_prime(n)] == \
+        [n for n in range(20000) if trial(n)]
+    # the least strong pseudoprimes to the bases 2; 2, 3; ...; 2, ..., 37
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n), n
+    assert _is_prime(2 ** 61 - 1) and _is_prime(10 ** 18 + 3)
+    assert not _is_prime((2 ** 31 - 1) ** 2)
+
+
 def test_division_by_zero_is_an_error():
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.zero)
