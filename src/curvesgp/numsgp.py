@@ -14,15 +14,20 @@ infinite, so conductor-style questions are only meaningful for S/d).
 Presentations are binomial: pairs of exponent vectors with equal value,
 generating the kernel of the monomial map X_i -> x^{a_i}.  They are found
 by the factorisation-graph method over the values w + a_i with w in
-Ap(S, m), which hold every value with a disconnected graph (see
-:func:`presentation_for_generators`).
+Ap(S, m), which hold every value with a disconnected graph.  No
+factorisation is listed: the components of the factorisation graph of n
+are those of the graph nabla_n on {i : n - a_i in S}, with an edge i-j
+when n - a_i - a_j is in S (Rosales and Garcia-Sanchez, Finitely
+Generated Commutative Monoids, 1999, ch. 9), and the lex-least vector of
+each is built greedily by membership tests (see
+:func:`presentation_for_generators` and :func:`least_factorization`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence
 
 
@@ -147,7 +152,8 @@ class NumSgp:
     # -- factorisations and presentations -------------------------------
 
     def factorizations(self, n: int) -> list[tuple[int, ...]]:
-        """All exponent vectors over the stored generators with value n."""
+        """All exponent vectors over the stored generators with value n,
+        in lex order (a plain enumeration, for small inputs)."""
         if n < 0:
             raise ValueError("value must be nonnegative")
         return _factorizations(n, self.generators)
@@ -191,83 +197,65 @@ def _apery(gens: Sequence[int], n: int) -> list[int]:
     return ap
 
 
-class _Factorizer:
-    """Exponent-vector enumeration with a memo that persists across values."""
-
-    def __init__(self, gens: tuple[int, ...]):
-        self.gens = gens
-        self.memo: dict = {}
-
-    def factorizations(self, n: int) -> list[tuple[int, ...]]:
-        return self._rec(0, n)
-
-    def _rec(self, i: int, rest: int):
-        gens = self.gens
-        if i == len(gens) - 1:
-            if rest % gens[i] == 0:
-                return [(rest // gens[i],)]
-            return []
-        key = (i, rest)
-        if key not in self.memo:
-            out = []
-            g = gens[i]
-            for k in range(rest // g + 1):
-                for tail in self._rec(i + 1, rest - k * g):
-                    out.append((k,) + tail)
-            self.memo[key] = out
-        return self.memo[key]
+_monoid = lru_cache(maxsize=256)(NumSgp)  # one NumSgp per generator tuple
 
 
-_FACTORIZER_CACHE: dict[tuple[int, ...], _Factorizer] = {}
+def least_factorization(n: int, gens: Sequence[int]) -> tuple[int, ...] | None:
+    """The lex-least exponent vector over gens with value n, or None.
+
+    Each k_j is the least k such that the remainder r - k*a_j (r what is
+    left of n after the earlier terms) lies in the monoid of the later
+    generators.  It is lex-least because a prefix extends to a
+    factorisation exactly when the remainder lies in that monoid.
+    """
+    gens = tuple(gens)
+    if not _monoid(gens).contains(n):
+        return None
+    out = []
+    for j, a in enumerate(gens[:-1]):
+        later = _monoid(gens[j + 1:])
+        k = 0
+        while not later.contains(n - k * a):
+            k += 1
+        out.append(k)
+        n -= k * a
+    return tuple(out) + (n // gens[-1],)
 
 
-def _factorizer_for(gens: tuple[int, ...]) -> _Factorizer:
-    if gens not in _FACTORIZER_CACHE:
-        if len(_FACTORIZER_CACHE) > 256:
-            _FACTORIZER_CACHE.clear()
-        _FACTORIZER_CACHE[gens] = _Factorizer(gens)
-    return _FACTORIZER_CACHE[gens]
+def least_factorization_over(n: int, gens: Sequence[int],
+                             idx: Sequence[int]) -> tuple[int, ...]:
+    """:func:`least_factorization` over the gens[i], i in idx in that
+    order, as a vector over all of gens (zero off idx); n must lie in
+    their monoid."""
+    vec = [0] * len(gens)
+    for i, k in zip(idx, least_factorization(n, [gens[i] for i in idx])):
+        vec[i] = k
+    return tuple(vec)
 
 
 def _factorizations(n: int, gens: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return _factorizer_for(gens).factorizations(n)
+    """Every exponent vector over gens with value n, in lex order."""
+    if len(gens) == 1:
+        return [(n // gens[0],)] if n % gens[0] == 0 else []
+    return [(k,) + tail for k in range(n // gens[0] + 1)
+            for tail in _factorizations(n - k * gens[0], gens[1:])]
 
 
-def _union_common_support(uf: "_UnionFind", vecs) -> None:
-    """Vectors sharing a positive coordinate are mutually adjacent, so
-    chaining each coordinate class gives the same components as the full
-    common-support graph."""
-    k = len(vecs[0])
-    for i in range(k):
-        anchor = None
-        for v in vecs:
-            if v[i]:
-                if anchor is None:
-                    anchor = v
-                else:
-                    uf.union(anchor, v)
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {v: v for v in items}
-
-    def find(self, v):
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def components(self):
-        comps: dict = {}
-        for v in self.parent:
-            comps.setdefault(self.find(v), []).append(v)
-        return list(comps.values())
+def _nabla_components(n: int, gens: tuple[int, ...], S: NumSgp) -> list[list[int]]:
+    """Components of the graph on {i : n - a_i in S} with an edge i-j when
+    n - a_i - a_j is in S, each as a sorted list of indices."""
+    unseen = [i for i, a in enumerate(gens) if S.contains(n - a)]
+    comps = []
+    while unseen:
+        comp, stack = [], [unseen.pop(0)]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            linked = [j for j in unseen if S.contains(n - gens[i] - gens[j])]
+            unseen = [j for j in unseen if j not in linked]
+            stack += linked
+        comps.append(sorted(comp))
+    return comps
 
 
 def presentation_for_generators(gens: Sequence[int]) -> Presentation:
@@ -276,36 +264,39 @@ def presentation_for_generators(gens: Sequence[int]) -> Presentation:
     Works for arbitrary positive generator tuples (scaling by the gcd
     changes nothing).  The candidate values are {w + a_i : w in Ap(S, m)},
     m a least generator, at most m*s of them.  They are visited in
-    increasing order; when a factorisation graph (edges: common support)
-    is disconnected, one pair per extra component is added, joining each
-    component's lex-least vector to the overall lex-least one.
+    increasing order; when the factorisation graph of n (edges: common
+    support) is disconnected, one pair per extra component is added,
+    joining each component's lex-least vector to the overall lex-least
+    one, in increasing order of the former.
 
-    The candidate set is complete (Rosales and Garcia-Sanchez, Numerical
-    Semigroups, 2009, ch. 7).  Let n have a disconnected graph and let
-    m = a_j.  The factorisations using a_j share support, so some
-    component C has none that uses a_j; take v in C and i with v_i > 0.
-    Were n - a_i - m in S, n would have a factorisation using both a_i
-    and a_j, joining C to the component of a_j.  So n - a_i lies in
-    Ap(S, m).
+    The components are read off the graph nabla_n on {i : n - a_i in S},
+    with an edge i-j when n - a_i - a_j is in S (Rosales and
+    Garcia-Sanchez, Finitely Generated Commutative Monoids, 1999, ch. 9;
+    Numerical Semigroups, 2009, ch. 7).  A factorisation's support is a
+    clique of nabla_n, and every vertex and every edge is used by some
+    factorisation, so the factorisations whose support lies in one
+    component C of nabla_n form one component of the factorisation graph.
+    Its lex-least vector is the least factorisation over the generators
+    of C.
+
+    The candidate set is complete (same references).  Let n have a
+    disconnected graph and let m = a_j.  The factorisations using a_j
+    share support, so some component C has none that uses a_j; take v in
+    C and i with v_i > 0.  Were n - a_i - m in S, n would have a
+    factorisation using both a_i and a_j, joining C to the component of
+    a_j.  So n - a_i lies in Ap(S, m).
     """
     gens = tuple(gens)
     d = reduce(math.gcd, gens)
     scaled = tuple(g // d for g in gens)
-    ap = _apery(scaled, min(scaled))
+    S = _monoid(scaled)
     pairs: list[RelationPair] = []
-    for n in sorted({w + a for w in ap for a in scaled}):
-        vecs = _factorizations(n, scaled)
-        if len(vecs) < 2:
+    for n in sorted({w + a for w in S._ap for a in scaled}):
+        comps = _nabla_components(n, scaled, S)
+        if len(comps) < 2:
             continue
-        uf = _UnionFind(vecs)
-        _union_common_support(uf, vecs)
-        comps = uf.components()
-        if len(comps) > 1:
-            overall = min(vecs)
-            for comp in comps:
-                local = min(comp)
-                if local != overall:
-                    pairs.append(RelationPair(local, overall, n * d))
+        vecs = sorted(least_factorization_over(n, scaled, comp) for comp in comps)
+        pairs.extend(RelationPair(v, vecs[0], n * d) for v in vecs[1:])
     return Presentation(gens, tuple(pairs))
 
 
@@ -360,19 +351,20 @@ def ci_relations(arrangement: Sequence[int]) -> Presentation:
 
 
 def _bounded_representation(target: int, prefix: list[int], ds: list[int]):
-    """target = sum theta_i * prefix[i] with 0 <= theta_i < e_i for i >= 1."""
-    k = len(prefix)
+    """target = sum theta_i * prefix[i] with 0 <= theta_i < e_i for i >= 1.
 
-    def rec(i: int, rest: int):
-        if i == 0:
-            if rest >= 0 and rest % prefix[0] == 0:
-                return (rest // prefix[0],)
-            return None
+    The representation is unique, so it is read off from the top: the
+    terms below i are multiples of d_{i-1}, so theta_i * r_i = rest mod
+    d_{i-1}, and r_i / d_i is a unit mod e_i = d_{i-1} / d_i.  A target
+    off the lattice d_i Z fails the last divisibility test, as d_i | r_0.
+    """
+    rest = target
+    theta = []
+    for i in range(len(prefix) - 1, 0, -1):
         e_i = ds[i - 1] // ds[i]
-        for t in range(e_i):
-            sub = rec(i - 1, rest - t * prefix[i])
-            if sub is not None:
-                return sub + (t,)
+        t = rest // ds[i] * pow(prefix[i] // ds[i], -1, e_i) % e_i
+        theta.append(t)
+        rest -= t * prefix[i]
+    if rest < 0 or rest % prefix[0]:
         return None
-
-    return rec(k - 1, target)
+    return (rest // prefix[0],) + tuple(reversed(theta))

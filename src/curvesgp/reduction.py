@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .fields import check_same_field
-from .numsgp import NumSgp, presentation_for_generators
+from .numsgp import NumSgp, least_factorization_over, presentation_for_generators
 from .poly import Poly
 
 
@@ -92,10 +92,13 @@ class ReductionContext:
         return p.support[-1], p.leading_coeff
 
     def pick_factorization(self, n: int) -> tuple[int, ...]:
+        """The factorisation of n (a member of the value monoid) that is
+        lex-least in ``_prio_desc`` order, so it spends high-value
+        generators last: the greedy least factorisation over the values
+        in that order, mapped back to index order."""
         if n not in self._theta_cache:
-            vecs = self.monoid.factorizations(n)
-            key = lambda v: tuple(v[i] for i in self._prio_desc)
-            self._theta_cache[n] = min(vecs, key=key)
+            self._theta_cache[n] = least_factorization_over(
+                n, self.values, self._prio_desc)
         return self._theta_cache[n]
 
     def element_power(self, i: int, k: int) -> Poly:

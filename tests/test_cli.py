@@ -233,3 +233,22 @@ def test_json_semigroup_presentation(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["presentation"]) == 2
+
+
+def test_semigroup_four_large_generators_within_budget(capsys):
+    # the presentation scan visits ~4000 candidate values w + a_i
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "semigroup", "1009,1013,1019,1021", "--json")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    data = json.loads(out)
+    assert data["semigroup"]["minimal_generators"] == [1009, 1013, 1019, 1021]
+    assert data["presentation"]
+
+
+def test_local_two_large_monomials_within_budget(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "local", "x^1009,x^1013", "--json")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["semigroup"]["minimal_generators"] == [1009, 1013]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -6,8 +7,11 @@ import pytest
 
 from curvesgp import (NumSgp, RelationPair, ci_relations, from_generators, is_free,
                       presentation_for_generators)
+from curvesgp.numsgp import gcd_chain, least_factorization
+from curvesgp.reduction import BasisElement, ReductionContext
 from util import (brute_conductor, brute_semigroup_members, factorization_components,
-                  presentation_is_complete, presentation_sweep)
+                  factorization_table, presentation_by_enumeration, presentation_is_complete,
+                  presentation_sweep, xp)
 
 
 def test_from_generators_conductor_18():
@@ -159,6 +163,49 @@ def test_presentation_complete_and_minimal_on_random_tuples():
         assert Counter(p.value for p in pairs) == expected, gens
 
 
+def _wide_generator_tuple(rng):
+    """2-7 generators in 2..40, sometimes with a repeat or a non-minimal sum."""
+    gens = [rng.randint(2, 40) for _ in range(rng.randint(2, 6))]
+    if rng.random() < 0.3:
+        gens.append(rng.choice(gens))
+    if len(gens) < 7 and rng.random() < 0.3:
+        gens.append(rng.choice(gens) + rng.choice(gens))
+    return tuple(gens)
+
+
+def test_presentation_matches_enumeration_route():
+    # the chosen vectors and their order reach the JSON report
+    rng = random.Random(1999)
+    cases = [(4, 4, 6), (4, 6, 10), (8, 12, 30), (16, 24, 52, 106, 213), (3, 5, 7),
+             tuple(range(10, 17))]
+    cases += [_wide_generator_tuple(rng) for _ in range(300)]
+    for gens in cases:
+        assert presentation_for_generators(gens).pairs == presentation_by_enumeration(gens), gens
+
+
+def test_least_factorization_is_lex_least():
+    rng = random.Random(1999)
+    for _ in range(80):
+        gens = _wide_generator_tuple(rng)[:4]
+        top = 3 * max(gens) + NumSgp(gens).scaled_conductor
+        for n, vecs in enumerate(factorization_table(gens, top)):
+            assert least_factorization(n, gens) == (min(vecs) if vecs else None), (gens, n)
+
+
+def test_pick_factorization_spends_high_values_last():
+    rng = random.Random(2014)
+    for _ in range(80):
+        values = _wide_generator_tuple(rng)[:4]
+        ctx = ReductionContext([BasisElement(xp(v), v) for v in values], "local")
+        # largest value first, the later of two equal values first
+        order = sorted(range(len(values)), key=lambda i: (-values[i], -i))
+        priority = lambda v: [v[i] for i in order]
+        top = 3 * max(values) + ctx.monoid.scaled_conductor
+        for n, vecs in enumerate(factorization_table(values, top)):
+            if vecs:
+                assert ctx.pick_factorization(n) == min(vecs, key=priority), (values, n)
+
+
 def test_is_free():
     assert is_free(NumSgp([2, 7]), [2, 7])
     assert is_free(NumSgp([4, 6, 13]), [4, 6, 13])
@@ -180,6 +227,37 @@ def test_ci_relations():
         ci_relations([9, 6, 1])  # 3*1 is not in <9,6>: not free
     with pytest.raises(ValueError):
         ci_relations([4, 5, 6])  # gcd chain stalls at 1 before the end
+
+
+def _bounded_search(target, prefix, ds):
+    """Every target = sum t_i r_i with 0 <= t_i < e_i for i >= 1, t_0 >= 0."""
+    ranges = [range(ds[i - 1] // ds[i]) for i in range(1, len(prefix))]
+    found = []
+    for tail in itertools.product(*ranges):
+        rest = target - sum(t * r for t, r in zip(tail, prefix[1:]))
+        if rest >= 0 and rest % prefix[0] == 0:
+            found.append((rest // prefix[0],) + tail)
+    return found
+
+
+def test_ci_relations_match_bounded_search():
+    rng = random.Random(1412)
+    checked = 0
+    while checked < 150:
+        arr = [rng.randint(2, 60) for _ in range(rng.randint(2, 5))]
+        ds = gcd_chain(arr)
+        if any(ds[k] >= ds[k - 1] for k in range(1, len(arr))):
+            continue
+        checked += 1
+        found = [_bounded_search(ds[k - 1] // ds[k] * arr[k], arr[:k], ds)
+                 for k in range(1, len(arr))]
+        if all(found):
+            assert all(len(f) == 1 for f in found), arr
+            betas = [p.beta[:k] for k, p in enumerate(ci_relations(arr).pairs, 1)]
+            assert betas == [f[0] for f in found], arr
+        else:
+            with pytest.raises(ValueError, match="arrangement not free"):
+                ci_relations(arr)
 
 
 def test_conductor_matches_brute_force():

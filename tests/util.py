@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 
-from curvesgp import MPoly, Poly, QQ
+from curvesgp import MPoly, Poly, QQ, RelationPair
 
 
 def xp(e: int, c=1, field=QQ) -> Poly:
@@ -41,13 +41,17 @@ def brute_semigroup_members(gens, bound):
 
 
 def brute_conductor(gens):
-    """Least c with c + N inside <gens>; requires gcd 1."""
-    bound = 4 * max(gens) ** 2 + 4 * max(gens)
-    table = brute_semigroup_members(gens, bound)
-    c = bound
-    while c > 0 and table[c - 1]:
-        c -= 1
-    return c
+    """Least c with c + N inside <gens>; requires gcd 1.
+
+    Scans members by dynamic programming up to the first run of min(gens)
+    consecutive members: adding min(gens) to them covers every later n.
+    """
+    member, run = [True], 1
+    while run < min(gens):
+        n = len(member)
+        member.append(any(n >= g and member[n - g] for g in gens))
+        run = run + 1 if member[-1] else 0
+    return len(member) - run
 
 
 def factorization_table(gens, top):
@@ -60,9 +64,9 @@ def factorization_table(gens, top):
     return table
 
 
-def factorization_components(vecs, pairs=()):
-    """Number of classes of vecs joined by a common positive coordinate and
-    by the moves u + alpha <-> u + beta along the given pairs."""
+def factorization_classes(vecs, pairs=()):
+    """Classes of vecs joined by a common positive coordinate and by the
+    moves u + alpha <-> u + beta along the given pairs."""
     parent = {v: v for v in vecs}
 
     def find(v):
@@ -85,7 +89,14 @@ def factorization_components(vecs, pairs=()):
                     w = tuple(x - y + z for x, y, z in zip(v, src, dst))
                     if w in parent:
                         union(v, w)
-    return len({find(v) for v in vecs})
+    classes = {}
+    for v in vecs:
+        classes.setdefault(find(v), []).append(v)
+    return list(classes.values())
+
+
+def factorization_components(vecs, pairs=()):
+    return len(factorization_classes(vecs, pairs))
 
 
 def presentation_sweep(gens):
@@ -109,3 +120,22 @@ def presentation_is_complete(gens, pairs):
     """
     _, sweep = presentation_sweep(tuple(gens))
     return all(factorization_components(vecs, pairs) == 1 for vecs in sweep.values())
+
+
+def presentation_by_enumeration(gens):
+    """Reference route for ``presentation_for_generators(gens).pairs``.
+
+    Lists every factorisation of every member n of <gens / d> up to
+    Frobenius + 2*max, past every candidate w + a_i, splits them into
+    common-support classes, and joins each class's lex-least vector to the
+    overall lex-least one, in increasing order of the former.
+    """
+    d = reduce(math.gcd, gens)
+    scaled = tuple(g // d for g in gens)
+    top = brute_conductor(scaled) - 1 + 2 * max(scaled)
+    pairs = []
+    for n, vecs in enumerate(factorization_table(scaled, top)):
+        if n and vecs:
+            least = sorted(min(c) for c in factorization_classes(vecs))
+            pairs += [RelationPair(v, least[0], n * d) for v in least[1:]]
+    return tuple(pairs)
