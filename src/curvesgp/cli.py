@@ -7,6 +7,7 @@ message), 2 parse error, 3 growth-guard tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable
@@ -29,7 +30,10 @@ from .reduction import BasisElement, LimitExceeded
 from . import report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, and building the subparsers costs milliseconds."""
     parser = argparse.ArgumentParser(
         prog="curvesgp",
         description="Semigroups of values of curve subalgebras, bases, "

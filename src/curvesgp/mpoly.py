@@ -201,23 +201,33 @@ class MPoly:
         return out
 
     def eval_univariate(self, values: Mapping[str, Poly]) -> Poly:
-        """Substitute a univariate polynomial for every variable."""
+        """Substitute a univariate polynomial for every variable.
+
+        Horner's rule in each variable, the last one outermost: with G =
+        sum_k y^k G_k over the exponents k of the last variable y, G(v) =
+        (...(G_K(v) y^(K-K') + G_K'(v)) y^(K'-K'') + ...) y^(k_min), each
+        G_k evaluated the same way in the remaining variables.
+        """
         f = self.field
-        out = Poly.zero(f)
-        cache: dict = {}
 
-        def power(name, k):
-            if (name, k) not in cache:
-                cache[(name, k)] = values[name] ** k
-            return cache[(name, k)]
+        def horner(terms: dict, i: int) -> Poly:
+            if i < 0:
+                return Poly(f, {0: terms[()]})
+            rows: dict = {}
+            for e, c in terms.items():
+                rows.setdefault(e[i], {})[e[:i]] = c
+            exps = sorted(rows, reverse=True)
+            acc = horner(rows[exps[0]], i - 1)
+            if not exps[0]:
+                return acc
+            x = values[self.vars[i]]
+            for hi, lo in zip(exps, exps[1:]):
+                acc = acc * x ** (hi - lo) + horner(rows[lo], i - 1)
+            return acc * x ** exps[-1] if exps[-1] else acc
 
-        for e, c in self.coeffs.items():
-            term = Poly.constant(c, f)
-            for name, k in zip(self.vars, e):
-                if k:
-                    term = term * power(name, k)
-            out = out + term
-        return out
+        if self.is_zero:
+            return Poly.zero(f)
+        return horner(self.coeffs, len(self.vars) - 1)
 
     def to_poly(self) -> Poly:
         """Collapse to a univariate Poly; needs at most one active variable."""
@@ -339,12 +349,14 @@ def resultant_eliminate(p: MPoly, q: MPoly, name: str, monic_in: str | None = No
     return res
 
 
-def _power_sums(b: list, n: int, top: int, field) -> list[Poly]:
+def _power_sums(b: list, n: int, top: int, field, s: list | None = None) -> list[Poly]:
     """s_0, ..., s_top of the roots of t^n + sum_i b_i t^(n-i), b = [(i, b_i)]
-    with b_i in K[X], by Newton's identities (no division)."""
+    with b_i in K[X], by Newton's identities (no division); a list s of
+    the first power sums is extended in place."""
     b = [(i, bi) for i, bi in b if not bi.is_zero]
-    s = [Poly.constant(n, field)]
-    for j in range(1, top + 1):
+    if s is None:
+        s = [Poly.constant(n, field)]
+    for j in range(len(s), top + 1):
         acc = Poly.zero(field)
         for i, bi in b:
             if i < j:

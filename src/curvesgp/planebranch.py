@@ -281,25 +281,41 @@ def intersection_degree(F: MPoly, G: MPoly) -> int:
     values G(y_i), found as in :func:`curve_resultant`: the power sums s_j
     of the y_i, the traces p_k = Tr(G^k) = sum_j [y^j]G^k s_j, then e_n.
     """
+    return _intersection_numbers(F)(G)
+
+
+def _intersection_numbers(F: MPoly):
+    """G -> int(F, G) of :func:`intersection_degree`, for one F and many G.
+
+    The power sums of the roots of F are kept in one list, extended as far
+    as the y-degree of each G needs.  Newton's recurrence for e_n reads
+    every e_k with k < n, so all of them are built.
+    """
     field = F.field
     n = F.degree_in("y")
     if F.vars != ("x", "y") or F.coeff_in("y", n) != MPoly.constant(F.vars, 1, field):
         raise ValueError("the first curve must be in (x, y) and monic in y")
     b = [(i, F.coeff_in("y", n - i).to_poly()) for i in range(1, n + 1)]
-    s = _power_sums(b, n, n * max(G.degree_in("y"), 0), field)
-    p = [Poly.zero(field)]
-    gk = MPoly.constant(F.vars, 1, field)
-    for _ in range(n):
-        gk = gk * G
-        tr: dict = {}
-        for (ex, ey), c in gk.coeffs.items():
-            for es, cs in s[ey].coeffs.items():
-                tr[ex + es] = field.add(tr.get(ex + es, field.zero), field.mul(c, cs))
-        p.append(Poly(field, tr))
-    res = _elementary_symmetric(p, field)[n]
-    if res.is_zero:
-        raise ValueError("the two curves share a component")
-    return int(res.degree)
+    s = [Poly.constant(n, field)]
+
+    def value(G: MPoly) -> int:
+        _power_sums(b, n, n * max(G.degree_in("y"), 0), field, s)
+        p = [Poly.zero(field)]
+        gk = MPoly.constant(F.vars, 1, field)
+        for _ in range(n):
+            gk = gk * G
+            tr: dict = {}
+            for (ex, ey), c in gk.coeffs.items():
+                for es, cs in s[ey].coeffs.items():
+                    tr[ex + es] = field.add(tr.get(ex + es, field.zero),
+                                            field.mul(c, cs))
+            p.append(Poly(field, tr))
+        res = _elementary_symmetric(p, field)[n]
+        if res.is_zero:
+            raise ValueError("the two curves share a component")
+        return int(res.degree)
+
+    return value
 
 
 def _normalize_global_pair(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -396,7 +412,7 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     if not lead.is_constant():
         raise NotOnePlaceAtInfinity("leading y-coefficient is not a unit")
     F = F.scale(F.field.inv(lead.constant_value()))
-    rs, roots = _descend_at_infinity(F, lambda G: intersection_degree(F, G))
+    rs, roots = _descend_at_infinity(F, _intersection_numbers(F))
     seq = delta_sequence(rs)
     return PlaneResult(NumSgp(rs), seq, F, roots, [], [])
 

@@ -7,14 +7,44 @@ the zero polynomial are +infinity by convention, degrees -infinity, so
 comparisons against conductors and bounds work without special cases.
 
 Instances are immutable after construction and safe to share.
+
+Products run on integers in both fields.  Over Q each operand is lifted to
+integer numerators over one common denominator (the lcm of its
+denominators); over GF(p) the residues already are integers.  The integer
+product is rebuilt into one coefficient per nonzero output term: a
+``Fraction(c, da*db)`` over Q, ``c mod p`` over GF(p).
+
+The integer product is a schoolbook double loop on plain ints for fewer
+than ``_PACK_PAIRS`` term pairs #a * #b, and for operands too sparse to
+pack: more than one exponent slot of the product per ``_PAIRS_PER_SLOT``
+term pairs, as for (x^1009 + 1) * (x^1013 + x).  Otherwise each operand
+is packed densely into one Python int, one coefficient per slot of w bits
+(Kronecker substitution x -> 2^w: A. Schonhage, 1982; D. Harvey, *Faster
+polynomial multiplication via multipoint Kronecker substitution*, J. Symb.
+Comp. 44, 2009; FLINT's ``fmpz_poly_mul_KS``), and one big-integer
+multiply gives the product.  Every product coefficient is a sum of at
+most min(#a, #b) terms a_i b_j, so its absolute value is at most the
+signed bound B = max|a| * max|b| * min(#a, #b) < 2^(w-1) for w =
+bitlength(B) + 1, rounded up to whole bytes for ``int.to_bytes``.  A
+negative coefficient borrows 2^w from the slot above, so unpacking reads
+the slots from the lowest up, adds the borrow of the slot below, and
+reads a value of at least 2^(w-1) as that value minus 2^w, passing a
+borrow of 1 upward.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable
 
 from .fields import QQ, check_same_field
+
+# Products with fewer term pairs #a * #b stay on the schoolbook loop, and
+# so do those with more than one product slot to unpack per
+# _PAIRS_PER_SLOT term pairs: a slot costs about as much as that many pairs.
+_PACK_PAIRS = 256
+_PAIRS_PER_SLOT = 8
 
 
 class Poly:
@@ -27,6 +57,15 @@ class Poly:
         clean = {e: c for e, c in coeffs.items() if not field.is_zero(c)}
         self.coeffs = clean
         self._exps = tuple(sorted(clean))
+
+    @classmethod
+    def _of(cls, field, coeffs: dict) -> "Poly":
+        """Wrap a dict whose coefficients are known to be nonzero."""
+        p = object.__new__(cls)
+        p.field = field
+        p.coeffs = coeffs
+        p._exps = tuple(sorted(coeffs))
+        return p
 
     # -- constructors ------------------------------------------------
 
@@ -116,29 +155,68 @@ class Poly:
         return Poly(f, {e: f.neg(c) for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        check_same_field(self.field, other.field)
+        acc = dict(self.coeffs)
+        f = self.field
+        for e, c in other.coeffs.items():
+            acc[e] = f.sub(acc.get(e, f.zero), c)
+        return Poly(f, acc)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Exact product through one integer product of the two operands.
+
+        Integer numerators over a common denominator (Q) or residues
+        (GF(p)) are multiplied by the schoolbook loop below ``_PACK_PAIRS``
+        term pairs or when the operands are too sparse to pack, and by
+        Kronecker packing otherwise: slots of bitlength(max|a| * max|b| *
+        min(#a, #b)) + 1 bits, unpacked with a sign borrow.  The module
+        docstring gives the bound and the fallback rule.
+        """
         check_same_field(self.field, other.field)
-        f = self.field
-        acc: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                acc[e] = f.add(acc.get(e, f.zero), f.mul(c1, c2))
-        return Poly(f, acc)
+        field = self.field
+        if not self.coeffs or not other.coeffs:
+            return Poly._of(field, {})
+        p = field.char
+        if p:
+            a, b = self.coeffs, other.coeffs
+        else:
+            a, da = _lift(self.coeffs)
+            b, db = _lift(other.coeffs)
+        ea, eb = self._exps, other._exps
+        na, nb = len(a), len(b)
+        slots = ea[-1] - ea[0] + eb[-1] - eb[0] + 1
+        if na * nb < _PACK_PAIRS or slots * _PAIRS_PER_SLOT > na * nb:
+            prod = _schoolbook(a, b)
+        else:
+            bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+                     * min(na, nb))
+            nbytes = (bound.bit_length() + 8) // 8
+            prod = _unpack(_pack(a, ea[0], ea[-1], nbytes)
+                           * _pack(b, eb[0], eb[-1], nbytes),
+                           ea[0] + eb[0], slots, nbytes)
+        if p:
+            out = {}
+            for e, c in prod.items():
+                c %= p
+                if c:
+                    out[e] = c
+        else:
+            d = da * db
+            out = {e: Fraction(c, d) for e, c in prod.items() if c}
+        return Poly._of(field, out)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.constant(1, self.field)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Poly.constant(1, self.field) if result is None else result
 
     def scale(self, c) -> "Poly":
         f = self.field
@@ -204,6 +282,69 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _lift(coeffs: dict) -> tuple[dict, int]:
+    """(numerators, d): integer numerators over the lcm d of the denominators."""
+    d = math.lcm(*[c.denominator for c in coeffs.values()])
+    if d == 1:
+        return {e: c.numerator for e, c in coeffs.items()}, 1
+    return {e: c.numerator * (d // c.denominator) for e, c in coeffs.items()}, d
+
+
+def _schoolbook(a: dict, b: dict) -> dict:
+    """exponent -> integer coefficient of the product; zeros may remain."""
+    acc: dict = {}
+    get = acc.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+    return acc
+
+
+def _pack(coeffs: dict, lo: int, hi: int, nbytes: int) -> int:
+    """sum_e c_e 2^(8 nbytes (e - lo)), each slot written as nbytes bytes."""
+    zero = bytes(nbytes)
+    pos = [zero] * (hi - lo + 1)
+    neg = None
+    for e, c in coeffs.items():
+        if c > 0:
+            pos[e - lo] = c.to_bytes(nbytes, "little")
+        else:
+            if neg is None:
+                neg = [zero] * (hi - lo + 1)
+            neg[e - lo] = (-c).to_bytes(nbytes, "little")
+    value = int.from_bytes(b"".join(pos), "little")
+    return value if neg is None else value - int.from_bytes(b"".join(neg), "little")
+
+
+def _unpack(value: int, lo: int, slots: int, nbytes: int) -> dict:
+    """Coefficients c_k with value = sum_k c_k 2^(w k), w = 8 nbytes and
+    |c_k| < 2^(w-1), keyed by lo + k; a slot read as at least 2^(w-1) is
+    negative and borrows 1 from the slot above."""
+    sign = 1
+    if value < 0:
+        value, sign = -value, -1
+    size = slots * nbytes
+    buf = value.to_bytes(size, "little")
+    read = int.from_bytes
+    half = 1 << (8 * nbytes - 1)
+    full = half << 1
+    out = {}
+    borrow = 0
+    e = lo
+    for i in range(0, size, nbytes):
+        c = read(buf[i:i + nbytes], "little") + borrow
+        if c >= half:
+            c -= full
+            borrow = 1
+        else:
+            borrow = 0
+        if c:
+            out[e] = sign * c
+        e += 1
+    return out
 
 
 def render_poly(p: Poly, var: str) -> str:

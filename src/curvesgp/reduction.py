@@ -108,11 +108,12 @@ class ReductionContext:
         return self._power_cache[tag]
 
     def product(self, theta: tuple[int, ...]) -> Poly:
-        out = Poly.constant(1, self.field)
+        out = None
         for i, k in enumerate(theta):
             if k:
-                out = out * self.element_power(i, k)
-        return out
+                p = self.element_power(i, k)
+                out = p if out is None else out * p
+        return Poly.constant(1, self.field) if out is None else out
 
     def unit_product(self, theta: tuple[int, ...]):
         f = self.field

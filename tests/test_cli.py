@@ -2,7 +2,7 @@ import json
 import time
 
 from curvesgp import numsgp, planebranch
-from curvesgp.cli import main
+from curvesgp.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -252,3 +252,46 @@ def test_local_two_large_monomials_within_budget(capsys):
     assert time.perf_counter() - start < 5
     assert code == 0
     assert json.loads(out)["semigroup"]["minimal_generators"] == [1009, 1013]
+
+
+def _main_outcome(capsys, argv):
+    """(exit code, stdout) of one main call; argparse errors exit by raising."""
+    try:
+        code = main(list(argv))
+    except SystemExit as err:
+        code = err.code
+    return code, capsys.readouterr().out
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    argvs = [
+        ["local", "x^4+x^5,x^6,x^15+x^16", "--show", "reduced"],
+        ["semigroup", "4,6,15", "--json"],
+        ["local", "x^4+"],                     # polynomial parse error: 2
+        ["local", "x^4,x^6", "--show", "bad"],  # argparse error: exit 2
+        ["global", "x^3,x^4+x", "--json"],
+        ["local", "x^4+x^5,x^6,x^15+x^16"],
+    ]
+    assert build_parser() is build_parser()
+    in_one_process = [_main_outcome(capsys, argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(_main_outcome(capsys, argv))
+    assert in_one_process == fresh
+    assert [code for code, _ in fresh] == [0, 0, 2, 2, 0, 0]
+    assert "value 13: x^13" in fresh[0][1]
+    assert "reduced basis" not in fresh[-1][1]
+
+
+def test_local_reduced_basis_of_five_term_branch_within_budget(capsys):
+    # the reduced basis multiplies powers of degree-63 elements with long
+    # rational coefficients; the schoolbook Fraction loop took ~48 s
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "local", "x^32,x^48+x^56+x^60+x^62+x^63",
+                       "--show", "reduced", "--json")
+    assert time.perf_counter() - start < 15
+    assert code == 0
+    data = json.loads(out)
+    assert data["semigroup"]["minimal_generators"] == [32, 48, 104, 212, 426, 853]
+    assert [e["value"] for e in data["reduced_basis"]] == [32, 48, 104, 212, 426, 853]

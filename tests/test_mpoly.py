@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from curvesgp import (GF, QQ, MPoly, Poly, curve_resultant, eval_bipoly,
                       resultant_eliminate)
 from curvesgp.mpoly import _elementary_symmetric, _power_sums, sylvester_resultant
-from util import XY, P, xp
+from util import XY, P, schoolbook_mul, xp
 
 
 def test_resultant_t7_vs_t4_plus_t2():
@@ -47,6 +48,47 @@ def test_resultant_vanishes_on_parametrisation():
         g = P(*([(m, 1)] + [(m + k, rng.randrange(-2, 3)) for k in range(1, 3)]))
         F = curve_resultant(f, g)
         assert eval_bipoly(F, f, g).is_zero
+
+
+def _eval_by_monomial_powers(G: MPoly, values) -> Poly:
+    """sum over the monomials c x^a y^b ... of G of c f^a g^b ..., each
+    power built once by repeated schoolbook products."""
+    field = G.field
+    cache = {}
+
+    def power(name, k):
+        if (name, k) not in cache:
+            cache[(name, k)] = (Poly.constant(1, field) if k == 0
+                                else schoolbook_mul(power(name, k - 1), values[name]))
+        return cache[(name, k)]
+
+    out = Poly.zero(field)
+    for e, c in G.coeffs.items():
+        term = Poly.constant(c, field)
+        for name, k in zip(G.vars, e):
+            term = schoolbook_mul(term, power(name, k))
+        out = out + term
+    return out
+
+
+def test_eval_univariate_horner_matches_monomial_powers():
+    rng = random.Random(89)
+
+    def rpoly(field, terms, span):
+        return Poly(field, {rng.randrange(span): field.coerce(
+            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))))
+            for _ in range(terms)})
+
+    for field in (QQ, GF(101)):
+        for vars in (("x", "y"), ("u", "X0", "X1")):
+            for _ in range(15):
+                G = MPoly(vars, field, {
+                    tuple(rng.randrange(7) if rng.random() < 0.7 else 0
+                          for _ in vars): field.coerce(
+                        Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+                    for _ in range(rng.randrange(0, 12))})
+                values = {v: rpoly(field, rng.randrange(1, 5), 8) for v in vars}
+                assert G.eval_univariate(values) == _eval_by_monomial_powers(G, values)
 
 
 def test_eval_bipoly_examples():

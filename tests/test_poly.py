@@ -1,9 +1,12 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from curvesgp import GF, QQ, MixedFieldError, Poly, mul, order, trailing_normalize
-from util import P, xp
+from curvesgp import poly as poly_module
+from util import P, schoolbook_mul, xp
 
 
 def test_order_of_zero_is_infinite():
@@ -112,3 +115,136 @@ def test_render_descending_terms():
     assert str(P((13, 1), (15, "-1/2"))) == "-1/2*x^15+x^13"
     assert str(Poly.zero()) == "0"
     assert str(P((0, -3), (1, 1))) == "x-3"
+
+
+# -- the integer product kernel against the schoolbook oracle -----------
+
+_KERNEL_FIELDS = (QQ, GF(7), GF(2 ** 61 - 1))
+
+
+def _random_poly(rng, field, terms, span, lo=0, big=False):
+    """terms nonzero coefficients on distinct exponents in [lo, lo + span)."""
+    out = {}
+    for e in rng.sample(range(lo, lo + span), terms):
+        if field.char:
+            c = rng.randrange(1, field.char)
+        elif big:
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 40),
+                         rng.randint(1, 10 ** 30))
+        else:
+            c = Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 4, 6, 9, 12)))
+        out[e] = field.coerce(c)
+    return Poly(field, out)
+
+
+def _check_product(a, b):
+    prod = a * b
+    assert prod == schoolbook_mul(a, b)
+    assert prod.support == tuple(sorted(prod.coeffs))
+    assert not any(prod.field.is_zero(c) for c in prod.coeffs.values())
+    return prod
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """Counts the operands packed by the Kronecker route."""
+    calls = []
+    pack = poly_module._pack
+
+    def counting(*args):
+        calls.append(args[0])
+        return pack(*args)
+
+    monkeypatch.setattr(poly_module, "_pack", counting)
+    return calls
+
+
+def test_mul_matches_schoolbook_on_random_operands(packed_calls):
+    rng = random.Random(71)
+    for field in _KERNEL_FIELDS:
+        for _ in range(40):
+            na, nb = rng.randrange(1, 70), rng.randrange(1, 70)
+            # dense, sparse and very sparse (span >> terms) supports
+            sa, sb = (n * rng.choice((1, 1, 3, 1000)) for n in (na, nb))
+            a = _random_poly(rng, field, na, sa, rng.randrange(5), rng.random() < 0.3)
+            b = _random_poly(rng, field, nb, sb, rng.randrange(5), rng.random() < 0.3)
+            _check_product(a, b)
+            _check_product(a, a)
+    assert packed_calls
+
+
+def test_mul_threshold_boundary(packed_calls):
+    """Dense products just below the pair threshold stay on the schoolbook
+    loop, and from it on are packed; both agree with the oracle."""
+    rng = random.Random(73)
+    n = math.isqrt(poly_module._PACK_PAIRS)
+    assert n * n == poly_module._PACK_PAIRS
+    for field in _KERNEL_FIELDS:
+        for na, nb, packed in ((n - 1, n, False), (n, n, True),
+                               (n + 1, n, True), (2 * n, n // 2 - 1, False)):
+            del packed_calls[:]
+            _check_product(_random_poly(rng, field, na, na),
+                           _random_poly(rng, field, nb, nb))
+            assert bool(packed_calls) == packed, (field, na, nb)
+        # very sparse: many pairs, but more slots than the packing pays for
+        del packed_calls[:]
+        _check_product(_random_poly(rng, field, 40, 40 * 1000),
+                       _random_poly(rng, field, 40, 40 * 1000))
+        assert not packed_calls
+    del packed_calls[:]
+    _check_product(xp(1009) + xp(0), xp(1013) + xp(1))
+    assert not packed_calls
+
+
+def test_mul_coefficients_reaching_the_slot_bound(packed_calls):
+    """Equal coefficients +-M on n consecutive exponents make the middle
+    coefficient of the product exactly +-M^2 n, the bound the slots are
+    sized for, across every bit length of the bound modulo 8."""
+    n = math.isqrt(poly_module._PACK_PAIRS)
+    ones = range(n)
+    for k in range(1, 80):
+        for m in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            for sign in (1, -1):
+                a = Poly(QQ, {e: Fraction(m) for e in ones})
+                b = Poly(QQ, {e + 3: Fraction(sign * m, 5) for e in ones})
+                prod = _check_product(a, b)
+                assert prod.coeff(n + 2) == Fraction(sign * m * m * n, 5)
+    p = 2 ** 61 - 1
+    a = Poly(GF(p), {e: p - 1 for e in ones})
+    assert _check_product(a, a).coeff(n - 1) == n % p
+    assert len(packed_calls) == 2 * (79 * 3 * 2 + 1)
+
+
+def test_mul_cancellation(packed_calls):
+    # C (1 - x) times 1 + x + ... + x^39 is C (1 - x^40): with deg C < 40
+    # every coefficient from deg C + 1 to 39 cancels
+    rng = random.Random(79)
+    C = _random_poly(rng, QQ, 20, 20)
+    A = schoolbook_mul(C, P((0, 1), (1, -1)))
+    B = Poly(QQ, {e: Fraction(1) for e in range(40)})
+    assert _check_product(A, B) == C - C.shift(40)
+    # in GF(7), (1 + x)^171 (1 + x)^172 = (1 + x)^343 = 1 + x^343
+    F7 = GF(7)
+    one_x = P((0, 1), (1, 1), field=F7)
+    A7 = B7 = Poly.constant(1, F7)
+    for _ in range(171):
+        A7 = schoolbook_mul(A7, one_x)
+    B7 = schoolbook_mul(A7, one_x)
+    assert _check_product(A7, B7) == P((0, 1), (343, 1), field=F7)
+    assert len(packed_calls) == 4
+
+
+def test_mul_zero_and_constants():
+    rng = random.Random(83)
+    for field in _KERNEL_FIELDS:
+        f = _random_poly(rng, field, 30, 40)
+        zero = Poly.zero(field)
+        c = Poly.constant(field.coerce(Fraction(-7, 3)) if not field.char else 3,
+                          field)
+        assert _check_product(f, zero).is_zero
+        assert _check_product(zero, f).is_zero
+        assert _check_product(zero, zero).is_zero
+        assert _check_product(c, f) == f.scale(c.coeff(0))
+        assert _check_product(f, c) == f.scale(c.coeff(0))
+        assert _check_product(c, c) == Poly.constant(field.mul(c.coeff(0), c.coeff(0)),
+                                                     field)

@@ -27,6 +27,18 @@ def UX(terms: dict, nvars: int, field=QQ) -> MPoly:
     return MPoly(vars, field, {k: field.coerce(v) for k, v in terms.items()})
 
 
+def schoolbook_mul(a: Poly, b: Poly) -> Poly:
+    """Reference product: the double loop over term pairs, one field
+    multiply and one field add per pair."""
+    f = a.field
+    acc: dict = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            acc[e] = f.add(acc.get(e, f.zero), f.mul(c1, c2))
+    return Poly(f, acc)
+
+
 def frac(s) -> Fraction:
     return Fraction(s)
 
