@@ -132,9 +132,6 @@ def deform(elements: list[Poly], setting: str,
     variables = ("u",) + tuple(f"X{i}" for i in range(s))
     field = ctx.field
 
-    def x_monomial(exps: tuple[int, ...], coeff, u_exp: int = 0) -> MPoly:
-        return MPoly.monomial(variables, (u_exp,) + tuple(exps), coeff, field)
-
     relators = []
     for alpha, beta, value in presentation.pairs:
         s_poly = relation_element(ctx, alpha, beta)
@@ -144,13 +141,17 @@ def deform(elements: list[Poly], setting: str,
                 f"relation {alpha} ~ {beta} does not reduce to zero: "
                 "the given elements are not a basis")
         kappa = field.div(ctx.unit_product(alpha), ctx.unit_product(beta))
-        toric = x_monomial(alpha, field.one) - x_monomial(beta, kappa)
-        exact = toric
-        homog = toric
+        toric = MPoly(variables, field, {(0,) + tuple(alpha): field.one,
+                                         (0,) + tuple(beta): field.neg(kappa)})
+        # one accumulation per relator; MPoly drops the zeros once
+        exact = dict(toric.coeffs)
+        homog = dict(toric.coeffs)
         for coeff, theta in out.expression:
-            d_theta = weights.plain(theta)
-            exact = exact - x_monomial(theta, coeff)
-            homog = homog - x_monomial(theta, coeff, u_exp=abs(d_theta - value))
+            u_exp = abs(weights.plain(theta) - value)
+            for acc, key in ((exact, (0,) + theta), (homog, (u_exp,) + theta)):
+                acc[key] = field.sub(acc.get(key, field.zero), coeff)
+        exact = MPoly(variables, field, exact)
+        homog = MPoly(variables, field, homog)
         if not out.complete:
             warnings.warn(
                 f"expression for relation at value {value} was truncated; "

@@ -126,15 +126,23 @@ class MPoly:
         return MPoly(self.vars, f, acc)
 
     def __pow__(self, n: int) -> "MPoly":
+        """Binary powering from the base; a single term in one step."""
         if n < 0:
             raise ValueError("negative power")
-        result = MPoly.constant(self.vars, 1, self.field)
+        if n == 0:
+            return MPoly.constant(self.vars, 1, self.field)
+        if len(self.coeffs) == 1:
+            (e, c), = self.coeffs.items()
+            return MPoly(self.vars, self.field,
+                         {tuple(k * n for k in e): self.field.pow(c, n)})
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c) -> "MPoly":
@@ -414,12 +422,15 @@ def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
     s = _power_sums(b, n, n * m, field)
     p = [Poly.zero(field)]
     gk = Poly.constant(1, field)
+    add, mul, zero = field.add, field.mul, field.zero
     for _ in range(n):
         gk = gk * g
-        tr = Poly.zero(field)
+        tr: dict = {}
+        get = tr.get
         for j, cj in gk.coeffs.items():
-            tr = tr + s[j].scale(cj)
-        p.append(tr)
+            for ex, c in s[j].coeffs.items():
+                tr[ex] = add(get(ex, zero), mul(c, cj))
+        p.append(Poly(field, tr))
     e = _elementary_symmetric(p, field)
     out = {}
     for k, ek in enumerate(e):

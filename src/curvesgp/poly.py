@@ -10,9 +10,11 @@ Instances are immutable after construction and safe to share.
 
 Products run on integers in both fields.  Over Q each operand is lifted to
 integer numerators over one common denominator (the lcm of its
-denominators); over GF(p) the residues already are integers.  The integer
-product is rebuilt into one coefficient per nonzero output term: a
-``Fraction(c, da*db)`` over Q, ``c mod p`` over GF(p).
+denominators); over GF(p) the residues already are integers.  One private
+kernel, ``_int_mul``, multiplies two such integer forms, reduces mod p over
+GF(p) and drops zeros; ``Poly.__mul__`` rebuilds its result into one
+coefficient per output term, a ``Fraction(c, da*db)`` over Q, and the
+reduction step of :mod:`curvesgp.reduction` keeps it lifted.
 
 The integer product is a schoolbook double loop on plain ints for fewer
 than ``_PACK_PAIRS`` term pairs #a * #b, and for operands too sparse to
@@ -163,47 +165,17 @@ class Poly:
         return Poly(f, acc)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """Exact product through one integer product of the two operands.
-
-        Integer numerators over a common denominator (Q) or residues
-        (GF(p)) are multiplied by the schoolbook loop below ``_PACK_PAIRS``
-        term pairs or when the operands are too sparse to pack, and by
-        Kronecker packing otherwise: slots of bitlength(max|a| * max|b| *
-        min(#a, #b)) + 1 bits, unpacked with a sign borrow.  The module
-        docstring gives the bound and the fallback rule.
-        """
+        """Exact product through one integer product of the two operands:
+        :func:`_int_mul` on the lifted forms, rebuilt once."""
         check_same_field(self.field, other.field)
         field = self.field
         if not self.coeffs or not other.coeffs:
             return Poly._of(field, {})
-        p = field.char
-        if p:
-            a, b = self.coeffs, other.coeffs
-        else:
-            a, da = _lift(self.coeffs)
-            b, db = _lift(other.coeffs)
-        ea, eb = self._exps, other._exps
-        na, nb = len(a), len(b)
-        slots = ea[-1] - ea[0] + eb[-1] - eb[0] + 1
-        if na * nb < _PACK_PAIRS or slots * _PAIRS_PER_SLOT > na * nb:
-            prod = _schoolbook(a, b)
-        else:
-            bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
-                     * min(na, nb))
-            nbytes = (bound.bit_length() + 8) // 8
-            prod = _unpack(_pack(a, ea[0], ea[-1], nbytes)
-                           * _pack(b, eb[0], eb[-1], nbytes),
-                           ea[0] + eb[0], slots, nbytes)
-        if p:
-            out = {}
-            for e, c in prod.items():
-                c %= p
-                if c:
-                    out[e] = c
-        else:
-            d = da * db
-            out = {e: Fraction(c, d) for e, c in prod.items() if c}
-        return Poly._of(field, out)
+        if field.char:
+            return Poly._of(field, _int_mul(self.coeffs, other.coeffs, field.char))
+        a, da = _lift(self.coeffs)
+        b, db = _lift(other.coeffs)
+        return _unlift(field, _int_mul(a, b, 0), da * db)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -290,6 +262,45 @@ def _lift(coeffs: dict) -> tuple[dict, int]:
     if d == 1:
         return {e: c.numerator for e, c in coeffs.items()}, 1
     return {e: c.numerator * (d // c.denominator) for e, c in coeffs.items()}, d
+
+
+def _unlift(field, coeffs: dict, d: int) -> Poly:
+    """The polynomial coeffs / d, for nonzero integer coeffs (residues over
+    GF(p), with d = 1); the dict is copied."""
+    if field.char:
+        return Poly._of(field, dict(coeffs))
+    return Poly._of(field, {e: Fraction(c, d) for e, c in coeffs.items()})
+
+
+def _int_mul(a: dict, b: dict, p: int) -> dict:
+    """exponent -> nonzero integer coefficient of the product of two
+    nonempty integer polynomials, reduced into [0, p) when p is nonzero.
+
+    The schoolbook loop runs below ``_PACK_PAIRS`` term pairs or when the
+    operands are too sparse to pack, Kronecker packing otherwise, as the
+    module docstring sets out."""
+    alo, ahi = min(a), max(a)
+    blo, bhi = min(b), max(b)
+    na, nb = len(a), len(b)
+    slots = ahi - alo + bhi - blo + 1
+    if na * nb < _PACK_PAIRS or slots * _PAIRS_PER_SLOT > na * nb:
+        prod = _schoolbook(a, b)
+        if not p:
+            return {e: c for e, c in prod.items() if c}
+    else:
+        bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+                 * min(na, nb))
+        nbytes = (bound.bit_length() + 8) // 8
+        prod = _unpack(_pack(a, alo, ahi, nbytes) * _pack(b, blo, bhi, nbytes),
+                       alo + blo, slots, nbytes)
+        if not p:
+            return prod
+    out = {}
+    for e, c in prod.items():
+        c %= p
+        if c:
+            out[e] = c
+    return out
 
 
 def _schoolbook(a: dict, b: dict) -> dict:

@@ -25,15 +25,46 @@ Reduction modes
     Like ``expression`` but with the gcd-1 conductor shortcut, which makes
     tail reduction exact and finite: whatever is dropped has value past
     the conductor and already belongs to the algebra.
+
+The lifted step
+---------------
+Every step is f <- f - c * f^theta, where f^theta = prod f_i^theta_i for a
+factorisation theta of the value of f's lead term (its lowest term
+locally, its highest globally) and c makes the two leads cancel.  It runs
+on integers, fraction-free in the manner of Bareiss elimination (E. H.
+Bareiss, *Sylvester's identity and multistep integer-preserving Gaussian
+elimination*, Math. Comp. 22, 1968) and of pseudo-division (D. E. Knuth,
+TAOCP vol. 2, 4.6.1).  Over Q the working polynomial is W / D, integer
+numerators over one denominator, and each power f_i^k is cached once as
+an integer polynomial over its own denominator; a product P / d_P of
+powers is built per step by the integer kernel of :mod:`curvesgp.poly`.
+Over GF(p) the residues are the numerators and every denominator is 1.
+
+With lead exponent e, w = W[e] and u = P[e], the step records the
+coefficient c = (w / D) / (u / d_P) and sets W / D <- (a W - b P) / (a D)
+for a = u / g, b = w / g, g = gcd(w, u), signed so that a > 0; the lead
+term cancels.  W is updated in place, only at the exponents of P, and
+zeros are deleted.  Only a step with a != 1 grows D, and only then are W
+and D divided by gcd(D, content(W)).  After that division D is the lcm L
+of the denominators of the coefficients W_k / D in lowest terms: each of
+them divides D, so D = L m, and then m divides every W_k, hence divides
+gcd(D, content(W)) = 1.  The lift of f starts from that lcm, and a step
+with a = 1 leaves D as it was, so D is always the lcm reached at the start
+or at the last step that grew it.  Over GF(p) the step is W <- W - c P mod
+p with c = w u^(-1).  Fractions are built only for what the caller sees:
+the recorded coefficients, the terms moved into the remainder and the
+remainder itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .fields import check_same_field
 from .numsgp import NumSgp, least_factorization_over, presentation_for_generators
-from .poly import Poly
+from .poly import Poly, _int_mul, _lift, _unlift
 
 
 class LimitExceeded(RuntimeError):
@@ -81,15 +112,8 @@ class ReductionContext:
         self._prio_desc = sorted(range(len(elements)),
                                  key=lambda i: (self.values[i], i), reverse=True)
         self._theta_cache: dict[int, tuple[int, ...]] = {}
-        self._power_cache: dict[tuple[int, int], Poly] = {}
-
-    def value_of(self, p: Poly):
-        return p.order if self.setting == "local" else p.degree
-
-    def lead_of(self, p: Poly):
-        if self.setting == "local":
-            return p.support[0], p.trailing_coeff
-        return p.support[-1], p.leading_coeff
+        # (i, k) -> f_i^k lifted: (integer numerators, denominator)
+        self._powers: dict[tuple[int, int], tuple[dict, int]] = {}
 
     def pick_factorization(self, n: int) -> tuple[int, ...]:
         """The factorisation of n (a member of the value monoid) that is
@@ -101,19 +125,38 @@ class ReductionContext:
                 n, self.values, self._prio_desc)
         return self._theta_cache[n]
 
-    def element_power(self, i: int, k: int) -> Poly:
+    def _power(self, i: int, k: int) -> tuple[dict, int]:
+        """f_i^k lifted, by binary powering on the integer kernel."""
         tag = (i, k)
-        if tag not in self._power_cache:
-            self._power_cache[tag] = self.elements[i].poly ** k
-        return self._power_cache[tag]
+        if tag not in self._powers:
+            p = self.field.char
+            coeffs = self.elements[i].poly.coeffs
+            base, d = (coeffs, 1) if p else _lift(coeffs)
+            out, n = None, k
+            while n:
+                if n & 1:
+                    out = base if out is None else _int_mul(out, base, p)
+                n >>= 1
+                if n:
+                    base = _int_mul(base, base, p)
+            self._powers[tag] = (out, d ** k)
+        return self._powers[tag]
 
-    def product(self, theta: tuple[int, ...]) -> Poly:
-        out = None
+    def _lifted_product(self, theta: tuple[int, ...]) -> tuple[dict, int]:
+        """f^theta lifted; built per call from the cached powers, and
+        shared with the cache when theta has one nonzero entry, so it must
+        not be mutated."""
+        p = self.field.char
+        out, d = None, 1
         for i, k in enumerate(theta):
             if k:
-                p = self.element_power(i, k)
-                out = p if out is None else out * p
-        return Poly.constant(1, self.field) if out is None else out
+                a, da = self._power(i, k)
+                out = a if out is None else _int_mul(out, a, p)
+                d *= da
+        return ({0: 1}, 1) if out is None else (out, d)
+
+    def product(self, theta: tuple[int, ...]) -> Poly:
+        return _unlift(self.field, *self._lifted_product(theta))
 
     def unit_product(self, theta: tuple[int, ...]):
         f = self.field
@@ -132,15 +175,40 @@ class ReductionContext:
         return self.monoid.scaled_conductor + 2 * top + 1
 
 
+def _sub_scaled(w: dict, b: int, q: dict, p: int) -> None:
+    """w <- w - b q in place at the exponents of q, mod p when p is nonzero;
+    zeros are deleted.  b q has no zero term, so a zero sum was in w."""
+    get = w.get
+    for k, c in q.items():
+        v = get(k, 0) - b * c
+        if p:
+            v %= p
+        if v:
+            w[k] = v
+        else:
+            del w[k]
+
+
 def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
                 bound: int | None = None) -> ReductionOutcome:
-    """Divide f by the basis of ``ctx`` according to ``mode``."""
+    """Divide f by the basis of ``ctx`` according to ``mode``.
+
+    f is lifted once to W / D, integer numerators over one denominator
+    (residues over GF(p), D = 1).  Each step is fraction-free, as in
+    Bareiss elimination and pseudo-division: W / D <- (a W - b P) / (a D)
+    against the lifted product P / d_P, in place, with the common factor
+    of W and D cancelled only when D grew, which keeps D the lcm of the
+    denominators (module docstring).  Fractions are built for the recorded
+    coefficients and, once at the end, for the remainder.
+    """
     if mode not in ("algorithmic", "expression", "reduced"):
         raise ValueError(f"unknown reduction mode {mode!r}")
     check_same_field(f.field, ctx.field)
     field = ctx.field
+    p = field.char
     monoid = ctx.monoid
     local = ctx.setting == "local"
+    lead = min if local else max
     # the conductor shortcut is Prop-2.5 territory: order >= conductor puts an
     # element in the algebra; there is no degree analogue, so global runs
     # never drop residuals
@@ -154,56 +222,73 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
 
     expression: list[tuple[object, tuple[int, ...]]] = []
     collected: dict[int, object] = {}
-    work = f
+    work, den = (dict(f.coeffs), 1) if p else _lift(f.coeffs)
     complete = True
     used_shortcut = False
 
-    def subtract(p: int) -> Poly:
-        theta = ctx.pick_factorization(p)
-        _, lead_c = ctx.lead_of(work)
-        coeff = field.div(lead_c, ctx.unit_product(theta))
-        expression.append((coeff, theta))
-        return work - ctx.product(theta).scale(coeff)
+    def subtract(e: int) -> None:
+        nonlocal work, den
+        theta = ctx.pick_factorization(e)
+        prod, dp = ctx._lifted_product(theta)
+        u, w = prod[e], work[e]
+        if p:
+            b = field.div(w, u)
+            expression.append((b, theta))
+            _sub_scaled(work, b, prod, p)
+            return
+        expression.append((Fraction(w * dp, den * u), theta))
+        g = math.gcd(w, u)
+        a, b = u // g, w // g
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:
+            work = {k: a * v for k, v in work.items()}
+            den *= a
+        _sub_scaled(work, b, prod, 0)
+        if a != 1:
+            g = math.gcd(den, *work.values())
+            if g != 1:
+                work = {k: v // g for k, v in work.items()}
+                den //= g
 
-    def strip_lead() -> Poly:
-        exp, lead_c = ctx.lead_of(work)
-        collected[exp] = lead_c
-        return work - Poly(field, {exp: lead_c})
+    def strip_lead(e: int) -> None:
+        v = work.pop(e)
+        collected[e] = v if p else Fraction(v, den)
 
-    while not work.is_zero:
-        p = ctx.value_of(work)
+    while work:
+        e = lead(work)
         if mode == "algorithmic":
-            if shortcut_ok and p >= c:
+            if shortcut_ok and e >= c:
                 used_shortcut, complete = True, False
-                work = Poly.zero(field)
+                work = {}
                 break
-            if not monoid.contains(p):
+            if not monoid.contains(e):
                 break  # residual handed back whole: it is the next element
-            if local and not shortcut_ok and p >= escape:
+            if local and not shortcut_ok and e >= escape:
                 break  # membership loop cut off: adjoin "just in case"
-            work = subtract(p)
+            subtract(e)
         elif mode == "reduced":
-            if shortcut_ok and p >= c:
+            if shortcut_ok and e >= c:
                 used_shortcut, complete = True, False
-                work = Poly.zero(field)
+                work = {}
                 break
-            if local and not shortcut_ok and p >= escape:
+            if local and not shortcut_ok and e >= escape:
                 complete = False
                 break  # residual kept below, to preserve the element exactly
-            work = subtract(p) if monoid.contains(p) else strip_lead()
+            subtract(e) if monoid.contains(e) else strip_lead(e)
         else:  # expression
-            if p > bound:
+            if e > bound:
                 complete = False
                 break
-            work = subtract(p) if monoid.contains(p) else strip_lead()
+            subtract(e) if monoid.contains(e) else strip_lead(e)
 
-    if mode == "algorithmic":
-        remainder = work
-    else:
-        remainder = Poly(field, collected)
-        if mode == "reduced" and not work.is_zero:
-            remainder = remainder + work
-    return ReductionOutcome(remainder, expression, complete, used_shortcut)
+    # algorithmic and reduced keep the residual; every exponent left in it
+    # lies past the stripped ones, so the two never share a term
+    if mode != "expression":
+        for k, v in work.items():
+            collected[k] = v if p else Fraction(v, den)
+    return ReductionOutcome(Poly._of(field, collected), expression, complete,
+                            used_shortcut)
 
 
 @dataclass
@@ -242,11 +327,24 @@ def relation_element(ctx: ReductionContext, alpha, beta) -> Poly:
 
     For a monic basis kappa is 1 and this is the plain binomial difference;
     in general kappa makes the extremal monomials cancel exactly, so the
-    value of S is strictly past the relation's value.
+    value of S is strictly past the relation's value.  From the lifted
+    products A / d_alpha and B / d_beta with lead numerators u_alpha and
+    u_beta, S = (u_beta A - u_alpha B) / (d_alpha u_beta); over GF(p),
+    S = A - u_alpha u_beta^(-1) B.
     """
-    f = ctx.field
-    kappa = f.div(ctx.unit_product(alpha), ctx.unit_product(beta))
-    return ctx.product(alpha) - ctx.product(beta).scale(kappa)
+    field = ctx.field
+    p = field.char
+    a, da = ctx._lifted_product(alpha)
+    b, _ = ctx._lifted_product(beta)
+    e = min(a) if ctx.setting == "local" else max(a)
+    ua, ub = a[e], b[e]
+    if p:
+        s = dict(a)
+        _sub_scaled(s, field.div(ua, ub), b, p)
+        return Poly._of(field, s)
+    s = {k: ub * v for k, v in a.items()}
+    _sub_scaled(s, ua, b, 0)
+    return _unlift(field, s, da * ub)
 
 
 def build_basis(gens: list[Poly], setting: str, limits: dict | None = None) -> ValueBasis:

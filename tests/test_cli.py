@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from curvesgp import numsgp, planebranch
 from curvesgp.cli import build_parser, main
 
@@ -295,3 +297,19 @@ def test_local_reduced_basis_of_five_term_branch_within_budget(capsys):
     data = json.loads(out)
     assert data["semigroup"]["minimal_generators"] == [32, 48, 104, 212, 426, 853]
     assert [e["value"] for e in data["reduced_basis"]] == [32, 48, 104, 212, 426, 853]
+
+
+def test_deform_five_term_branch_within_budget(capsys):
+    # each relator's expression runs the reduction step on powers of
+    # degree-63 elements with long rational coefficients
+    start = time.perf_counter()
+    with pytest.warns(UserWarning, match="truncated"):
+        code, out, _ = run(capsys, "deform", "local",
+                           "x^32,x^48+x^56+x^60+x^62+x^63", "--json")
+    assert time.perf_counter() - start < 1.5
+    assert code == 0
+    data = json.loads(out)
+    assert data["semigroup"]["minimal_generators"] == [32, 48, 104, 212, 426, 853]
+    complete = data["deformation"]["complete"]
+    assert len(complete) == len(data["deformation"]["exact"]) == 5
+    assert complete.count(True) == 4

@@ -232,3 +232,23 @@ def test_power_sums_and_elementary_symmetric_on_known_roots():
                     want = want + r ** j
                 assert s[j] == want, (field, n, j)
             assert _elementary_symmetric(s[:n + 1], field) == e
+
+
+def test_power_matches_repeated_multiplication():
+    vars = ("x", "y")
+    gf7 = GF(7)
+    cases = [
+        MPoly(vars, QQ, {(2, 1): Fraction(-2, 3)}),
+        MPoly(vars, gf7, {(1, 3): 5}),
+        XY({(1, 0): 1, (0, 2): Fraction(-1, 2), (3, 1): 4}),
+        MPoly(vars, gf7, {(1, 0): 3, (0, 1): 6}),
+        MPoly.constant(vars, Fraction(3, 4)),
+        MPoly.zero(vars),
+    ]
+    for m in cases:
+        want = MPoly.constant(vars, 1, m.field)
+        for n in range(7):
+            assert m ** n == want, (m, n)
+            want = want * m
+        with pytest.raises(ValueError):
+            m ** -1

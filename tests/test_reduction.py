@@ -1,0 +1,145 @@
+"""The lifted reduction step against the reference division on Poly values."""
+
+import contextlib
+import random
+import signal
+from fractions import Fraction
+
+from curvesgp import GF, QQ, BasisElement, Poly
+from curvesgp.reduction import ReductionContext, build_basis, reduce_poly
+from util import reference_reduce
+
+MODES = ("algorithmic", "expression", "reduced")
+FIELDS = (QQ, GF(7), GF(2**61 - 1))
+COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4),
+          Fraction(7, 9))
+
+
+def _coeff(rng, field):
+    while True:
+        c = rng.choice(COEFFS)
+        if field.char == 0 or Fraction(c).denominator % field.char:
+            c = field.coerce(c)
+            if not field.is_zero(c):
+                return c
+
+
+def _poly(rng, field, lo, hi, terms):
+    return Poly(field, {rng.randrange(lo, hi + 1): _coeff(rng, field)
+                        for _ in range(terms)})
+
+
+def _generator(rng, field, setting, value):
+    """Value `value` in the setting: a lowest term locally, a top term
+    globally, plus a random tail on the other side."""
+    lead = {value: _coeff(rng, field)}
+    if setting == "local":
+        tail = _poly(rng, field, value + 1, value + 9, rng.randrange(0, 3))
+    else:
+        tail = _poly(rng, field, 0, value - 1, rng.randrange(0, 3))
+    return Poly(field, lead) + tail
+
+
+def _elements(polys, setting):
+    return [BasisElement(p, int(p.order if setting == "local" else p.degree))
+            for p in polys]
+
+
+def _contexts(rng, field, setting):
+    """Monic bases from the basis loop, the same elements rescaled by
+    non-unit and fractional constants (as ``deform`` gets them from the
+    plane pipelines), and a value set of gcd 2 with divergent divisions."""
+    out = []
+    while len(out) < 2:
+        values = sorted(rng.sample(range(3, 9), 2))
+        gens = [_generator(rng, field, setting, v) for v in values]
+        try:
+            basis = build_basis(gens, setting)
+        except ValueError:
+            continue  # an imprimitive global pair, say
+        out.append(basis.context())
+        raw = [e.poly.scale(_coeff(rng, field)) for e in basis.elements]
+        out.append(ReductionContext(_elements(raw, setting), setting))
+    x = lambda e, c=1: Poly.x_power(e, field, c)  # noqa: E731
+    if setting == "local":
+        even = [x(4) + x(6, 2), x(6, 3) + x(8) + x(9, Fraction(1, 2))]
+    else:
+        even = [x(4, 3) + x(2), x(6) + x(1, Fraction(-2, 3)) + x(0, 5)]
+    out.append(ReductionContext(_elements(even, setting), setting))
+    return out
+
+
+def _inputs(rng, field, ctx):
+    top = max(int(e.poly.degree) for e in ctx.elements)
+    fs = [Poly.zero(field),
+          Poly.constant(_coeff(rng, field), field) + _poly(rng, field, 1, 12, 3),
+          ctx.elements[0].poly ** 2,
+          ctx.elements[-1].poly * ctx.elements[0].poly + _poly(rng, field, 0, 9, 2)]
+    fs += [_poly(rng, field, 0, 2 * top + 6, rng.randrange(1, 6)) for _ in range(6)]
+    return fs
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging: a step that leaves the lead term in place
+    loops forever."""
+    def expire(signum, frame):
+        raise TimeoutError(f"reduction still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _check(f, ctx, mode, bound=None):
+    got = reduce_poly(f, ctx, mode, bound)
+    want = reference_reduce(f, ctx, mode, bound)
+    assert got.remainder == want.remainder, (f, mode)
+    assert got.expression == want.expression, (f, mode)
+    assert got.complete == want.complete, (f, mode)
+    assert got.consumed_conductor_shortcut == want.consumed_conductor_shortcut
+    return got
+
+
+def test_lifted_reduction_matches_reference_division():
+    rng = random.Random(8)
+    seen = {"shortcut": 0, "escape": 0, "bound": 0, "constant": 0}
+    with _deadline(10):
+        for field in FIELDS:
+            for setting in ("local", "global"):
+                for ctx in _contexts(rng, field, setting):
+                    for f in _inputs(rng, field, ctx):
+                        for mode in MODES:
+                            out = _check(f, ctx, mode)
+                            seen["shortcut"] += out.consumed_conductor_shortcut
+                            seen["escape"] += (
+                                setting == "local" and mode == "reduced"
+                                and not ctx.monoid.is_numerical
+                                and not out.complete)
+                            seen["constant"] += any(
+                                not any(theta) for _, theta in out.expression)
+                        if not f.is_zero:
+                            out = _check(f, ctx, "expression",
+                                         bound=int(f.order) + 2)
+                            seen["bound"] += not out.complete
+    assert all(seen.values()), seen
+
+
+def test_products_match_powers_of_the_elements():
+    rng = random.Random(9)
+    for field in FIELDS:
+        for setting in ("local", "global"):
+            for ctx in _contexts(rng, field, setting):
+                for _ in range(4):
+                    theta = tuple(rng.randrange(0, 4) for _ in ctx.elements)
+                    want = Poly.constant(1, field)
+                    for e, k in zip(ctx.elements, theta):
+                        want = want * e.poly ** k
+                    assert ctx.product(theta) == want
+                    lead = (want.trailing_coeff if setting == "local"
+                            else want.leading_coeff)
+                    assert ctx.unit_product(theta) == lead

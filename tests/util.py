@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import reduce
 
 from curvesgp import MPoly, Poly, QQ, RelationPair
+from curvesgp.reduction import ReductionOutcome
 
 
 def xp(e: int, c=1, field=QQ) -> Poly:
@@ -37,6 +38,79 @@ def schoolbook_mul(a: Poly, b: Poly) -> Poly:
             e = e1 + e2
             acc[e] = f.add(acc.get(e, f.zero), f.mul(c1, c2))
     return Poly(f, acc)
+
+
+def reference_reduce(f: Poly, ctx, mode: str, bound=None) -> ReductionOutcome:
+    """Reference route for ``reduction.reduce_poly``: the same division on
+    ``Poly`` values, each step f - c * product(theta) built by
+    ``Poly.scale`` and ``Poly.__sub__`` with one field operation per term."""
+    field = ctx.field
+    monoid = ctx.monoid
+    local = ctx.setting == "local"
+    shortcut_ok = local and monoid.is_numerical
+    c = monoid.scaled_conductor
+    if mode == "expression" and bound is None:
+        bound = ctx.default_bound()
+        if not local and not f.is_zero:
+            bound = max(bound, int(f.degree))
+    escape = ctx.escape_bound(f) if (local and not f.is_zero) else None
+
+    def lead_of(p):
+        e = p.support[0] if local else p.support[-1]
+        return e, p.coeffs[e]
+
+    expression = []
+    collected = {}
+    work = f
+    complete = True
+    used_shortcut = False
+
+    def subtract(p):
+        theta = ctx.pick_factorization(p)
+        _, lead_c = lead_of(work)
+        coeff = field.div(lead_c, ctx.unit_product(theta))
+        expression.append((coeff, theta))
+        return work - ctx.product(theta).scale(coeff)
+
+    def strip_lead():
+        exp, lead_c = lead_of(work)
+        collected[exp] = lead_c
+        return work - Poly(field, {exp: lead_c})
+
+    while not work.is_zero:
+        p = work.order if local else work.degree
+        if mode == "algorithmic":
+            if shortcut_ok and p >= c:
+                used_shortcut, complete = True, False
+                work = Poly.zero(field)
+                break
+            if not monoid.contains(p):
+                break
+            if local and not shortcut_ok and p >= escape:
+                break
+            work = subtract(p)
+        elif mode == "reduced":
+            if shortcut_ok and p >= c:
+                used_shortcut, complete = True, False
+                work = Poly.zero(field)
+                break
+            if local and not shortcut_ok and p >= escape:
+                complete = False
+                break
+            work = subtract(p) if monoid.contains(p) else strip_lead()
+        else:
+            if p > bound:
+                complete = False
+                break
+            work = subtract(p) if monoid.contains(p) else strip_lead()
+
+    if mode == "algorithmic":
+        remainder = work
+    else:
+        remainder = Poly(field, collected)
+        if mode == "reduced" and not work.is_zero:
+            remainder = remainder + work
+    return ReductionOutcome(remainder, expression, complete, used_shortcut)
 
 
 def frac(s) -> Fraction:
