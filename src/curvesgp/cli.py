@@ -13,8 +13,8 @@ import sys
 from typing import Callable
 
 from .deformation import deform_from_basis
-from .globalbasis import global_basis, reduce_degree
-from .localbasis import local_basis, reduce_order, reduced_basis
+from .globalbasis import global_basis
+from .localbasis import local_basis, reduced_basis
 from .mpoly import render_mpoly
 from .numsgp import NumSgp
 from .parsing import ParseError, parse_mpoly, parse_poly, parse_poly_list
@@ -26,7 +26,7 @@ from .planebranch import (
     plane_local,
 )
 from .poly import render_poly
-from .reduction import BasisElement, LimitExceeded
+from .reduction import BasisElement, LimitExceeded, ReductionContext, reduce_poly
 from . import report
 
 
@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated basis polynomials")
     p.add_argument("--mode", choices=["algorithmic", "expression"],
                    default="algorithmic")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=None,
+                   help="with --mode expression: stop past this order or degree")
     add_common(p)
 
     p = sub.add_parser("semigroup", help="numerical semigroup facts")
@@ -219,15 +220,12 @@ def run(argv: list[str]) -> int:
 
     elif cmd == "reduce":
         f = parse_poly(args.poly, args.char)
-        gens = parse_poly_list(args.against, args.char)
-        if args.setting == "local":
-            elems = [BasisElement(p.monic_trailing()[0], int(p.order))
-                     for p in gens]
-            out = reduce_order(f, elems, args.mode, args.bound)
-        else:
-            elems = [BasisElement(p.monic_leading()[0], int(p.degree))
-                     for p in gens]
-            out = reduce_degree(f, elems, args.mode)
+        local = args.setting == "local"
+        monic = [p.monic_trailing()[0] if local else p.monic_leading()[0]
+                 for p in parse_poly_list(args.against, args.char)]
+        elems = [BasisElement(p, int(p.order if local else p.degree)) for p in monic]
+        out = reduce_poly(f, ReductionContext(elems, args.setting), args.mode,
+                          args.bound)
         _emit(args,
               lambda: {"command": "reduce",
                        "reduction": report.reduction_report(out, f.field)},

@@ -1,12 +1,12 @@
 """Two-generator pipelines: gcd descent, approximate roots, delta-sequences.
 
-For K[[f, g]] the semigroup of orders comes straight out of the support of
-g once f has been turned into an exact n-th power of a new uniformiser
-(the gcd descent on that support is the Newton-Puiseux data).  For
-K[f, g] the semigroup of degrees comes out of the resultant curve
-F(X, Y) through its approximate roots; the same descent on intersection
-numbers also applies to a bare polynomial F believed to have one place
-at infinity, and failure of the delta-sequence conditions refutes that.
+For K[[f, g]] the semigroup of orders comes out of the gcd descent (the
+Newton-Puiseux data) on g in a uniformiser turning f into an exact n-th
+power, read one coefficient at a time.  For K[f, g] the semigroup of
+degrees comes out of the resultant curve F(X, Y) through its approximate
+roots; the same descent on intersection numbers also applies to a bare
+polynomial F believed to have one place at infinity, and failure of the
+delta-sequence conditions refutes that.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import count, islice
+from typing import Iterator, Sequence
 
 from .fields import check_same_field
 from .mpoly import (MPoly, _elementary_symmetric, _power_sums, curve_resultant,
@@ -22,7 +23,6 @@ from .mpoly import (MPoly, _elementary_symmetric, _power_sums, curve_resultant,
 from .numsgp import NumSgp, gcd_chain
 from .poly import Poly
 from .reduction import LimitExceeded
-from .series import SeriesApprox
 
 
 class NotOnePlaceAtInfinity(ValueError):
@@ -131,18 +131,43 @@ def conductor_formula(seq) -> int:
 # -- local pipeline ----------------------------------------------------
 
 
-def reparametrize(f: Poly, g: Poly, prec: int) -> SeriesApprox:
+def _lagrange_coeffs(f: Poly, g: Poly) -> Iterator:
+    """[s^0], [s^1], ... of :func:`reparametrize`, untruncated: [s^k]
+    reads f and g only below t^k."""
+    field, zero = f.field, f.field.zero
+    n = int(f.order)
+    u = [(i, c) for i, c in sorted(f.shift(-n).coeffs.items()) if i]
+    dg = sorted(g.derivative().coeffs.items())
+    yield g.coeff(0)
+    for k in count(1):
+        terms = [(e, c) for e, c in dg if e < k]
+        if not terms:
+            yield zero
+            continue
+        alpha1 = Fraction(n - k, n)  # alpha + 1 for alpha = -k/n
+        v = [field.one]
+        for j in range(1, k - terms[0][0]):
+            acc = zero
+            for i, ui in u:
+                if i > j:
+                    break
+                acc += (alpha1 * i - j) * ui * v[j - i]
+            v.append(acc / j if acc else acc)
+        yield sum((c * v[k - 1 - e] for e, c in terms), zero) / k
+
+
+def reparametrize(f: Poly, g: Poly, prec: int) -> Poly:
     """g rewritten in the uniformiser that turns f into an exact n-th power.
 
-    With s(t) = t * (f/t^n)^(1/n) and t(s) its reverse, the result is
-    g(t(s)) mod s^prec, so that K[[f, g]] = K[[s^n, result]].  By Lagrange
-    inversion (t = s * u(t)^(-1/n) with u = f/t^n, u(0) = 1),
+    With s(t) = t * (f/t^n)^(1/n) and t(s) its reverse, the result is the
+    Poly g(t(s)) mod s^prec, so that K[[f, g]] = K[[s^n, result]].  By
+    Lagrange inversion (t = s * u(t)^(-1/n) with u = f/t^n, u(0) = 1),
     [s^k] g(t(s)) = (1/k) [t^(k-1)] g'(t) u(t)^(-k/n) for k >= 1, and
     [s^0] = g(0); each u^(-k/n) comes from the J.C.P. Miller recurrence
     j v_j = sum_{i=1}^{j} ((alpha + 1) i - j) u_i v_{j-i}, linear in the
     support of u.  Both divide by arbitrary integers, so the field must
     have characteristic zero.  The value equals
-    ``compose_series(g, reverse_series(s))``.
+    ``compose_series(g, reverse_series(s)).poly``.
     """
     if f.is_zero:
         raise ValueError("zero first generator")
@@ -154,42 +179,25 @@ def reparametrize(f: Poly, g: Poly, prec: int) -> SeriesApprox:
         raise ValueError("first generator must have positive order")
     if f.trailing_coeff != field.one:
         raise ValueError("first generator must have trailing coefficient 1")
-    u = [(i, c) for i, c in sorted(f.shift(-n).truncate(prec).coeffs.items()) if i]
-    dg = sorted(g.truncate(prec).derivative().coeffs.items())
-    out = {0: g.coeff(0)}
-    for k in range(1, prec):
-        terms = [(e, c) for e, c in dg if e < k]
-        if not terms:
-            continue
-        alpha1 = Fraction(n - k, n)  # alpha + 1 for alpha = -k/n
-        v = [field.one]
-        for j in range(1, k - terms[0][0]):
-            acc = field.zero
-            for i, ui in u:
-                if i > j:
-                    break
-                acc += (alpha1 * i - j) * ui * v[j - i]
-            v.append(acc / j)
-        out[k] = sum((c * v[k - 1 - e] for e, c in terms), field.zero) / k
-    return SeriesApprox(Poly(field, out), prec)
+    return Poly(field, dict(enumerate(islice(_lagrange_coeffs(f, g), prec))))
 
 
 def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     """Semigroup of orders of K[[f, g]] via the Newton-Puiseux descent.
 
-    g is reparametrised to doubling precisions until the descent on its
-    support completes, which happens below precision (D - 1)^2 + 1,
+    The descent reads the coefficients of :func:`reparametrize` one at a
+    time and stops at d = 1 (its minima increase, so later ones cannot
+    move it), which happens below precision (D - 1)^2 + 1,
     D = max(deg f, deg g), whenever t -> (f, g) parametrises its branch
-    primitively.  Then the branch lies on a rational plane curve of
-    degree at most D, so its delta invariant is at most (D - 1)(D - 2)/2
-    (genus formula, Fulton, Algebraic Curves, ch. 8), and its conductor
-    is c = 2 delta, the semigroup of a plane branch being symmetric.
+    primitively.  Then the branch lies on a rational plane curve of degree
+    at most D, so its delta invariant is at most (D - 1)(D - 2)/2 (genus
+    formula, Fulton, Algebraic Curves, ch. 8), and its conductor is
+    c = 2 delta, the semigroup of a plane branch being symmetric.
     Zariski's formula c = sum (d_k - d_{k+1}) m_k - n + 1 (The Moduli
-    Problem for Plane Branches) gives
-    m_h <= c + n - 1 <= (D - 1)^2 for the last characteristic exponent.
-    A descent still incomplete at that precision proves the
-    parametrisation imprimitive (K[[f, g]] lies in K[[s^d]], d > 1) and
-    raises ValueError; reaching ``PRECISION_CAP`` first raises
+    Problem for Plane Branches) gives m_h <= c + n - 1 <= (D - 1)^2 for
+    the last characteristic exponent.  A descent still incomplete there
+    proves the parametrisation imprimitive (K[[f, g]] lies in K[[s^d]],
+    d > 1) and raises ValueError; reaching ``PRECISION_CAP`` first raises
     LimitExceeded.
     """
     check_same_field(f.field, g.field)
@@ -207,28 +215,25 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     if combined != 1:
         raise ValueError(f"supports have common divisor {combined}")
     n = int(f.order)
-    if f == Poly.x_power(n, f.field):
-        seq = char_sequence_from_support(n, g.support)
-        return NumSgp(seq.r), seq
     D = max(f.degree, g.degree)
     bound = (D - 1) ** 2 + 1
-    prec = 2 * (n + max(g.support))
-    while True:
-        gt = reparametrize(f, g, prec)
-        try:
-            seq = char_sequence_from_support(n, gt.poly.support)
+    d, supp = n, [n]  # every d_k divides n; n = 1 is done at once
+    for k, c in enumerate(_lagrange_coeffs(f, g)):
+        if d == 1:
+            seq = char_sequence_from_support(n, supp)
             return NumSgp(seq.r), seq
-        except ValueError as err:
-            if prec >= bound:
+        if k >= min(bound, PRECISION_CAP):
+            stall = (f"gcd descent stalls at {d}: support has no exponent "
+                     f"outside {d}*N at precision {k}")
+            if k >= bound:
                 raise ValueError(
-                    f"{err} at precision {prec} >= (D - 1)^2 + 1, D = {D} "
-                    "the larger degree: t -> (f, g) is not a primitive "
-                    "parametrisation") from None
-            if prec >= PRECISION_CAP:
-                raise LimitExceeded(
-                    f"{err} at precision {prec} (PRECISION_CAP), below the "
-                    f"bound {bound}") from None
-            prec = min(2 * prec, bound, PRECISION_CAP)
+                    f"{stall} >= (D - 1)^2 + 1, D = {D} the larger degree: "
+                    "t -> (f, g) is not a primitive parametrisation")
+            raise LimitExceeded(
+                f"{stall} (PRECISION_CAP), below the bound {bound}")
+        if not f.field.is_zero(c):
+            supp.append(k)
+            d = math.gcd(d, k)
 
 
 # -- approximate roots -------------------------------------------------

@@ -23,10 +23,6 @@ class SeriesApprox:
             raise ValueError("precision must be positive")
         object.__setattr__(self, "poly", self.poly.truncate(self.prec))
 
-    @classmethod
-    def of(cls, p: Poly, prec: int) -> "SeriesApprox":
-        return cls(p, prec)
-
     @property
     def field(self):
         return self.poly.field

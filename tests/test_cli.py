@@ -129,6 +129,22 @@ def test_reduce_command(capsys):
     assert "remainder:" in out
 
 
+def test_reduce_global_expression_honours_bound(capsys):
+    argv = ["reduce", "global", "x^10+x^7", "--against", "x^2+x,x^3",
+            "--mode", "expression"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["remainder: 2*x",
+                                "complete: True   shortcut: False",
+                                "expression terms: 9"]
+    # the leading degree 10 already passes the bound, so nothing is divided
+    code, out, _ = run(capsys, *argv, "--bound", "3")
+    assert code == 0
+    assert out.splitlines() == ["remainder: 0",
+                                "complete: False   shortcut: False",
+                                "expression terms: 0"]
+
+
 def test_local_non_numerical_semigroup(capsys):
     code, out, _ = run(capsys, "local", "x^4,x^6")
     assert code == 0
@@ -180,6 +196,18 @@ def test_plane_local_imprimitive_pair_stops_at_degree_bound(capsys):
     assert out == ""
     assert "at precision 26 >=" in err
     assert "not a primitive parametrisation" in err
+
+
+@pytest.mark.parametrize("f, g, gens", [
+    ("x", "x", [1]),                 # n = 1 and D = 1: the degree bound is 1
+    ("x+x^2", "x^3", [1]),
+    ("x^3+x^5", "x+x^2", [1]),       # swapped to n = 1
+    ("x^3", "x^3+x^4", [3, 4]),      # monomial f of the same order as g
+])
+def test_plane_local_edge_cases_of_the_descent(capsys, f, g, gens):
+    code, out, err = run(capsys, "plane-local", f, g)
+    assert (code, err) == (0, "")
+    assert f"minimal generators: {gens}" in out
 
 
 def test_plane_local_precision_cap_below_degree_bound_exits_3(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ def test_char_sequence_needs_total_gcd_one():
 
 def test_reparametrize_monomial_is_identity():
     got = reparametrize(xp(3), xp(7) + xp(9), 20)
-    assert got.poly == xp(7) + xp(9)
+    assert got == xp(7) + xp(9)
 
 
 def test_reparametrize_substitution_identities():
@@ -76,7 +77,7 @@ def test_reparametrize_substitution_identities():
                           prec)
         # f(t) = xt(t)^n and g(t) = gt(xt(t)) up to the working precision
         assert xt.power(n).poly == f.truncate(prec)
-        assert compose_series(gt, xt).poly == g.truncate(gt.prec)
+        assert compose_series(SeriesApprox(gt, prec), xt).poly == g.truncate(prec)
 
 
 def test_gamma_local_pair_examples():
@@ -105,6 +106,51 @@ def test_gamma_local_pair_matches_basis_computation():
         S, _ = gamma_local_pair(xp(n), g)
         basis = local_basis([xp(n), g])
         assert S.minimal_generators() == basis.semigroup.minimal_generators()
+
+
+def _seeded_terms(rng, low, count):
+    coeffs = (1, -1, 2, "1/2", "-2/3")
+    exps = [low] + rng.sample(range(low + 1, low + 8), count)
+    return P(*[(e, rng.choice(coeffs)) for e in exps])
+
+
+def test_gamma_local_pair_matches_local_basis_on_seeded_pairs():
+    # the Newton-Puiseux descent on the reparametrised g against the
+    # general basis loop; non-monomial f runs the Lagrange coefficients,
+    # o(g) < o(f) the swap, and monomial f with n >= 6 also goes through
+    # plane_local's approximate roots
+    rng = random.Random(43)
+    pairs = [(xp(8), P((12, 1), (14, 1), (15, 1))),
+             (P((8, 1), (9, "1/2")), P((12, 1), (14, 1), (15, 1))),
+             (P((12, 1), (14, 1), (15, 1)), P((8, 1), (10, -1)))]
+    while len(pairs) < 39:
+        n = rng.randrange(2, 9)
+        f = _seeded_terms(rng, n, rng.randrange(1, 3))
+        g = _seeded_terms(rng, rng.randrange(max(1, n - 3), n + 7),
+                          rng.randrange(0, 3))
+        if math.gcd(*f.support, *g.support) == 1:
+            pairs.append((f, g))
+    for n in (6, 7, 8):
+        for _ in range(3):
+            g = _seeded_terms(rng, rng.randrange(n + 1, n + 5), 2)
+            if math.gcd(n, *g.support) == 1:
+                pairs.append((xp(n), g))
+    seen = {"swapped": 0, "non-monomial": 0, "h >= 2": 0, "plane_local": 0}
+    for f, g in pairs:
+        S, seq = gamma_local_pair(f, g)
+        basis = local_basis([f, g])
+        assert S.minimal_generators() == basis.semigroup.minimal_generators(), (f, g)
+        # with n the multiplicity, the r_k are the minimal generators (Zariski)
+        assert list(seq.r) == S.minimal_generators(), (f, g)
+        seen["swapped"] += g.order < f.order
+        seen["non-monomial"] += len(f.support) > 1 and len(g.support) > 1
+        seen["h >= 2"] += seq.h >= 2
+        if len(f.support) == 1 and f.order >= 6 and f.order < g.order:
+            res = plane_local(f, g)
+            assert res.semigroup.minimal_generators() == S.minimal_generators()
+            assert res.sequence == seq, (f, g)
+            seen["plane_local"] += 1
+    assert all(count >= 3 for count in seen.values()), seen
 
 
 def test_approximate_root_identity_when_d_is_one():
@@ -353,12 +399,12 @@ def test_reparametrize_matches_reversion_route():
         g = P(*[(e, rng.choice(coeffs)) for e in exps])
         for prec in (2, rng.randrange(3, 12), rng.randrange(12, 25)):
             got = reparametrize(f, g, prec)
-            assert got == _reversion_route(f, g, prec), (f, g, prec)
-            assert all(isinstance(c, Fraction) for c in got.poly.coeffs.values())
+            assert got == _reversion_route(f, g, prec).poly, (f, g, prec)
+            assert all(isinstance(c, Fraction) for c in got.coeffs.values())
 
 
 def test_reparametrize_matches_reversion_route_on_doubling_path():
-    # the precisions gamma_local_pair tries: 2 (n + max supp g), then doubled
+    # prefixes past every exponent of g: 2 (n + max supp g) and twice that
     rng = random.Random(31)
     for _ in range(3):
         n = rng.randrange(2, 5)
@@ -366,7 +412,7 @@ def test_reparametrize_matches_reversion_route_on_doubling_path():
         g = P((n + 1, 1), (n + 2, rng.choice((-1, 2))))
         prec = 2 * (n + max(g.support))
         for p in (prec, 2 * prec):
-            assert reparametrize(f, g, p) == _reversion_route(f, g, p), (f, g, p)
+            assert reparametrize(f, g, p) == _reversion_route(f, g, p).poly, (f, g, p)
 
 
 def test_reparametrize_needs_characteristic_zero():
