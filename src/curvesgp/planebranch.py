@@ -179,6 +179,8 @@ def reparametrize(f: Poly, g: Poly, prec: int) -> Poly:
         raise ValueError("first generator must have positive order")
     if f.trailing_coeff != field.one:
         raise ValueError("first generator must have trailing coefficient 1")
+    if prec < 1:
+        raise ValueError("precision must be positive")
     return Poly(field, dict(enumerate(islice(_lagrange_coeffs(f, g), prec))))
 
 
@@ -186,18 +188,19 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     """Semigroup of orders of K[[f, g]] via the Newton-Puiseux descent.
 
     The descent reads the coefficients of :func:`reparametrize` one at a
-    time and stops at d = 1 (its minima increase, so later ones cannot
-    move it), which happens below precision (D - 1)^2 + 1,
-    D = max(deg f, deg g), whenever t -> (f, g) parametrises its branch
-    primitively.  Then the branch lies on a rational plane curve of degree
-    at most D, so its delta invariant is at most (D - 1)(D - 2)/2 (genus
-    formula, Fulton, Algebraic Curves, ch. 8), and its conductor is
-    c = 2 delta, the semigroup of a plane branch being symmetric.
-    Zariski's formula c = sum (d_k - d_{k+1}) m_k - n + 1 (The Moduli
-    Problem for Plane Branches) gives m_h <= c + n - 1 <= (D - 1)^2 for
-    the last characteristic exponent.  A descent still incomplete there
-    proves the parametrisation imprimitive (K[[f, g]] lies in K[[s^d]],
-    d > 1) and raises ValueError; reaching ``PRECISION_CAP`` first raises
+    time (for a monomial f, g's own support) and stops at d = 1 (its
+    minima increase, so later ones cannot move it), which happens below
+    precision (D - 1)^2 + 1, D = max(deg f, deg g), whenever t -> (f, g)
+    parametrises its branch primitively.  Then the branch lies on a
+    rational plane curve of degree at most D, so its delta invariant is
+    at most (D - 1)(D - 2)/2 (genus formula, Fulton, Algebraic Curves,
+    ch. 8), and its conductor is c = 2 delta, the semigroup of a plane
+    branch being symmetric.  Zariski's formula
+    c = sum (d_k - d_{k+1}) m_k - n + 1 (The Moduli Problem for Plane
+    Branches) gives m_h <= c + n - 1 <= (D - 1)^2 for the last
+    characteristic exponent.  A descent still incomplete there proves the
+    parametrisation imprimitive (K[[f, g]] lies in K[[s^d]], d > 1) and
+    raises ValueError; reaching ``PRECISION_CAP`` first raises
     LimitExceeded.
     """
     check_same_field(f.field, g.field)
@@ -217,14 +220,17 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     n = int(f.order)
     D = max(f.degree, g.degree)
     bound = (D - 1) ** 2 + 1
-    d, supp = n, [n]  # every d_k divides n; n = 1 is done at once
+    # every d_k divides n, so n never moves the descent; for a monomial f
+    # s = t, and g's own support (however sparse) completes it at once
+    supp = [n, *g.support] if len(f.support) == 1 else [n]
+    d = math.gcd(*supp)
     for k, c in enumerate(_lagrange_coeffs(f, g)):
-        if d == 1:
-            seq = char_sequence_from_support(n, supp)
-            return NumSgp(seq.r), seq
-        if k >= min(bound, PRECISION_CAP):
-            stall = (f"gcd descent stalls at {d}: support has no exponent "
-                     f"outside {d}*N at precision {k}")
+        if d == 1 or k >= min(bound, PRECISION_CAP):
+            try:
+                seq = char_sequence_from_support(n, supp)
+                return NumSgp(seq.r), seq
+            except ValueError as err:
+                stall = f"{err} at precision {k}"
             if k >= bound:
                 raise ValueError(
                     f"{stall} >= (D - 1)^2 + 1, D = {D} the larger degree: "

@@ -203,9 +203,14 @@ def test_plane_local_imprimitive_pair_stops_at_degree_bound(capsys):
     ("x+x^2", "x^3", [1]),
     ("x^3+x^5", "x+x^2", [1]),       # swapped to n = 1
     ("x^3", "x^3+x^4", [3, 4]),      # monomial f of the same order as g
+    # swapped to f = x^4; the descent needs the exponent 20001, past
+    # PRECISION_CAP, so it must not walk the coefficients up to it
+    ("x^6+x^20001", "x^4", [4, 6, 20007]),
 ])
 def test_plane_local_edge_cases_of_the_descent(capsys, f, g, gens):
+    start = time.perf_counter()
     code, out, err = run(capsys, "plane-local", f, g)
+    assert time.perf_counter() - start < 2
     assert (code, err) == (0, "")
     assert f"minimal generators: {gens}" in out
 

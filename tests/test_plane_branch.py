@@ -423,3 +423,6 @@ def test_reparametrize_needs_characteristic_zero():
             reparametrize(f, Poly.x_power(7, F), 10)
     with pytest.raises(ValueError, match="positive order"):
         reparametrize(P((0, 1), (1, 1)), xp(3), 10)
+    for prec in (0, -1):
+        with pytest.raises(ValueError, match="precision must be positive"):
+            reparametrize(xp(2) + xp(3), xp(3), prec)
