@@ -26,7 +26,7 @@ from .planebranch import (
     plane_local,
 )
 from .poly import render_poly
-from .reduction import BasisElement, LimitExceeded, ReductionContext, reduce_poly
+from .reduction import LimitExceeded, ReductionContext, basis_element, reduce_poly
 from . import report
 
 
@@ -220,10 +220,8 @@ def run(argv: list[str]) -> int:
 
     elif cmd == "reduce":
         f = parse_poly(args.poly, args.char)
-        local = args.setting == "local"
-        monic = [p.monic_trailing()[0] if local else p.monic_leading()[0]
+        elems = [basis_element(p, args.setting)
                  for p in parse_poly_list(args.against, args.char)]
-        elems = [BasisElement(p, int(p.order if local else p.degree)) for p in monic]
         out = reduce_poly(f, ReductionContext(elems, args.setting), args.mode,
                           args.bound)
         _emit(args,

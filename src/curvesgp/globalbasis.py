@@ -27,9 +27,9 @@ def reduce_degree(f: Poly, basis: list[BasisElement],
     return reduce_poly(f, ctx, mode)
 
 
-def global_basis(gens: list[Poly], limits: dict | None = None) -> ValueBasis:
+def global_basis(gens: list[Poly]) -> ValueBasis:
     """Basis of K[f_1, ..., f_s] together with its semigroup of degrees."""
-    return build_basis(gens, "global", limits)
+    return build_basis(gens, "global")
 
 
 # tails moved onto the gaps of the degree semigroup; the shared

@@ -36,14 +36,14 @@ def reduce_order(f: Poly, basis: list[BasisElement], mode: str = "algorithmic",
     return reduce_poly(f, ctx, mode, bound)
 
 
-def local_basis(gens: list[Poly], limits: dict | None = None) -> ValueBasis:
+def local_basis(gens: list[Poly]) -> ValueBasis:
     """Basis of K[[f_1, ..., f_s]] together with its semigroup of orders.
 
     Raises :class:`~curvesgp.reduction.LimitExceeded` when the growth
     guards trip, which is the expected outcome when the integral closure
     of the algebra is smaller than the full power series ring.
     """
-    return build_basis(gens, "local", limits)
+    return build_basis(gens, "local")
 
 
 def minimal_basis(basis: ValueBasis) -> ValueBasis:

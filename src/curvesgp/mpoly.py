@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field
-from .poly import Poly
+from .poly import Poly, _join_terms
 
 
 class MPoly:
@@ -257,31 +257,16 @@ class MPoly:
 
 def render_mpoly(p: MPoly) -> str:
     """Deterministic rendering; later variables dominate the term order."""
-    if p.is_zero:
-        return "0"
-    field = p.field
-    parts = []
+    terms = []
     for e in sorted(p.coeffs, key=lambda t: tuple(reversed(t)), reverse=True):
-        c = p.coeffs[e]
-        s = field.coeff_str(c)
-        neg = s.startswith("-")
-        if neg:
-            s = s[1:]
         factors = []
         for name, k in zip(p.vars, e):
             if k == 1:
                 factors.append(name)
             elif k > 1:
                 factors.append(f"{name}^{k}")
-        if not factors:
-            body = s
-        else:
-            body = "*".join(factors) if s == "1" else s + "*" + "*".join(factors)
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("-" if neg else "+") + body)
-    return "".join(parts)
+        terms.append((p.coeffs[e], "*".join(factors)))
+    return _join_terms(p.field, terms)
 
 
 # -- determinants and resultants --------------------------------------

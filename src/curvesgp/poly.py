@@ -358,28 +358,27 @@ def _unpack(value: int, lo: int, slots: int, nbytes: int) -> dict:
     return out
 
 
-def render_poly(p: Poly, var: str) -> str:
-    """GAP-style rendering, highest exponent first: ``-1/2*x^15+x^13``."""
-    if p.is_zero:
-        return "0"
-    field = p.field
+def _join_terms(field, terms) -> str:
+    """The signed sum of (coefficient, monomial) terms in the given order:
+    a coefficient 1 is elided before a monomial, only a negative first term
+    is signed, and no terms give ``"0"``."""
     parts = []
-    for e in reversed(p.support):
-        c = p.coeffs[e]
+    for c, mono in terms:
         s = field.coeff_str(c)
         neg = s.startswith("-")
         if neg:
             s = s[1:]
-        if e == 0:
-            body = s
-        else:
-            v = var if e == 1 else f"{var}^{e}"
-            body = v if s == "1" else f"{s}*{v}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("-" if neg else "+") + body)
-    return "".join(parts)
+        if mono:
+            s = mono if s == "1" else f"{s}*{mono}"
+        parts.append(("-" if neg else "+" if parts else "") + s)
+    return "".join(parts) or "0"
+
+
+def render_poly(p: Poly, var: str) -> str:
+    """GAP-style rendering, highest exponent first: ``-1/2*x^15+x^13``."""
+    return _join_terms(p.field, [
+        (p.coeffs[e], "" if e == 0 else var if e == 1 else f"{var}^{e}")
+        for e in reversed(p.support)])
 
 
 # Operation aliases matching the mathematical vocabulary.

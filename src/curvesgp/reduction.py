@@ -9,22 +9,21 @@ order-valued division finite.
 
 Reduction modes
 ---------------
-``algorithmic``
-    The basis-building procedure: stop at the first value outside the
-    monoid and hand back the whole residual (it becomes the next basis
-    element).  With gcd 1, residuals of value >= conductor are dropped to
-    zero.  With gcd > 1 the membership loop is cut off by an escape bound
-    so that divergent inputs surface as adjoined elements instead of
-    hanging.
-``expression``
-    The division of the remainder proposition: terms with value outside
-    the monoid migrate into the remainder one at a time and the division
-    continues.  No conductor shortcut; a value beyond ``bound`` abandons
-    the residual with ``complete=False``.
-``reduced``
-    Like ``expression`` but with the gcd-1 conductor shortcut, which makes
-    tail reduction exact and finite: whatever is dropped has value past
-    the conductor and already belongs to the algebra.
+The three modes are one subduction loop.  Each pass takes the lead
+exponent e of the working polynomial and applies these rules in order:
+
+1. ``expression`` stops past ``bound``, with ``complete=False``.
+2. ``algorithmic`` and ``reduced`` stop at the gcd-1 conductor shortcut
+   (local setting only): a residual with e >= conductor lies in the
+   algebra, so it is dropped to zero.
+3. With gcd > 1 (local setting) they stop at the escape bound, so that
+   divergent inputs surface instead of hanging; ``complete`` stays True
+   in ``algorithmic`` mode and becomes False in ``reduced`` mode.
+4. A lead in the monoid is subtracted.  Otherwise ``algorithmic`` stops
+   and hands back the whole residual, the next basis element (the
+   basis-building procedure), while ``expression`` (the division of the
+   remainder proposition) and ``reduced`` (tail reduction) move the lead
+   term into the remainder and go on.
 
 The lifted step
 ---------------
@@ -102,11 +101,8 @@ class ReductionContext:
                 raise ValueError("zero basis element")
         self.values = tuple(e.value for e in elements)
         self.monoid = NumSgp(self.values)
-        # extremal coefficient of each element in this setting's sense
-        if setting == "local":
-            self.unit_coeffs = tuple(e.poly.trailing_coeff for e in elements)
-        else:
-            self.unit_coeffs = tuple(e.poly.leading_coeff for e in elements)
+        # extremal coefficient of each element: its value is that exponent
+        self.unit_coeffs = tuple(e.poly.coeffs[e.value] for e in elements)
         # positions ordered by (value, adjoin time), most expensive first;
         # factorisations are chosen to spend high-value generators last
         self._prio_desc = sorted(range(len(elements)),
@@ -257,30 +253,26 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
 
     while work:
         e = lead(work)
-        if mode == "algorithmic":
-            if shortcut_ok and e >= c:
-                used_shortcut, complete = True, False
-                work = {}
-                break
-            if not monoid.contains(e):
-                break  # residual handed back whole: it is the next element
-            if local and not shortcut_ok and e >= escape:
-                break  # membership loop cut off: adjoin "just in case"
-            subtract(e)
-        elif mode == "reduced":
-            if shortcut_ok and e >= c:
-                used_shortcut, complete = True, False
-                work = {}
-                break
-            if local and not shortcut_ok and e >= escape:
-                complete = False
-                break  # residual kept below, to preserve the element exactly
-            subtract(e) if monoid.contains(e) else strip_lead(e)
-        else:  # expression
+        if mode == "expression":
             if e > bound:
                 complete = False
                 break
-            subtract(e) if monoid.contains(e) else strip_lead(e)
+        elif shortcut_ok:
+            if e >= c:
+                used_shortcut, complete = True, False
+                work = {}
+                break
+        elif local and e >= escape:
+            # membership loop cut off: algorithmic adjoins the residual "just
+            # in case", reduced keeps it below to preserve the element exactly
+            complete = mode == "algorithmic"
+            break
+        if monoid.contains(e):
+            subtract(e)
+        elif mode == "algorithmic":
+            break  # residual handed back whole: it is the next element
+        else:
+            strip_lead(e)
 
     # algorithmic and reduced keep the residual; every exponent left in it
     # lies past the stripped ones, so the two never share a term
@@ -313,13 +305,15 @@ class ValueBasis:
         return ReductionContext(self.elements, self.setting)
 
 
-DEFAULT_MAX_ELEMENTS = 64
+MAX_ELEMENTS = 64
 
 
-def default_limits(gens: list[Poly], setting: str) -> dict:
-    vals = [g.order if setting == "local" else g.degree for g in gens]
-    top = max(int(v) for v in vals)
-    return {"max_elements": DEFAULT_MAX_ELEMENTS, "max_value": 4 * top * top}
+def basis_element(p: Poly, setting: str) -> BasisElement:
+    """p made monic at its extremal term (trailing locally, leading
+    globally), valued at that term's exponent."""
+    if setting == "local":
+        return BasisElement(p.monic_trailing()[0], int(p.order))
+    return BasisElement(p.monic_leading()[0], int(p.degree))
 
 
 def relation_element(ctx: ReductionContext, alpha, beta) -> Poly:
@@ -347,27 +341,23 @@ def relation_element(ctx: ReductionContext, alpha, beta) -> Poly:
     return _unlift(field, s, da * ub)
 
 
-def build_basis(gens: list[Poly], setting: str, limits: dict | None = None) -> ValueBasis:
-    """The adjoin-and-restart loop shared by both settings."""
+def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
+    """The adjoin-and-restart loop shared by both settings.  Two guards
+    raise :class:`LimitExceeded`: an adjoined value past 4 top^2 (top the
+    largest generator value) and a basis past ``MAX_ELEMENTS`` elements."""
     if not gens:
         raise ValueError("at least one generator is required")
     field = gens[0].field
-    prepared: list[Poly] = []
+    elements: list[BasisElement] = []
     for g in gens:
         check_same_field(field, g.field)
         if setting == "local":
             g = g - Poly.constant(g.coeff(0), field)
         if g.is_zero or g.degree == 0:
             raise ValueError("zero or constant generator")
-        monic = g.monic_trailing()[0] if setting == "local" else g.monic_leading()[0]
-        prepared.append(monic)
+        elements.append(basis_element(g, setting))
+    max_value = 4 * max(e.value for e in elements) ** 2
 
-    lim = default_limits(prepared, setting)
-    if limits:
-        lim.update(limits)
-
-    elements = [BasisElement(p, int(p.order if setting == "local" else p.degree))
-                for p in prepared]
     while True:
         ctx = ReductionContext(elements, setting)
         pres = presentation_for_generators(ctx.values)
@@ -379,21 +369,18 @@ def build_basis(gens: list[Poly], setting: str, limits: dict | None = None) -> V
             out = reduce_poly(s_poly, ctx, "algorithmic")
             if out.remainder.is_zero:
                 continue
-            monic = (out.remainder.monic_trailing()[0] if setting == "local"
-                     else out.remainder.monic_leading()[0])
-            value = int(monic.order if setting == "local" else monic.degree)
-            if value > lim["max_value"]:
+            elem = basis_element(out.remainder, setting)
+            if elem.value > max_value:
                 raise LimitExceeded(
-                    f"adjoined value {value} exceeds max_value={lim['max_value']}")
-            if len(elements) + 1 > lim["max_elements"]:
+                    f"adjoined value {elem.value} exceeds max_value={max_value}")
+            if len(elements) + 1 > MAX_ELEMENTS:
                 raise LimitExceeded(
-                    f"basis grew past max_elements={lim['max_elements']}")
-            elements.append(BasisElement(monic, value))
+                    f"basis grew past max_elements={MAX_ELEMENTS}")
+            elements.append(elem)
             adjoined = True
             break
         if not adjoined:
-            return ValueBasis(setting, elements, ctx.monoid, pres,
-                              n_input=len(prepared))
+            return ValueBasis(setting, elements, ctx.monoid, pres, len(gens))
 
 
 def reduced_basis(basis: ValueBasis) -> ValueBasis:
@@ -406,8 +393,7 @@ def reduced_basis(basis: ValueBasis) -> ValueBasis:
     ctx = basis.context()
     new_elements = []
     for elem in basis.elements:
-        head = (elem.poly.trailing_monomial() if basis.setting == "local"
-                else elem.poly.leading_monomial())
+        head = Poly(ctx.field, {elem.value: elem.poly.coeffs[elem.value]})
         tail = elem.poly - head
         if tail.is_zero:
             new_elements.append(elem)

@@ -288,6 +288,36 @@ def test_gamma_at_infinity_matches_global_basis():
             basis.semigroup.minimal_generators()
 
 
+
+def test_gamma_at_infinity_matches_global_basis_on_seeded_pairs():
+    # approximate roots of the resultant against the general basis loop, on
+    # pairs of unequal degrees with up to two lower terms each; a pair whose
+    # parametrisation is not proper has no answer from the resultant route
+    from curvesgp import global_basis
+
+    rng = random.Random(47)
+    coeffs = [Fraction(a, b) for a in (1, -1, 2, -3) for b in (1, 2, 3)]
+
+    def draw(deg):
+        exps = [deg] + rng.sample(range(1, deg), min(deg - 1, rng.randrange(0, 3)))
+        return P(*[(e, rng.choice(coeffs)) for e in exps])
+
+    seen = {"coprime": 0, "non-coprime": 0, "skipped": 0}
+    for _ in range(65):
+        n = rng.randrange(2, 9)
+        m = rng.choice([k for k in range(2, 12) if k != n])
+        f, g = draw(n), draw(m)
+        try:
+            res = gamma_at_infinity(f, g)
+        except ValueError:
+            seen["skipped"] += 1
+            continue
+        basis = global_basis([f, g])
+        assert res.semigroup.minimal_generators() == \
+            basis.semigroup.minimal_generators(), (f, g)
+        seen["coprime" if math.gcd(n, m) == 1 else "non-coprime"] += 1
+    assert seen["coprime"] and seen["non-coprime"], seen
+
 def test_gamma_curve_infinity_transcript():
     F = XY({(0, 6): 1, (2, 3): -2, (1, 3): -4, (0, 3): -1, (4, 0): 1})
     res = gamma_curve_infinity(F)

@@ -143,3 +143,27 @@ def test_products_match_powers_of_the_elements():
                     lead = (want.trailing_coeff if setting == "local"
                             else want.leading_coeff)
                     assert ctx.unit_product(theta) == lead
+
+
+def test_escape_bound_stops_divergent_local_divisions():
+    # every term even: K[[x^2 + 3x^4]] = K[[x^2]], so dividing an even
+    # series never ends and only the escape bound stops algorithmic and
+    # reduced mode; the residual left there has its lead in the monoid
+    seen = {"algorithmic": 0, "reduced": 0}
+    with _deadline(10):
+        for field in FIELDS:
+            x = lambda e, c=1: Poly.x_power(e, field, c)  # noqa: E731
+            ctx = ReductionContext(_elements(
+                [x(2) + x(4, 3), x(4) + x(6, Fraction(-2, 3))], "local"), "local")
+            for f in (x(6), x(8, 5) + x(10), x(6) + x(7)):
+                escape = ctx.escape_bound(f)
+                for mode in MODES:
+                    out = _check(f, ctx, mode)
+                    if mode == "expression":
+                        continue
+                    support = out.remainder.support
+                    if mode == "algorithmic":
+                        support = support[:1]  # the residual comes back whole
+                    past = [k for k in support if k >= escape]
+                    seen[mode] += bool(past) and ctx.monoid.contains(past[0])
+    assert all(seen.values()), seen
