@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 domain error (the error class is named in the
-message), 2 parse error, 3 growth-guard tripped.
+message), 2 parse error, 3 growth-guard tripped or memory exhausted
+(``error[LimitExceeded]`` or ``error[MemoryError]``).
 """
 
 from __future__ import annotations
@@ -258,8 +259,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except LimitExceeded as err:
-        print(f"error[LimitExceeded]: {err}", file=sys.stderr)
+    except (LimitExceeded, MemoryError) as err:
+        print(f"error[{type(err).__name__}]: {err}", file=sys.stderr)
         return 3
     except (ValueError, ZeroDivisionError, ArithmeticError, RuntimeError) as err:
         print(f"error[{type(err).__name__}]: {err}", file=sys.stderr)

@@ -5,18 +5,23 @@ variable tuple is part of the value: ``MPoly(("x", "y"), ...)`` and the same
 data over ``("u", "x")`` are different things, and mixing them is an error.
 The curve of a parametrisation, Res_t(X - f(t), Y - g(t)), is the norm of
 Y - g(t) over K[X][t]/(f(t) - X) and comes from power sums and Newton's
-identities in K[X], without a matrix; that route needs characteristic 0 or
-above deg f; ``planebranch.intersection_degree`` shares its helpers.  The
-Sylvester matrix with fraction-free (Bareiss) elimination now serves only
-:func:`resultant_eliminate` and the tests, as their reference route.
+identities, without a matrix (Bostan, Flajolet, Salvy and Schost, J. Symb.
+Comp. 41, 2006), in one integer kernel, :func:`_symmetric_of_values`:
+over Q, roots and values are scaled to integral ones, so every product is
+a ``poly._int_mul`` and every division in Newton's identities is exact;
+``planebranch.intersection_degree`` shares it.  The Sylvester matrix with
+fraction-free (Bareiss) elimination serves only :func:`resultant_eliminate`
+and the tests, as their reference route.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field
-from .poly import Poly, _join_terms
+from .poly import Poly, _int_mul, _join_terms
 
 
 class MPoly:
@@ -342,39 +347,102 @@ def resultant_eliminate(p: MPoly, q: MPoly, name: str, monic_in: str | None = No
     return res
 
 
-def _power_sums(b: list, n: int, top: int, field, s: list | None = None) -> list[Poly]:
-    """s_0, ..., s_top of the roots of t^n + sum_i b_i t^(n-i), b = [(i, b_i)]
-    with b_i in K[X], by Newton's identities (no division); a list s of
-    the first power sums is extended in place."""
-    b = [(i, bi) for i, bi in b if not bi.is_zero]
-    if s is None:
-        s = [Poly.constant(n, field)]
-    for j in range(len(s), top + 1):
-        acc = Poly.zero(field)
-        for i, bi in b:
-            if i < j:
-                acc = acc + bi * s[j - i]
-            elif i == j:
-                acc = acc + bi.scale(j)
-        s.append(-acc)
-    return s
+def _add_product(acc: dict, a: dict, b: dict, p: int, sign: int = 1) -> None:
+    """acc += sign * a * b, for integer polynomials as dicts."""
+    if a and b:
+        get = acc.get
+        for e, c in _int_mul(a, b, p).items():
+            acc[e] = get(e, 0) + sign * c
 
 
-def _elementary_symmetric(p: list[Poly], field) -> list[Poly]:
-    """e_0, ..., e_n of n values from their power sums p_1, ..., p_n (p[0]
-    unused); dividing by 1, ..., n needs characteristic 0 or above n."""
-    n = len(p) - 1
-    if 0 < field.char <= n:
-        raise ValueError(
-            f"characteristic {field.char} does not exceed the degree {n}")
-    e = [Poly.constant(1, field)]
+def _reduced(acc: dict, p: int) -> dict:
+    """acc with its coefficients reduced mod p (when p > 0), zeros dropped."""
+    return {e: c % p if p else c for e, c in acc.items() if (c % p if p else c)}
+
+
+def _symmetric_of_values(b: list, h: dict, w: int, p: int, s: list) -> list[dict]:
+    """E_0, ..., E_n: the elementary symmetric functions of the values
+    h(tau_i) at the n roots tau_i of mu(t) = t^n + sum_i B_i t^(n-i).
+
+    b lists B_1, ..., B_n and h maps j*w + e (0 <= e < w) to the
+    coefficient of t^j X^e; all are integer polynomials in X as dicts
+    exponent -> int (residues over GF(p), p > 0), empty for zero, and w
+    must exceed n deg_X h.  s holds the power sums S_0, S_1, ... of the
+    tau_i and is extended in place, so a caller can keep it for many h.
+    Newton's recurrence S_j = -(j B_j + sum_{i<j} B_i S_{j-i}) needs no
+    division; the traces P_k = sum_j [t^j]h^k S_j follow, then
+    k E_k = sum_{i=1}^{k} (-1)^(i-1) E_{k-i} P_i.  That division by k is
+    exact on integers: E_k is a symmetric polynomial with integer
+    coefficients in the tau_i, hence an integer polynomial in the B_i
+    (equivalently, it lies in Q[X] and is integral over Z[X], which is
+    integrally closed by Gauss's lemma); a remainder raises
+    ArithmeticError.  Over GF(p) it needs p > n.
+    """
+    n = len(b)
+    if 0 < p <= n:
+        raise ValueError(f"characteristic {p} does not exceed the degree {n}")
+    if not s:
+        s.append({0: n})
+    terms = [(i, bi) for i, bi in enumerate(b, 1) if bi]
+    for j in range(len(s), n * (max(h) // w if h else 0) + 1):
+        acc = {e: -j * c for e, c in b[j - 1].items()} if j <= n else {}
+        for i, bi in terms:
+            if i >= j:
+                break
+            _add_product(acc, bi, s[j - i], p, -1)
+        s.append(_reduced(acc, p))
+    traces = [{}]
+    hk = {0: 1}
+    for _ in range(n):
+        hk = _int_mul(hk, h, p) if hk and h else {}
+        acc = {}
+        for e, c in hk.items():
+            sj = s[e // w]
+            if sj:
+                x = e % w
+                for es, cs in sj.items():
+                    acc[x + es] = acc.get(x + es, 0) + c * cs
+        traces.append(_reduced(acc, p))
+    E = [{0: 1}]
     for k in range(1, n + 1):
-        acc = Poly.zero(field)
+        acc = {}
         for i in range(1, k + 1):
-            term = e[k - i] * p[i]
-            acc = acc + term if i % 2 else acc - term
-        e.append(acc.scale(field.inv(field.coerce(k))))
-    return e
+            _add_product(acc, E[k - i], traces[i], p, 1 if i % 2 else -1)
+        inv = pow(k, -1, p) if p else None
+        for e, c in acc.items():
+            if p:
+                acc[e] = c * inv
+                continue
+            acc[e], r = divmod(c, k)
+            if r:
+                raise ArithmeticError(f"Newton's identity for E_{k}: {c} is "
+                                      f"not divisible by {k}")
+        E.append(_reduced(acc, p))
+    return E
+
+
+def _integral_roots(b: list, char: int) -> tuple[list, int]:
+    """(B, D) with B_i = D^i b_i: for b_1, ..., b_n in Q[X] (dicts exponent
+    -> Fraction) and D the lcm of their denominators, the roots of
+    t^n + sum_i B_i t^(n-i) are D times those of t^n + sum_i b_i t^(n-i),
+    and every B_i is integral.  Over GF(p), D = 1; zeros are dropped."""
+    D = 1 if char else math.lcm(*(c.denominator for bi in b for c in bi.values()))
+    return [{e: c if char else c.numerator * (D ** i // c.denominator)
+             for e, c in bi.items() if c} for i, bi in enumerate(b, 1)], D
+
+
+def _integral_values(h: dict, w: int, D: int, char: int) -> tuple[dict, int]:
+    """(H, M) with H(t) = M h(t/D) integral: for h = sum_j h_j t^j packed as
+    in :func:`_symmetric_of_values`, L the lcm of its denominators and
+    m = deg_t h, H_j = L h_j D^(m-j) and M = L D^m, so that H(D tau) =
+    M h(tau) and the E_k of H scale the e_k of h by M^k.  Over GF(p),
+    M = 1."""
+    if char or not h:
+        return h, 1
+    m = max(h) // w
+    L = math.lcm(*(c.denominator for c in h.values()))
+    return {e: c.numerator * (L // c.denominator) * D ** (m - e // w)
+            for e, c in h.items()}, L * D ** m
 
 
 def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
@@ -383,16 +451,16 @@ def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
     This is the minimal polynomial F(X, Y) of the parametrised curve
     X = f(t), Y = g(t) when the parametrisation is proper (a power of it
     otherwise).  F is the characteristic polynomial of multiplication by g
-    on K(X)[t]/(f(t) - X), that is F = prod_i (Y - g(tau_i)) over the n =
-    deg f roots tau_i of f(t) = X, and it is computed from power sums
-    without a matrix: with f(t) - X = c*(t^n + b_{n-1} t^{n-1} + ... + b_0)
-    (only b_0 = (f_0 - X)/c involves X), Newton's identities give the
-    power sums s_j of the tau_i in K[X] for j <= n*deg g; then the traces
-    p_k = Tr(g^k) = sum_j [t^j]g^k * s_j for k <= n, and the elementary
-    symmetric functions of the g(tau_i) from k*e_k = sum_{i=1}^{k}
-    (-1)^(i-1) e_{k-i} p_i, so F = sum_k (-1)^k e_k Y^(n-k).  The last step
-    divides by 1, ..., n, so the characteristic must be 0 or exceed deg f.
-    The value equals :func:`resultant_eliminate` on the same pair.
+    on K(X)[t]/(f(t) - X), that is F = prod_i (Y - g(tau_i)) = sum_k
+    (-1)^k e_k Y^(n-k) over the n = deg f roots tau_i of f(t) = X, with
+    f(t) - X = c*(t^n + b_1 t^(n-1) + ... + b_n) (only b_n = (f_0 - X)/c
+    involves X).  The e_k come from :func:`_symmetric_of_values` on
+    integers: over Q with the roots D tau_i of t^n + sum_i D^i b_i t^(n-i),
+    D the lcm of the denominators of the b_i, and the values M g(tau_i) of
+    the integral H of :func:`_integral_values`, so each e_k is rebuilt once
+    as E_k / M^k.  The last step divides by 1, ..., n, so the
+    characteristic must be 0 or exceed deg f.  The value equals
+    :func:`resultant_eliminate` on the same pair.
     """
     check_same_field(f.field, g.field)
     field = f.field
@@ -400,27 +468,17 @@ def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
         raise ValueError("first generator must have positive degree")
     n = int(f.degree)
     c_inv = field.inv(f.leading_coeff)
-    # (i, b_{n-i}), as polynomials in X
-    b = [(i, Poly.constant(f.coeff(n - i), field).scale(c_inv)) for i in range(1, n)]
-    b.append((n, Poly(field, {0: f.coeff(0), 1: field.neg(field.one)}).scale(c_inv)))
-    m = int(g.degree) if not g.is_zero else 0
-    s = _power_sums(b, n, n * m, field)
-    p = [Poly.zero(field)]
-    gk = Poly.constant(1, field)
-    add, mul, zero = field.add, field.mul, field.zero
-    for _ in range(n):
-        gk = gk * g
-        tr: dict = {}
-        get = tr.get
-        for j, cj in gk.coeffs.items():
-            for ex, c in s[j].coeffs.items():
-                tr[ex] = add(get(ex, zero), mul(c, cj))
-        p.append(Poly(field, tr))
-    e = _elementary_symmetric(p, field)
-    out = {}
-    for k, ek in enumerate(e):
-        for ex, c in ek.coeffs.items():
-            out[(ex, n - k)] = field.neg(c) if k % 2 else c
+    b = [{0: field.mul(f.coeff(n - i), c_inv)} for i in range(1, n + 1)]
+    b[-1][1] = field.neg(c_inv)
+    B, D = _integral_roots(b, field.char)
+    H, M = _integral_values(g.coeffs, 1, D, field.char)
+    E = _symmetric_of_values(B, H, 1, field.char, [])
+    out, Mk = {}, 1
+    for k, Ek in enumerate(E):
+        for ex, v in Ek.items():
+            v = -v if k % 2 else v
+            out[(ex, n - k)] = v % field.char if field.char else Fraction(v, Mk)
+        Mk *= M
     return MPoly(tuple(vars), field, out)
 
 

@@ -18,8 +18,8 @@ from itertools import count, islice
 from typing import Iterator, Sequence
 
 from .fields import check_same_field
-from .mpoly import (MPoly, _elementary_symmetric, _power_sums, curve_resultant,
-                    eval_bipoly)
+from .mpoly import (MPoly, _integral_roots, _integral_values, _symmetric_of_values,
+                    curve_resultant, eval_bipoly)
 from .numsgp import NumSgp, gcd_chain
 from .poly import Poly
 from .reduction import LimitExceeded
@@ -288,9 +288,8 @@ def approximate_root(F: MPoly, d: int, var: str = "y") -> MPoly:
 def intersection_degree(F: MPoly, G: MPoly) -> int:
     """int(F, G) = deg_x Res_y(F, G), for F monic in y.
 
-    Res_y(F, G) = prod_i G(y_i) over the roots y_i of F is the e_n of the
-    values G(y_i), found as in :func:`curve_resultant`: the power sums s_j
-    of the y_i, the traces p_k = Tr(G^k) = sum_j [y^j]G^k s_j, then e_n.
+    Res_y(F, G) = prod_i G(y_i) over the roots y_i of F is the E_n of the
+    values G(y_i), found by the integer kernel of :func:`curve_resultant`.
     """
     return _intersection_numbers(F)(G)
 
@@ -298,33 +297,34 @@ def intersection_degree(F: MPoly, G: MPoly) -> int:
 def _intersection_numbers(F: MPoly):
     """G -> int(F, G) of :func:`intersection_degree`, for one F and many G.
 
-    The power sums of the roots of F are kept in one list, extended as far
-    as the y-degree of each G needs.  Newton's recurrence for e_n reads
-    every e_k with k < n, so all of them are built.
+    F is scaled as in :func:`curve_resultant`, by the lcm D of the
+    denominators of its y-coefficients in Q[x], and each G to the integral
+    L D^m G(x, y/D), m = deg_y G; that multiplies Res_y(F, G) by a nonzero
+    constant, so the degree is deg_x E_n.  G is packed into one exponent
+    ey*W + ex with W = n deg_x G + 1, which no power G^k, k <= n, overflows
+    (Kronecker substitution), so its powers are plain integer products.
+    The integer power sums of the scaled roots of F are kept in one list,
+    extended as far as the y-degree of each G needs.
     """
     field = F.field
     n = F.degree_in("y")
     if F.vars != ("x", "y") or F.coeff_in("y", n) != MPoly.constant(F.vars, 1, field):
         raise ValueError("the first curve must be in (x, y) and monic in y")
-    b = [(i, F.coeff_in("y", n - i).to_poly()) for i in range(1, n + 1)]
-    s = [Poly.constant(n, field)]
+    b: list = [{} for _ in range(n)]
+    for (ex, ey), c in F.coeffs.items():
+        if ey < n:
+            b[n - 1 - ey][ex] = c
+    B, D = _integral_roots(b, field.char)
+    s: list = []
 
     def value(G: MPoly) -> int:
-        _power_sums(b, n, n * max(G.degree_in("y"), 0), field, s)
-        p = [Poly.zero(field)]
-        gk = MPoly.constant(F.vars, 1, field)
-        for _ in range(n):
-            gk = gk * G
-            tr: dict = {}
-            for (ex, ey), c in gk.coeffs.items():
-                for es, cs in s[ey].coeffs.items():
-                    tr[ex + es] = field.add(tr.get(ex + es, field.zero),
-                                            field.mul(c, cs))
-            p.append(Poly(field, tr))
-        res = _elementary_symmetric(p, field)[n]
-        if res.is_zero:
+        w = n * max(G.degree_in("x"), 0) + 1
+        h, _ = _integral_values({ey * w + ex: c for (ex, ey), c in G.coeffs.items()},
+                                w, D, field.char)
+        res = _symmetric_of_values(B, h, w, field.char, s)[n]
+        if not res:
             raise ValueError("the two curves share a component")
-        return int(res.degree)
+        return max(res)
 
     return value
 

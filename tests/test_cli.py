@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from curvesgp import numsgp, planebranch
+from curvesgp import cli, numsgp, planebranch
 from curvesgp.cli import build_parser, main
 
 
@@ -167,6 +167,18 @@ def test_limit_exceeded_exit_code(capsys):
     code, _, err = run(capsys, "local", "x^2+x^4,x^4")
     assert code == 3
     assert "LimitExceeded" in err
+
+
+def test_memory_error_exits_3_without_traceback(capsys, monkeypatch):
+    def exhausted(argv):
+        raise MemoryError("cannot allocate the product")
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    code, out, err = run(capsys, "semigroup", "3,5")
+    assert code == 3
+    assert out == ""
+    assert err == "error[MemoryError]: cannot allocate the product\n"
+    assert "Traceback" not in err
 
 
 def test_plane_commands_reject_char(capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from curvesgp import (GF, QQ, MPoly, Poly, curve_resultant, eval_bipoly,
                       resultant_eliminate)
-from curvesgp.mpoly import _elementary_symmetric, _power_sums, sylvester_resultant
+from curvesgp.mpoly import (_integral_roots, _symmetric_of_values,
+                            sylvester_resultant)
 from util import XY, P, schoolbook_mul, xp
 
 
@@ -198,6 +199,39 @@ def test_curve_resultant_matches_sylvester_route():
         assert eval_bipoly(F, f, g).is_zero
 
 
+def _scaled_pair(rng, n, m, field):
+    """f of degree n with a non-unit leading coefficient and fractional
+    lower ones, g of degree m with its own denominators, so that the
+    scalings D, L and M = L*D^m of curve_resultant are nontrivial."""
+    f = P(*[(e, rng.choice(("1/2", "-2/3", "3/5", "-1/7")))
+            for e in range(n) if rng.random() < 0.6],
+          (n, rng.choice((3, "-2/5", "7/3"))), field=field)
+    gcoeffs = ("5/2", "-3/7", "2/9", 4, "-1/5")
+    g = P(*[(e, rng.choice(gcoeffs)) for e in range(m) if rng.random() < 0.6],
+          (m, rng.choice(gcoeffs)), field=field)
+    return f, g
+
+
+def test_curve_resultant_scalings_match_sylvester_route():
+    rng = random.Random(43)
+    for k in range(12):
+        n = 6 + k % 4  # over Q, deg g below and then above each n
+        m = n + 1 if k // 4 == 1 or (k >= 8 and k % 2) else rng.randrange(2, n)
+        f, g = _scaled_pair(rng, n, m, GF(rng.choice((17, 19, 23))) if k >= 8 else QQ)
+        assert curve_resultant(f, g) == _sylvester_curve(f, g), (f, g)
+
+
+def test_curve_resultant_scalings_vanish_on_large_pairs():
+    # sizes where the Sylvester route takes seconds: the defining properties
+    rng = random.Random(47)
+    for n in range(10, 21):
+        f, g = _scaled_pair(rng, n, n + 1 if n % 2 else n - 3, QQ)
+        F = curve_resultant(f, g)
+        assert F.degree_in("y") == n
+        assert F.coeff_in("y", n) == MPoly.constant(F.vars, 1)
+        assert eval_bipoly(F, f, g).is_zero, (f, g)
+
+
 def test_curve_resultant_characteristic_and_degree_conditions():
     F5 = GF(5)
     g = Poly.x_power(2, F5)
@@ -212,9 +246,16 @@ def test_curve_resultant_characteristic_and_degree_conditions():
             curve_resultant(f, xp(2))
 
 
+def _int_coeffs(p: Poly) -> dict:
+    """exponent -> int of a polynomial with integral coefficients."""
+    assert all(int(c) == c for c in p.coeffs.values()), p
+    return {e: int(c) for e, c in p.coeffs.items()}
+
+
 def test_power_sums_and_elementary_symmetric_on_known_roots():
-    # roots r_i in Q[X]: prod (t - r_i) = t^n + sum_i b_i t^(n-i) with
-    # b_i = (-1)^i e_i; the helpers must give sum r_i^j and back the e_i
+    # roots r_i in K[X]: prod (t - r_i) = t^n + sum_i b_i t^(n-i) with
+    # b_i = (-1)^i e_i; scaled as the callers scale them (roots D r_i),
+    # the kernel must give sum (D r_i)^j and back the e_i as D^i e_i
     rng = random.Random(37)
     for field in (QQ, GF(13)):
         for n in range(1, 7):
@@ -224,14 +265,19 @@ def test_power_sums_and_elementary_symmetric_on_known_roots():
             for r in roots:
                 e = [e[0]] + [e[k] + e[k - 1] * r for k in range(1, len(e))] \
                     + [e[-1] * r]
-            b = [(i, e[i] if i % 2 == 0 else -e[i]) for i in range(1, n + 1)]
-            s = _power_sums(b, n, 2 * n, field)
+            b = [(e[i] if i % 2 == 0 else -e[i]).coeffs for i in range(1, n + 1)]
+            B, D = _integral_roots(b, field.char)
+            s: list = []
+            # the values h(tau) = tau^2 read every s_j for j <= 2n
+            _symmetric_of_values(B, {2: 1}, 1, field.char, s)
+            assert len(s) == 2 * n + 1
             for j in range(2 * n + 1):
                 want = Poly.zero(field)
                 for r in roots:
                     want = want + r ** j
-                assert s[j] == want, (field, n, j)
-            assert _elementary_symmetric(s[:n + 1], field) == e
+                assert s[j] == _int_coeffs(want.scale(D ** j)), (field, n, j)
+            E = _symmetric_of_values(B, {1: 1}, 1, field.char, s)
+            assert E == [_int_coeffs(ek.scale(D ** k)) for k, ek in enumerate(e)]
 
 
 def test_power_matches_repeated_multiplication():

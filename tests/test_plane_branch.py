@@ -6,6 +6,7 @@ import pytest
 
 from curvesgp import (
     GF,
+    QQ,
     NotOnePlaceAtInfinity,
     NumSgp,
     Poly,
@@ -232,6 +233,32 @@ def test_intersection_degree_matches_sylvester_route():
         intersection_degree(F, G)
     with pytest.raises(ValueError, match="monic in y"):
         intersection_degree(F.scale(3), G)
+
+
+def test_intersection_degree_scalings_match_sylvester_route():
+    # F monic in y with fractional coefficients in Q[x] (so D > 1) and a
+    # non-monic G with its own denominators, over Q and over GF(p), p > n
+    rng = random.Random(31)
+    coeffs = ("1/2", "-2/3", "3/5", "-1/7", 2, "5/3")
+
+    def curve(n, xdeg, lead, field):
+        terms = {(ex, j): rng.choice(coeffs) for j in range(n)
+                 for ex in range(xdeg + 1) if rng.random() < 0.35}
+        return XY({**terms, (0, n): lead}, field=field)
+
+    compared = 0
+    for k in range(30):
+        field = GF(rng.choice((11, 13))) if k % 3 == 2 else QQ
+        F = curve(rng.randrange(2, 10), 2, 1, field)
+        G = curve(rng.randrange(1, 5), 2, rng.choice(coeffs), field)
+        res = sylvester_resultant(F, G, "y")
+        if res.is_zero:
+            with pytest.raises(ValueError, match="share a component"):
+                intersection_degree(F, G)
+        else:
+            assert intersection_degree(F, G) == res.degree_in("x"), (F, G)
+            compared += 1
+    assert compared >= 25
 
 
 def test_gamma_at_infinity_x6x3_x4():
