@@ -155,6 +155,8 @@ class MPoly:
         c = f.coerce(c)
         return MPoly(self.vars, f, {e: f.mul(v, c) for e, v in self.coeffs.items()})
 
+    __rmul__ = scale
+
     def __eq__(self, other):
         return (isinstance(other, MPoly) and self.vars == other.vars
                 and self.field == other.field and self.coeffs == other.coeffs)

@@ -131,6 +131,58 @@ def conductor_formula(seq) -> int:
 # -- local pipeline ----------------------------------------------------
 
 
+def _miller(u: Sequence, alpha: Fraction, N: int, one) -> list:
+    """v_0, ..., v_{N-1} of (1 + sum_i u_i z^i)^alpha, by the J.C.P. Miller
+    recurrence j v_j = sum_{i=1}^{j} ((alpha + 1) i - j) u_i v_{j-i}.
+
+    u holds the pairs (i, u_i), i >= 1 increasing, with the u_i field
+    elements or polynomials and ``one`` the 1 of their ring; the recurrence
+    divides by j, so the characteristic must be zero.
+    """
+    alpha1 = alpha + 1
+    v = [one]
+    for j in range(1, N):
+        acc = one - one
+        for i, ui in u:
+            if i > j:
+                break
+            acc += (alpha1 * i - j) * ui * v[j - i]
+        v.append(Fraction(1, j) * acc if acc else acc)
+    return v
+
+
+def _right_factor(f: Poly, g: Poly) -> Poly | None:
+    """The common right composition factor q of f and g (f = F(q),
+    g = G(q)) of largest degree above 1, monic with q(0) = 0, or None.
+
+    By Lüroth's theorem K(f, g) = K(q) for a polynomial q, and q is the
+    common right factor of largest degree (Schinzel, Polynomials with
+    Special Regard to Reducibility, 2000, ch. 1); a smaller one may have
+    ord(q' - q'(0)) = 1 while q has more, so the degrees r dividing both
+    degrees are tried largest first.  In characteristic zero a right factor
+    of degree r is, up to an additive constant, the polynomial part of
+    f^(r/deg f) for f made monic (Kozen and Landau, J. Symb. Comp. 7,
+    1989): with f = y^D (1 + sum_i a_i y^(-i)) it is sum_{j<r} v_j y^(r-j)
+    for the v of :func:`_miller`.  The candidate is a factor when f and g
+    expand in its powers, that is when cancelling leading terms never
+    meets a degree that r does not divide.
+    """
+    f = f.monic_leading()[0]
+    D, m = f.degree, math.gcd(f.degree, g.degree)
+    u = [(D - e, f.coeffs[e]) for e in reversed(f.support[:-1])]
+    for r in (r for r in range(m, 1, -1) if m % r == 0):
+        v = _miller(u, Fraction(r, D), r, f.field.one)
+        q = Poly(f.field, {r - j: c for j, c in enumerate(v)})
+        for h in (f, g):
+            while h.degree > 0 and h.degree % r == 0:
+                h = h - (q ** (h.degree // r)).scale(h.leading_coeff)
+            if h.degree > 0:
+                break
+        else:
+            return q
+    return None
+
+
 def _lagrange_coeffs(f: Poly, g: Poly) -> Iterator:
     """[s^0], [s^1], ... of :func:`reparametrize`, untruncated: [s^k]
     reads f and g only below t^k."""
@@ -144,15 +196,7 @@ def _lagrange_coeffs(f: Poly, g: Poly) -> Iterator:
         if not terms:
             yield zero
             continue
-        alpha1 = Fraction(n - k, n)  # alpha + 1 for alpha = -k/n
-        v = [field.one]
-        for j in range(1, k - terms[0][0]):
-            acc = zero
-            for i, ui in u:
-                if i > j:
-                    break
-                acc += (alpha1 * i - j) * ui * v[j - i]
-            v.append(acc / j if acc else acc)
+        v = _miller(u, Fraction(-k, n), k - terms[0][0], field.one)
         yield sum((c * v[k - 1 - e] for e, c in terms), zero) / k
 
 
@@ -163,8 +207,7 @@ def reparametrize(f: Poly, g: Poly, prec: int) -> Poly:
     Poly g(t(s)) mod s^prec, so that K[[f, g]] = K[[s^n, result]].  By
     Lagrange inversion (t = s * u(t)^(-1/n) with u = f/t^n, u(0) = 1),
     [s^k] g(t(s)) = (1/k) [t^(k-1)] g'(t) u(t)^(-k/n) for k >= 1, and
-    [s^0] = g(0); each u^(-k/n) comes from the J.C.P. Miller recurrence
-    j v_j = sum_{i=1}^{j} ((alpha + 1) i - j) u_i v_{j-i}, linear in the
+    [s^0] = g(0); each u^(-k/n) comes from :func:`_miller`, linear in the
     support of u.  Both divide by arbitrary integers, so the field must
     have characteristic zero.  The value equals
     ``compose_series(g, reverse_series(s)).poly``.
@@ -189,19 +232,20 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
 
     The descent reads the coefficients of :func:`reparametrize` one at a
     time (for a monomial f, g's own support) and stops at d = 1 (its
-    minima increase, so later ones cannot move it), which happens below
-    precision (D - 1)^2 + 1, D = max(deg f, deg g), whenever t -> (f, g)
-    parametrises its branch primitively.  Then the branch lies on a
-    rational plane curve of degree at most D, so its delta invariant is
-    at most (D - 1)(D - 2)/2 (genus formula, Fulton, Algebraic Curves,
-    ch. 8), and its conductor is c = 2 delta, the semigroup of a plane
-    branch being symmetric.  Zariski's formula
-    c = sum (d_k - d_{k+1}) m_k - n + 1 (The Moduli Problem for Plane
-    Branches) gives m_h <= c + n - 1 <= (D - 1)^2 for the last
-    characteristic exponent.  A descent still incomplete there proves the
-    parametrisation imprimitive (K[[f, g]] lies in K[[s^d]], d > 1) and
-    raises ValueError; reaching ``PRECISION_CAP`` first raises
-    LimitExceeded.
+    minima increase, so later ones cannot move it).  It gets there exactly
+    when t -> (f, g) parametrises its branch primitively, which is decided
+    first.  By Lüroth's theorem f = F(q) and g = G(q) for the q of
+    :func:`_right_factor` (q = t if there is none), and y -> (F, G) is
+    birational onto its image, so it parametrises each branch primitively;
+    the semigroup therefore has gcd e = ord(q - q(0)), which divides both
+    orders.  If e > 1 this raises ValueError naming q and e.  If e = 1 the
+    descent ends below precision (D - 1)^2 + 1, D = max(deg f, deg g):
+    the branch lies on a rational plane curve of degree at most D, whose
+    delta invariant is at most (D - 1)(D - 2)/2 (genus formula, Fulton,
+    Algebraic Curves, ch. 8), and Zariski's formula for the conductor
+    c = 2 delta = sum (d_k - d_{k+1}) m_k - n + 1 bounds the last
+    characteristic exponent by c + n - 1.  Reaching ``PRECISION_CAP``
+    first raises LimitExceeded.
     """
     check_same_field(f.field, g.field)
     if f.field.char != 0:
@@ -214,29 +258,22 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
         f, g = g, f
     f = f.monic_trailing()[0]
     g = g.monic_trailing()[0]
-    combined = math.gcd(math.gcd(*f.support), math.gcd(*g.support))
-    if combined != 1:
-        raise ValueError(f"supports have common divisor {combined}")
     n = int(f.order)
-    D = max(f.degree, g.degree)
-    bound = (D - 1) ** 2 + 1
+    q = _right_factor(f, g) if math.gcd(n, g.order) > 1 else None
+    if q is not None and q.order > 1:
+        raise ValueError(f"f and g are polynomials in q = {q} of order e = {q.order}: "
+                         "t -> (f, g) is not a primitive parametrisation")
     # every d_k divides n, so n never moves the descent; for a monomial f
     # s = t, and g's own support (however sparse) completes it at once
     supp = [n, *g.support] if len(f.support) == 1 else [n]
     d = math.gcd(*supp)
     for k, c in enumerate(_lagrange_coeffs(f, g)):
-        if d == 1 or k >= min(bound, PRECISION_CAP):
-            try:
-                seq = char_sequence_from_support(n, supp)
-                return NumSgp(seq.r), seq
-            except ValueError as err:
-                stall = f"{err} at precision {k}"
-            if k >= bound:
-                raise ValueError(
-                    f"{stall} >= (D - 1)^2 + 1, D = {D} the larger degree: "
-                    "t -> (f, g) is not a primitive parametrisation")
+        if d == 1:
+            seq = char_sequence_from_support(n, supp)
+            return NumSgp(seq.r), seq
+        if k >= PRECISION_CAP:
             raise LimitExceeded(
-                f"{stall} (PRECISION_CAP), below the bound {bound}")
+                f"gcd descent stalls at {d} at precision {k} (PRECISION_CAP)")
         if not f.field.is_zero(c):
             supp.append(k)
             d = math.gcd(d, k)
@@ -251,9 +288,8 @@ def approximate_root(F: MPoly, d: int, var: str = "y") -> MPoly:
 
     With F = y^n (1 + sum_{i>=1} a_i y^(-i)), G is the polynomial part
     sum_{j=0}^{q} v_j y^(q-j) of F^(1/d) in K[x]((y^(-1))), where
-    v = (1 + sum_i a_i z^i)^(1/d) by the J.C.P. Miller recurrence
-    j v_j = sum_{i=1}^{j} ((1/d + 1) i - j) a_i v_{j-i} of
-    :func:`reparametrize` (characteristic zero).  Then F^(1/d) = G + R with
+    v = (1 + sum_i a_i z^i)^(1/d) comes from :func:`_miller`
+    (characteristic zero).  Then F^(1/d) = G + R with
     deg R < 0, so F - G^d = sum_{k>=1} C(d, k) G^(d-k) R^k has degree at
     most (d - 1) q - 1 < n - q.  And only one monic G of degree q does: for
     two, G^d - G'^d = (G - G') (d y^((d-1)q) + lower) has degree at least
@@ -269,17 +305,10 @@ def approximate_root(F: MPoly, d: int, var: str = "y") -> MPoly:
     if d < 1 or n % d:
         raise ValueError(f"{d} does not divide the {var}-degree {n}")
     q = n // d
-    a = [F.coeff_in(var, n - i) for i in range(q + 1)]
-    alpha1 = Fraction(d + 1, d)  # alpha + 1 for alpha = 1/d
-    v = [a[0]]
-    G = MPoly.variable(F.vars, var, F.field, power=q)
-    for j in range(1, q + 1):
-        acc = MPoly.zero(F.vars, F.field)
-        for i in range(1, j + 1):
-            acc = acc + (a[i] * v[j - i]).scale(alpha1 * i - j)
-        v.append(acc.scale(Fraction(1, j)))
-        G = G + v[j] * MPoly.variable(F.vars, var, F.field, power=q - j)
-    return G
+    u = [(i, F.coeff_in(var, n - i)) for i in range(1, q + 1)]
+    v = _miller(u, Fraction(1, d), q + 1, F.coeff_in(var, n))
+    return sum((vj * MPoly.variable(F.vars, var, F.field, power=q - j)
+                for j, vj in enumerate(v)), MPoly.zero(F.vars, F.field))
 
 
 # -- global pipelines --------------------------------------------------
@@ -343,11 +372,7 @@ def _normalize_global_pair(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         g = g - f.scale(g.leading_coeff)
     if g.is_zero or g.degree <= 0:
         raise ValueError("generators are algebraically dependent in degree 1")
-    g = g.monic_leading()[0]
-    combined = math.gcd(math.gcd(*f.support), math.gcd(*g.support))
-    if combined != 1:
-        raise ValueError(f"supports have common divisor {combined}")
-    return f, g
+    return f, g.monic_leading()[0]
 
 
 @dataclass
@@ -383,23 +408,22 @@ def gamma_at_infinity(f: Poly, g: Poly) -> PlaneResult:
     """Degree semigroup of K[f, g] via approximate roots of the resultant.
 
     The value of a root G is deg G(f, g).  A parametrisation that is not
-    proper ([K(t):K(f, g)] > 1) makes the resultant a power and raises
-    ValueError.
+    proper, with [K(t):K(f, g)] = deg q > 1 for the q of
+    :func:`_right_factor`, raises ValueError naming q.  A proper one makes
+    the resultant irreducible, so no approximate root, of y-degree below
+    deg_y F, vanishes at (f, g).
     """
     f, g = _normalize_global_pair(f, g)
+    q = _right_factor(f, g)
+    if q is not None:
+        raise ValueError(f"parametrisation is not proper: f and g are "
+                         f"polynomials in q = {q}")
     F = curve_resultant(f, g)
     evaluated: list[Poly] = []
 
     def degree_at(G: MPoly) -> int:
-        gk = eval_bipoly(G, f, g)
-        if gk.is_zero:
-            # a monic root of y-degree n/d < n = deg_y F vanishes on the
-            # curve only if F is a power of its minimal polynomial
-            raise ValueError(
-                f"parametrisation is not proper: the approximate root of "
-                f"y-degree {G.degree_in('y')} vanishes at (f, g)")
-        evaluated.append(gk)
-        return int(gk.degree)
+        evaluated.append(eval_bipoly(G, f, g))
+        return int(evaluated[-1].degree)
 
     rs, roots = _descend_at_infinity(F, degree_at)
     seq = delta_sequence(rs)

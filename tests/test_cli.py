@@ -199,14 +199,15 @@ def test_plane_infinity_rejects_non_proper_parametrisation(capsys):
 
 def test_plane_local_imprimitive_pair_stops_at_degree_bound(capsys):
     # g = f + f^2 lies in K[[f]] and f has order 2, so the descent on the
-    # reparametrised g never leaves 2*N; the degree bound ends it
+    # reparametrised g would never leave 2*N; the common right factor
+    # q = f of order e = 2 decides it before the descent starts
     start = time.perf_counter()
     code, out, err = run(capsys, "plane-local", "x^2+x^3",
                          "x^2+x^3+x^4+2*x^5+x^6")
     assert time.perf_counter() - start < 5
     assert code == 1
     assert out == ""
-    assert "at precision 26 >=" in err
+    assert "polynomials in q = x^3+x^2 of order e = 2" in err
     assert "not a primitive parametrisation" in err
 
 
@@ -228,12 +229,14 @@ def test_plane_local_edge_cases_of_the_descent(capsys, f, g, gens):
 
 
 def test_plane_local_precision_cap_below_degree_bound_exits_3(capsys, monkeypatch):
+    # a primitive pair whose descent needs the exponent 21 (<2, 21> at the
+    # real cap), so a cap of 16 stops it first
     monkeypatch.setattr(planebranch, "PRECISION_CAP", 16)
     code, out, err = run(capsys, "plane-local", "x^2+x^3",
-                         "x^2+x^3+x^4+2*x^5+x^6")
+                         "x^4+2*x^5+x^6+x^21")
     assert code == 3
     assert out == ""
-    assert "at precision 16 (PRECISION_CAP), below the bound 26" in err
+    assert "at precision 16 (PRECISION_CAP)" in err
 
 
 def test_presentation_computed_only_for_json(capsys, monkeypatch):

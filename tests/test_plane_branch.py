@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -336,7 +337,10 @@ def test_gamma_at_infinity_matches_global_basis_on_seeded_pairs():
         f, g = draw(n), draw(m)
         try:
             res = gamma_at_infinity(f, g)
-        except ValueError:
+        except ValueError as err:
+            assert str(err).startswith((
+                "parametrisation is not proper",
+                "generators are algebraically dependent in degree 1")), (f, g, err)
             seen["skipped"] += 1
             continue
         basis = global_basis([f, g])
@@ -344,6 +348,101 @@ def test_gamma_at_infinity_matches_global_basis_on_seeded_pairs():
             basis.semigroup.minimal_generators(), (f, g)
         seen["coprime" if math.gcd(n, m) == 1 else "non-coprime"] += 1
     assert seen["coprime"] and seen["non-coprime"], seen
+
+
+_COMPOSITE_COEFFS = (1, -1, 2, -3, "1/2", "-2/3")
+
+
+def _composite(rng, z, degree, low):
+    """F(q) = a_0 + sum_{i=low}^{degree} a_i (q - q(0))^i, for z = q - q(0),
+    with a_low and a_degree nonzero."""
+    out = P((0, rng.choice(_COMPOSITE_COEFFS)))
+    for i in range(low, degree + 1):
+        if i in (low, degree) or rng.random() < 0.5:
+            out = out + z ** i * P((0, rng.choice(_COMPOSITE_COEFFS)))
+    return out
+
+
+def _composite_pairs(rng):
+    """(f, g, z): f = F(q) and g = G(q) with gcd(deg F, deg G) = 1 and
+    deg F != deg G, so that no common right factor of F and G has degree
+    above 1 and K(f, g) = K(q).  F and G are written at c = q(0) != 0, in
+    z = q - c, and have order 1 or 2 there, so that orders of gcd above 1
+    also reach the factor search when e = ord z is 1.  Nested q = Q1(Q2)
+    have ord(Q2 - Q2(0)) = 1 but e = 2."""
+    pick = lambda: rng.choice(_COMPOSITE_COEFFS)  # noqa: E731
+    zs = []
+    for _ in range(60):
+        r = rng.randrange(1, 4)
+        e = rng.randrange(1, r + 1)
+        zs.append(P(*[(i, pick()) for i in range(e, r + 1)
+                      if i in (e, r) or rng.random() < 0.5]))
+    for _ in range(8):
+        z = _composite(rng, P((1, pick()), (2, pick())), rng.randrange(2, 4), 2)
+        zs.append(z - P((0, z.coeff(0))))
+    out = []
+    for z in zs:
+        dF, dG = rng.choice([(1, 2), (2, 1), (1, 3), (3, 1)] + [(2, 3), (3, 2)] * 2)
+        f = _composite(rng, z, dF, min(dF, rng.choice((1, 2, 2, 2))))
+        g = _composite(rng, z, dG, min(dG, rng.choice((1, 2, 2, 2))))
+        out.append((f, g, z))
+    return out
+
+
+def test_plane_pipelines_decide_imprimitivity_on_seeded_composites(monkeypatch):
+    # Lüroth: K(f, g) = K(q) here, so the local pipeline must refuse exactly
+    # when e = ord(q - q(0)) > 1 and the global one exactly when
+    # deg q > 1, each naming q - q(0) made monic.  With e = 1 the descent
+    # must end below the precision (D - 1)^2 + 1 of the genus bound, so the
+    # cap is put there: a wrongly accepted pair runs into it
+    from curvesgp import global_basis
+    from curvesgp import planebranch
+
+    rng = random.Random(61)
+    seen = {"e > 1": 0, "e = 1, deg q > 1": 0, "deg q = 1": 0, "nested": 0,
+            "searched, e = 1": 0}
+    for f, g, z in _composite_pairs(rng):
+        e, named = int(z.order), str(z.monic_leading()[0])
+        D = max(f.degree, g.degree)
+        monkeypatch.setattr(planebranch, "PRECISION_CAP", (D - 1) ** 2 + 1)
+        if e > 1:
+            with pytest.raises(ValueError, match="not a primitive") as info:
+                gamma_local_pair(f, g)
+            assert f"q = {named} of order e = {e}" in str(info.value), (f, g)
+            seen["e > 1"] += 1
+        else:
+            S, _ = gamma_local_pair(f, g)
+            basis = local_basis([f, g])
+            assert S.minimal_generators() == \
+                basis.semigroup.minimal_generators(), (f, g)
+            orders = (f - P((0, f.coeff(0)))).order, (g - P((0, g.coeff(0)))).order
+            seen["searched, e = 1"] += z.degree > 1 and math.gcd(*orders) > 1
+        if z.degree > 1:
+            with pytest.raises(ValueError, match="not proper") as info:
+                gamma_at_infinity(f, g)
+            assert f"q = {named}" in str(info.value), (f, g)
+            seen["e = 1, deg q > 1"] += e == 1
+            seen["nested"] += z.degree > 3
+        else:
+            res = gamma_at_infinity(f, g)
+            assert res.semigroup.minimal_generators() == \
+                global_basis([f, g]).semigroup.minimal_generators(), (f, g)
+            seen["deg q = 1"] += 1
+    assert all(count >= 3 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("k", [7, 10])
+def test_plane_local_imprimitive_pairs_of_degree_21_and_30_exit_fast(capsys, k):
+    # p = t^2 + t^3, f = p + p^2, g = p^2 + p^k: the walk to the degree
+    # bound took seconds here; the common right factor p decides at once
+    from curvesgp.cli import main
+
+    p = xp(2) + xp(3)
+    start = time.perf_counter()
+    code = main(["plane-local", str(p + p ** 2), str(p ** 2 + p ** k)])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "q = x^3+x^2 of order e = 2" in capsys.readouterr().err
 
 def test_gamma_curve_infinity_transcript():
     F = XY({(0, 6): 1, (2, 3): -2, (1, 3): -4, (0, 3): -1, (4, 0): 1})
