@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Callable
 
@@ -102,11 +101,17 @@ def _require_char_zero(args):
 
 
 def _emit(args, rep: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
-    """Print the JSON report or the text lines; only the one printed is built."""
-    if args.json:
-        print(json.dumps(rep(), indent=2))
-    else:
-        print("\n".join(lines()))
+    """Print the JSON report or the text lines; only the one printed is built.
+
+    Exact coefficients may run past CPython's 4300-digit cap on ``str(int)``,
+    so the cap is lifted while the output is written (the parser keeps it
+    against huge literals)."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(report.dumps(rep()) if args.json else "\n".join(lines()))
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def _basis_command(args, setting: str) -> None:

@@ -7,6 +7,8 @@ byte for byte.
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _quote
+
 from .deformation import DeformationSet
 from .mpoly import render_mpoly
 from .numsgp import NumSgp, Presentation
@@ -89,6 +91,51 @@ def char_sequence_report(seq, conductor=None) -> dict:
     if conductor is not None:
         rep["C"] = conductor
     return rep
+
+
+# -- JSON text ---------------------------------------------------------
+
+
+def dumps(obj) -> str:
+    """The text ``json.dumps`` writes for *obj* at an indent of 2, byte for
+    byte, for the values a report holds: dicts with ``str`` keys, lists,
+    ``str``, ``int`` and ``bool``.
+
+    Any ``indent`` sends ``json`` down its pure-Python encoder, one generator
+    frame per list item; here a list of plain ints (gaps, type sets,
+    exponent vectors) is one join, and strings go through ``json``'s own C
+    escaper.  Anything else (a float, a ``Fraction``, a non-``str`` key)
+    raises ``TypeError``.
+    """
+    return _dump(obj, "\n")
+
+
+def _dump(v, nl: str) -> str:
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is int:
+        return str(v)
+    if t is bool:
+        return "true" if v else "false"
+    inner = nl + "  "
+    if t is list:
+        if not v:
+            return "[]"
+        if set(map(type, v)) == {int}:      # bool is not int here
+            items = map(str, v)
+        else:
+            items = [_dump(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict:
+        if not v:
+            return "{}"
+        if set(map(type, v)) != {str}:
+            raise TypeError("report keys must be str")
+        return ("{" + inner + ("," + inner).join(
+            _quote(k) + ": " + _dump(x, inner) for k, x in v.items())
+            + nl + "}")
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 # -- text rendering ----------------------------------------------------

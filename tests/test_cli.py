@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -361,3 +362,51 @@ def test_deform_five_term_branch_within_budget(capsys):
     complete = data["deformation"]["complete"]
     assert len(complete) == len(data["deformation"]["exact"]) == 5
     assert complete.count(True) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["local", "x^4+x^5,x^6,x^15+x^16", "--show", "all"],
+    ["global", "x^6+x^3,x^4", "--show", "all"],
+    ["deform", "local", "x^4,x^6+x^7"],
+    ["deform", "global", "x^6+x^3,x^4"],
+    ["plane-local", "x^4", "x^6+x^7"],           # f a monomial
+    ["plane-local", "x^2+x^3", "x^3"],           # f not a monomial
+    ["plane-infinity", "x^6+x", "x^4"],
+    ["curve-infinity", "y^6-2*x^2*y^3-4*x*y^3-y^3+x^4"],
+    ["reduce", "local", "x^13+x^14", "--against", "x^4,x^6+x^7"],
+    ["semigroup", "4,6,13,15"],
+    ["semigroup", "4,6"],                        # gcd 2: no presentation
+])
+def test_json_layout_is_json_dumps_indent_2(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_coefficients_past_the_int_string_cap_are_printed(capsys):
+    # CPython refuses str(int) past 4300 digits; 7^6000 has 5071
+    cap = sys.get_int_max_str_digits()
+    code, text, _ = run(capsys, "global", "x^3+7^6000*x", "--show", "basis")
+    assert code == 0
+    code, out, _ = run(capsys, "global", "x^3+7^6000*x", "--show", "basis",
+                       "--json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == cap
+    sys.set_int_max_str_digits(0)
+    try:
+        big = str(7 ** 6000)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert f"value 3: x^3+{big}*x" in text
+    assert json.loads(out)["basis"][0]["terms"] == [[1, big], [3, "1"]]
+
+
+@pytest.mark.parametrize("argv, gens", [
+    (["plane-local", "--json", "--", "-2/3*x^6-3*x^2", "x^3"], [2, 3]),
+    (["local", "--json", "--", "-x^4,x^6+x^7"], [4, 6, 13]),
+])
+def test_leading_minus_polynomial_after_double_dash(capsys, argv, gens):
+    # without "--", argparse reads the leading minus as an option (exit 2)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["semigroup"]["minimal_generators"] == gens
