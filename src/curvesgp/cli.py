@@ -1,15 +1,19 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 domain error (the error class is named in the
-message), 2 parse error, 3 growth-guard tripped or memory exhausted
-(``error[LimitExceeded]`` or ``error[MemoryError]``).
+message) or standard output closed before the report was written
+(``error[BrokenPipeError]``), 2 parse error, 3 growth-guard tripped or
+memory exhausted (``error[LimitExceeded]`` or ``error[MemoryError]``).
+Warnings are printed as one line, ``warning: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+import warnings
 from typing import Callable
 
 from .deformation import deform_from_basis
@@ -257,10 +261,27 @@ def run(argv: list[str]) -> int:
     return 0
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    """``warnings.formatwarning`` for the CLI: no source path or line."""
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
     try:
-        return run(argv)
+        code = run(argv)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError as err:
+        # the reader closed the pipe; point stdout at devnull so that the
+        # flush at exit does not raise again (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error[BrokenPipeError]: {err}", file=sys.stderr)
+        return 1
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
@@ -270,6 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, ArithmeticError, RuntimeError) as err:
         print(f"error[{type(err).__name__}]: {err}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

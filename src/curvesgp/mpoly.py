@@ -9,7 +9,11 @@ identities, without a matrix (Bostan, Flajolet, Salvy and Schost, J. Symb.
 Comp. 41, 2006), in one integer kernel, :func:`_symmetric_of_values`:
 over Q, roots and values are scaled to integral ones, so every product is
 a ``poly._int_mul`` and every division in Newton's identities is exact;
-``planebranch.intersection_degree`` shares it.  The Sylvester matrix with
+``planebranch.intersection_degree`` shares it.  The approximate roots
+(``planebranch.approximate_root``, from the same scaled coefficients) and
+their evaluation (:meth:`MPoly.eval_univariate`, by Horner's rule) run on
+integer numerators too, each divided once when its result is rebuilt.
+The Sylvester matrix with
 fraction-free (Bareiss) elimination serves only :func:`resultant_eliminate`
 and the tests, as their reference route.
 """
@@ -21,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field
-from .poly import Poly, _int_mul, _join_terms
+from .poly import Poly, _int_mul, _int_pow, _join_terms, _lift, _unlift
 
 
 class MPoly:
@@ -155,8 +159,6 @@ class MPoly:
         c = f.coerce(c)
         return MPoly(self.vars, f, {e: f.mul(v, c) for e, v in self.coeffs.items()})
 
-    __rmul__ = scale
-
     def __eq__(self, other):
         return (isinstance(other, MPoly) and self.vars == other.vars
                 and self.field == other.field and self.coeffs == other.coeffs)
@@ -218,31 +220,49 @@ class MPoly:
     def eval_univariate(self, values: Mapping[str, Poly]) -> Poly:
         """Substitute a univariate polynomial for every variable.
 
-        Horner's rule in each variable, the last one outermost: with G =
-        sum_k y^k G_k over the exponents k of the last variable y, G(v) =
-        (...(G_K(v) y^(K-K') + G_K'(v)) y^(K'-K'') + ...) y^(k_min), each
-        G_k evaluated the same way in the remaining variables.
+        Horner's rule in each variable, the last one outermost, on integer
+        numerators.  G and each value v = a/d are lifted once
+        (``poly._lift``; over GF(p) the residues, with d = 1).  With E the
+        degree of G in the last variable y and G = sum_k y^k G_k over its
+        exponents K > K' > ... > k_min, the integral d^E G(v) is
+        (...(d^(E-K) G_K a^(K-K') + d^(E-K') G_K') a^(K'-K'') + ...)
+        a^(k_min), each G_k evaluated the same way in the remaining
+        variables.  Every product is a ``poly._int_mul``, and the result
+        is divided once, by the denominator of G times each d^E.
         """
         f = self.field
+        p = f.char
+        if self.is_zero:
+            return Poly.zero(f)
+        coeffs, den = (self.coeffs, 1) if p else _lift(self.coeffs)
+        degs = [max(e[i] for e in coeffs) for i in range(len(self.vars))]
+        lifted = []
+        for v, E in zip(self.vars, degs):
+            a = values[v].coeffs if E else {}
+            lifted.append((a, 1) if p else _lift(a))
 
-        def horner(terms: dict, i: int) -> Poly:
+        def horner(terms: dict, i: int) -> dict:
             if i < 0:
-                return Poly(f, {0: terms[()]})
+                return {0: terms[()]}
             rows: dict = {}
             for e, c in terms.items():
                 rows.setdefault(e[i], {})[e[:i]] = c
+            a, d = lifted[i]
             exps = sorted(rows, reverse=True)
-            acc = horner(rows[exps[0]], i - 1)
-            if not exps[0]:
-                return acc
-            x = values[self.vars[i]]
-            for hi, lo in zip(exps, exps[1:]):
-                acc = acc * x ** (hi - lo) + horner(rows[lo], i - 1)
-            return acc * x ** exps[-1] if exps[-1] else acc
+            acc: dict = {}
+            for k, lower in zip(exps, exps[1:] + [0]):
+                scale = d ** (degs[i] - k)
+                for e, c in horner(rows[k], i - 1).items():
+                    acc[e] = acc.get(e, 0) + scale * c
+                acc = _reduced(acc, p)
+                if k > lower and acc:
+                    acc = _int_mul(acc, _int_pow(a, k - lower, p), p) if a else {}
+            return acc
 
-        if self.is_zero:
-            return Poly.zero(f)
-        return horner(self.coeffs, len(self.vars) - 1)
+        acc = horner(coeffs, len(self.vars) - 1)
+        for (_, d), E in zip(lifted, degs):
+            den *= d ** E
+        return _unlift(f, acc, den)
 
     def to_poly(self) -> Poly:
         """Collapse to a univariate Poly; needs at most one active variable."""
@@ -349,12 +369,12 @@ def resultant_eliminate(p: MPoly, q: MPoly, name: str, monic_in: str | None = No
     return res
 
 
-def _add_product(acc: dict, a: dict, b: dict, p: int, sign: int = 1) -> None:
-    """acc += sign * a * b, for integer polynomials as dicts."""
+def _add_product(acc: dict, a: dict, b: dict, p: int, k: int = 1) -> None:
+    """acc += k * a * b, for integer polynomials as dicts and an integer k."""
     if a and b:
         get = acc.get
         for e, c in _int_mul(a, b, p).items():
-            acc[e] = get(e, 0) + sign * c
+            acc[e] = get(e, 0) + k * c
 
 
 def _reduced(acc: dict, p: int) -> dict:
@@ -427,7 +447,8 @@ def _integral_roots(b: list, char: int) -> tuple[list, int]:
     """(B, D) with B_i = D^i b_i: for b_1, ..., b_n in Q[X] (dicts exponent
     -> Fraction) and D the lcm of their denominators, the roots of
     t^n + sum_i B_i t^(n-i) are D times those of t^n + sum_i b_i t^(n-i),
-    and every B_i is integral.  Over GF(p), D = 1; zeros are dropped."""
+    and every B_i is integral.  Over GF(p), D = 1; zeros are dropped.  The
+    inputs of ``planebranch._miller`` are scaled the same way, U_i = D^i a_i."""
     D = 1 if char else math.lcm(*(c.denominator for bi in b for c in bi.values()))
     return [{e: c if char else c.numerator * (D ** i // c.denominator)
              for e, c in bi.items() if c} for i, bi in enumerate(b, 1)], D

@@ -18,8 +18,8 @@ from itertools import count, islice
 from typing import Iterator, Sequence
 
 from .fields import check_same_field
-from .mpoly import (MPoly, _integral_roots, _integral_values, _symmetric_of_values,
-                    curve_resultant, eval_bipoly)
+from .mpoly import (MPoly, _add_product, _integral_roots, _integral_values,
+                    _symmetric_of_values, curve_resultant, eval_bipoly)
 from .numsgp import NumSgp, gcd_chain
 from .poly import Poly
 from .reduction import LimitExceeded
@@ -131,24 +131,43 @@ def conductor_formula(seq) -> int:
 # -- local pipeline ----------------------------------------------------
 
 
-def _miller(u: Sequence, alpha: Fraction, N: int, one) -> list:
-    """v_0, ..., v_{N-1} of (1 + sum_i u_i z^i)^alpha, by the J.C.P. Miller
-    recurrence j v_j = sum_{i=1}^{j} ((alpha + 1) i - j) u_i v_{j-i}.
+def _miller(a: Sequence[dict], alpha: Fraction, N: int) -> list[tuple[dict, int]]:
+    """(N_j, s_j) for j < N, with v_j = N_j / s_j the coefficients of
+    (1 + sum_i a_i z^i)^alpha, on integers.
 
-    u holds the pairs (i, u_i), i >= 1 increasing, with the u_i field
-    elements or polynomials and ``one`` the 1 of their ring; the recurrence
-    divides by j, so the characteristic must be zero.
+    a lists a_1, a_2, ... as polynomials in one variable over Q (dicts
+    exponent -> Fraction; a scalar sits at exponent 0).  They are scaled
+    as ``mpoly._integral_roots`` scales them, to the integral U_i = D^i a_i,
+    D the lcm of their denominators.  The J.C.P. Miller recurrence
+    j v_j = sum_{i=1}^{j} ((alpha + 1) i - j) a_i v_{j-i} divides by j and
+    by the denominator b of alpha; both divisions are deferred into
+    s_j = b^j j! D^j.  Multiplied by b^(j-1) (j-1)! D^j, and with the
+    integer k = b (alpha + 1), it becomes
+    N_j = sum_i (k i - b j) b^(i-1) (j-1)!/(j-i)! U_i N_{j-i},
+    N_0 = 1, with every product a ``poly._int_mul`` and no division; the
+    caller divides each N_j by s_j once (characteristic zero).
     """
-    alpha1 = alpha + 1
-    v = [one]
+    U, D = _integral_roots(a, 0)
+    u = [(i, Ui) for i, Ui in enumerate(U, 1) if Ui]
+    b = alpha.denominator
+    k = alpha.numerator + b
+    out = [({0: 1}, 1)]
+    s = 1
     for j in range(1, N):
-        acc = one - one
-        for i, ui in u:
+        acc: dict = {}
+        w, t = 1, 1  # w = b^(t-1) (j-1)!/(j-t)!
+        for i, Ui in u:
             if i > j:
                 break
-            acc += (alpha1 * i - j) * ui * v[j - i]
-        v.append(Fraction(1, j) * acc if acc else acc)
-    return v
+            while t < i:
+                w *= b * (j - t)
+                t += 1
+            c = (k * i - b * j) * w
+            if c:
+                _add_product(acc, Ui, out[j - i][0], 0, c)
+        s *= b * j * D
+        out.append(({e: c for e, c in acc.items() if c}, s))
+    return out
 
 
 def _right_factor(f: Poly, g: Poly) -> Poly | None:
@@ -162,17 +181,18 @@ def _right_factor(f: Poly, g: Poly) -> Poly | None:
     degrees are tried largest first.  In characteristic zero a right factor
     of degree r is, up to an additive constant, the polynomial part of
     f^(r/deg f) for f made monic (Kozen and Landau, J. Symb. Comp. 7,
-    1989): with f = y^D (1 + sum_i a_i y^(-i)) it is sum_{j<r} v_j y^(r-j)
+    1989): with f = y^n (1 + sum_i a_i y^(-i)) it is sum_{j<r} v_j y^(r-j)
     for the v of :func:`_miller`.  The candidate is a factor when f and g
     expand in its powers, that is when cancelling leading terms never
     meets a degree that r does not divide.
     """
     f = f.monic_leading()[0]
-    D, m = f.degree, math.gcd(f.degree, g.degree)
-    u = [(D - e, f.coeffs[e]) for e in reversed(f.support[:-1])]
+    n, m = f.degree, math.gcd(f.degree, g.degree)
+    a = [{0: f.coeffs.get(n - i, 0)} for i in range(1, m)]
     for r in (r for r in range(m, 1, -1) if m % r == 0):
-        v = _miller(u, Fraction(r, D), r, f.field.one)
-        q = Poly(f.field, {r - j: c for j, c in enumerate(v)})
+        v = _miller(a, Fraction(r, n), r)
+        q = Poly(f.field, {r - j: Fraction(N.get(0, 0), s)
+                           for j, (N, s) in enumerate(v)})
         for h in (f, g):
             while h.degree > 0 and h.degree % r == 0:
                 h = h - (q ** (h.degree // r)).scale(h.leading_coeff)
@@ -186,9 +206,9 @@ def _right_factor(f: Poly, g: Poly) -> Poly | None:
 def _lagrange_coeffs(f: Poly, g: Poly) -> Iterator:
     """[s^0], [s^1], ... of :func:`reparametrize`, untruncated: [s^k]
     reads f and g only below t^k."""
-    field, zero = f.field, f.field.zero
+    zero = f.field.zero
     n = int(f.order)
-    u = [(i, c) for i, c in sorted(f.shift(-n).coeffs.items()) if i]
+    a = [{0: f.coeffs.get(n + i, 0)} for i in range(1, int(f.degree) - n + 1)]
     dg = sorted(g.derivative().coeffs.items())
     yield g.coeff(0)
     for k in count(1):
@@ -196,8 +216,12 @@ def _lagrange_coeffs(f: Poly, g: Poly) -> Iterator:
         if not terms:
             yield zero
             continue
-        v = _miller(u, Fraction(-k, n), k - terms[0][0], field.one)
-        yield sum((c * v[k - 1 - e] for e, c in terms), zero) / k
+        v = _miller(a, Fraction(-k, n), k - terms[0][0])
+        total = zero
+        for e, c in terms:
+            N, s = v[k - 1 - e]
+            total += c * Fraction(N.get(0, 0), s)
+        yield total / k
 
 
 def reparametrize(f: Poly, g: Poly, prec: int) -> Poly:
@@ -294,6 +318,13 @@ def approximate_root(F: MPoly, d: int, var: str = "y") -> MPoly:
     most (d - 1) q - 1 < n - q.  And only one monic G of degree q does: for
     two, G^d - G'^d = (G - G') (d y^((d-1)q) + lower) has degree at least
     (d - 1) q = n - q unless G = G'.
+
+    The a_i, i <= q, are read in one pass over F, with the other variables
+    packed into one exponent in base w = q m + 1, m the largest exponent
+    in F (Kronecker substitution): every term :func:`_miller` forms is a
+    product of at most q of the a_i, so no exponent reaches w.  The
+    recurrence runs on integers, and each coefficient of v_j is divided
+    once, by its s_j = d^j j! D^j, when G is rebuilt.
     """
     if F.field.char != 0:
         raise ValueError("approximate roots need characteristic zero")
@@ -305,10 +336,24 @@ def approximate_root(F: MPoly, d: int, var: str = "y") -> MPoly:
     if d < 1 or n % d:
         raise ValueError(f"{d} does not divide the {var}-degree {n}")
     q = n // d
-    u = [(i, F.coeff_in(var, n - i)) for i in range(1, q + 1)]
-    v = _miller(u, Fraction(1, d), q + 1, F.coeff_in(var, n))
-    return sum((vj * MPoly.variable(F.vars, var, F.field, power=q - j)
-                for j, vj in enumerate(v)), MPoly.zero(F.vars, F.field))
+    r = F.vars.index(var)
+    w = q * max(map(max, F.coeffs)) + 1
+    weights = [w ** k for k in range(len(F.vars) - 1)]
+    a: list = [{} for _ in range(q)]
+    for e, c in F.coeffs.items():
+        if n - q <= e[r] < n:
+            rest = e[:r] + e[r + 1:]
+            a[n - 1 - e[r]][sum(x * wk for x, wk in zip(rest, weights))] = c
+    coeffs = {}
+    for j, (N, s) in enumerate(_miller(a, Fraction(1, d), q + 1)):
+        for packed, c in N.items():
+            exp = []
+            for _ in weights:
+                packed, x = divmod(packed, w)
+                exp.append(x)
+            exp.insert(r, q - j)
+            coeffs[tuple(exp)] = Fraction(c, s)
+    return MPoly(F.vars, F.field, coeffs)
 
 
 # -- global pipelines --------------------------------------------------

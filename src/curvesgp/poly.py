@@ -303,6 +303,19 @@ def _int_mul(a: dict, b: dict, p: int) -> dict:
     return out
 
 
+def _int_pow(a: dict, k: int, p: int) -> dict:
+    """a^k, k >= 1, for a nonempty integer polynomial a, by binary
+    powering on :func:`_int_mul` (reduced into [0, p) when p is nonzero)."""
+    out = None
+    while k:
+        if k & 1:
+            out = a if out is None else _int_mul(out, a, p)
+        k >>= 1
+        if k:
+            a = _int_mul(a, a, p)
+    return out
+
+
 def _schoolbook(a: dict, b: dict) -> dict:
     """exponent -> integer coefficient of the product; zeros may remain."""
     acc: dict = {}

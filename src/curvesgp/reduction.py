@@ -63,7 +63,7 @@ from fractions import Fraction
 
 from .fields import check_same_field
 from .numsgp import NumSgp, least_factorization_over, presentation_for_generators
-from .poly import Poly, _int_mul, _lift, _unlift
+from .poly import Poly, _int_mul, _int_pow, _lift, _unlift
 
 
 class LimitExceeded(RuntimeError):
@@ -128,14 +128,7 @@ class ReductionContext:
             p = self.field.char
             coeffs = self.elements[i].poly.coeffs
             base, d = (coeffs, 1) if p else _lift(coeffs)
-            out, n = None, k
-            while n:
-                if n & 1:
-                    out = base if out is None else _int_mul(out, base, p)
-                n >>= 1
-                if n:
-                    base = _int_mul(base, base, p)
-            self._powers[tag] = (out, d ** k)
+            self._powers[tag] = (_int_pow(base, k, p), d ** k)
         return self._powers[tag]
 
     def _lifted_product(self, theta: tuple[int, ...]) -> tuple[dict, int]:

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -12,6 +15,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn(*argv, **kwargs) -> subprocess.Popen:
+    """``python -m curvesgp *argv`` in a fresh interpreter, importing this
+    copy of the package, with stdout and stderr piped."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-m", "curvesgp", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            **kwargs)
 
 
 def test_local_prints_minimal_generators(capsys):
@@ -180,6 +193,37 @@ def test_memory_error_exits_3_without_traceback(capsys, monkeypatch):
     assert out == ""
     assert err == "error[MemoryError]: cannot allocate the product\n"
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the report lists about 5 * 10^5 gaps, far more than a pipe buffers,
+    # so writing it fails once the reader has gone
+    proc = spawn("semigroup", "1009,1013", "--json")
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b'{\n  "command": "semigroup"')
+    assert proc.returncode == 1
+    assert "Traceback" not in err.decode()
+    assert err.decode() == "error[BrokenPipeError]: [Errno 32] Broken pipe\n"
+
+
+def test_warning_is_one_line_without_source_path(capsys):
+    # the truncated relator warning names neither the file nor the line
+    # that raised it, so stderr does not depend on where curvesgp lives
+    proc = spawn("deform", "local", "x^4,x^6+x^7+x^9", text=True)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert "minimal generators: [4, 6, 13]" in out
+    assert err == ("warning: expression for relation at value 26 was "
+                   "truncated; its relators are inexact\n")
+    assert ".py:" not in err
+    # in process, main puts the warning format back when it returns
+    before = warnings.formatwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["deform", "local", "x^4,x^6+x^7+x^9"]) == 0
+    assert warnings.formatwarning is before
 
 
 def test_plane_commands_reject_char(capsys):

@@ -90,6 +90,17 @@ def test_eval_univariate_horner_matches_monomial_powers():
                     for _ in range(rng.randrange(0, 12))})
                 values = {v: rpoly(field, rng.randrange(1, 5), 8) for v in vars}
                 assert G.eval_univariate(values) == _eval_by_monomial_powers(G, values)
+            # the zero polynomial, constants only, and a zero value
+            values = {v: rpoly(field, 3, 8) for v in vars}
+            c = field.coerce(Fraction(-7, 3))
+            for G in (MPoly.zero(vars, field), MPoly.constant(vars, c, field)):
+                assert G.eval_univariate(values) == _eval_by_monomial_powers(G, values)
+            assert MPoly.constant(vars, c, field).eval_univariate(values) == \
+                Poly.constant(c, field)
+            G = MPoly(vars, field, {(2,) * len(vars): c, (0,) * len(vars): c,
+                                    (0,) * (len(vars) - 1) + (3,): c})
+            values[vars[0]] = Poly.zero(field)
+            assert G.eval_univariate(values) == _eval_by_monomial_powers(G, values)
 
 
 def test_eval_bipoly_examples():

@@ -8,6 +8,7 @@ import pytest
 from curvesgp import (
     GF,
     QQ,
+    MPoly,
     NotOnePlaceAtInfinity,
     NumSgp,
     Poly,
@@ -170,18 +171,69 @@ def test_approximate_root_paper_examples():
 
 def test_approximate_root_rejects_bad_divisor():
     F = XY({(0, 6): 1, (4, 0): 1})
-    with pytest.raises(ValueError):
-        approximate_root(F, 4)
+    for d in (4, 0, -2):
+        with pytest.raises(ValueError, match=f"{d} does not divide the y-degree 6"):
+            approximate_root(F, d)
 
 
-def _assert_is_approximate_root(F, G, d):
-    """The defining property: G monic of y-degree q = n/d and
-    deg_y(F - G^d) < n - q."""
-    n = F.degree_in("y")
+def test_approximate_root_rejects_char_p_and_non_monic_input():
+    with pytest.raises(ValueError, match="approximate roots need characteristic zero"):
+        approximate_root(XY({(0, 6): 1, (4, 0): 1}, field=GF(7)), 2)
+    with pytest.raises(ValueError, match="input must be monic in y"):
+        approximate_root(XY({(0, 6): 2, (4, 0): 1}), 2)
+    with pytest.raises(ValueError, match="input must be monic in y"):
+        approximate_root(XY({(1, 6): 1, (4, 0): 1}), 2)
+    with pytest.raises(ValueError, match="input must involve the root variable"):
+        approximate_root(XY({(4, 0): 1}), 1)
+    with pytest.raises(ValueError, match="input must be monic in x"):
+        approximate_root(XY({(0, 6): 1, (4, 1): 1}), 2, var="x")
+
+
+def _assert_is_approximate_root(F, G, d, var="y"):
+    """The defining property: G monic of degree q = n/d in ``var`` and
+    deg(F - G^d) < n - q."""
+    n = F.degree_in(var)
     q = n // d
-    assert G.degree_in("y") == q
-    assert G.coeff_in("y", q) == XY({(0, 0): 1})
-    assert (F - G ** d).degree_in("y") < n - q, (F, d)
+    assert G.vars == F.vars
+    assert G.degree_in(var) == q
+    assert G.coeff_in(var, q) == MPoly.constant(F.vars, 1)
+    assert (F - G ** d).degree_in(var) < n - q, (F, d)
+
+
+def test_approximate_root_with_several_denominators():
+    # y-coefficient denominators 3, 5, 7 and 4: D = 420 scales a_i by
+    # D^i, and each v_j is divided by d^j j! D^j
+    F = XY({(0, 12): 1, (1, 11): "1/3", (0, 10): "2/5", (2, 10): -1,
+            (1, 9): "-3/7", (0, 8): "5/4", (3, 7): "1/3", (2, 6): "-1/5",
+            (0, 4): "2/7", (5, 0): 1})
+    for d in (1, 2, 3, 4, 6, 12):
+        _assert_is_approximate_root(F, approximate_root(F, d), d)
+    # the square root of (y^2 + y/3 + 2/5)^2 is itself
+    G = XY({(0, 2): 1, (0, 1): "1/3", (0, 0): "2/5"})
+    assert approximate_root(G ** 2, 2) == G
+    assert approximate_root(G ** 3 + XY({(1, 0): "5/7"}), 3) == G
+
+
+def test_approximate_root_in_other_variables():
+    # three variables, the root variable in the middle, the other two
+    # packed into one exponent; and a curve in (x, y) taken in x
+    vars = ("u", "y", "x")
+    F = MPoly(vars, QQ, {(0, 6, 0): Fraction(1), (1, 5, 2): Fraction(1, 3),
+                         (2, 4, 0): Fraction(-2, 5), (0, 4, 3): Fraction(1),
+                         (3, 3, 1): Fraction(1, 7), (0, 2, 0): Fraction(-3, 4),
+                         (4, 0, 4): Fraction(1)})
+    for d in (1, 2, 3, 6):
+        _assert_is_approximate_root(F, approximate_root(F, d), d)
+    H = XY({(6, 0): 1, (5, 1): "1/2", (4, 0): "-2/3", (3, 2): 1, (0, 4): "3/5",
+            (2, 0): 1})
+    for d in (1, 2, 3, 6):
+        G = approximate_root(H, d, var="x")
+        _assert_is_approximate_root(H, G, d, var="x")
+    # the root of F(x, y) in y is the root of F(y, x) in x, variables swapped
+    swapped = MPoly(("y", "x"), QQ, H.coeffs)
+    for d in (2, 3):
+        G = approximate_root(swapped, d, var="y")
+        assert approximate_root(H, d, var="x").coeffs == G.coeffs
 
 
 def test_approximate_root_degree_and_expansion():
