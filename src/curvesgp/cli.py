@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (the error class is named in the
 message) or standard output closed before the report was written
-(``error[BrokenPipeError]``), 2 parse error, 3 growth-guard tripped or
-memory exhausted (``error[LimitExceeded]`` or ``error[MemoryError]``).
+(``error[BrokenPipeError]``), 2 parse error, 3 growth guard tripped (the
+escape bound, ``MAX_ELEMENTS`` or ``PRECISION_CAP``: ``error[LimitExceeded]``)
+or memory exhausted (``error[MemoryError]``).
 Warnings are printed as one line, ``warning: <message>``.
 """
 

@@ -178,17 +178,17 @@ class Poly:
         return _unlift(field, _int_mul(a, b, 0), da * db)
 
     def __pow__(self, n: int) -> "Poly":
+        """Binary powering by :func:`_int_pow` on the lifted form."""
         if n < 0:
             raise ValueError("negative power")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return Poly.constant(1, self.field) if result is None else result
+        field = self.field
+        if n == 0:
+            return Poly.constant(1, field)
+        if not self.coeffs:
+            return self
+        p = field.char
+        a, d = (self.coeffs, 1) if p else _lift(self.coeffs)
+        return _unlift(field, _int_pow(a, n, p), d ** n)
 
     def scale(self, c) -> "Poly":
         f = self.field

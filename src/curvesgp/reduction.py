@@ -16,14 +16,13 @@ exponent e of the working polynomial and applies these rules in order:
 2. ``algorithmic`` and ``reduced`` stop at the gcd-1 conductor shortcut
    (local setting only): a residual with e >= conductor lies in the
    algebra, so it is dropped to zero.
-3. With gcd > 1 (local setting) they stop at the escape bound, so that
-   divergent inputs surface instead of hanging; ``complete`` stays True
-   in ``algorithmic`` mode and becomes False in ``reduced`` mode.
-4. A lead in the monoid is subtracted.  Otherwise ``algorithmic`` stops
-   and hands back the whole residual, the next basis element (the
-   basis-building procedure), while ``expression`` (the division of the
-   remainder proposition) and ``reduced`` (tail reduction) move the lead
-   term into the remainder and go on.
+3. A lead in the monoid is subtracted, except that with gcd > 1 (local
+   setting) ``algorithmic`` and ``reduced`` raise :class:`LimitExceeded`
+   at or past the escape bound, since such a division need not end.
+4. A lead outside the monoid ends ``algorithmic``, which hands back the
+   whole residual, the next basis element (the basis-building procedure);
+   ``expression`` (the division of the remainder proposition) and
+   ``reduced`` (tail reduction) move it into the remainder and go on.
 
 The lifted step
 ---------------
@@ -67,7 +66,8 @@ from .poly import Poly, _int_mul, _int_pow, _lift, _unlift
 
 
 class LimitExceeded(RuntimeError):
-    """Basis computation hit a growth guard (the closure is likely too big)."""
+    """A growth guard tripped (exit 3): the escape bound of a local division
+    with gcd > 1, ``MAX_ELEMENTS`` or ``planebranch.PRECISION_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class BasisElement:
 class ReductionOutcome:
     remainder: Poly
     expression: list[tuple[object, tuple[int, ...]]]
-    complete: bool
+    complete: bool  # False only past the expression bound or at the shortcut
     consumed_conductor_shortcut: bool = False
 
 
@@ -207,7 +207,8 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
         bound = ctx.default_bound()
         if not local and not f.is_zero:
             bound = max(bound, int(f.degree))
-    escape = ctx.escape_bound(f) if (local and not f.is_zero) else None
+    escape = (ctx.escape_bound(f) if local and not shortcut_ok
+              and mode != "expression" and not f.is_zero else None)
 
     expression: list[tuple[object, tuple[int, ...]]] = []
     collected: dict[int, object] = {}
@@ -250,26 +251,24 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
             if e > bound:
                 complete = False
                 break
-        elif shortcut_ok:
-            if e >= c:
-                used_shortcut, complete = True, False
-                work = {}
-                break
-        elif local and e >= escape:
-            # membership loop cut off: algorithmic adjoins the residual "just
-            # in case", reduced keeps it below to preserve the element exactly
-            complete = mode == "algorithmic"
+        elif shortcut_ok and e >= c:
+            used_shortcut, complete = True, False
+            work = {}
             break
-        if monoid.contains(e):
-            subtract(e)
-        elif mode == "algorithmic":
-            break  # residual handed back whole: it is the next element
-        else:
+        if not monoid.contains(e):
+            if mode == "algorithmic":
+                break  # residual handed back whole: it is the next element
             strip_lead(e)
+        elif escape is not None and e >= escape:
+            raise LimitExceeded(
+                f"local division reached the escape bound {escape} at exponent "
+                f"{e}, in the value monoid of gcd {monoid.d}")
+        else:
+            subtract(e)
 
-    # algorithmic and reduced keep the residual; every exponent left in it
-    # lies past the stripped ones, so the two never share a term
-    if mode != "expression":
+    # algorithmic keeps the residual; every exponent left in it lies past
+    # the stripped ones, so the two never share a term
+    if mode == "algorithmic":
         for k, v in work.items():
             collected[k] = v if p else Fraction(v, den)
     return ReductionOutcome(Poly._of(field, collected), expression, complete,
@@ -336,8 +335,8 @@ def relation_element(ctx: ReductionContext, alpha, beta) -> Poly:
 
 def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
     """The adjoin-and-restart loop shared by both settings.  Two guards
-    raise :class:`LimitExceeded`: an adjoined value past 4 top^2 (top the
-    largest generator value) and a basis past ``MAX_ELEMENTS`` elements."""
+    raise :class:`LimitExceeded`: the escape bound of :func:`reduce_poly`
+    and a basis past ``MAX_ELEMENTS`` elements."""
     if not gens:
         raise ValueError("at least one generator is required")
     field = gens[0].field
@@ -349,7 +348,6 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
         if g.is_zero or g.degree == 0:
             raise ValueError("zero or constant generator")
         elements.append(basis_element(g, setting))
-    max_value = 4 * max(e.value for e in elements) ** 2
 
     while True:
         ctx = ReductionContext(elements, setting)
@@ -362,14 +360,10 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
             out = reduce_poly(s_poly, ctx, "algorithmic")
             if out.remainder.is_zero:
                 continue
-            elem = basis_element(out.remainder, setting)
-            if elem.value > max_value:
-                raise LimitExceeded(
-                    f"adjoined value {elem.value} exceeds max_value={max_value}")
             if len(elements) + 1 > MAX_ELEMENTS:
                 raise LimitExceeded(
                     f"basis grew past max_elements={MAX_ELEMENTS}")
-            elements.append(elem)
+            elements.append(basis_element(out.remainder, setting))
             adjoined = True
             break
         if not adjoined:

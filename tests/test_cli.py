@@ -9,6 +9,7 @@ import pytest
 
 from curvesgp import cli, numsgp, planebranch
 from curvesgp.cli import build_parser, main
+from util import deadline
 
 
 def run(capsys, *argv):
@@ -163,6 +164,11 @@ def test_local_non_numerical_semigroup(capsys):
     code, out, _ = run(capsys, "local", "x^4,x^6")
     assert code == 0
     assert "gcd: 2" in out
+    # K[[x^2 + x^3]]: the semigroup needs no division past the escape bound
+    code, out, _ = run(capsys, "local", "x^2+x^3,x^4+2*x^5+x^6")
+    assert code == 0
+    assert "minimal generators: [2]" in out
+    assert "gcd: 2" in out
 
 
 def test_parse_error_exit_code(capsys):
@@ -181,6 +187,26 @@ def test_limit_exceeded_exit_code(capsys):
     code, _, err = run(capsys, "local", "x^2+x^4,x^4")
     assert code == 3
     assert "LimitExceeded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # divisions that need not end: each must stop at the escape bound at once
+    ("local", "5*x^2+x^4-x^6,3*x^8+1/2*x^9,x^4+2*x^10"),
+    ("local", "3*x^12,2/3*x^8+x^6+x^4"),
+    ("local", "3*x^11+x^10-2*x^8,1/2*x^6,5*x^6+3*x^2"),
+    ("reduce", "local", "x^6", "--against", "x^2+3*x^4,x^4-2/3*x^6"),
+    # K[[x^2 + x^3]] has the semigroup <2>, but no reduced basis
+    ("local", "x^2+x^3,x^4+2*x^5+x^6", "--show", "reduced"),
+    ("local", "x^2+x^4", "--show", "reduced"),
+])
+def test_divergent_local_divisions_exit_3_at_the_escape_bound(capsys, argv):
+    with deadline(2):
+        code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(
+        "error[LimitExceeded]: local division reached the escape bound ")
+    assert "in the value monoid of gcd 2" in err
 
 
 def test_memory_error_exits_3_without_traceback(capsys, monkeypatch):

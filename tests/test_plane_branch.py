@@ -20,6 +20,7 @@ from curvesgp import (
     curve_resultant,
     delta_check,
     delta_sequence,
+    eval_bipoly,
     gamma_at_infinity,
     gamma_curve_infinity,
     gamma_local_pair,
@@ -634,3 +635,36 @@ def test_reparametrize_needs_characteristic_zero():
     for prec in (0, -1):
         with pytest.raises(ValueError, match="precision must be positive"):
             reparametrize(xp(2) + xp(3), xp(3), prec)
+
+
+def test_dedekind_conductor_formula_on_seeded_pairs():
+    # for a branch with primitive parametrisation (x(t), y(t)) and local
+    # equation F, c = I_0(F, F_y) - n + 1 = ord_t F_y(x, y) - (n - 1) with
+    # n = ord x: Milnor's mu = 2 delta = c for a branch and Teissier's lemma
+    # I_0(F, F_y) = mu + I_0(F, x) - 1 (Dedekind's conductor-different
+    # formula); no descent and no basis is needed
+    rng = random.Random(71)
+    seen = {"checked": 0, "imprimitive": 0, "second branch": 0}
+    for _ in range(150):
+        n = rng.randrange(2, 9)
+        f = _seeded_terms(rng, n, rng.randrange(1, 3))
+        g = _seeded_terms(rng, rng.randrange(max(1, n - 3), n + 7),
+                          rng.randrange(0, 3))
+        try:
+            S, _ = gamma_local_pair(f, g)
+        except ValueError:
+            seen["imprimitive"] += 1  # t -> (f, g) is not primitive
+            continue
+        F = curve_resultant(f, g)
+        if min(b for (a, b) in F.coeffs if a == 0) > n:
+            # f has a root t != 0 with g(t) = 0: a second branch of F
+            # passes through the origin and adds its intersection number
+            seen["second branch"] += 1
+            continue
+        Fy = MPoly(F.vars, F.field, {(a, b - 1): b * c
+                                     for (a, b), c in F.coeffs.items() if b})
+        c = eval_bipoly(Fy, f, g).order - (n - 1)
+        assert c == S.conductor, (f, g)
+        assert c == local_basis([f, g]).semigroup.conductor, (f, g)
+        seen["checked"] += 1
+    assert seen["checked"] >= 100 and seen["imprimitive"] and seen["second branch"], seen

@@ -30,6 +30,20 @@ def test_mul_by_zero():
 def test_mul_cube():
     # (x^4+x^5)^3 expands binomially
     assert (xp(4) + xp(5)) ** 3 == P((12, 1), (13, 3), (14, 3), (15, 1))
+    # powers on the integer kernel against repeated multiplication
+    for field in (QQ, GF(7), GF(2**61 - 1)):
+        f = P((2, "-2/3"), (3, 5), (7, "1/2"), (11, -1), field=field)
+        one = Poly.constant(1, field)
+        want = one
+        for n in range(9):
+            assert f ** n == want, (field, n)
+            want = want * f
+        assert f ** 0 == one and f ** 1 == f
+        zero = Poly.zero(field)
+        assert zero ** 0 == one
+        assert (zero ** 1).is_zero and (zero ** 5).is_zero
+    with pytest.raises(ValueError):
+        xp(2) ** -1
 
 
 def test_mul_square_feeds_deformation_example():

@@ -1,13 +1,12 @@
 """The lifted reduction step against the reference division on Poly values."""
 
-import contextlib
 import random
-import signal
 from fractions import Fraction
 
 from curvesgp import GF, QQ, BasisElement, Poly
-from curvesgp.reduction import ReductionContext, build_basis, reduce_poly
-from util import reference_reduce
+from curvesgp.reduction import (LimitExceeded, ReductionContext, build_basis,
+                                reduce_poly)
+from util import deadline, reference_reduce
 
 MODES = ("algorithmic", "expression", "reduced")
 FIELDS = (QQ, GF(7), GF(2**61 - 1))
@@ -79,25 +78,22 @@ def _inputs(rng, field, ctx):
     return fs
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail instead of hanging: a step that leaves the lead term in place
-    loops forever."""
-    def expire(signum, frame):
-        raise TimeoutError(f"reduction still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+def _outcome(divide, f, ctx, mode, bound):
+    """The outcome of a division, or the ``LimitExceeded`` it raised."""
     try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+        return divide(f, ctx, mode, bound)
+    except LimitExceeded as err:
+        return err
 
 
 def _check(f, ctx, mode, bound=None):
-    got = reduce_poly(f, ctx, mode, bound)
-    want = reference_reduce(f, ctx, mode, bound)
+    """Both routes give the same outcome or raise the same error."""
+    got = _outcome(reduce_poly, f, ctx, mode, bound)
+    want = _outcome(reference_reduce, f, ctx, mode, bound)
+    assert type(got) is type(want), (f, mode, got, want)
+    if isinstance(want, LimitExceeded):
+        assert str(got) == str(want), (f, mode)
+        return got
     assert got.remainder == want.remainder, (f, mode)
     assert got.expression == want.expression, (f, mode)
     assert got.complete == want.complete, (f, mode)
@@ -108,18 +104,17 @@ def _check(f, ctx, mode, bound=None):
 def test_lifted_reduction_matches_reference_division():
     rng = random.Random(8)
     seen = {"shortcut": 0, "escape": 0, "bound": 0, "constant": 0}
-    with _deadline(10):
+    with deadline(10):
         for field in FIELDS:
             for setting in ("local", "global"):
                 for ctx in _contexts(rng, field, setting):
                     for f in _inputs(rng, field, ctx):
                         for mode in MODES:
                             out = _check(f, ctx, mode)
+                            if isinstance(out, LimitExceeded):
+                                seen["escape"] += 1
+                                continue
                             seen["shortcut"] += out.consumed_conductor_shortcut
-                            seen["escape"] += (
-                                setting == "local" and mode == "reduced"
-                                and not ctx.monoid.is_numerical
-                                and not out.complete)
                             seen["constant"] += any(
                                 not any(theta) for _, theta in out.expression)
                         if not f.is_zero:
@@ -147,10 +142,9 @@ def test_products_match_powers_of_the_elements():
 
 def test_escape_bound_stops_divergent_local_divisions():
     # every term even: K[[x^2 + 3x^4]] = K[[x^2]], so dividing an even
-    # series never ends and only the escape bound stops algorithmic and
-    # reduced mode; the residual left there has its lead in the monoid
-    seen = {"algorithmic": 0, "reduced": 0}
-    with _deadline(10):
+    # series never ends; algorithmic and reduced mode raise LimitExceeded
+    # at the escape bound, and expression mode stops at its own bound
+    with deadline(10):
         for field in FIELDS:
             x = lambda e, c=1: Poly.x_power(e, field, c)  # noqa: E731
             ctx = ReductionContext(_elements(
@@ -160,10 +154,10 @@ def test_escape_bound_stops_divergent_local_divisions():
                 for mode in MODES:
                     out = _check(f, ctx, mode)
                     if mode == "expression":
-                        continue
-                    support = out.remainder.support
-                    if mode == "algorithmic":
-                        support = support[:1]  # the residual comes back whole
-                    past = [k for k in support if k >= escape]
-                    seen[mode] += bool(past) and ctx.monoid.contains(past[0])
-    assert all(seen.values()), seen
+                        assert not out.complete
+                    elif mode == "algorithmic" and 7 in f.support:
+                        # x^7 leads once x^6 is gone: the residual comes back
+                        assert out.remainder.order == 7
+                    else:
+                        assert isinstance(out, LimitExceeded), (f, mode)
+                        assert f"escape bound {escape} " in str(out)

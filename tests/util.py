@@ -1,11 +1,13 @@
 """Shared helpers for the test suite."""
 
+import contextlib
 import math
+import signal
 from fractions import Fraction
 from functools import reduce
 
 from curvesgp import MPoly, Poly, QQ, RelationPair
-from curvesgp.reduction import ReductionOutcome
+from curvesgp.reduction import LimitExceeded, ReductionOutcome
 
 
 def xp(e: int, c=1, field=QQ) -> Poly:
@@ -43,7 +45,9 @@ def schoolbook_mul(a: Poly, b: Poly) -> Poly:
 def reference_reduce(f: Poly, ctx, mode: str, bound=None) -> ReductionOutcome:
     """Reference route for ``reduction.reduce_poly``: the same division on
     ``Poly`` values, each step f - c * product(theta) built by
-    ``Poly.scale`` and ``Poly.__sub__`` with one field operation per term."""
+    ``Poly.scale`` and ``Poly.__sub__`` with one field operation per term.
+    In the local setting with gcd > 1, ``algorithmic`` and ``reduced`` raise
+    ``LimitExceeded`` before a subtraction at or past the escape bound."""
     field = ctx.field
     monoid = ctx.monoid
     local = ctx.setting == "local"
@@ -53,7 +57,8 @@ def reference_reduce(f: Poly, ctx, mode: str, bound=None) -> ReductionOutcome:
         bound = ctx.default_bound()
         if not local and not f.is_zero:
             bound = max(bound, int(f.degree))
-    escape = ctx.escape_bound(f) if (local and not f.is_zero) else None
+    escape = (ctx.escape_bound(f) if local and not shortcut_ok
+              and mode != "expression" and not f.is_zero else None)
 
     def lead_of(p):
         e = p.support[0] if local else p.support[-1]
@@ -66,6 +71,10 @@ def reference_reduce(f: Poly, ctx, mode: str, bound=None) -> ReductionOutcome:
     used_shortcut = False
 
     def subtract(p):
+        if escape is not None and p >= escape:
+            raise LimitExceeded(
+                f"local division reached the escape bound {escape} at exponent "
+                f"{p}, in the value monoid of gcd {monoid.d}")
         theta = ctx.pick_factorization(p)
         _, lead_c = lead_of(work)
         coeff = field.div(lead_c, ctx.unit_product(theta))
@@ -86,16 +95,11 @@ def reference_reduce(f: Poly, ctx, mode: str, bound=None) -> ReductionOutcome:
                 break
             if not monoid.contains(p):
                 break
-            if local and not shortcut_ok and p >= escape:
-                break
             work = subtract(p)
         elif mode == "reduced":
             if shortcut_ok and p >= c:
                 used_shortcut, complete = True, False
                 work = Poly.zero(field)
-                break
-            if local and not shortcut_ok and p >= escape:
-                complete = False
                 break
             work = subtract(p) if monoid.contains(p) else strip_lead()
         else:
@@ -104,13 +108,25 @@ def reference_reduce(f: Poly, ctx, mode: str, bound=None) -> ReductionOutcome:
                 break
             work = subtract(p) if monoid.contains(p) else strip_lead()
 
-    if mode == "algorithmic":
-        remainder = work
-    else:
-        remainder = Poly(field, collected)
-        if mode == "reduced" and not work.is_zero:
-            remainder = remainder + work
+    remainder = work if mode == "algorithmic" else Poly(field, collected)
     return ReductionOutcome(remainder, expression, complete, used_shortcut)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail instead of hanging: raise TimeoutError in the block once it has
+    run ``seconds`` seconds (a step that leaves the lead term in place, or
+    a division that never ends, loops forever)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def frac(s) -> Fraction:
