@@ -30,11 +30,15 @@ from .numsgp import (
 from .reduction import (
     BasisElement,
     LimitExceeded,
+    ReductionContext,
     ReductionOutcome,
     ValueBasis,
+    global_basis,
+    local_basis,
+    minimal_basis,
+    reduce_poly,
+    reduced_basis,
 )
-from .localbasis import local_basis, minimal_basis, reduce_order, reduced_basis
-from .globalbasis import global_basis, reduce_degree, reduced_basis_global
 from .planebranch import (
     CharSequence,
     DeltaSeq,
@@ -55,11 +59,8 @@ from .deformation import (
     GradedWeights,
     deform,
     deform_from_basis,
-    free_toric_target,
-    homogenize_global,
-    homogenize_local,
-    plane_deformation_global,
-    plane_deformation_local,
+    homogenize,
+    plane_deformation,
 )
 from .parsing import ParseError, parse_mpoly, parse_poly, parse_poly_list
 

@@ -2,9 +2,9 @@
 
 Every series f = sum c_i x^i of order p lifts to H_f = sum c_i u^{i-p} x^i,
 homogeneous for the weight b - a on (u, x); polynomials of degree p lift
-with u^{p-i} instead.  Feeding the reduction expressions of the relation
-elements through the same lift yields, for each presentation pair, three
-relators in the X_i:
+with u^{p-i} instead, so both lifts are u^{|i-p|} with p the value of f.
+Feeding the reduction expressions of the relation elements through the
+same lift yields, for each presentation pair, three relators in the X_i:
 
 * ``toric``        F_i = X^alpha - kappa X^beta   (kappa fixes unit coefficients)
 * ``exact``        G_i = F_i - sum c_theta X^theta  (vanishes on the generators)
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .mpoly import MPoly
 from .numsgp import Presentation, ci_relations, presentation_for_generators
+from .planebranch import gamma_at_infinity, plane_local
 from .poly import Poly
 from .reduction import BasisElement, ReductionContext, ValueBasis, reduce_poly, relation_element
 
@@ -86,27 +87,14 @@ class DeformationSet:
         return [r.complete for r in self.relators]
 
 
-def homogenize_local(f: Poly) -> MPoly:
-    """H_f(u, x) = sum c_i u^{i-p} x^i for p = o(f)."""
-    if f.is_zero:
-        raise ValueError("cannot homogenise the zero series")
-    p = int(f.order)
-    return MPoly(("u", "x"), f.field,
-                 {(i - p, i): c for i, c in f.coeffs.items()})
-
-
-def homogenize_global(f: Poly) -> MPoly:
-    """h_f(u, x) = sum c_i u^{p-i} x^i for p = d(f)."""
+def homogenize(f: Poly, setting: str) -> MPoly:
+    """H_f(u, x) = sum c_i u^{|i-p|} x^i, for p = o(f) in the local setting
+    and p = d(f) in the global one."""
     if f.is_zero:
         raise ValueError("cannot homogenise the zero polynomial")
-    p = int(f.degree)
+    p = int(f.order if setting == "local" else f.degree)
     return MPoly(("u", "x"), f.field,
-                 {(p - i, i): c for i, c in f.coeffs.items()})
-
-
-def free_toric_target(seq) -> Presentation:
-    """Complete-intersection binomials of the free arrangement (r_0, ..., r_h)."""
-    return ci_relations(seq.r)
+                 {(abs(i - p), i): c for i, c in f.coeffs.items()})
 
 
 def deform(elements: list[Poly], setting: str,
@@ -159,9 +147,8 @@ def deform(elements: list[Poly], setting: str,
         relators.append(Relator(alpha, beta, value, toric, exact, homog,
                                 out.complete))
     relators.sort(key=lambda r: (r.value, r.alpha))
-    lift = homogenize_local if setting == "local" else homogenize_global
     return DeformationSet(setting, variables, weights, list(elements),
-                          [lift(p) for p in elements], relators)
+                          [homogenize(p, setting) for p in elements], relators)
 
 
 def deform_from_basis(basis: ValueBasis, bound: int | None = None) -> DeformationSet:
@@ -178,28 +165,17 @@ def _sign_normalized(p: Poly, setting: str) -> Poly:
     return -p if c < 0 else p
 
 
-def plane_deformation_local(f: Poly, g: Poly, bound: int | None = None) -> DeformationSet:
-    """Deformation of K[[f, g]] through the approximate-root basis.
+def plane_deformation(f: Poly, g: Poly, setting: str,
+                      bound: int | None = None) -> DeformationSet:
+    """Deformation of K[[f, g]] (local) or K[f, g] (global) through the
+    approximate-root basis.
 
     Uses the complete-intersection presentation of the free arrangement
     (r_0, ..., r_h), with the raw g_k = G_k(f, g) as generators, so the
     relators match the classical displays for plane branches.
     """
-    from .planebranch import plane_local
-
-    result = plane_local(f, g)
+    result = (plane_local if setting == "local" else gamma_at_infinity)(f, g)
     elements = result.generators + [
-        _sign_normalized(p, "local") for p in result.evaluated[1:]]
-    return deform(elements, "local",
-                  presentation=free_toric_target(result.sequence), bound=bound)
-
-
-def plane_deformation_global(f: Poly, g: Poly, bound: int | None = None) -> DeformationSet:
-    """Deformation of K[f, g] through the approximate-root basis."""
-    from .planebranch import gamma_at_infinity
-
-    result = gamma_at_infinity(f, g)
-    elements = result.generators + [
-        _sign_normalized(p, "global") for p in result.evaluated[1:]]
-    return deform(elements, "global",
-                  presentation=free_toric_target(result.sequence), bound=bound)
+        _sign_normalized(p, setting) for p in result.evaluated[1:]]
+    return deform(elements, setting, presentation=ci_relations(result.sequence.r),
+                  bound=bound)

@@ -5,7 +5,19 @@ products of basis elements whenever its value (order, respectively degree)
 lies in the monoid generated by the basis values, recording the subtracted
 terms as an expression.  They differ in which end of the polynomial leads,
 in which direction values move, and in the truncation rules that keep the
-order-valued division finite.
+order-valued division finite.  A degree division ends on its own: degrees
+strictly decrease, and constants always reduce, the ground field being part
+of the algebra.  An order division need not end (rule 3 below).
+
+Bases
+-----
+``local_basis`` and ``global_basis`` grow a generating set until the values
+of its elements generate the whole value semigroup of the algebra: whenever
+a relation element fails to divide to zero, its normalisation (monic at the
+extremal term) joins the basis and the loop restarts.  ``reduced_basis``
+then pushes every tail onto the gaps of the semigroup, which makes the
+result canonical: there is exactly one minimal reduced basis
+(``minimal_basis``).
 
 Reduction modes
 ---------------
@@ -370,6 +382,21 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
             return ValueBasis(setting, elements, ctx.monoid, pres, len(gens))
 
 
+def local_basis(gens: list[Poly]) -> ValueBasis:
+    """Basis of K[[f_1, ..., f_s]] together with its semigroup of orders.
+
+    Raises :class:`LimitExceeded` when the growth guards trip, which is the
+    expected outcome when the integral closure of the algebra is smaller
+    than the full power series ring.
+    """
+    return build_basis(gens, "local")
+
+
+def global_basis(gens: list[Poly]) -> ValueBasis:
+    """Basis of K[f_1, ..., f_s] together with its semigroup of degrees."""
+    return build_basis(gens, "global")
+
+
 def reduced_basis(basis: ValueBasis) -> ValueBasis:
     """Replace every tail by its division remainder, supported on gaps.
 
@@ -389,3 +416,18 @@ def reduced_basis(basis: ValueBasis) -> ValueBasis:
         new_elements.append(BasisElement(head + out.remainder, elem.value))
     return replace(basis, elements=new_elements)
 
+
+def minimal_basis(basis: ValueBasis) -> ValueBasis:
+    """Drop elements whose value the others already generate, then reduce."""
+    minimal_values = set(basis.semigroup.minimal_generators())
+    kept: list[BasisElement] = []
+    seen: set[int] = set()
+    for elem in basis.elements:
+        if elem.value in minimal_values and elem.value not in seen:
+            kept.append(elem)
+            seen.add(elem.value)
+    values = tuple(e.value for e in kept)
+    trimmed = ValueBasis(basis.setting, kept, NumSgp(values),
+                         presentation_for_generators(values),
+                         n_input=min(basis.n_input, len(kept)))
+    return reduced_basis(trimmed)

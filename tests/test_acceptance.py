@@ -21,8 +21,7 @@ from curvesgp import (
     global_basis,
     is_free,
     local_basis,
-    plane_deformation_global,
-    plane_deformation_local,
+    plane_deformation,
     plane_local,
     presentation_for_generators,
     reduced_basis,
@@ -177,11 +176,11 @@ def test_criterion_08_deformations():
                        for i, h in enumerate(ds.homogenized_generators)})
             assert rel.homogenized.subs(ux).is_zero
 
-    local = plane_deformation_local(xp(4), xp(6) + xp(7))
+    local = plane_deformation(xp(4), xp(6) + xp(7), "local")
     assert local.homogenized[1] == UX(
         {(0, 0, 0, 2): 1, (0, 5, 1, 0): -4, (2, 7, 0, 0): -1}, 3)
     verify(local)
-    glob = plane_deformation_global(xp(6) + xp(1), xp(4))
+    glob = plane_deformation(xp(6) + xp(1), xp(4), "global")
     assert glob.homogenized[1] == UX(
         {(0, 0, 0, 2): 1, (0, 1, 2, 0): -4, (10, 0, 1, 0): -1}, 3)
     verify(glob)

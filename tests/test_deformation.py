@@ -5,16 +5,14 @@ import pytest
 from curvesgp import (
     MPoly,
     Poly,
+    ci_relations,
     deform,
     deform_from_basis,
-    free_toric_target,
     gamma_at_infinity,
     global_basis,
-    homogenize_global,
-    homogenize_local,
+    homogenize,
     local_basis,
-    plane_deformation_global,
-    plane_deformation_local,
+    plane_deformation,
 )
 from curvesgp.planebranch import char_sequence_from_support, delta_sequence
 from util import UX, P, xp
@@ -47,30 +45,30 @@ def check_invariants(ds):
 
 
 def test_homogenize_local_examples():
-    assert homogenize_local(xp(6) + xp(7)) == MPoly(
+    assert homogenize(xp(6) + xp(7), "local") == MPoly(
         ("u", "x"), xp(1).field, {(0, 6): 1, (1, 7): 1})
-    assert homogenize_local(xp(5)) == MPoly(("u", "x"), xp(1).field, {(0, 5): 1})
+    assert homogenize(xp(5), "local") == MPoly(("u", "x"), xp(1).field, {(0, 5): 1})
     with pytest.raises(ValueError):
-        homogenize_local(Poly.zero())
+        homogenize(Poly.zero(), "local")
 
 
 def test_homogenize_local_specialises_to_input():
     f = P((4, 1), (6, -2), (9, "1/3"))
-    H = homogenize_local(f)
+    H = homogenize(f, "local")
     assert specialize_u(H, 1).to_poly() == f
 
 
 def test_homogenize_global_examples():
-    assert homogenize_global(xp(6) + xp(3)) == MPoly(
+    assert homogenize(xp(6) + xp(3), "global") == MPoly(
         ("u", "x"), xp(1).field, {(0, 6): 1, (3, 3): 1})
-    assert homogenize_global(xp(6) + xp(1)) == MPoly(
+    assert homogenize(xp(6) + xp(1), "global") == MPoly(
         ("u", "x"), xp(1).field, {(0, 6): 1, (5, 1): 1})
     f = P((0, 2), (3, -1), (7, 4))
-    assert specialize_u(homogenize_global(f), 1).to_poly() == f
+    assert specialize_u(homogenize(f, "global"), 1).to_poly() == f
 
 
 def test_plane_deformation_local_paper_relators():
-    ds = plane_deformation_local(xp(4), xp(6) + xp(7))
+    ds = plane_deformation(xp(4), xp(6) + xp(7), "local")
     # generators carry the raw evaluation 2x^13 + x^14 (X2 rescaled by 1/2)
     assert ds.generators[2] == P((13, 2), (14, 1))
     assert [str(h) for h in ds.homogenized_generators] == [
@@ -82,7 +80,7 @@ def test_plane_deformation_local_paper_relators():
 
 
 def test_plane_deformation_global_paper_relators():
-    ds = plane_deformation_global(xp(6) + xp(1), xp(4))
+    ds = plane_deformation(xp(6) + xp(1), xp(4), "global")
     assert ds.generators[2] == P((7, 2), (2, 1))
     assert [str(h) for h in ds.homogenized_generators] == [
         "x^6+u^5*x", "x^4", "2*x^7+u^5*x^2"]
@@ -136,14 +134,14 @@ def test_deform_warns_on_truncation():
 
 def test_free_toric_target():
     seq = char_sequence_from_support(4, {6, 7})
-    pres = free_toric_target(seq)
+    pres = ci_relations(seq.r)
     assert [(p.alpha, p.beta) for p in pres.pairs] == [
         ((0, 2, 0), (3, 0, 0)), ((0, 0, 2), (5, 1, 0))]
     seq2 = gamma_at_infinity(xp(6) + xp(1), xp(4)).sequence
-    pres2 = free_toric_target(seq2)
+    pres2 = ci_relations(seq2.r)
     assert [(p.alpha, p.beta) for p in pres2.pairs] == [
         ((0, 3, 0), (2, 0, 0)), ((0, 0, 2), (1, 2, 0))]
-    assert free_toric_target(delta_sequence([1])).pairs == ()
+    assert ci_relations(delta_sequence([1]).r).pairs == ()
 
 
 def test_relator_count_matches_presentation():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvesgp import (BasisElement, Poly, deform_from_basis, global_basis, reduce_degree,
-                      reduced_basis_global)
+from curvesgp import (BasisElement, Poly, ReductionContext, deform_from_basis, global_basis,
+                      reduce_poly, reduced_basis)
 from util import P, xp
 
 
@@ -14,13 +14,13 @@ def elems(*polys):
 def test_reduce_degree_gap_degree_returns_whole():
     basis = elems(xp(6) + xp(1), xp(4))
     f = P((7, -2), (2, -1))  # g^3 - f^2 for f = x^6+x, g = x^4
-    out = reduce_degree(f, basis)
+    out = reduce_poly(f, ReductionContext(basis, "global"), "algorithmic")
     assert out.remainder == f
 
 
 def test_reduce_degree_basis_element():
     basis = elems(xp(6) + xp(1), xp(4))
-    out = reduce_degree(xp(6) + xp(1), basis)
+    out = reduce_poly(xp(6) + xp(1), ReductionContext(basis, "global"), "algorithmic")
     assert out.remainder.is_zero
     assert out.expression == [(Fraction(1), (1, 0))]
 
@@ -28,7 +28,7 @@ def test_reduce_degree_basis_element():
 def test_reduce_degree_product():
     basis = elems(xp(6) + xp(1), xp(4))
     f = (xp(4) ** 2) * (xp(6) + xp(1))
-    out = reduce_degree(f, basis)
+    out = reduce_poly(f, ReductionContext(basis, "global"), "algorithmic")
     assert out.remainder.is_zero
     assert out.expression == [(Fraction(1), (1, 2))]
     assert out.complete
@@ -36,7 +36,8 @@ def test_reduce_degree_product():
 
 def test_reduce_degree_handles_constants():
     basis = elems(xp(2), xp(3))
-    out = reduce_degree(xp(2) + Poly.constant(5), basis, "expression")
+    out = reduce_poly(xp(2) + Poly.constant(5), ReductionContext(basis, "global"),
+                      "expression")
     assert out.remainder.is_zero
     assert out.complete
     assert (Fraction(5), (0, 0)) in out.expression
@@ -114,7 +115,7 @@ def test_two_generator_cardinality_bound():
 
 def test_reduced_basis_global():
     basis = global_basis([xp(6) + xp(3), xp(4)])
-    red = reduced_basis_global(basis)
+    red = reduced_basis(basis)
     gaps = set(basis.semigroup.gaps())
     for e in red.elements:
         tail = e.poly - e.poly.leading_monomial()

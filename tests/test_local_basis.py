@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from curvesgp import (
     LimitExceeded,
     Poly,
     local_basis,
+    ReductionContext,
     minimal_basis,
-    reduce_order,
+    reduce_poly,
     reduced_basis,
 )
+from curvesgp.cli import main
 from util import P, xp
 
 
@@ -23,13 +26,13 @@ def test_reduce_order_stops_at_first_gap_value():
     # S1 = f1^3 - f2^2 over {x^4+x^5, x^6, x^15+x^16}: order 13 is not in <4,6,15>
     basis = elems(xp(4) + xp(5), xp(6), xp(15) + xp(16))
     f = P((13, 3), (14, 3), (15, 1))
-    out = reduce_order(f, basis)
+    out = reduce_poly(f, ReductionContext(basis, "local"), "algorithmic")
     assert out.remainder == f
 
 
 def test_reduce_order_of_basis_element_itself():
     basis = elems(xp(4) + xp(5), xp(6), xp(15) + xp(16))
-    out = reduce_order(xp(4) + xp(5), basis)
+    out = reduce_poly(xp(4) + xp(5), ReductionContext(basis, "local"), "algorithmic")
     assert out.remainder.is_zero
     assert out.expression == [(Fraction(1), (1, 0, 0))]
 
@@ -37,8 +40,8 @@ def test_reduce_order_of_basis_element_itself():
 def test_reduce_order_deterministic_with_gap_support():
     # the example whose intermediate expressions depend on the step-2 choice
     basis = elems(xp(6), xp(4) + xp(5), xp(2) + xp(5))
-    first = reduce_order(xp(4), basis, "expression", bound=40)
-    second = reduce_order(xp(4), basis, "expression", bound=40)
+    first = reduce_poly(xp(4), ReductionContext(basis, "local"), "expression", bound=40)
+    second = reduce_poly(xp(4), ReductionContext(basis, "local"), "expression", bound=40)
     assert first.remainder == second.remainder
     assert first.expression == second.expression
     assert not first.complete  # the true expression is an infinite series
@@ -47,7 +50,7 @@ def test_reduce_order_deterministic_with_gap_support():
 
 def test_reduce_order_requires_nonempty_basis():
     with pytest.raises(ValueError):
-        reduce_order(xp(4), [])
+        reduce_poly(xp(4), ReductionContext([], "local"), "algorithmic")
 
 
 def test_local_basis_paper_example():
@@ -86,6 +89,39 @@ def test_local_basis_divergence_guard():
     # K[[x^2+x^4, x^4]] = K[[x^2]]: the closure is not all of K[[x]]
     with pytest.raises(LimitExceeded):
         local_basis([xp(2) + xp(4), xp(4)])
+
+
+def _order_2_degree_3_generators(rng, count):
+    """count generators a*x^2 + b*x^3 (a != 0) whose coefficient vectors
+    span a plane, so the algebra holds x^2 and x^3 and its semigroup of
+    orders is <2, 3>: D = 3, hence (D - 1)(D - 2) = 2."""
+    coeffs = [Fraction(c) for c in ("1", "2", "-1", "1/2", "-1/2", "3/5", "7/3")]
+    while True:
+        pairs = [(rng.choice(coeffs), rng.choice(coeffs + [Fraction(0)]))
+                 for _ in range(count)]
+        if any(a1 * b2 != a2 * b1 for a1, b1 in pairs for a2, b2 in pairs):
+            return pairs
+
+
+def _render(a, b):
+    return f"{a}*x^2" + (f"{'+' if b > 0 else '-'}{abs(b)}*x^3" if b else "")
+
+
+def test_order_2_degree_3_generators_give_2_3(capsys):
+    # the value monoid <2> of the input has gcd 2 while the lead 3 of the
+    # relation element is past (D - 1)(D - 2) = 2: a conductor cap applied
+    # before the membership test would drop it and answer <2>
+    rng = random.Random(23)
+    cases = [[(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))],
+             [(Fraction(2), Fraction(-1, 2)), (Fraction(2), Fraction(0))]]
+    cases += [_order_2_degree_3_generators(rng, rng.choice((2, 3)))
+              for _ in range(30)]
+    for pairs in cases:
+        gens = [P((2, a), (3, b)) for a, b in pairs]
+        assert local_basis(gens).semigroup.minimal_generators() == [2, 3]
+        text = ",".join(_render(a, b) for a, b in pairs)
+        assert main(["local", "--", text]) == 0, text
+        assert "minimal generators: [2, 3]" in capsys.readouterr().out, text
 
 
 def test_monomial_algebra_needs_no_relations():
