@@ -9,7 +9,7 @@ resultants and approximate roots.
 """
 
 from .fields import GF, QQ, MixedFieldError, PrimeField, Rationals
-from .poly import Poly, degree, mul, order, trailing_normalize
+from .poly import Poly
 from .mpoly import MPoly, curve_resultant, eval_bipoly, resultant_eliminate
 from .series import (
     SeriesApprox,
@@ -23,7 +23,6 @@ from .numsgp import (
     Presentation,
     RelationPair,
     ci_relations,
-    from_generators,
     is_free,
     presentation_for_generators,
 )
@@ -38,6 +37,7 @@ from .reduction import (
     minimal_basis,
     reduce_poly,
     reduced_basis,
+    value_of,
 )
 from .planebranch import (
     CharSequence,

@@ -23,7 +23,8 @@ from .mpoly import MPoly
 from .numsgp import Presentation, ci_relations, presentation_for_generators
 from .planebranch import gamma_at_infinity, plane_local
 from .poly import Poly
-from .reduction import BasisElement, ReductionContext, ValueBasis, reduce_poly, relation_element
+from .reduction import (BasisElement, ReductionContext, ValueBasis, reduce_poly,
+                        relation_element, value_of)
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def homogenize(f: Poly, setting: str) -> MPoly:
     and p = d(f) in the global one."""
     if f.is_zero:
         raise ValueError("cannot homogenise the zero polynomial")
-    p = int(f.order if setting == "local" else f.degree)
+    p = value_of(f, setting)
     return MPoly(("u", "x"), f.field,
                  {(abs(i - p), i): c for i, c in f.coeffs.items()})
 
@@ -110,8 +111,7 @@ def deform(elements: list[Poly], setting: str,
     """
     if setting not in ("local", "global"):
         raise ValueError(f"unknown setting {setting!r}")
-    basis = [BasisElement(p, int(p.order if setting == "local" else p.degree))
-             for p in elements]
+    basis = [BasisElement(p, value_of(p, setting)) for p in elements]
     ctx = ReductionContext(basis, setting)
     if presentation is None:
         presentation = presentation_for_generators(ctx.values)
@@ -161,8 +161,7 @@ def _sign_normalized(p: Poly, setting: str) -> Poly:
     """Flip the sign so the extremal coefficient is positive (rationals)."""
     if p.field.char != 0:
         return p
-    c = p.trailing_coeff if setting == "local" else p.leading_coeff
-    return -p if c < 0 else p
+    return -p if p.coeffs[value_of(p, setting)] < 0 else p
 
 
 def plane_deformation(f: Poly, g: Poly, setting: str,

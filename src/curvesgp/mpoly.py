@@ -54,10 +54,6 @@ class MPoly:
         return cls(vars, field, {tuple(exp): field.one})
 
     @classmethod
-    def monomial(cls, vars, exps: Sequence[int], coeff, field=QQ) -> "MPoly":
-        return cls(vars, field, {tuple(exps): field.coerce(coeff)})
-
-    @classmethod
     def from_poly(cls, p: Poly, vars, name: str) -> "MPoly":
         """Embed a univariate polynomial, its variable mapped to ``name``."""
         idx = list(vars).index(name)
@@ -234,12 +230,10 @@ class MPoly:
         p = f.char
         if self.is_zero:
             return Poly.zero(f)
-        coeffs, den = (self.coeffs, 1) if p else _lift(self.coeffs)
+        coeffs, den = _lift(f, self.coeffs)
         degs = [max(e[i] for e in coeffs) for i in range(len(self.vars))]
-        lifted = []
-        for v, E in zip(self.vars, degs):
-            a = values[v].coeffs if E else {}
-            lifted.append((a, 1) if p else _lift(a))
+        lifted = [_lift(f, values[v].coeffs if E else {})
+                  for v, E in zip(self.vars, degs)]
 
         def horner(terms: dict, i: int) -> dict:
             if i < 0:

@@ -165,10 +165,6 @@ class NumSgp:
         return f"NumSgp{self.generators}"
 
 
-def from_generators(gens: Sequence[int]) -> NumSgp:
-    return NumSgp(gens)
-
-
 def _apery(gens: Sequence[int], n: int) -> list[int]:
     """Least element of <gens> in each residue class mod n, for n in <gens>.
 

@@ -84,12 +84,15 @@ class _Parser:
         return value
 
     def expr(self) -> MPoly:
-        value = self.term()
+        """One coefficient dict per sum, built into an MPoly once: adding
+        MPoly values term by term copies the sum so far at every sign."""
+        f = self.field
+        acc = dict(self.term().coeffs)
         while self.peek().kind == "op" and self.peek().value in "+-":
-            op = self.advance().value
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            combine = f.add if self.advance().value == "+" else f.sub
+            for e, c in self.term().coeffs.items():
+                acc[e] = combine(acc.get(e, f.zero), c)
+        return MPoly(self.vars, f, acc)
 
     def term(self) -> MPoly:
         value = self.factor()

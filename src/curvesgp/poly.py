@@ -8,13 +8,14 @@ comparisons against conductors and bounds work without special cases.
 
 Instances are immutable after construction and safe to share.
 
-Products run on integers in both fields.  Over Q each operand is lifted to
-integer numerators over one common denominator (the lcm of its
-denominators); over GF(p) the residues already are integers.  One private
-kernel, ``_int_mul``, multiplies two such integer forms, reduces mod p over
-GF(p) and drops zeros; ``Poly.__mul__`` rebuilds its result into one
-coefficient per output term, a ``Fraction(c, da*db)`` over Q, and the
-reduction step of :mod:`curvesgp.reduction` keeps it lifted.
+Products run on integers in both fields.  One lift, ``_lift(field,
+coeffs)``, serves both: over Q each operand becomes integer numerators over
+one common denominator (the lcm of its denominators); over GF(p) the
+residues already are integers and come back as they are, over 1.  One
+private kernel, ``_int_mul``, multiplies two such integer forms, reduces
+mod p over GF(p) and drops zeros; ``Poly.__mul__`` rebuilds its result
+into one coefficient per output term, a ``Fraction(c, da*db)`` over Q, and
+the reduction step of :mod:`curvesgp.reduction` keeps it lifted.
 
 The integer product is a schoolbook double loop on plain ints for fewer
 than ``_PACK_PAIRS`` term pairs #a * #b, and for operands too sparse to
@@ -128,20 +129,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[self._exps[-1]]
 
-    def trailing_monomial(self) -> "Poly":
-        """M_o(f), the lowest-order term."""
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        e = self._exps[0]
-        return Poly(self.field, {e: self.coeffs[e]})
-
-    def leading_monomial(self) -> "Poly":
-        """M(f), the highest-degree term."""
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        e = self._exps[-1]
-        return Poly(self.field, {e: self.coeffs[e]})
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -171,11 +158,9 @@ class Poly:
         field = self.field
         if not self.coeffs or not other.coeffs:
             return Poly._of(field, {})
-        if field.char:
-            return Poly._of(field, _int_mul(self.coeffs, other.coeffs, field.char))
-        a, da = _lift(self.coeffs)
-        b, db = _lift(other.coeffs)
-        return _unlift(field, _int_mul(a, b, 0), da * db)
+        a, da = _lift(field, self.coeffs)
+        b, db = _lift(field, other.coeffs)
+        return _unlift(field, _int_mul(a, b, field.char), da * db)
 
     def __pow__(self, n: int) -> "Poly":
         """Binary powering by :func:`_int_pow` on the lifted form."""
@@ -186,9 +171,8 @@ class Poly:
             return Poly.constant(1, field)
         if not self.coeffs:
             return self
-        p = field.char
-        a, d = (self.coeffs, 1) if p else _lift(self.coeffs)
-        return _unlift(field, _int_pow(a, n, p), d ** n)
+        a, d = _lift(field, self.coeffs)
+        return _unlift(field, _int_pow(a, n, field.char), d ** n)
 
     def scale(self, c) -> "Poly":
         f = self.field
@@ -256,8 +240,12 @@ class Poly:
         return f"Poly({self})"
 
 
-def _lift(coeffs: dict) -> tuple[dict, int]:
-    """(numerators, d): integer numerators over the lcm d of the denominators."""
+def _lift(field, coeffs: dict) -> tuple[dict, int]:
+    """(numerators, d): over Q, integer numerators over the lcm d of the
+    denominators, in a new dict; over GF(p), the residues themselves (the
+    dict is not copied) with d = 1."""
+    if field.char:
+        return coeffs, 1
     d = math.lcm(*[c.denominator for c in coeffs.values()])
     if d == 1:
         return {e: c.numerator for e, c in coeffs.items()}, 1
@@ -266,9 +254,10 @@ def _lift(coeffs: dict) -> tuple[dict, int]:
 
 def _unlift(field, coeffs: dict, d: int) -> Poly:
     """The polynomial coeffs / d, for nonzero integer coeffs (residues over
-    GF(p), with d = 1); the dict is copied."""
+    GF(p), with d = 1); over GF(p) the polynomial keeps the dict itself, so
+    the caller must not write to it afterwards."""
     if field.char:
-        return Poly._of(field, dict(coeffs))
+        return Poly._of(field, coeffs)
     return Poly._of(field, {e: Fraction(c, d) for e, c in coeffs.items()})
 
 
@@ -393,22 +382,3 @@ def render_poly(p: Poly, var: str) -> str:
         (p.coeffs[e], "" if e == 0 else var if e == 1 else f"{var}^{e}")
         for e in reversed(p.support)])
 
-
-# Operation aliases matching the mathematical vocabulary.
-
-def order(f: Poly):
-    """o(f) = min supp(f); o(0) = +infinity."""
-    return f.order
-
-
-def degree(f: Poly):
-    """d(f) = max supp(f); d(0) = -infinity."""
-    return f.degree
-
-
-def mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
-def trailing_normalize(f: Poly) -> tuple[Poly, object]:
-    return f.monic_trailing()

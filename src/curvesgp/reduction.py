@@ -17,7 +17,9 @@ a relation element fails to divide to zero, its normalisation (monic at the
 extremal term) joins the basis and the loop restarts.  ``reduced_basis``
 then pushes every tail onto the gaps of the semigroup, which makes the
 result canonical: there is exactly one minimal reduced basis
-(``minimal_basis``).
+(``minimal_basis``).  A basis (``ValueBasis``) is its own reduction
+context, so the powers cached while it was built serve every later
+division by it.
 
 Reduction modes
 ---------------
@@ -50,26 +52,28 @@ an integer polynomial over its own denominator; a product P / d_P of
 powers is built per step by the integer kernel of :mod:`curvesgp.poly`.
 Over GF(p) the residues are the numerators and every denominator is 1.
 
-With lead exponent e, w = W[e] and u = P[e], the step records the
-coefficient c = (w / D) / (u / d_P) and sets W / D <- (a W - b P) / (a D)
-for a = u / g, b = w / g, g = gcd(w, u), signed so that a > 0; the lead
-term cancels.  W is updated in place, only at the exponents of P, and
-zeros are deleted.  Only a step with a != 1 grows D, and only then are W
-and D divided by gcd(D, content(W)).  After that division D is the lcm L
-of the denominators of the coefficients W_k / D in lowest terms: each of
-them divides D, so D = L m, and then m divides every W_k, hence divides
-gcd(D, content(W)) = 1.  The lift of f starts from that lcm, and a step
-with a = 1 leaves D as it was, so D is always the lcm reached at the start
-or at the last step that grew it.  Over GF(p) the step is W <- W - c P mod
-p with c = w u^(-1).  Fractions are built only for what the caller sees:
-the recorded coefficients, the terms moved into the remainder and the
-remainder itself.
+With lead exponent e, w = W[e] and u = P[e], one function, ``_step``,
+sets W / D <- (a W - b P) / (a D), with a = u / g, b = w / g for
+g = gcd(w, u), signed so that a > 0, and over GF(p) with a = 1 and
+b = w u^(-1); the lead term cancels.  W is updated in place, only at the
+exponents of P, and zeros are deleted.  A relation element
+f^alpha - kappa f^beta is one such step, of a copy of the lifted f^alpha
+against f^beta.  A division records the coefficient c = (w / D) / (u / d_P)
+of each step.  Only a step with a != 1 grows D, and only then does the
+division divide W and D by gcd(D, content(W)).  After that division D is
+the lcm L of the denominators of the coefficients W_k / D in lowest terms:
+each of them divides D, so D = L m, and then m divides every W_k, hence
+divides gcd(D, content(W)) = 1.  The lift of f starts from that lcm, and a
+step with a = 1 leaves D as it was, so D is always the lcm reached at the
+start or at the last step that grew it.  Fractions are built only for what
+the caller sees: the recorded coefficients, the terms moved into the
+remainder and the remainder itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import check_same_field
@@ -137,10 +141,8 @@ class ReductionContext:
         """f_i^k lifted, by binary powering on the integer kernel."""
         tag = (i, k)
         if tag not in self._powers:
-            p = self.field.char
-            coeffs = self.elements[i].poly.coeffs
-            base, d = (coeffs, 1) if p else _lift(coeffs)
-            self._powers[tag] = (_int_pow(base, k, p), d ** k)
+            base, d = _lift(self.field, self.elements[i].poly.coeffs)
+            self._powers[tag] = (_int_pow(base, k, self.field.char), d ** k)
         return self._powers[tag]
 
     def _lifted_product(self, theta: tuple[int, ...]) -> tuple[dict, int]:
@@ -157,7 +159,8 @@ class ReductionContext:
         return ({0: 1}, 1) if out is None else (out, d)
 
     def product(self, theta: tuple[int, ...]) -> Poly:
-        return _unlift(self.field, *self._lifted_product(theta))
+        a, d = self._lifted_product(theta)
+        return _unlift(self.field, dict(a), d)  # a may be a cached power
 
     def unit_product(self, theta: tuple[int, ...]):
         f = self.field
@@ -190,16 +193,38 @@ def _sub_scaled(w: dict, b: int, q: dict, p: int) -> None:
             del w[k]
 
 
+def _step(work: dict, den: int, prod: dict, e: int, p: int) -> tuple[dict, int]:
+    """One fraction-free step: (a W - b P, a D) for W / D against a lifted
+    product P, with the terms at e cancelling.  Over Q, a = u / g and
+    b = w / g for w = W[e], u = P[e], g = gcd(w, u), signed so that a > 0;
+    over GF(p), a = 1 and b = w u^(-1).  W is written in place when a = 1
+    and replaced by a new dict otherwise; P is only read."""
+    w, u = work[e], prod[e]
+    if p:
+        _sub_scaled(work, w * pow(u, -1, p) % p, prod, p)
+        return work, den
+    g = math.gcd(w, u)
+    a, b = u // g, w // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        work = {k: a * v for k, v in work.items()}
+        den *= a
+    _sub_scaled(work, b, prod, 0)
+    return work, den
+
+
 def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
                 bound: int | None = None) -> ReductionOutcome:
     """Divide f by the basis of ``ctx`` according to ``mode``.
 
     f is lifted once to W / D, integer numerators over one denominator
-    (residues over GF(p), D = 1).  Each step is fraction-free, as in
-    Bareiss elimination and pseudo-division: W / D <- (a W - b P) / (a D)
-    against the lifted product P / d_P, in place, with the common factor
-    of W and D cancelled only when D grew, which keeps D the lcm of the
-    denominators (module docstring).  Fractions are built for the recorded
+    (residues over GF(p), D = 1).  Each step is one :func:`_step`,
+    fraction-free as in Bareiss elimination and pseudo-division:
+    W / D <- (a W - b P) / (a D) against the lifted product P / d_P, in
+    place, with the common factor of W and D cancelled only when D grew,
+    which keeps D the lcm of the denominators (module docstring).  A
+    ``ValueBasis`` is a context too.  Fractions are built for the recorded
     coefficients and, once at the end, for the remainder.
     """
     if mode not in ("algorithmic", "expression", "reduced"):
@@ -224,7 +249,9 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
 
     expression: list[tuple[object, tuple[int, ...]]] = []
     collected: dict[int, object] = {}
-    work, den = (dict(f.coeffs), 1) if p else _lift(f.coeffs)
+    # a private copy: the steps write into it, and over GF(p) the lift
+    # hands back f's own dict
+    work, den = _lift(field, dict(f.coeffs))
     complete = True
     used_shortcut = False
 
@@ -232,22 +259,12 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
         nonlocal work, den
         theta = ctx.pick_factorization(e)
         prod, dp = ctx._lifted_product(theta)
-        u, w = prod[e], work[e]
-        if p:
-            b = field.div(w, u)
-            expression.append((b, theta))
-            _sub_scaled(work, b, prod, p)
-            return
-        expression.append((Fraction(w * dp, den * u), theta))
-        g = math.gcd(w, u)
-        a, b = u // g, w // g
-        if a < 0:
-            a, b = -a, -b
-        if a != 1:
-            work = {k: a * v for k, v in work.items()}
-            den *= a
-        _sub_scaled(work, b, prod, 0)
-        if a != 1:
+        w, u = work[e], prod[e]
+        expression.append((field.div(w, u) if p else Fraction(w * dp, den * u),
+                           theta))
+        before = den
+        work, den = _step(work, den, prod, e, p)
+        if den != before:
             g = math.gcd(den, *work.values())
             if g != 1:
                 work = {k: v // g for k, v in work.items()}
@@ -278,46 +295,48 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
         else:
             subtract(e)
 
-    # algorithmic keeps the residual; every exponent left in it lies past
-    # the stripped ones, so the two never share a term
-    if mode == "algorithmic":
-        for k, v in work.items():
-            collected[k] = v if p else Fraction(v, den)
-    return ReductionOutcome(Poly._of(field, collected), expression, complete,
-                            used_shortcut)
+    # algorithmic never strips a term: its remainder is the whole residual
+    remainder = (_unlift(field, work, den) if mode == "algorithmic"
+                 else Poly._of(field, collected))
+    return ReductionOutcome(remainder, expression, complete, used_shortcut)
 
 
-@dataclass
-class ValueBasis:
-    """A validated basis: elements whose values generate the value monoid."""
+class ValueBasis(ReductionContext):
+    """A validated basis: elements whose values generate the value monoid,
+    with a presentation of those values.  It is its own reduction context,
+    so the powers cached while it was built serve every later division."""
 
-    setting: str
-    elements: list[BasisElement]
-    semigroup: NumSgp
-    presentation: object
-    n_input: int
+    def __init__(self, elements: list[BasisElement], setting: str,
+                 presentation, n_input: int):
+        super().__init__(elements, setting)
+        self.presentation = presentation
+        self.n_input = n_input
 
     @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.elements)
-
-    @property
-    def field(self):
-        return self.elements[0].poly.field
-
-    def context(self) -> ReductionContext:
-        return ReductionContext(self.elements, self.setting)
+    def semigroup(self) -> NumSgp:
+        return self.monoid
 
 
 MAX_ELEMENTS = 64
 
 
+def value_of(p: Poly, setting: str) -> int:
+    """The valuation of the setting: the order of p in the local setting,
+    its degree in the global one."""
+    return int(p.order if setting == "local" else p.degree)
+
+
 def basis_element(p: Poly, setting: str) -> BasisElement:
     """p made monic at its extremal term (trailing locally, leading
-    globally), valued at that term's exponent."""
+    globally), valued at that term's exponent.  Locally the constant term
+    goes first, since constants lie in the algebra; a zero or constant p is
+    refused."""
     if setting == "local":
-        return BasisElement(p.monic_trailing()[0], int(p.order))
-    return BasisElement(p.monic_leading()[0], int(p.degree))
+        p = p - Poly.constant(p.coeff(0), p.field)
+    if p.is_zero or p.degree == 0:
+        raise ValueError("zero or constant generator")
+    value = value_of(p, setting)
+    return BasisElement(p.scale(p.field.inv(p.coeffs[value])), value)
 
 
 def relation_element(ctx: ReductionContext, alpha, beta) -> Poly:
@@ -325,24 +344,14 @@ def relation_element(ctx: ReductionContext, alpha, beta) -> Poly:
 
     For a monic basis kappa is 1 and this is the plain binomial difference;
     in general kappa makes the extremal monomials cancel exactly, so the
-    value of S is strictly past the relation's value.  From the lifted
-    products A / d_alpha and B / d_beta with lead numerators u_alpha and
-    u_beta, S = (u_beta A - u_alpha B) / (d_alpha u_beta); over GF(p),
-    S = A - u_alpha u_beta^(-1) B.
+    value of S is strictly past the relation's value.  It is one
+    :func:`_step` of a copy of the lifted f^alpha against f^beta.
     """
-    field = ctx.field
-    p = field.char
     a, da = ctx._lifted_product(alpha)
     b, _ = ctx._lifted_product(beta)
     e = min(a) if ctx.setting == "local" else max(a)
-    ua, ub = a[e], b[e]
-    if p:
-        s = dict(a)
-        _sub_scaled(s, field.div(ua, ub), b, p)
-        return Poly._of(field, s)
-    s = {k: ub * v for k, v in a.items()}
-    _sub_scaled(s, ua, b, 0)
-    return _unlift(field, s, da * ub)
+    # the cache may share a with a power, so the step gets a copy
+    return _unlift(ctx.field, *_step(dict(a), da, b, e, ctx.field.char))
 
 
 def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
@@ -355,21 +364,17 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
     elements: list[BasisElement] = []
     for g in gens:
         check_same_field(field, g.field)
-        if setting == "local":
-            g = g - Poly.constant(g.coeff(0), field)
-        if g.is_zero or g.degree == 0:
-            raise ValueError("zero or constant generator")
         elements.append(basis_element(g, setting))
 
     while True:
-        ctx = ReductionContext(elements, setting)
-        pres = presentation_for_generators(ctx.values)
+        pres = presentation_for_generators(tuple(e.value for e in elements))
+        basis = ValueBasis(elements, setting, pres, len(gens))
         adjoined = False
         for alpha, beta, _value in pres.pairs:
-            s_poly = relation_element(ctx, alpha, beta)
+            s_poly = relation_element(basis, alpha, beta)
             if s_poly.is_zero:
                 continue
-            out = reduce_poly(s_poly, ctx, "algorithmic")
+            out = reduce_poly(s_poly, basis, "algorithmic")
             if out.remainder.is_zero:
                 continue
             if len(elements) + 1 > MAX_ELEMENTS:
@@ -379,7 +384,7 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
             adjoined = True
             break
         if not adjoined:
-            return ValueBasis(setting, elements, ctx.monoid, pres, len(gens))
+            return basis
 
 
 def local_basis(gens: list[Poly]) -> ValueBasis:
@@ -404,17 +409,17 @@ def reduced_basis(basis: ValueBasis) -> ValueBasis:
     global one) stays; reduction keeps every value, so the semigroup and
     presentation carry over unchanged.
     """
-    ctx = basis.context()
     new_elements = []
     for elem in basis.elements:
-        head = Poly(ctx.field, {elem.value: elem.poly.coeffs[elem.value]})
+        head = Poly(basis.field, {elem.value: elem.poly.coeffs[elem.value]})
         tail = elem.poly - head
         if tail.is_zero:
             new_elements.append(elem)
             continue
-        out = reduce_poly(tail, ctx, "reduced")
+        out = reduce_poly(tail, basis, "reduced")
         new_elements.append(BasisElement(head + out.remainder, elem.value))
-    return replace(basis, elements=new_elements)
+    return ValueBasis(new_elements, basis.setting, basis.presentation,
+                      basis.n_input)
 
 
 def minimal_basis(basis: ValueBasis) -> ValueBasis:
@@ -426,8 +431,7 @@ def minimal_basis(basis: ValueBasis) -> ValueBasis:
         if elem.value in minimal_values and elem.value not in seen:
             kept.append(elem)
             seen.add(elem.value)
-    values = tuple(e.value for e in kept)
-    trimmed = ValueBasis(basis.setting, kept, NumSgp(values),
-                         presentation_for_generators(values),
-                         n_input=min(basis.n_input, len(kept)))
+    trimmed = ValueBasis(kept, basis.setting,
+                         presentation_for_generators(tuple(e.value for e in kept)),
+                         min(basis.n_input, len(kept)))
     return reduced_basis(trimmed)

@@ -271,7 +271,7 @@ def _suite_permutation_invariance():
                              for _ in range(rng.randrange(1, 5))])
         if f.is_zero:
             continue
-        baseline = reduce_poly(f, basis.context(), "reduced").remainder
+        baseline = reduce_poly(f, basis, "reduced").remainder
         perm = list(basis.elements)
         rng.shuffle(perm)
         permuted = reduce_poly(f, ReductionContext(perm, "local"),
@@ -291,7 +291,7 @@ def _suite_soundness_completeness():
     cases = 0
     while cases < 200:
         basis = rng.choice(bases)
-        ctx = basis.context()
+        ctx = basis
         combo = Poly.zero(basis.field)
         for _ in range(rng.randrange(1, 4)):
             theta = tuple(rng.randrange(0, 3) for _ in basis.elements)

@@ -144,6 +144,19 @@ def test_reduce_command(capsys):
     assert "remainder:" in out
 
 
+def test_reduce_normalises_against_like_the_basis_commands(capsys):
+    # locally a constant term is stripped, as `local` strips it from a
+    # generator; a zero or constant entry is refused with `local`'s message
+    code, out, _ = run(capsys, "reduce", "local", "x^4", "--against", "1+x^2")
+    assert code == 0
+    assert out.splitlines()[0] == "remainder: 0"
+    for argv in (("reduce", "global", "x^3", "--against", "1"),
+                 ("reduce", "local", "x^4", "--against", "x^2,0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "zero or constant generator" in err, argv
+
+
 def test_reduce_global_expression_honours_bound(capsys):
     argv = ["reduce", "global", "x^10+x^7", "--against", "x^2+x,x^3",
             "--mode", "expression"]

@@ -184,7 +184,7 @@ def test_expression_mode_reconstructs_the_input():
 
     rng = random.Random(41)
     basis = local_basis([xp(4), xp(6) + xp(7)])
-    ctx = basis.context()
+    ctx = basis
     checked = 0
     while checked < 40:
         f = Poly.from_terms([(rng.randrange(1, 20), rng.randrange(-3, 4))

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from curvesgp import (NumSgp, RelationPair, ci_relations, from_generators, is_free,
+from curvesgp import (NumSgp, RelationPair, ci_relations, is_free,
                       presentation_for_generators)
 from curvesgp.numsgp import gcd_chain, least_factorization
 from curvesgp.reduction import BasisElement, ReductionContext
@@ -15,17 +15,17 @@ from util import (brute_conductor, brute_semigroup_members, factorization_compon
 
 
 def test_from_generators_conductor_18():
-    assert from_generators([4, 6, 15]).conductor == 18
+    assert NumSgp([4, 6, 15]).conductor == 18
 
 
 def test_from_generators_full_monoid():
-    S = from_generators([1])
+    S = NumSgp([1])
     assert S.conductor == 0
     assert S.genus == 0
 
 
 def test_from_generators_gcd_handling():
-    S = from_generators([4, 6])
+    S = NumSgp([4, 6])
     assert S.d == 2
     assert S.scaled_conductor == 2 * NumSgp([2, 3]).conductor
     assert S.contains(10) and not S.contains(7)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from curvesgp import GF, ParseError, Poly, parse_mpoly, parse_poly, parse_poly_list
+from curvesgp import GF, QQ, MPoly, ParseError, Poly, parse_mpoly, parse_poly, parse_poly_list
 from curvesgp.poly import render_poly
-from util import XY, P, xp
+from util import XY, P, deadline, xp
 
 
 def test_parse_simple_support():
@@ -90,3 +90,32 @@ def test_print_parse_round_trip():
                  for _ in range(rng.randrange(1, 6))]
         p = Poly.from_terms(terms)
         assert parse_poly(render_poly(p, "x")) == p
+
+
+def _signed_sum(terms) -> str:
+    """``c/d*mono`` terms joined by their signs."""
+    text = "".join(f"{'-' if c < 0 else '+'}{abs(c.numerator)}/{c.denominator}*{m}"
+                   for m, c in terms)
+    return text.lstrip("+")
+
+
+def test_long_sums_parse_in_linear_time():
+    # one coefficient dict per sum: copying the sum at every sign made an
+    # 8000-term input take seconds; exponents repeat, so terms combine
+    rng = random.Random(14)
+
+    def coeff():
+        return Fraction(rng.choice([-7, -3, -1, 1, 2, 5, 9]), rng.randrange(1, 9))
+
+    terms = [(rng.randrange(0, 3000), coeff()) for _ in range(8000)]
+    text = _signed_sum((f"x^{k}", c) for k, c in terms)
+    with deadline(3):
+        assert parse_poly(text) == Poly.from_terms(terms)
+    terms = [((rng.randrange(0, 60), rng.randrange(0, 60)), coeff())
+             for _ in range(4000)]
+    want: dict = {}
+    for e, c in terms:
+        want[e] = want.get(e, 0) + c
+    text = _signed_sum((f"x^{i}*y^{j}", c) for (i, j), c in terms)
+    with deadline(3):
+        assert parse_mpoly(text, ("x", "y")) == MPoly(("x", "y"), QQ, want)

@@ -1,11 +1,13 @@
 """The lifted reduction step against the reference division on Poly values."""
 
 import random
+import warnings
 from fractions import Fraction
 
-from curvesgp import GF, QQ, BasisElement, Poly
+from curvesgp import GF, QQ, BasisElement, Poly, deform_from_basis
+from curvesgp.numsgp import presentation_for_generators
 from curvesgp.reduction import (LimitExceeded, ReductionContext, build_basis,
-                                reduce_poly)
+                                reduce_poly, reduced_basis, relation_element)
 from util import deadline, reference_reduce
 
 MODES = ("algorithmic", "expression", "reduced")
@@ -56,7 +58,7 @@ def _contexts(rng, field, setting):
             basis = build_basis(gens, setting)
         except ValueError:
             continue  # an imprimitive global pair, say
-        out.append(basis.context())
+        out.append(basis)
         raw = [e.poly.scale(_coeff(rng, field)) for e in basis.elements]
         out.append(ReductionContext(_elements(raw, setting), setting))
     x = lambda e, c=1: Poly.x_power(e, field, c)  # noqa: E731
@@ -161,3 +163,59 @@ def test_escape_bound_stops_divergent_local_divisions():
                     else:
                         assert isinstance(out, LimitExceeded), (f, mode)
                         assert f"escape bound {escape} " in str(out)
+
+
+def test_relation_elements_match_their_formula():
+    # S = f^alpha - (u_alpha / u_beta) f^beta, u the unit coefficient of a
+    # product, for generators that are not monic at their values
+    rng = random.Random(10)
+    for field in FIELDS:
+        for setting in ("local", "global"):
+            for _ in range(4):
+                values = sorted(rng.sample(range(2, 10), 3))
+                gens = []
+                for v in values:
+                    c = _coeff(rng, field)
+                    while c == field.one:
+                        c = _coeff(rng, field)
+                    gens.append(_generator(rng, field, setting, v).scale(c))
+                ctx = ReductionContext(_elements(gens, setting), setting)
+                pairs = presentation_for_generators(ctx.values).pairs
+                assert pairs
+                for alpha, beta, _value in pairs:
+                    kappa = field.div(ctx.unit_product(alpha),
+                                      ctx.unit_product(beta))
+                    want = ctx.product(alpha) - ctx.product(beta).scale(kappa)
+                    assert relation_element(ctx, alpha, beta) == want, (
+                        field, setting, gens, alpha, beta)
+
+
+def test_a_reused_basis_keeps_its_caches_intact():
+    # a basis is its own reduction context: the powers cached while it was
+    # built, then by reduced_basis, serve later divisions, which must agree
+    # with a fresh context on the same elements
+    rng = random.Random(11)
+    with deadline(30), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # truncated local relators
+        for field in (QQ, GF(101)):
+            for setting in ("local", "global"):
+                built = 0
+                while built < 3:
+                    values = sorted(rng.sample(range(3, 10), 2))
+                    gens = [_generator(rng, field, setting, v) for v in values]
+                    try:
+                        basis = build_basis(gens, setting)
+                    except (ValueError, LimitExceeded):
+                        continue
+                    if not basis.monoid.is_numerical:
+                        continue
+                    built += 1
+                    reduced_basis(basis)
+                    deform_from_basis(basis)
+                    fresh = ReductionContext(basis.elements, setting)
+                    for f in _inputs(rng, field, basis):
+                        for mode in ("reduced", "expression"):
+                            got = reduce_poly(f, basis, mode)
+                            want = reduce_poly(f, fresh, mode)
+                            assert got.remainder == want.remainder, (f, mode)
+                            assert got.expression == want.expression, (f, mode)
