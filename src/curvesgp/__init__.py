@@ -41,11 +41,9 @@ from .reduction import (
 )
 from .planebranch import (
     CharSequence,
-    DeltaSeq,
     NotOnePlaceAtInfinity,
     approximate_root,
     char_sequence_from_support,
-    conductor_formula,
     delta_check,
     delta_sequence,
     gamma_at_infinity,

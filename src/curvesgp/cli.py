@@ -22,7 +22,6 @@ from .mpoly import render_mpoly
 from .numsgp import NumSgp
 from .parsing import ParseError, parse_mpoly, parse_poly, parse_poly_list
 from .planebranch import (
-    conductor_formula,
     gamma_at_infinity,
     gamma_curve_infinity,
     gamma_local_pair,
@@ -57,27 +56,20 @@ def build_parser() -> argparse.ArgumentParser:
                            help="field characteristic (0 or a prime)")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    p = sub.add_parser("local", help="basis and order semigroup of K[[f1,...,fs]]")
-    p.add_argument("polys", help="comma-separated polynomials in x (or t)")
-    p.add_argument("--show", choices=["semigroup", "basis", "reduced", "all"],
-                   default="semigroup")
-    add_common(p)
+    for name, what in (("local", "basis and order semigroup of K[[f1,...,fs]]"),
+                       ("global", "basis and degree semigroup of K[f1,...,fs]")):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("polys", help="comma-separated polynomials in x (or t)")
+        p.add_argument("--show", choices=["semigroup", "basis", "reduced", "all"],
+                       default="semigroup")
+        add_common(p)
 
-    p = sub.add_parser("global", help="basis and degree semigroup of K[f1,...,fs]")
-    p.add_argument("polys")
-    p.add_argument("--show", choices=["semigroup", "basis", "reduced", "all"],
-                   default="semigroup")
-    add_common(p)
-
-    p = sub.add_parser("plane-local", help="two-generator local pipeline")
-    p.add_argument("f")
-    p.add_argument("g")
-    add_common(p)
-
-    p = sub.add_parser("plane-infinity", help="two-generator pipeline at infinity")
-    p.add_argument("f")
-    p.add_argument("g")
-    add_common(p)
+    for name, what in (("plane-local", "two-generator local pipeline"),
+                       ("plane-infinity", "two-generator pipeline at infinity")):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("f")
+        p.add_argument("g")
+        add_common(p)
 
     p = sub.add_parser("curve-infinity",
                        help="semigroup of a plane curve with one place at infinity")
@@ -156,15 +148,19 @@ def _basis_command(args, setting: str) -> None:
     _emit(args, rep, lines)
 
 
-def _plane_report(args, result, setting: str) -> None:
+def _sequence_line(seq) -> str:
+    return f"r sequence: {list(seq.r)}   d: {list(seq.d)}   e: {list(seq.e)}"
+
+
+def _plane_report(args, result) -> None:
     S = result.semigroup
     seq = result.sequence
 
     def rep():
         out = {
-            "command": f"plane-{setting}",
+            "command": args.command,
             "semigroup": report.semigroup_report(S),
-            "char_sequence": report.char_sequence_report(seq, conductor_formula(seq)),
+            "char_sequence": report.char_sequence_report(seq),
             "roots": [render_mpoly(g) for g in result.roots],
             "curve": render_mpoly(result.curve),
         }
@@ -175,9 +171,8 @@ def _plane_report(args, result, setting: str) -> None:
     def lines():
         out = [f"F(x,y) = {render_mpoly(result.curve)}"]
         out += report.semigroup_lines(S)
-        out.append(f"r sequence: {list(seq.r)}   d: {list(seq.d)}   "
-                   f"e: {list(seq.e)}")
-        out.append(f"conductor formula: {conductor_formula(seq)}")
+        out.append(_sequence_line(seq))
+        out.append(f"conductor formula: {seq.conductor}")
         if result.roots:
             out.append("approximate roots: "
                        + ", ".join(render_mpoly(g) for g in result.roots))
@@ -190,8 +185,11 @@ def _plane_report(args, result, setting: str) -> None:
 
 
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     cmd = args.command
+    if cmd == "reduce" and args.bound is not None and args.mode != "expression":
+        parser.error("--bound needs --mode expression")
 
     if cmd in ("local", "global"):
         _basis_command(args, cmd)
@@ -202,28 +200,25 @@ def run(argv: list[str]) -> int:
         g = parse_poly(args.g)
         if len(f.support) == 1 and f.order < g.order:
             result = plane_local(f.monic_trailing()[0], g)
-            _plane_report(args, result, "local")
+            _plane_report(args, result)
         else:
             S, seq = gamma_local_pair(f, g)
             _emit(args,
-                  lambda: {"command": "plane-local",
+                  lambda: {"command": cmd,
                            "semigroup": report.semigroup_report(S),
-                           "char_sequence": report.char_sequence_report(
-                               seq, conductor_formula(seq))},
-                  lambda: report.semigroup_lines(S) + [
-                      f"r sequence: {list(seq.r)}   d: {list(seq.d)}   "
-                      f"e: {list(seq.e)}"])
+                           "char_sequence": report.char_sequence_report(seq)},
+                  lambda: report.semigroup_lines(S) + [_sequence_line(seq)])
 
     elif cmd == "plane-infinity":
         _require_char_zero(args)
         result = gamma_at_infinity(parse_poly(args.f), parse_poly(args.g))
-        _plane_report(args, result, "infinity")
+        _plane_report(args, result)
 
     elif cmd == "curve-infinity":
         _require_char_zero(args)
         F = parse_mpoly(args.curve, ("x", "y"))
         result = gamma_curve_infinity(F)
-        _plane_report(args, result, "curve")
+        _plane_report(args, result)
 
     elif cmd == "deform":
         gens = parse_poly_list(args.polys, args.char)

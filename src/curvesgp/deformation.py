@@ -98,37 +98,37 @@ def homogenize(f: Poly, setting: str) -> MPoly:
                  {(abs(i - p), i): c for i, c in f.coeffs.items()})
 
 
-def deform(elements: list[Poly], setting: str,
-           presentation: Presentation | None = None,
-           bound: int | None = None) -> DeformationSet:
-    """Deformation data for generators whose values generate the semigroup.
+def deform(basis: ReductionContext,
+           presentation: Presentation | None = None) -> DeformationSet:
+    """Deformation data for basis elements whose values generate the
+    semigroup, over ``presentation`` (a minimal one of the values if None).
 
-    The elements need not be monic: unit coefficients are absorbed into
-    the toric binomials, which is exactly what rescaling the ambient
-    variables does.  Expressions that do not close up within ``bound``
-    leave their relator flagged incomplete (with a warning), since the
-    order-valued division may genuinely be an infinite series.
+    Each relation element is divided by ``basis`` itself, so a
+    ``ValueBasis`` lends the powers cached while it was built.  The
+    elements need not be monic: unit coefficients are absorbed into the
+    toric binomials, which is exactly what rescaling the ambient variables
+    does.  Expressions that do not close up within the default bound of
+    the expression division leave their relator flagged incomplete (with
+    a warning), since the order-valued division may genuinely be an
+    infinite series.
     """
-    if setting not in ("local", "global"):
-        raise ValueError(f"unknown setting {setting!r}")
-    basis = [BasisElement(p, value_of(p, setting)) for p in elements]
-    ctx = ReductionContext(basis, setting)
+    setting = basis.setting
     if presentation is None:
-        presentation = presentation_for_generators(ctx.values)
-    weights = GradedWeights(ctx.values, setting)
-    s = len(elements)
-    variables = ("u",) + tuple(f"X{i}" for i in range(s))
-    field = ctx.field
+        presentation = presentation_for_generators(basis.values)
+    weights = GradedWeights(basis.values, setting)
+    elements = [e.poly for e in basis.elements]
+    variables = ("u",) + tuple(f"X{i}" for i in range(len(elements)))
+    field = basis.field
 
     relators = []
     for alpha, beta, value in presentation.pairs:
-        s_poly = relation_element(ctx, alpha, beta)
-        out = reduce_poly(s_poly, ctx, "expression", bound=bound)
+        s_poly = relation_element(basis, alpha, beta)
+        out = reduce_poly(s_poly, basis, "expression")
         if not out.remainder.is_zero:
             raise ValueError(
                 f"relation {alpha} ~ {beta} does not reduce to zero: "
                 "the given elements are not a basis")
-        kappa = field.div(ctx.unit_product(alpha), ctx.unit_product(beta))
+        kappa = field.div(basis.unit_product(alpha), basis.unit_product(beta))
         toric = MPoly(variables, field, {(0,) + tuple(alpha): field.one,
                                          (0,) + tuple(beta): field.neg(kappa)})
         # one accumulation per relator; MPoly drops the zeros once
@@ -147,14 +147,13 @@ def deform(elements: list[Poly], setting: str,
         relators.append(Relator(alpha, beta, value, toric, exact, homog,
                                 out.complete))
     relators.sort(key=lambda r: (r.value, r.alpha))
-    return DeformationSet(setting, variables, weights, list(elements),
+    return DeformationSet(setting, variables, weights, elements,
                           [homogenize(p, setting) for p in elements], relators)
 
 
-def deform_from_basis(basis: ValueBasis, bound: int | None = None) -> DeformationSet:
+def deform_from_basis(basis: ValueBasis) -> DeformationSet:
     """Deformation of a computed basis, over its own minimal presentation."""
-    return deform([e.poly for e in basis.elements], basis.setting,
-                  presentation=basis.presentation, bound=bound)
+    return deform(basis, basis.presentation)
 
 
 def _sign_normalized(p: Poly, setting: str) -> Poly:
@@ -164,8 +163,7 @@ def _sign_normalized(p: Poly, setting: str) -> Poly:
     return -p if p.coeffs[value_of(p, setting)] < 0 else p
 
 
-def plane_deformation(f: Poly, g: Poly, setting: str,
-                      bound: int | None = None) -> DeformationSet:
+def plane_deformation(f: Poly, g: Poly, setting: str) -> DeformationSet:
     """Deformation of K[[f, g]] (local) or K[f, g] (global) through the
     approximate-root basis.
 
@@ -176,5 +174,7 @@ def plane_deformation(f: Poly, g: Poly, setting: str,
     result = (plane_local if setting == "local" else gamma_at_infinity)(f, g)
     elements = result.generators + [
         _sign_normalized(p, setting) for p in result.evaluated[1:]]
-    return deform(elements, setting, presentation=ci_relations(result.sequence.r),
-                  bound=bound)
+    # raw values, not basis_element: the unit coefficients go into kappa
+    basis = ReductionContext(
+        [BasisElement(p, value_of(p, setting)) for p in elements], setting)
+    return deform(basis, ci_relations(result.sequence.r))

@@ -42,12 +42,6 @@ class Presentation:
     generators: tuple[int, ...]
     pairs: tuple[RelationPair, ...]
 
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
 
 class NumSgp:
     """Submonoid of N given by generators; numerical when gcd = 1.

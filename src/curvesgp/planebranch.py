@@ -7,6 +7,13 @@ degrees comes out of the resultant curve F(X, Y) through its approximate
 roots; the same descent on intersection numbers also applies to a bare
 polynomial F believed to have one place at infinity, and failure of the
 delta-sequence conditions refutes that.
+
+All three pipelines read the semigroup off one arrangement type,
+:class:`CharSequence`: the r_k with their gcd chain d_k, ratios e_k and
+conductor, plus the Newton-Puiseux exponents m_k when a local descent
+produced them.  :func:`gamma_local_pair` and :func:`gamma_at_infinity`
+normalise their pair by the basis loop's own :func:`reduction.basis_element`
+(monic at the term that carries the value).
 """
 
 from __future__ import annotations
@@ -20,9 +27,9 @@ from typing import Iterator, Sequence
 from .fields import check_same_field
 from .mpoly import (MPoly, _add_product, _integral_roots, _integral_values,
                     _symmetric_of_values, curve_resultant, eval_bipoly)
-from .numsgp import NumSgp, gcd_chain
+from .numsgp import NumSgp, gcd_chain, is_free
 from .poly import Poly
-from .reduction import LimitExceeded
+from .reduction import LimitExceeded, basis_element
 
 
 class NotOnePlaceAtInfinity(ValueError):
@@ -34,30 +41,36 @@ PRECISION_CAP = 2 ** 14
 
 @dataclass(frozen=True)
 class CharSequence:
-    """Newton-Puiseux data (m_k, d_k, e_k, r_k) of a local branch."""
+    """An arrangement r_0, ..., r_h with its gcd chain d_1 = r_0, ...,
+    d_{h+1} = 1 (d_{k+1} = gcd(d_k, r_k)) and ratios e_k = d_k / d_{k+1}.
 
-    n: int
-    m: tuple[int, ...]
-    d: tuple[int, ...]  # d_1 .. d_{h+1}, ending at 1
-    e: tuple[int, ...]
+    Zariski's characteristic sequence of a local branch carries the
+    Newton-Puiseux exponents m_k of its descent; since gcd(d_k, r_k) =
+    gcd(d_k, m_k), the chain read off r is the descent's own.  An
+    Abhyankar-Moh delta-sequence at infinity has no m (None).
+    """
+
     r: tuple[int, ...]  # r_0 .. r_h
+    m: tuple[int, ...] | None = None
 
     @property
-    def h(self) -> int:
-        return len(self.m)
+    def d(self) -> tuple[int, ...]:
+        return tuple(gcd_chain(self.r))
 
-
-@dataclass(frozen=True)
-class DeltaSeq:
-    """A generator arrangement satisfying the delta-sequence conditions."""
-
-    r: tuple[int, ...]
-    d: tuple[int, ...]
-    e: tuple[int, ...]
+    @property
+    def e(self) -> tuple[int, ...]:
+        d = self.d
+        return tuple(d[k] // d[k + 1] for k in range(self.h))
 
     @property
     def h(self) -> int:
         return len(self.r) - 1
+
+    @property
+    def conductor(self) -> int:
+        """C = sum (e_k - 1) r_k - r_0 + 1."""
+        r = self.r
+        return sum((e - 1) * r[k] for k, e in enumerate(self.e, 1)) - r[0] + 1
 
 
 def char_sequence_from_support(n: int, supp: Sequence[int]) -> CharSequence:
@@ -75,16 +88,12 @@ def char_sequence_from_support(n: int, supp: Sequence[int]) -> CharSequence:
                 f"gcd descent stalls at {d}: support has no exponent outside {d}*N")
         ms.append(m)
         ds.append(math.gcd(d, m))
-    h = len(ms)
-    es = tuple(ds[k] // ds[k + 1] for k in range(h))
-    rs = [n]
-    if h >= 1:
-        rs.append(ms[0])
-    for k in range(2, h + 1):
-        rs.append(rs[k - 1] * es[k - 2] + ms[k - 1] - ms[k - 2])
-    seq = CharSequence(n, tuple(ms), tuple(ds), es, tuple(rs))
+    rs = [n, *ms[:1]]
+    for k in range(2, len(ms) + 1):
+        rs.append(rs[k - 1] * (ds[k - 2] // ds[k - 1]) + ms[k - 1] - ms[k - 2])
+    seq = CharSequence(tuple(rs), tuple(ms))
     # sanity: the products r_k d_k must increase in the local ordering
-    for k in range(1, h):
+    for k in range(1, seq.h):
         assert seq.r[k] * seq.d[k - 1] < seq.r[k + 1] * seq.d[k]
     return seq
 
@@ -93,7 +102,8 @@ def delta_check(r: Sequence[int]) -> bool:
     """The delta-sequence conditions on an arrangement (r_0, ..., r_h).
 
     (1) the gcd chain descends strictly to 1, (2) the products r_k d_k
-    strictly decrease, (3) e_k r_k lies in the monoid of the prefix.
+    strictly decrease, (3) e_k r_k lies in the monoid of the prefix, that
+    is the arrangement is free (:func:`numsgp.is_free`).
     """
     r = list(r)
     if not r or any(x <= 0 for x in r):
@@ -107,25 +117,20 @@ def delta_check(r: Sequence[int]) -> bool:
     for k in range(2, len(r)):
         if r[k] * ds[k - 1] >= r[k - 1] * ds[k - 2]:
             return False
-    for k in range(1, len(r)):
-        e_k = ds[k - 1] // ds[k]
-        if not NumSgp(r[:k]).contains(e_k * r[k]):
-            return False
-    return True
+    return is_free(NumSgp(r), r)
 
 
-def delta_sequence(r: Sequence[int]) -> DeltaSeq:
+def delta_sequence(r: Sequence[int]) -> CharSequence:
     if not delta_check(r):
         raise NotOnePlaceAtInfinity(f"{tuple(r)} is not a delta-sequence")
-    ds = gcd_chain(list(r))
-    es = tuple(ds[k - 1] // ds[k] for k in range(1, len(ds)))
-    return DeltaSeq(tuple(r), tuple(ds), es)
+    return CharSequence(tuple(r))
 
 
-def conductor_formula(seq) -> int:
-    """C = sum (e_k - 1) r_k - r_0 + 1, for either kind of sequence."""
-    r, e = seq.r, seq.e
-    return sum((e[j] - 1) * r[j + 1] for j in range(len(e))) - r[0] + 1
+def _check_pair(f: Poly, g: Poly) -> None:
+    """Both generators over one field, of characteristic zero."""
+    check_same_field(f.field, g.field)
+    if f.field.char != 0:
+        raise ValueError("the plane-branch pipeline needs characteristic zero")
 
 
 # -- local pipeline ----------------------------------------------------
@@ -271,17 +276,10 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     characteristic exponent by c + n - 1.  Reaching ``PRECISION_CAP``
     first raises LimitExceeded.
     """
-    check_same_field(f.field, g.field)
-    if f.field.char != 0:
-        raise ValueError("the plane-branch pipeline needs characteristic zero")
-    f = f - Poly.constant(f.coeff(0), f.field)
-    g = g - Poly.constant(g.coeff(0), g.field)
-    if f.is_zero or g.is_zero:
-        raise ValueError("zero or constant generator")
-    if g.order < f.order:
-        f, g = g, f
-    f = f.monic_trailing()[0]
-    g = g.monic_trailing()[0]
+    _check_pair(f, g)
+    f, g = (b.poly for b in sorted((basis_element(f, "local"),
+                                     basis_element(g, "local")),
+                                    key=lambda b: b.value))
     n = int(f.order)
     q = _right_factor(f, g) if math.gcd(n, g.order) > 1 else None
     if q is not None and q.order > 1:
@@ -404,26 +402,23 @@ def _intersection_numbers(F: MPoly):
 
 
 def _normalize_global_pair(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    check_same_field(f.field, g.field)
-    if f.field.char != 0:
-        raise ValueError("the plane-branch pipeline needs characteristic zero")
-    if f.is_zero or g.is_zero or (f.degree == 0) or (g.degree == 0):
-        raise ValueError("zero or constant generator")
-    f = f.monic_leading()[0]
-    g = g.monic_leading()[0]
-    if f.degree < g.degree:
-        f, g = g, f
+    """f and g monic, f of the larger degree (f first on a tie), and g
+    then cleared of f's degree."""
+    _check_pair(f, g)
+    f, g = (b.poly for b in sorted((basis_element(f, "global"),
+                                     basis_element(g, "global")),
+                                    key=lambda b: -b.value))
     while not g.is_zero and g.degree == f.degree:
         g = g - f.scale(g.leading_coeff)
     if g.is_zero or g.degree <= 0:
         raise ValueError("generators are algebraically dependent in degree 1")
-    return f, g.monic_leading()[0]
+    return f, basis_element(g, "global").poly
 
 
 @dataclass
 class PlaneResult:
     semigroup: NumSgp
-    sequence: object            # CharSequence or DeltaSeq
+    sequence: CharSequence
     curve: MPoly                # F(x, y)
     roots: list[MPoly]          # approximate roots G_1, G_2, ...
     evaluated: list[Poly]       # g_k = G_k(f, g) when a parametrisation exists
@@ -507,9 +502,7 @@ def plane_local(f: Poly, g: Poly) -> PlaneResult:
     :func:`reparametrize` otherwise); the g_k = G_k(f, g) then realise
     the generators r_k as orders, giving a concrete basis of K[[f, g]].
     """
-    check_same_field(f.field, g.field)
-    if f.field.char != 0:
-        raise ValueError("the plane-branch pipeline needs characteristic zero")
+    _check_pair(f, g)
     if f.is_zero or len(f.support) != 1 or f.trailing_coeff != f.field.one:
         raise ValueError("first generator must be a monic monomial x^n")
     n = int(f.order)

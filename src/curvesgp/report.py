@@ -12,6 +12,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .deformation import DeformationSet
 from .mpoly import render_mpoly
 from .numsgp import NumSgp, Presentation
+from .planebranch import CharSequence
 from .poly import Poly, render_poly
 from .reduction import ReductionOutcome, ValueBasis
 
@@ -81,15 +82,10 @@ def deformation_report(ds: DeformationSet) -> dict:
     }
 
 
-def char_sequence_report(seq, conductor=None) -> dict:
-    rep = {}
-    if hasattr(seq, "m"):
-        rep["m"] = list(seq.m)
-    rep["d"] = list(seq.d)
-    rep["e"] = list(seq.e)
-    rep["r"] = list(seq.r)
-    if conductor is not None:
-        rep["C"] = conductor
+def char_sequence_report(seq: CharSequence) -> dict:
+    """m (for a local descent), d, e, r and the conductor C, in that order."""
+    rep = {} if seq.m is None else {"m": list(seq.m)}
+    rep.update(d=list(seq.d), e=list(seq.e), r=list(seq.r), C=seq.conductor)
     return rep
 
 

@@ -13,7 +13,6 @@ from curvesgp import (
     MPoly,
     NumSgp,
     Poly,
-    conductor_formula,
     curve_resultant,
     delta_check,
     gamma_at_infinity,
@@ -333,7 +332,7 @@ def _suite_conductor_formula():
             seq = char_sequence_from_support(n, supp)
         except ValueError:
             continue
-        assert conductor_formula(seq) == NumSgp(seq.r).conductor
+        assert seq.conductor == NumSgp(seq.r).conductor
         cases += 1
     while cases < 200:  # global delta-sequences
         if rng.random() < 0.5:
@@ -354,7 +353,7 @@ def _suite_conductor_formula():
         if not delta_check(candidate):
             continue
         seq = delta_sequence(candidate)
-        assert conductor_formula(seq) == NumSgp(seq.r).conductor
+        assert seq.conductor == NumSgp(seq.r).conductor
         cases += 1
     return cases
 

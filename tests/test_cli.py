@@ -173,6 +173,19 @@ def test_reduce_global_expression_honours_bound(capsys):
                                 "expression terms: 0"]
 
 
+def test_reduce_bound_needs_expression_mode(capsys):
+    # --bound only limits an expression division; elsewhere it is refused
+    for mode in ((), ("--mode", "algorithmic")):
+        argv = ["reduce", "local", "x^3", "--against", "x^2", *mode,
+                "--bound", "5"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2, argv
+        assert captured.out == ""
+        assert "--bound needs --mode expression" in captured.err
+
+
 def test_local_non_numerical_semigroup(capsys):
     code, out, _ = run(capsys, "local", "x^4,x^6")
     assert code == 0
@@ -464,6 +477,26 @@ def test_json_layout_is_json_dumps_indent_2(capsys, argv):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_command_is_the_cli_command(capsys):
+    argvs = [
+        ["local", "x^4,x^6+x^7"],
+        ["global", "x^6+x^3,x^4"],
+        ["plane-local", "x^4", "x^6+x^7"],  # through plane_local
+        ["plane-local", "x^2+x^3", "x^3"],  # through gamma_local_pair
+        ["plane-infinity", "x^6+x", "x^4"],
+        ["curve-infinity", "y^6-2*x^2*y^3-4*x*y^3-y^3+x^4"],
+        ["deform", "local", "x^4,x^6+x^7"],
+        ["reduce", "local", "x^13+x^14", "--against", "x^4,x^6+x^7"],
+        ["semigroup", "4,6,13,15"],
+    ]
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in argvs} == set(commands)
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert json.loads(out)["command"] == argv[0]
 
 
 def test_coefficients_past_the_int_string_cap_are_printed(capsys):

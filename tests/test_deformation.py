@@ -1,10 +1,16 @@
+import random
 import warnings
 
 import pytest
 
 from curvesgp import (
+    GF,
+    QQ,
+    BasisElement,
+    LimitExceeded,
     MPoly,
     Poly,
+    ReductionContext,
     ci_relations,
     deform,
     deform_from_basis,
@@ -13,9 +19,11 @@ from curvesgp import (
     homogenize,
     local_basis,
     plane_deformation,
+    value_of,
 )
 from curvesgp.planebranch import char_sequence_from_support, delta_sequence
-from util import UX, P, xp
+from curvesgp.reduction import build_basis
+from util import UX, P, deadline, xp
 
 
 def specialize_u(mp: MPoly, value) -> MPoly:
@@ -27,6 +35,12 @@ def specialize_u(mp: MPoly, value) -> MPoly:
         term = f.mul(c, f.pow(f.coerce(value), e[0]))
         out[key] = f.add(out.get(key, f.zero), term)
     return MPoly(mp.vars, f, out)
+
+
+def context(polys, setting):
+    """The polynomials as basis elements valued in the setting, unscaled."""
+    return ReductionContext([BasisElement(p, value_of(p, setting)) for p in polys],
+                            setting)
 
 
 def check_invariants(ds):
@@ -91,7 +105,7 @@ def test_plane_deformation_global_paper_relators():
 
 
 def test_monomial_input_has_trivial_corrections():
-    ds = deform([xp(4), xp(6)], "local")
+    ds = deform(context([xp(4), xp(6)], "local"))
     for rel in ds.relators:
         assert rel.exact == rel.toric
         assert rel.homogenized == rel.toric
@@ -120,16 +134,7 @@ def test_deform_from_global_basis():
 
 def test_deform_rejects_non_basis():
     with pytest.raises(ValueError):
-        deform([xp(4) + xp(5), xp(6), xp(15) + xp(16)], "local")
-
-
-def test_deform_warns_on_truncation():
-    third = P((13, 1), (14, "1/2"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ds = deform([xp(4), xp(6) + xp(7), third], "local", bound=5)
-    assert caught
-    assert not all(ds.complete)
+        deform(context([xp(4) + xp(5), xp(6), xp(15) + xp(16)], "local"))
 
 
 def test_free_toric_target():
@@ -150,3 +155,42 @@ def test_relator_count_matches_presentation():
         warnings.simplefilter("ignore", UserWarning)
         ds = deform_from_basis(basis)
     assert len(ds.relators) == len(basis.semigroup.minimal_presentation().pairs)
+
+
+def test_deform_from_basis_divides_by_the_basis(monkeypatch):
+    # a ValueBasis is a reduction context: its deformation builds no second
+    # one, and it divides exactly as a fresh context on the same elements
+    rng = random.Random(19)
+    built = []
+    init = ReductionContext.__init__
+
+    def counted_init(self, *args, **kw):
+        built.append(type(self).__name__)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(ReductionContext, "__init__", counted_init)
+    with deadline(30), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # truncated local relators
+        for field in (QQ, GF(101)):
+            for setting in ("local", "global"):
+                done = 0
+                while done < 3:
+                    gens = []
+                    for value in sorted(rng.sample(range(2, 9), 2)):
+                        side = (range(value + 1, value + 6) if setting == "local"
+                                else range(0, value))
+                        exps = [value, *rng.sample(side, min(2, len(side)))]
+                        gens.append(Poly(field, {e: field.coerce(rng.choice(
+                            (1, -1, 2, 3))) for e in exps}))
+                    try:
+                        basis = build_basis(gens, setting)
+                    except LimitExceeded:
+                        continue
+                    built.clear()
+                    ds = deform_from_basis(basis)
+                    assert built == [], (gens, setting)
+                    fresh = deform(ReductionContext(basis.elements, setting),
+                                   basis.presentation)
+                    assert ds.relators == fresh.relators, (gens, setting)
+                    assert ds.generators == fresh.generators
+                    done += 1

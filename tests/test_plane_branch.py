@@ -16,7 +16,6 @@ from curvesgp import (
     approximate_root,
     char_sequence_from_support,
     compose_series,
-    conductor_formula,
     curve_resultant,
     delta_check,
     delta_sequence,
@@ -539,19 +538,71 @@ def test_delta_sequence_object():
 
 def test_conductor_formula_local():
     seq = char_sequence_from_support(4, {6, 7})
-    assert conductor_formula(seq) == 16
-    assert conductor_formula(seq) == NumSgp([4, 6, 13]).conductor
+    assert seq.conductor == 16
+    assert seq.conductor == NumSgp([4, 6, 13]).conductor
 
 
 def test_conductor_formula_global():
     res = gamma_at_infinity(xp(6) + xp(3), xp(4))
-    assert conductor_formula(res.sequence) == NumSgp([6, 4, 9]).conductor
+    assert res.sequence.conductor == NumSgp([6, 4, 9]).conductor
 
 
 def test_conductor_formula_zero_detects_whole_ring():
     res = gamma_at_infinity(xp(4) + xp(1), xp(2))
-    assert conductor_formula(res.sequence) == 0
+    assert res.sequence.conductor == 0
     assert res.semigroup.minimal_generators() == [1]
+
+
+def test_one_sequence_type_on_seeded_descents():
+    # d and e are derived from r alone; by Zariski's gcd(d_k, r_k) =
+    # gcd(d_k, m_k) they are the descent's own chain and ratios
+    rng = random.Random(83)
+    checked = deep = 0
+    while checked < 150:
+        n = rng.randrange(2, 41)
+        supp = {rng.randrange(n + 1, 3 * n + 4) for _ in range(rng.randrange(1, 5))}
+        if math.gcd(n, *supp) != 1:
+            continue
+        seq = char_sequence_from_support(n, supp)
+        ds, ms = [n], []
+        while ds[-1] != 1:
+            ms.append(min(i for i in supp if i % ds[-1]))
+            ds.append(math.gcd(ds[-1], ms[-1]))
+        assert seq.m == tuple(ms), (n, supp)
+        assert seq.d == tuple(ds), (n, supp)
+        assert seq.e == tuple(a // b for a, b in zip(ds, ds[1:])), (n, supp)
+        assert seq.h == len(ms) == len(seq.r) - 1
+        assert seq.conductor == NumSgp(seq.r).conductor, (n, supp)
+        checked += 1
+        deep += seq.h >= 2
+    assert deep >= 30, deep
+
+
+def test_delta_sequences_of_seeded_pairs():
+    # at infinity the arrangement carries no Newton-Puiseux exponents, and
+    # its conductor formula is the conductor of the degree semigroup
+    rng = random.Random(89)
+    coeffs = [Fraction(a, b) for a in (1, -1, 2, -3) for b in (1, 2, 3)]
+
+    def draw(deg):
+        exps = [deg] + rng.sample(range(1, deg), min(deg - 1, rng.randrange(0, 3)))
+        return P(*[(e, rng.choice(coeffs)) for e in exps])
+
+    checked = deep = 0
+    for _ in range(60):
+        n = rng.randrange(2, 9)
+        f, g = draw(n), draw(rng.choice([k for k in range(2, 12) if k != n]))
+        try:
+            res = gamma_at_infinity(f, g)
+        except ValueError:
+            continue  # not proper, or dependent in degree 1
+        seq = res.sequence
+        assert seq.m is None, (f, g)
+        assert seq.conductor == res.semigroup.conductor, (f, g)
+        assert seq == delta_sequence(seq.r)
+        checked += 1
+        deep += seq.h >= 2
+    assert checked >= 40 and deep >= 10, (checked, deep)
 
 
 def test_plane_local_pipeline():
