@@ -19,13 +19,19 @@ factorisation is listed: the components of the factorisation graph of n
 are those of the graph nabla_n on {i : n - a_i in S}, with an edge i-j
 when n - a_i - a_j is in S (Rosales and Garcia-Sanchez, Finitely
 Generated Commutative Monoids, 1999, ch. 9), and the lex-least vector of
-each is built greedily by membership tests (see
+each is built greedily by membership tests.  As k is in S iff
+k >= Ap[k mod m], nabla_n only grows as n runs up a residue class mod m:
+each vertex and each edge is present from a threshold on, and the vertex
+thresholds are the values w + a_i.  So one sweep per class, through its
+thresholds in increasing order, merges the components as they arrive (see
 :func:`presentation_for_generators` and :func:`least_factorization`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence
@@ -100,8 +106,10 @@ class NumSgp:
 
     def gaps(self) -> list[int]:
         self._require_numerical()
-        m, ap = self._m, self._ap
-        return [n for n in range(self._c) if n < ap[n % m]]
+        m, mask = self._m, bytearray(self._c)
+        for r, w in enumerate(self._ap):
+            mask[r:w:m] = b"\x01" * (w // m)  # the gaps r, r + m, ..., w - m
+        return list(itertools.compress(range(self._c), mask))
 
     @property
     def genus(self) -> int:
@@ -231,21 +239,60 @@ def _factorizations(n: int, gens: tuple[int, ...]) -> list[tuple[int, ...]]:
             for tail in _factorizations(n - k * gens[0], gens[1:])]
 
 
-def _nabla_components(n: int, gens: tuple[int, ...], S: NumSgp) -> list[list[int]]:
-    """Components of the graph on {i : n - a_i in S} with an edge i-j when
-    n - a_i - a_j is in S, each as a sorted list of indices."""
-    unseen = [i for i, a in enumerate(gens) if S.contains(n - a)]
-    comps = []
-    while unseen:
-        comp, stack = [], [unseen.pop(0)]
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            linked = [j for j in unseen if S.contains(n - gens[i] - gens[j])]
-            unseen = [j for j in unseen if j not in linked]
-            stack += linked
-        comps.append(sorted(comp))
-    return comps
+def _betti_graphs(gens: tuple[int, ...], ap: list[int], m: int):
+    """(n, components of nabla_n) for each n at which nabla_n gains a vertex
+    and is disconnected (the Betti elements), by increasing n; ap is
+    Ap(<gens>, m).  Each component is a sorted list of indices.
+
+    One sweep per residue class rho mod m through the thresholds of
+    :func:`presentation_for_generators`: vertex i is present from
+    a_i + Ap[(rho - a_i) mod m] on, edge i-j from
+    a_i + a_j + Ap[(rho - a_i - a_j) mod m] on (never before both ends).
+    """
+    s = len(gens)
+    # a step is n * width + code; the edges have the lower codes, so at
+    # equal n the vertices come last
+    ends = [(i, j) for j in range(s) for i in range(j)] + [(i, i) for i in range(s)]
+    width = len(ends)
+    base = [w * width for w in ap]
+
+    def column(code):
+        """The steps of ends[code], one per class rho in turn."""
+        i, j = ends[code]
+        b = gens[i] + gens[j] if i != j else gens[i]
+        k = m - b % m  # base[k:] + base[:k] is width * Ap[(rho - b) mod m]
+        return map(operator.add,
+                   itertools.chain(itertools.islice(base, k, None), itertools.islice(base, k)),
+                   itertools.repeat(b * width + code))
+
+    found = []
+    for row in zip(*map(column, range(width))):
+        steps = sorted(row)
+        label = list(range(s))  # component of each vertex, named by a member
+        seen: list[int] = []
+        parts = 0
+        for pos, step in enumerate(steps):
+            n, code = divmod(step, width)
+            i, j = ends[code]
+            if i != j:
+                if label[i] != label[j]:
+                    old, new = label[j], label[i]
+                    label = [new if x == old else x for x in label]
+                    parts -= 1
+                continue
+            seen.append(i)
+            parts += 1
+            if pos + 1 < width and steps[pos + 1] // width == n:
+                continue  # another vertex arrives at n
+            if parts > 1:
+                comps: dict[int, list[int]] = {}
+                for v in sorted(seen):
+                    comps.setdefault(label[v], []).append(v)
+                found.append((n, list(comps.values())))
+            if len(seen) == s:
+                break
+    found.sort(key=lambda hit: hit[0])
+    return found
 
 
 def presentation_for_generators(gens: Sequence[int]) -> Presentation:
@@ -275,16 +322,24 @@ def presentation_for_generators(gens: Sequence[int]) -> Presentation:
     C and i with v_i > 0.  Were n - a_i - m in S, n would have a
     factorisation using both a_i and a_j, joining C to the component of
     a_j.  So n - a_i lies in Ap(S, m).
+
+    The candidates are visited by thresholds (:func:`_betti_graphs`).
+    Since k is in S iff k >= Ap[k mod m], along a residue class rho mod m
+    vertex i of nabla_n is present exactly from
+    n = a_i + Ap[(rho - a_i) mod m] on, and edge i-j exactly from
+    n = a_i + a_j + Ap[(rho - a_i - a_j) mod m] on.  So nabla_n only
+    gains vertices and edges as n grows in its class, and the vertex
+    thresholds, over all classes, are the candidates w + a_i.  Sorting
+    each class's s + s(s-1)/2 thresholds and merging components as they
+    arrive gives every candidate's graph in O(m s^2) steps, with no table
+    sized by the conductor.
     """
     gens = tuple(gens)
     d = reduce(math.gcd, gens)
     scaled = tuple(g // d for g in gens)
     S = _monoid(scaled)
     pairs: list[RelationPair] = []
-    for n in sorted({w + a for w in S._ap for a in scaled}):
-        comps = _nabla_components(n, scaled, S)
-        if len(comps) < 2:
-            continue
+    for n, comps in _betti_graphs(scaled, S._ap, S._m):
         vecs = sorted(least_factorization_over(n, scaled, comp) for comp in comps)
         pairs.extend(RelationPair(v, vecs[0], n * d) for v in vecs[1:])
     return Presentation(gens, tuple(pairs))

@@ -77,7 +77,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import check_same_field
-from .numsgp import NumSgp, least_factorization_over, presentation_for_generators
+from .numsgp import (NumSgp, _monoid, least_factorization_over,
+                     presentation_for_generators)
 from .poly import Poly, _int_mul, _int_pow, _lift, _unlift
 
 
@@ -116,7 +117,7 @@ class ReductionContext:
             if e.poly.is_zero:
                 raise ValueError("zero basis element")
         self.values = tuple(e.value for e in elements)
-        self.monoid = NumSgp(self.values)
+        self.monoid = _monoid(self.values)  # shared with the presentation
         # extremal coefficient of each element: its value is that exponent
         self.unit_coeffs = tuple(e.poly.coeffs[e.value] for e in elements)
         # positions ordered by (value, adjoin time), most expensive first;

@@ -5,13 +5,13 @@ from collections import Counter
 
 import pytest
 
-from curvesgp import (NumSgp, RelationPair, ci_relations, is_free,
+from curvesgp import (NumSgp, RelationPair, ci_relations, cli, is_free,
                       presentation_for_generators)
 from curvesgp.numsgp import gcd_chain, least_factorization
 from curvesgp.reduction import BasisElement, ReductionContext
-from util import (brute_conductor, brute_semigroup_members, factorization_components,
-                  factorization_table, presentation_by_enumeration, presentation_is_complete,
-                  presentation_sweep, xp)
+from util import (brute_conductor, brute_semigroup_members, deadline,
+                  factorization_components, factorization_table, presentation_by_enumeration,
+                  presentation_is_complete, presentation_sweep, xp)
 
 
 def test_from_generators_conductor_18():
@@ -173,14 +173,44 @@ def _wide_generator_tuple(rng):
     return tuple(gens)
 
 
+def _tied_threshold_tuple(rng):
+    """Generators whose graphs nabla_n gain several vertices or edges at
+    one value: an arithmetic run of 2-10, or 2-5 values with one or two
+    repeated; sometimes times a common factor; in shuffled order."""
+    if rng.random() < 0.5:
+        s = rng.randint(2, 10)
+        start, step = rng.randint(s, 2 * s + 4), rng.randint(1, 3)
+        gens = [start + step * k for k in range(s)]
+    else:
+        gens = [rng.randint(3, 25) for _ in range(rng.randint(2, 5))]
+        gens += rng.sample(gens, rng.randint(1, 2))
+    if rng.random() < 0.3:
+        gens = [rng.choice((2, 3)) * g for g in gens]
+    rng.shuffle(gens)
+    return tuple(gens)
+
+
 def test_presentation_matches_enumeration_route():
     # the chosen vectors and their order reach the JSON report
     rng = random.Random(1999)
     cases = [(4, 4, 6), (4, 6, 10), (8, 12, 30), (16, 24, 52, 106, 213), (3, 5, 7),
-             tuple(range(10, 17))]
+             tuple(range(10, 17)), (5, 5), (6, 4, 4), tuple(range(16, 9, -1)),
+             tuple(range(10, 30, 2)), (9, 6, 9, 6, 15)]
     cases += [_wide_generator_tuple(rng) for _ in range(300)]
+    tied = random.Random(2020)
+    cases += [_tied_threshold_tuple(tied) for _ in range(150)]
     for gens in cases:
         assert presentation_for_generators(gens).pairs == presentation_by_enumeration(gens), gens
+
+
+def test_presentation_at_huge_conductor_allocates_nothing_by_it(capsys):
+    # <4, 2000000002> has scaled conductor 2 * 10^9: a table over it would
+    # not fit in memory
+    with deadline(2):
+        assert presentation_for_generators((4, 2000000002)).pairs == (
+            RelationPair((1000000001, 0), (0, 2), 4000000004),)
+        assert cli.main(["global", "x^4,x^2000000002", "--json"]) == 0
+    assert '"scaled_conductor": 2000000000' in capsys.readouterr().out
 
 
 def test_least_factorization_is_lex_least():
