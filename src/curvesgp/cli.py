@@ -5,7 +5,8 @@ message) or standard output closed before the report was written
 (``error[BrokenPipeError]``), 2 parse error, 3 growth guard tripped (the
 escape bound, ``MAX_ELEMENTS`` or ``PRECISION_CAP``: ``error[LimitExceeded]``)
 or memory exhausted (``error[MemoryError]``).
-Warnings are printed as one line, ``warning: <message>``.
+``deform`` writes one line ``warning: <message>`` to standard error for
+each relation value whose relators are inexact (``Relator.complete``).
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ import argparse
 import functools
 import os
 import sys
-import warnings
 from typing import Callable
 
 from .deformation import deform_from_basis
 from .mpoly import render_mpoly
-from .numsgp import NumSgp
+from .numsgp import _monoid
 from .parsing import ParseError, parse_mpoly, parse_poly, parse_poly_list
 from .planebranch import (
     gamma_at_infinity,
@@ -199,8 +199,7 @@ def run(argv: list[str]) -> int:
         f = parse_poly(args.f)
         g = parse_poly(args.g)
         if len(f.support) == 1 and f.order < g.order:
-            result = plane_local(f.monic_trailing()[0], g)
-            _plane_report(args, result)
+            _plane_report(args, plane_local(f, g))
         else:
             S, seq = gamma_local_pair(f, g)
             _emit(args,
@@ -224,6 +223,10 @@ def run(argv: list[str]) -> int:
         gens = parse_poly_list(args.polys, args.char)
         basis = local_basis(gens) if args.setting == "local" else global_basis(gens)
         ds = deform_from_basis(basis)
+        inexact = dict.fromkeys(r.value for r in ds.relators if not r.complete)
+        for value in inexact:
+            print(f"warning: expression for relation at value {value} was "
+                  "truncated; its relators are inexact", file=sys.stderr)
         _emit(args,
               lambda: {"command": "deform",
                        "semigroup": report.semigroup_report(basis.semigroup),
@@ -250,7 +253,7 @@ def run(argv: list[str]) -> int:
             gens = [int(t) for t in args.generators.split(",") if t.strip()]
         except ValueError:
             raise ParseError("generators must be integers", 0) from None
-        S = NumSgp(gens)
+        S = _monoid(tuple(gens))
 
         def rep():
             out = {"command": "semigroup", "semigroup": report.semigroup_report(S)}
@@ -264,15 +267,8 @@ def run(argv: list[str]) -> int:
     return 0
 
 
-def _one_line_warning(message, category, filename, lineno, line=None) -> str:
-    """``warnings.formatwarning`` for the CLI: no source path or line."""
-    return f"warning: {message}\n"
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    formatwarning = warnings.formatwarning
-    warnings.formatwarning = _one_line_warning
     try:
         code = run(argv)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
@@ -294,8 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, ArithmeticError, RuntimeError) as err:
         print(f"error[{type(err).__name__}]: {err}", file=sys.stderr)
         return 1
-    finally:
-        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ flat family joining the curve to its monomial degeneration.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .mpoly import MPoly
@@ -108,9 +107,9 @@ def deform(basis: ReductionContext,
     elements need not be monic: unit coefficients are absorbed into the
     toric binomials, which is exactly what rescaling the ambient variables
     does.  Expressions that do not close up within the default bound of
-    the expression division leave their relator flagged incomplete (with
-    a warning), since the order-valued division may genuinely be an
-    infinite series.
+    the expression division leave their relator flagged incomplete
+    (``Relator.complete`` false), since the order-valued division may
+    genuinely be an infinite series.
     """
     setting = basis.setting
     if presentation is None:
@@ -140,10 +139,6 @@ def deform(basis: ReductionContext,
                 acc[key] = field.sub(acc.get(key, field.zero), coeff)
         exact = MPoly(variables, field, exact)
         homog = MPoly(variables, field, homog)
-        if not out.complete:
-            warnings.warn(
-                f"expression for relation at value {value} was truncated; "
-                "its relators are inexact", stacklevel=2)
         relators.append(Relator(alpha, beta, value, toric, exact, homog,
                                 out.complete))
     relators.sort(key=lambda r: (r.value, r.alpha))

@@ -358,13 +358,13 @@ def gcd_chain(arrangement: Sequence[int]) -> list[int]:
 
 def is_free(S: NumSgp, arrangement: Sequence[int]) -> bool:
     """Freeness of S with respect to the given generator arrangement."""
-    arr = list(arrangement)
-    if not NumSgp(arr).equals(S):
+    arr = tuple(arrangement)
+    if not _monoid(arr).equals(S):
         return False
     ds = gcd_chain(arr)
     for k in range(1, len(arr)):
         e_k = ds[k - 1] // ds[k]
-        if not NumSgp(arr[:k]).contains(e_k * arr[k]):
+        if not _monoid(arr[:k]).contains(e_k * arr[k]):
             return False
     return True
 

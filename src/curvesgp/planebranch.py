@@ -6,14 +6,17 @@ power, read one coefficient at a time.  For K[f, g] the semigroup of
 degrees comes out of the resultant curve F(X, Y) through its approximate
 roots; the same descent on intersection numbers also applies to a bare
 polynomial F believed to have one place at infinity, and failure of the
-delta-sequence conditions refutes that.
+delta-sequence conditions refutes that.  All approximate roots come from
+one descent, :func:`_descend`, which takes the value of a root as a
+function: the degree or the order of G(f, g), or an intersection number.
 
 All three pipelines read the semigroup off one arrangement type,
 :class:`CharSequence`: the r_k with their gcd chain d_k, ratios e_k and
 conductor, plus the Newton-Puiseux exponents m_k when a local descent
-produced them.  :func:`gamma_local_pair` and :func:`gamma_at_infinity`
-normalise their pair by the basis loop's own :func:`reduction.basis_element`
-(monic at the term that carries the value).
+produced them; the semigroup itself is the shared table of
+``numsgp._monoid``.  Every pipeline on a pair normalises it by the basis
+loop's own :func:`reduction.basis_element` (monic at the term that
+carries the value) in :func:`_ordered_pair`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterator, Sequence
 from .fields import check_same_field
 from .mpoly import (MPoly, _add_product, _integral_roots, _integral_values,
                     _symmetric_of_values, curve_resultant, eval_bipoly)
-from .numsgp import NumSgp, gcd_chain, is_free
+from .numsgp import NumSgp, _monoid, gcd_chain, is_free
 from .poly import Poly
 from .reduction import LimitExceeded, basis_element
 
@@ -117,7 +120,7 @@ def delta_check(r: Sequence[int]) -> bool:
     for k in range(2, len(r)):
         if r[k] * ds[k - 1] >= r[k - 1] * ds[k - 2]:
             return False
-    return is_free(NumSgp(r), r)
+    return is_free(_monoid(tuple(r)), r)
 
 
 def delta_sequence(r: Sequence[int]) -> CharSequence:
@@ -126,11 +129,18 @@ def delta_sequence(r: Sequence[int]) -> CharSequence:
     return CharSequence(tuple(r))
 
 
-def _check_pair(f: Poly, g: Poly) -> None:
-    """Both generators over one field, of characteristic zero."""
+def _ordered_pair(f: Poly, g: Poly, setting: str) -> tuple[Poly, Poly]:
+    """f and g over one field of characteristic zero, each made a
+    :func:`reduction.basis_element` of the setting, in the order of their
+    values (the larger degree first globally; f first on a tie)."""
     check_same_field(f.field, g.field)
     if f.field.char != 0:
         raise ValueError("the plane-branch pipeline needs characteristic zero")
+    sign = 1 if setting == "local" else -1
+    f, g = (b.poly for b in sorted((basis_element(f, setting),
+                                     basis_element(g, setting)),
+                                    key=lambda b: sign * b.value))
+    return f, g
 
 
 # -- local pipeline ----------------------------------------------------
@@ -186,18 +196,17 @@ def _right_factor(f: Poly, g: Poly) -> Poly | None:
     degrees are tried largest first.  In characteristic zero a right factor
     of degree r is, up to an additive constant, the polynomial part of
     f^(r/deg f) for f made monic (Kozen and Landau, J. Symb. Comp. 7,
-    1989): with f = y^n (1 + sum_i a_i y^(-i)) it is sum_{j<r} v_j y^(r-j)
-    for the v of :func:`_miller`.  The candidate is a factor when f and g
-    expand in its powers, that is when cancelling leading terms never
-    meets a degree that r does not divide.
+    1989), that is the :func:`approximate_root` App_{n/r}(f) of f as a
+    polynomial in one variable, without its constant term.  The candidate
+    is a factor when f and g expand in its powers, that is when cancelling
+    leading terms never meets a degree that r does not divide.
     """
-    f = f.monic_leading()[0]
+    f = basis_element(f, "global").poly
     n, m = f.degree, math.gcd(f.degree, g.degree)
-    a = [{0: f.coeffs.get(n - i, 0)} for i in range(1, m)]
+    F = MPoly.from_poly(f, ("y",), "y")
     for r in (r for r in range(m, 1, -1) if m % r == 0):
-        v = _miller(a, Fraction(r, n), r)
-        q = Poly(f.field, {r - j: Fraction(N.get(0, 0), s)
-                           for j, (N, s) in enumerate(v)})
+        root = approximate_root(F, n // r)
+        q = Poly(f.field, {e: c for (e,), c in root.coeffs.items() if e})
         for h in (f, g):
             while h.degree > 0 and h.degree % r == 0:
                 h = h - (q ** (h.degree // r)).scale(h.leading_coeff)
@@ -276,10 +285,7 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     characteristic exponent by c + n - 1.  Reaching ``PRECISION_CAP``
     first raises LimitExceeded.
     """
-    _check_pair(f, g)
-    f, g = (b.poly for b in sorted((basis_element(f, "local"),
-                                     basis_element(g, "local")),
-                                    key=lambda b: b.value))
+    f, g = _ordered_pair(f, g, "local")
     n = int(f.order)
     q = _right_factor(f, g) if math.gcd(n, g.order) > 1 else None
     if q is not None and q.order > 1:
@@ -292,7 +298,7 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     for k, c in enumerate(_lagrange_coeffs(f, g)):
         if d == 1:
             seq = char_sequence_from_support(n, supp)
-            return NumSgp(seq.r), seq
+            return _monoid(seq.r), seq
         if k >= PRECISION_CAP:
             raise LimitExceeded(
                 f"gcd descent stalls at {d} at precision {k} (PRECISION_CAP)")
@@ -404,10 +410,7 @@ def _intersection_numbers(F: MPoly):
 def _normalize_global_pair(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """f and g monic, f of the larger degree (f first on a tie), and g
     then cleared of f's degree."""
-    _check_pair(f, g)
-    f, g = (b.poly for b in sorted((basis_element(f, "global"),
-                                     basis_element(g, "global")),
-                                    key=lambda b: -b.value))
+    f, g = _ordered_pair(f, g, "global")
     while not g.is_zero and g.degree == f.degree:
         g = g - f.scale(g.leading_coeff)
     if g.is_zero or g.degree <= 0:
@@ -425,9 +428,12 @@ class PlaneResult:
     generators: list[Poly]      # normalised f, g when a parametrisation exists
 
 
-def _descend_at_infinity(F: MPoly, value) -> tuple[list[int], list[MPoly]]:
+def _descend(F: MPoly, value) -> tuple[list[int], list[MPoly]]:
     """r_0 = deg_y F, then r_k = value(App_{d_k}(F)) with d_0 = r_0 and
-    d_{k+1} = gcd(d_k, r_{k+1}) until d reaches 1; returns the r_k, roots."""
+    d_{k+1} = gcd(d_k, r_{k+1}) until d reaches 1; returns the r_k, roots.
+
+    ``value`` is the valuation the pipeline reads the semigroup in: the
+    degree or the order of G(f, g), or an intersection number."""
     d = F.degree_in("y")
     rs = [d]
     roots: list[MPoly] = []
@@ -465,9 +471,9 @@ def gamma_at_infinity(f: Poly, g: Poly) -> PlaneResult:
         evaluated.append(eval_bipoly(G, f, g))
         return int(evaluated[-1].degree)
 
-    rs, roots = _descend_at_infinity(F, degree_at)
+    rs, roots = _descend(F, degree_at)
     seq = delta_sequence(rs)
-    return PlaneResult(NumSgp(rs), seq, F, roots, evaluated, [f, g])
+    return PlaneResult(_monoid(seq.r), seq, F, roots, evaluated, [f, g])
 
 
 def gamma_curve_infinity(F: MPoly) -> PlaneResult:
@@ -487,9 +493,9 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     if not lead.is_constant():
         raise NotOnePlaceAtInfinity("leading y-coefficient is not a unit")
     F = F.scale(F.field.inv(lead.constant_value()))
-    rs, roots = _descend_at_infinity(F, _intersection_numbers(F))
+    rs, roots = _descend(F, _intersection_numbers(F))
     seq = delta_sequence(rs)
-    return PlaneResult(NumSgp(rs), seq, F, roots, [], [])
+    return PlaneResult(_monoid(seq.r), seq, F, roots, [], [])
 
 
 # -- local pipeline with roots (monomial first generator) ---------------
@@ -498,27 +504,30 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
 def plane_local(f: Poly, g: Poly) -> PlaneResult:
     """Local two-generator pipeline with explicit approximate roots.
 
-    Needs f to be the pure monomial x^n (reach that situation through
-    :func:`reparametrize` otherwise); the g_k = G_k(f, g) then realise
-    the generators r_k as orders, giving a concrete basis of K[[f, g]].
+    The pair is normalised as in :func:`gamma_local_pair`, after which f
+    must be a monomial x^n, of order below g's (reach that situation
+    through :func:`reparametrize` otherwise).  The descent of
+    :func:`_descend` on the orders of the G_k(f, g) then yields the
+    characteristic sequence that g's support gives, and the
+    g_k = G_k(f, g) realise its r_k as orders, giving a concrete basis of
+    K[[f, g]].
     """
-    _check_pair(f, g)
-    if f.is_zero or len(f.support) != 1 or f.trailing_coeff != f.field.one:
-        raise ValueError("first generator must be a monic monomial x^n")
+    f, g = _ordered_pair(f, g, "local")
+    if len(f.support) != 1:
+        raise ValueError("first generator must be a monomial x^n")
     n = int(f.order)
-    g = g.monic_trailing()[0]
-    if not (0 < n < g.order):
+    if n == g.order:
         raise ValueError("need o(f) < o(g) for the monomial pipeline")
     seq = char_sequence_from_support(n, g.support)
     F = curve_resultant(f, g)
-    roots: list[MPoly] = []
     evaluated: list[Poly] = []
-    for k in range(1, seq.h + 1):
-        G = approximate_root(F, seq.d[k - 1])
-        gk = eval_bipoly(G, f, g)
-        if int(gk.order) != seq.r[k]:
-            raise RuntimeError(
-                f"approximate root has order {gk.order}, expected r_{k}={seq.r[k]}")
-        roots.append(G)
-        evaluated.append(gk)
-    return PlaneResult(NumSgp(seq.r), seq, F, roots, evaluated, [f, g])
+
+    def order_at(G: MPoly) -> int:
+        evaluated.append(eval_bipoly(G, f, g))
+        return int(evaluated[-1].order)
+
+    rs, roots = _descend(F, order_at)
+    if tuple(rs) != seq.r:
+        raise RuntimeError(f"approximate roots give the orders {rs}, "
+                           f"the support of g gives {list(seq.r)}")
+    return PlaneResult(_monoid(seq.r), seq, F, roots, evaluated, [f, g])

@@ -213,24 +213,6 @@ class Poly:
     def __hash__(self):
         return hash((self.field, tuple(sorted(self.coeffs.items()))))
 
-    # -- normalisation -----------------------------------------------
-
-    def monic_trailing(self) -> tuple["Poly", object]:
-        """(f/a, a) for the trailing coefficient a, so M_o becomes x^o(f)."""
-        if self.is_zero:
-            raise ValueError("cannot normalise the zero polynomial")
-        a = self.trailing_coeff
-        f = self.field
-        return self.scale(f.inv(a)), a
-
-    def monic_leading(self) -> tuple["Poly", object]:
-        """(f/a, a) for the leading coefficient a."""
-        if self.is_zero:
-            raise ValueError("cannot normalise the zero polynomial")
-        a = self.leading_coeff
-        f = self.field
-        return self.scale(f.inv(a)), a
-
     # -- display -----------------------------------------------------
 
     def __str__(self):

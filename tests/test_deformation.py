@@ -1,5 +1,4 @@
 import random
-import warnings
 
 import pytest
 
@@ -115,12 +114,10 @@ def test_monomial_input_has_trivial_corrections():
 def test_deform_from_local_basis():
     basis = local_basis([xp(4) + xp(5), xp(6), xp(15) + xp(16)])
     # the value-30 relation has no finite expression within the default
-    # bound: its relator must arrive flagged inexact, with a warning
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ds = deform_from_basis(basis)
+    # bound: its relator must arrive flagged inexact
+    ds = deform_from_basis(basis)
     assert len(ds.relators) == len(basis.presentation.pairs)
-    assert not all(ds.complete) and caught
+    assert 30 in [r.value for r in ds.relators if not r.complete]
     check_invariants(ds)
 
 
@@ -151,9 +148,7 @@ def test_free_toric_target():
 
 def test_relator_count_matches_presentation():
     basis = local_basis([xp(8), P((12, 1), (14, 1), (15, 1))])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        ds = deform_from_basis(basis)
+    ds = deform_from_basis(basis)
     assert len(ds.relators) == len(basis.semigroup.minimal_presentation().pairs)
 
 
@@ -169,8 +164,7 @@ def test_deform_from_basis_divides_by_the_basis(monkeypatch):
         init(self, *args, **kw)
 
     monkeypatch.setattr(ReductionContext, "__init__", counted_init)
-    with deadline(30), warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # truncated local relators
+    with deadline(30):
         for field in (QQ, GF(101)):
             for setting in ("local", "global"):
                 done = 0

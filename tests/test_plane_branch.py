@@ -29,8 +29,10 @@ from curvesgp import (
     reparametrize,
     reverse_series,
 )
+from curvesgp import numsgp
 from curvesgp.mpoly import sylvester_resultant
 from curvesgp.planebranch import intersection_degree
+from curvesgp.reduction import basis_element
 from util import XY, P, xp
 
 
@@ -454,7 +456,7 @@ def test_plane_pipelines_decide_imprimitivity_on_seeded_composites(monkeypatch):
     seen = {"e > 1": 0, "e = 1, deg q > 1": 0, "deg q = 1": 0, "nested": 0,
             "searched, e = 1": 0}
     for f, g, z in _composite_pairs(rng):
-        e, named = int(z.order), str(z.monic_leading()[0])
+        e, named = int(z.order), str(basis_element(z, "global").poly)
         D = max(f.degree, g.degree)
         monkeypatch.setattr(planebranch, "PRECISION_CAP", (D - 1) ** 2 + 1)
         if e > 1:
@@ -617,6 +619,38 @@ def test_plane_local_pipeline():
 def test_plane_local_requires_monomial():
     with pytest.raises(ValueError):
         plane_local(xp(4) + xp(5), xp(6))
+
+
+def test_plane_pipelines_normalise_and_share_one_table_on_seeded_pairs():
+    # plane_local normalises its pair by basis_element, so c*x^n gives the
+    # monic call's result; its descent reads r_1, ..., r_h off the orders of
+    # the evaluated roots; and every pipeline's semigroup is the one shared
+    # table of its arrangement
+    rng = random.Random(71)
+    local = infinity = 0
+    while local < 8:
+        n = rng.randrange(2, 9)
+        g = _seeded_terms(rng, rng.randrange(n + 1, n + 6), rng.randrange(0, 3))
+        if math.gcd(n, *g.support) != 1:
+            continue
+        res = plane_local(P((n, rng.choice((2, -1, "1/3", "-5/2")))), g)
+        monic = plane_local(xp(n), g)
+        parts = ("sequence", "curve", "roots", "evaluated", "generators")
+        assert [getattr(res, k) for k in parts] == \
+            [getattr(monic, k) for k in parts], (n, g)
+        assert [p.order for p in res.evaluated] == list(res.sequence.r[1:])
+        results = [res]
+        try:
+            results.append(gamma_at_infinity(xp(n), g))
+        except ValueError:
+            pass  # not proper
+        else:
+            results.append(gamma_curve_infinity(results[-1].curve))
+            infinity += 1
+        for r in results:
+            assert r.semigroup is numsgp._monoid(tuple(r.sequence.r)), (n, g)
+        local += 1
+    assert infinity >= 3, infinity
 
 
 def test_freeness_of_produced_semigroups():

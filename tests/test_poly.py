@@ -51,29 +51,6 @@ def test_mul_square_feeds_deformation_example():
     assert f * f == P((26, 4), (27, 4), (28, 1))
 
 
-def test_trailing_normalize_paper_example():
-    f = P((13, 3), (14, 3), (15, 1))
-    monic, a = f.monic_trailing()
-    assert a == 3
-    assert monic == P((13, 1), (14, 1), (15, "1/3"))
-
-
-def test_trailing_normalize_monomial():
-    monic, a = xp(6).monic_trailing()
-    assert (monic, a) == (xp(6), 1)
-
-
-def test_trailing_normalize_negative():
-    monic, a = P((7, -2), (2, -1)).monic_trailing()
-    assert a == -1
-    assert monic == P((2, 1), (7, 2))
-
-
-def test_trailing_normalize_zero_rejected():
-    with pytest.raises(ValueError):
-        Poly.zero().monic_trailing()
-
-
 def test_mixed_fields_rejected():
     with pytest.raises(MixedFieldError):
         xp(2) * Poly.x_power(2, GF(5))
