@@ -54,7 +54,6 @@ from .planebranch import (
 )
 from .deformation import (
     DeformationSet,
-    GradedWeights,
     deform,
     deform_from_basis,
     homogenize,

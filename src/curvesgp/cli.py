@@ -22,6 +22,7 @@ from .mpoly import render_mpoly
 from .numsgp import _monoid
 from .parsing import ParseError, parse_mpoly, parse_poly, parse_poly_list
 from .planebranch import (
+    _ordered_pair,
     gamma_at_infinity,
     gamma_curve_infinity,
     gamma_local_pair,
@@ -196,8 +197,8 @@ def run(argv: list[str]) -> int:
 
     elif cmd == "plane-local":
         _require_char_zero(args)
-        f = parse_poly(args.f)
-        g = parse_poly(args.g)
+        # both pipelines normalise the pair the same way; dispatch on that
+        f, g = _ordered_pair(parse_poly(args.f), parse_poly(args.g), "local")
         if len(f.support) == 1 and f.order < g.order:
             _plane_report(args, plane_local(f, g))
         else:

@@ -27,30 +27,6 @@ from .reduction import (BasisElement, ReductionContext, ValueBasis, reduce_poly,
 
 
 @dataclass(frozen=True)
-class GradedWeights:
-    """Values of the generators plus the setting's homogenisation rule."""
-
-    values: tuple[int, ...]
-    setting: str  # local | global
-
-    def plain(self, exps: tuple[int, ...]) -> int:
-        """O/D of a monomial in the X_i alone."""
-        return sum(t * v for t, v in zip(exps, self.values))
-
-    def lifted(self, u_exp: int, exps: tuple[int, ...]) -> int:
-        """O_h/D_h of u^a X^theta: -a + O(theta) locally, a + D(theta) globally."""
-        base = self.plain(exps)
-        return base - u_exp if self.setting == "local" else base + u_exp
-
-    def homogeneous_value(self, relator: MPoly) -> int:
-        """The single O_h/D_h value of all terms; raises if mixed."""
-        vals = {self.lifted(e[0], e[1:]) for e in relator.coeffs}
-        if len(vals) != 1:
-            raise ValueError(f"relator is not homogeneous: values {sorted(vals)}")
-        return vals.pop()
-
-
-@dataclass(frozen=True)
 class Relator:
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
@@ -63,9 +39,15 @@ class Relator:
 
 @dataclass
 class DeformationSet:
+    """The relators of a deformation, with the generators they relate.
+
+    Each term u^a X^theta of a homogenised relator has the relator's value
+    as -a + sum theta_i v_i locally and a + sum theta_i v_i globally, v_i
+    the value of generator i.
+    """
+
     setting: str
     variables: tuple[str, ...]  # ("u", "X0", ..., "X{s-1}")
-    weights: GradedWeights
     generators: list[Poly]
     homogenized_generators: list[MPoly]  # in (u, x)
     relators: list[Relator]
@@ -109,12 +91,13 @@ def deform(basis: ReductionContext,
     does.  Expressions that do not close up within the default bound of
     the expression division leave their relator flagged incomplete
     (``Relator.complete`` false), since the order-valued division may
-    genuinely be an infinite series.
+    genuinely be an infinite series.  A term c X^theta of an expression
+    is lifted with u^{|D - p|}, D = sum theta_i v_i weighed by the
+    generators' values ``basis.values`` and p the relation's value.
     """
     setting = basis.setting
     if presentation is None:
         presentation = presentation_for_generators(basis.values)
-    weights = GradedWeights(basis.values, setting)
     elements = [e.poly for e in basis.elements]
     variables = ("u",) + tuple(f"X{i}" for i in range(len(elements)))
     field = basis.field
@@ -134,7 +117,7 @@ def deform(basis: ReductionContext,
         exact = dict(toric.coeffs)
         homog = dict(toric.coeffs)
         for coeff, theta in out.expression:
-            u_exp = abs(weights.plain(theta) - value)
+            u_exp = abs(sum(t * v for t, v in zip(theta, basis.values)) - value)
             for acc, key in ((exact, (0,) + theta), (homog, (u_exp,) + theta)):
                 acc[key] = field.sub(acc.get(key, field.zero), coeff)
         exact = MPoly(variables, field, exact)
@@ -142,7 +125,7 @@ def deform(basis: ReductionContext,
         relators.append(Relator(alpha, beta, value, toric, exact, homog,
                                 out.complete))
     relators.sort(key=lambda r: (r.value, r.alpha))
-    return DeformationSet(setting, variables, weights, elements,
+    return DeformationSet(setting, variables, elements,
                           [homogenize(p, setting) for p in elements], relators)
 
 

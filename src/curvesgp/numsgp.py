@@ -24,7 +24,14 @@ k >= Ap[k mod m], nabla_n only grows as n runs up a residue class mod m:
 each vertex and each edge is present from a threshold on, and the vertex
 thresholds are the values w + a_i.  So one sweep per class, through its
 thresholds in increasing order, merges the components as they arrive (see
-:func:`presentation_for_generators` and :func:`least_factorization`).
+:func:`presentation_for_generators`).
+
+One routine writes a value in the generators: the greedy of
+:func:`least_factorization_over`, which reads only the tables of the
+suffixes it needs.  It serves the presentation components, the reduction's
+choice of factorisation and the complete-intersection pairs of a free
+arrangement, which are least factorisations in reversed order
+(:func:`ci_relations`).
 """
 
 from __future__ import annotations
@@ -199,35 +206,35 @@ _monoid = lru_cache(maxsize=256)(NumSgp)  # one NumSgp per generator tuple
 
 
 def least_factorization(n: int, gens: Sequence[int]) -> tuple[int, ...] | None:
-    """The lex-least exponent vector over gens with value n, or None.
-
-    Each k_j is the least k such that the remainder r - k*a_j (r what is
-    left of n after the earlier terms) lies in the monoid of the later
-    generators.  It is lex-least because a prefix extends to a
-    factorisation exactly when the remainder lies in that monoid.
-    """
+    """The lex-least exponent vector over gens with value n, or None when
+    n is not in their monoid (one table of the whole tuple decides that);
+    members go to :func:`least_factorization_over`."""
     gens = tuple(gens)
     if not _monoid(gens).contains(n):
         return None
-    out = []
-    for j, a in enumerate(gens[:-1]):
-        later = _monoid(gens[j + 1:])
-        k = 0
-        while not later.contains(n - k * a):
-            k += 1
-        out.append(k)
-        n -= k * a
-    return tuple(out) + (n // gens[-1],)
+    return least_factorization_over(n, gens, range(len(gens)))
 
 
 def least_factorization_over(n: int, gens: Sequence[int],
                              idx: Sequence[int]) -> tuple[int, ...]:
-    """:func:`least_factorization` over the gens[i], i in idx in that
-    order, as a vector over all of gens (zero off idx); n must lie in
-    their monoid."""
+    """The lex-least exponent vector with value n over the gens[i], i in
+    idx in that order, as a vector over all of gens (zero off idx).
+
+    n must lie in the monoid of those generators; no table of their whole
+    tuple is built.  Each k_j is the least k such that the remainder
+    r - k*a_j (r what is left of n after the earlier terms) lies in the
+    monoid of the later generators, so only the tables of the proper
+    suffixes are read.  It is lex-least because a prefix extends to a
+    factorisation exactly when the remainder lies in that monoid.
+    """
+    sub = [gens[i] for i in idx]
     vec = [0] * len(gens)
-    for i, k in zip(idx, least_factorization(n, [gens[i] for i in idx])):
+    for j, (i, a) in enumerate(zip(idx[:-1], sub)):
+        later = _monoid(tuple(sub[j + 1:]))
+        k = next(k for k in range(n // a + 1) if later.contains(n - k * a))
         vec[i] = k
+        n -= k * a
+    vec[idx[-1]] = n // sub[-1]
     return tuple(vec)
 
 
@@ -373,10 +380,17 @@ def ci_relations(arrangement: Sequence[int]) -> Presentation:
     """Complete-intersection pairs X_k^{e_k} = X_0^{t_0}...X_{k-1}^{t_{k-1}}.
 
     For each k the exponents satisfy 0 <= t_i < e_i for 1 <= i < k, which
-    pins them down uniquely; failing to find them signals a non-free
+    pins them down uniquely.  The loop has checked that the prefix
+    r_0, ..., r_{k-1} is free (e_i r_i lies in the monoid of the earlier
+    generators), so any t_i >= e_i with i >= 1 can trade e_i r_i for
+    earlier generators; hence the least factorisation of e_k r_k over
+    r_{k-1}, ..., r_0, in that reversed order, is the bounded one.  A
+    value e_k r_k outside the monoid of the prefix signals a non-free
     arrangement.
     """
-    arr = list(arrangement)
+    arr = tuple(arrangement)
+    if not arr:
+        raise ValueError("at least one generator is required")
     s = len(arr)
     ds = gcd_chain(arr)
     pairs = []
@@ -385,31 +399,10 @@ def ci_relations(arrangement: Sequence[int]) -> Presentation:
             raise ValueError(f"gcd chain does not descend at position {k}")
         e_k = ds[k - 1] // ds[k]
         target = e_k * arr[k]
-        theta = _bounded_representation(target, arr[:k], ds)
-        if theta is None:
-            raise ValueError(
-                f"no bounded representation of {target}: arrangement not free")
+        if not _monoid(arr[:k]).contains(target):
+            raise ValueError(f"{target} is not in the monoid of {arr[:k]}: "
+                             "arrangement not free")
         alpha = tuple(0 if i != k else e_k for i in range(s))
-        beta = tuple(theta) + (0,) * (s - k)
+        beta = least_factorization_over(target, arr, range(k - 1, -1, -1))
         pairs.append(RelationPair(alpha, beta, target))
-    return Presentation(tuple(arr), tuple(pairs))
-
-
-def _bounded_representation(target: int, prefix: list[int], ds: list[int]):
-    """target = sum theta_i * prefix[i] with 0 <= theta_i < e_i for i >= 1.
-
-    The representation is unique, so it is read off from the top: the
-    terms below i are multiples of d_{i-1}, so theta_i * r_i = rest mod
-    d_{i-1}, and r_i / d_i is a unit mod e_i = d_{i-1} / d_i.  A target
-    off the lattice d_i Z fails the last divisibility test, as d_i | r_0.
-    """
-    rest = target
-    theta = []
-    for i in range(len(prefix) - 1, 0, -1):
-        e_i = ds[i - 1] // ds[i]
-        t = rest // ds[i] * pow(prefix[i] // ds[i], -1, e_i) % e_i
-        theta.append(t)
-        rest -= t * prefix[i]
-    if rest < 0 or rest % prefix[0]:
-        return None
-    return (rest // prefix[0],) + tuple(reversed(theta))
+    return Presentation(arr, tuple(pairs))

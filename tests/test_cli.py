@@ -124,6 +124,18 @@ def test_plane_local(capsys):
     assert "y^2-x^3" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_plane_local_report_depends_on_the_normalised_pair(capsys, flags):
+    # the swapped pair and the one with a constant term and a non-monic
+    # monomial are the same normalised pair as x^4, x^6+x^7
+    outs = [run(capsys, "plane-local", f, g, *flags)
+            for f, g in (("x^4", "x^6+x^7"), ("x^6+x^7", "x^4"),
+                         ("5+2*x^4", "x^6+x^7"))]
+    code, out, _ = outs[0]
+    assert code == 0 and ('"curve"' if flags else "F(x,y)") in out  # the full report
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 def test_plane_local_series_branch(capsys):
     code, out, _ = run(capsys, "plane-local", "t^7", "t^4+t^2")
     assert code == 0

@@ -42,12 +42,21 @@ def context(polys, setting):
                             setting)
 
 
+def lifted_values(relator: MPoly, values, setting) -> set:
+    """The value of each term u^a X^theta: -a + sum theta_i v_i locally,
+    a + sum theta_i v_i globally."""
+    sign = -1 if setting == "local" else 1
+    return {sign * e[0] + sum(t * v for t, v in zip(e[1:], values))
+            for e in relator.coeffs}
+
+
 def check_invariants(ds):
     """Specialisation, exactness, homogeneity and count for a DeformationSet."""
+    values = [value_of(p, ds.setting) for p in ds.generators]
     for rel in ds.relators:
         assert specialize_u(rel.homogenized, 1) == rel.exact
         assert specialize_u(rel.homogenized, 0) == rel.toric
-        assert ds.weights.homogeneous_value(rel.homogenized) == rel.value
+        assert lifted_values(rel.homogenized, values, ds.setting) == {rel.value}
         if rel.complete:
             subst = {f"X{i}": p for i, p in enumerate(ds.generators)}
             assert rel.exact.eval_univariate(subst).is_zero

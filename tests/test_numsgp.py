@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from curvesgp import (NumSgp, RelationPair, ci_relations, cli, is_free,
+from curvesgp import (NumSgp, RelationPair, ci_relations, cli, is_free, numsgp,
                       presentation_for_generators)
 from curvesgp.numsgp import gcd_chain, least_factorization
 from curvesgp.reduction import BasisElement, ReductionContext
@@ -220,6 +220,33 @@ def test_least_factorization_is_lex_least():
         top = 3 * max(gens) + NumSgp(gens).scaled_conductor
         for n, vecs in enumerate(factorization_table(gens, top)):
             assert least_factorization(n, gens) == (min(vecs) if vecs else None), (gens, n)
+    for gens in ((), (0, 3)):
+        with pytest.raises(ValueError):
+            least_factorization(5, gens)
+    with deadline(2):  # one table answers a non-member, with no walk
+        assert least_factorization(10**12 + 1, (2, 4)) is None
+
+
+def test_least_factorization_over_builds_no_table_of_the_whole_tuple(monkeypatch):
+    requested = []
+
+    def recording(gens):
+        requested.append(gens)
+        return monoid(gens)
+
+    monoid = numsgp._monoid
+    monkeypatch.setattr(numsgp, "_monoid", recording)
+    rng = random.Random(4089)
+    for _ in range(60):
+        gens = _wide_generator_tuple(rng)
+        idx = rng.sample(range(len(gens)), rng.randint(2, len(gens)))
+        sub = tuple(gens[i] for i in idx)
+        members = [n for n in range(3 * max(sub)) if monoid(sub).contains(n)]
+        for n in rng.sample(members, min(10, len(members))):
+            requested.clear()
+            vec = numsgp.least_factorization_over(n, gens, idx)
+            assert sum(k * a for k, a in zip(vec, gens)) == n
+            assert sub not in requested, (gens, idx, n)
 
 
 def test_pick_factorization_spends_high_values_last():
@@ -250,6 +277,8 @@ def test_ci_relations():
     assert [(p.alpha, p.beta) for p in pres2.pairs] == [
         ((0, 3, 0), (2, 0, 0)), ((0, 0, 2), (1, 2, 0))]
     assert ci_relations([1]).pairs == ()
+    with pytest.raises(ValueError):
+        ci_relations([])
     # scaling invariance: <4,6> carries the complete intersection of <2,3>
     assert [(p.alpha, p.beta) for p in ci_relations([4, 6]).pairs] == [
         ((0, 2), (3, 0))]
