@@ -22,11 +22,10 @@ from .mpoly import render_mpoly
 from .numsgp import _monoid
 from .parsing import ParseError, parse_mpoly, parse_poly, parse_poly_list
 from .planebranch import (
-    _ordered_pair,
+    PlaneResult,
     gamma_at_infinity,
     gamma_curve_infinity,
-    gamma_local_pair,
-    plane_local,
+    local_pipeline,
 )
 from .poly import render_poly
 from .reduction import (
@@ -197,12 +196,11 @@ def run(argv: list[str]) -> int:
 
     elif cmd == "plane-local":
         _require_char_zero(args)
-        # both pipelines normalise the pair the same way; dispatch on that
-        f, g = _ordered_pair(parse_poly(args.f), parse_poly(args.g), "local")
-        if len(f.support) == 1 and f.order < g.order:
-            _plane_report(args, plane_local(f, g))
+        result = local_pipeline(parse_poly(args.f), parse_poly(args.g))
+        if isinstance(result, PlaneResult):
+            _plane_report(args, result)
         else:
-            S, seq = gamma_local_pair(f, g)
+            S, seq = result
             _emit(args,
                   lambda: {"command": cmd,
                            "semigroup": report.semigroup_report(S),

@@ -28,8 +28,9 @@ thresholds in increasing order, merges the components as they arrive (see
 
 One routine writes a value in the generators: the greedy of
 :func:`least_factorization_over`, which reads only the tables of the
-suffixes it needs.  It serves the presentation components, the reduction's
-choice of factorisation and the complete-intersection pairs of a free
+suffixes it needs, keyed by the sorted generators (:func:`_members`).
+It serves the presentation components, the reduction's choice of
+factorisation and the complete-intersection pairs of a free
 arrangement, which are least factorisations in reversed order
 (:func:`ci_relations`).
 """
@@ -205,6 +206,16 @@ def _apery(gens: Sequence[int], n: int) -> list[int]:
 _monoid = lru_cache(maxsize=256)(NumSgp)  # one NumSgp per generator tuple
 
 
+def _members(gens: Sequence[int]) -> NumSgp:
+    """The cached table that decides membership in the monoid of gens.
+
+    Membership does not depend on the order of the generators, so the key
+    is sorted: a prefix r_0, ..., r_{k-1} and the same generators in
+    reversed order share one table.
+    """
+    return _monoid(tuple(sorted(gens)))
+
+
 def least_factorization(n: int, gens: Sequence[int]) -> tuple[int, ...] | None:
     """The lex-least exponent vector over gens with value n, or None when
     n is not in their monoid (one table of the whole tuple decides that);
@@ -224,13 +235,14 @@ def least_factorization_over(n: int, gens: Sequence[int],
     tuple is built.  Each k_j is the least k such that the remainder
     r - k*a_j (r what is left of n after the earlier terms) lies in the
     monoid of the later generators, so only the tables of the proper
-    suffixes are read.  It is lex-least because a prefix extends to a
+    suffixes are read (through :func:`_members`, in any order of the
+    generators).  It is lex-least because a prefix extends to a
     factorisation exactly when the remainder lies in that monoid.
     """
     sub = [gens[i] for i in idx]
     vec = [0] * len(gens)
     for j, (i, a) in enumerate(zip(idx[:-1], sub)):
-        later = _monoid(tuple(sub[j + 1:]))
+        later = _members(sub[j + 1:])
         k = next(k for k in range(n // a + 1) if later.contains(n - k * a))
         vec[i] = k
         n -= k * a
@@ -371,7 +383,7 @@ def is_free(S: NumSgp, arrangement: Sequence[int]) -> bool:
     ds = gcd_chain(arr)
     for k in range(1, len(arr)):
         e_k = ds[k - 1] // ds[k]
-        if not _monoid(arr[:k]).contains(e_k * arr[k]):
+        if not _members(arr[:k]).contains(e_k * arr[k]):
             return False
     return True
 
@@ -384,9 +396,10 @@ def ci_relations(arrangement: Sequence[int]) -> Presentation:
     r_0, ..., r_{k-1} is free (e_i r_i lies in the monoid of the earlier
     generators), so any t_i >= e_i with i >= 1 can trade e_i r_i for
     earlier generators; hence the least factorisation of e_k r_k over
-    r_{k-1}, ..., r_0, in that reversed order, is the bounded one.  A
-    value e_k r_k outside the monoid of the prefix signals a non-free
-    arrangement.
+    r_{k-1}, ..., r_0, in that reversed order, is the bounded one.  Its
+    suffixes r_{j-1}, ..., r_0 are prefixes, so it reads the tables that
+    the membership tests (and :func:`is_free`) built.  A value e_k r_k
+    outside the monoid of the prefix signals a non-free arrangement.
     """
     arr = tuple(arrangement)
     if not arr:
@@ -399,7 +412,7 @@ def ci_relations(arrangement: Sequence[int]) -> Presentation:
             raise ValueError(f"gcd chain does not descend at position {k}")
         e_k = ds[k - 1] // ds[k]
         target = e_k * arr[k]
-        if not _monoid(arr[:k]).contains(target):
+        if not _members(arr[:k]).contains(target):
             raise ValueError(f"{target} is not in the monoid of {arr[:k]}: "
                              "arrangement not free")
         alpha = tuple(0 if i != k else e_k for i in range(s))

@@ -16,7 +16,8 @@ conductor, plus the Newton-Puiseux exponents m_k when a local descent
 produced them; the semigroup itself is the shared table of
 ``numsgp._monoid``.  Every pipeline on a pair normalises it by the basis
 loop's own :func:`reduction.basis_element` (monic at the term that
-carries the value) in :func:`_ordered_pair`.
+carries the value) in :func:`_ordered_pair`; :func:`local_pipeline`
+normalises a local pair once and picks its pipeline from the result.
 """
 
 from __future__ import annotations
@@ -285,7 +286,12 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     characteristic exponent by c + n - 1.  Reaching ``PRECISION_CAP``
     first raises LimitExceeded.
     """
-    f, g = _ordered_pair(f, g, "local")
+    return _gamma_local(*_ordered_pair(f, g, "local"))
+
+
+def _gamma_local(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
+    """:func:`gamma_local_pair` on a pair :func:`_ordered_pair` has
+    normalised."""
     n = int(f.order)
     q = _right_factor(f, g) if math.gcd(n, g.order) > 1 else None
     if q is not None and q.order > 1:
@@ -512,7 +518,11 @@ def plane_local(f: Poly, g: Poly) -> PlaneResult:
     g_k = G_k(f, g) realise its r_k as orders, giving a concrete basis of
     K[[f, g]].
     """
-    f, g = _ordered_pair(f, g, "local")
+    return _plane_local(*_ordered_pair(f, g, "local"))
+
+
+def _plane_local(f: Poly, g: Poly) -> PlaneResult:
+    """:func:`plane_local` on a pair :func:`_ordered_pair` has normalised."""
     if len(f.support) != 1:
         raise ValueError("first generator must be a monomial x^n")
     n = int(f.order)
@@ -531,3 +541,15 @@ def plane_local(f: Poly, g: Poly) -> PlaneResult:
         raise RuntimeError(f"approximate roots give the orders {rs}, "
                            f"the support of g gives {list(seq.r)}")
     return PlaneResult(_monoid(seq.r), seq, F, roots, evaluated, [f, g])
+
+
+def local_pipeline(f: Poly, g: Poly) -> PlaneResult | tuple[NumSgp, CharSequence]:
+    """K[[f, g]] through the pipeline its pair calls for, normalised once:
+    :func:`plane_local` (with F and the approximate roots) when the
+    normalised f is a monomial of order below g's, :func:`gamma_local_pair`
+    otherwise.  So the choice does not depend on the order of the pair or
+    on constant terms."""
+    f, g = _ordered_pair(f, g, "local")
+    if len(f.support) == 1 and f.order < g.order:
+        return _plane_local(f, g)
+    return _gamma_local(f, g)

@@ -331,14 +331,13 @@ def basis_element(p: Poly, setting: str) -> BasisElement:
     """p made monic at its extremal term (trailing locally, leading
     globally), valued at that term's exponent.  Locally the constant term
     goes first, since constants lie in the algebra; a zero or constant p is
-    refused.  An element that is already one is returned as it is."""
-    if setting == "local" and p.coeff(0):
+    refused."""
+    if setting == "local":
         p = p - Poly.constant(p.coeff(0), p.field)
     if p.is_zero or p.degree == 0:
         raise ValueError("zero or constant generator")
     value = value_of(p, setting)
-    c = p.coeffs[value]
-    return BasisElement(p if c == p.field.one else p.scale(p.field.inv(c)), value)
+    return BasisElement(p.scale(p.field.inv(p.coeffs[value])), value)
 
 
 def relation_element(ctx: ReductionContext, alpha, beta) -> Poly:

@@ -136,6 +136,18 @@ def test_plane_local_report_depends_on_the_normalised_pair(capsys, flags):
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
+def test_plane_local_normalises_the_pair_once(capsys, monkeypatch):
+    normalised = []
+    basis_element = planebranch.basis_element
+    monkeypatch.setattr(planebranch, "basis_element",
+                        lambda p, setting: normalised.append(p) or basis_element(p, setting))
+    # one pair through each pipeline
+    for f, g in (("x^6+x^7", "5+2*x^4"), ("x^2+x^3", "x^3")):
+        normalised.clear()
+        assert run(capsys, "plane-local", f, g)[0] == 0
+        assert len(normalised) == 2, (f, g)
+
+
 def test_plane_local_series_branch(capsys):
     code, out, _ = run(capsys, "plane-local", "t^7", "t^4+t^2")
     assert code == 0

@@ -319,6 +319,47 @@ def test_ci_relations_match_bounded_search():
                 ci_relations(arr)
 
 
+def _free_arrangement(rng):
+    """r_0 = d_0 = e_1...e_h and r_k = d_k u_k, gcd(u_k, e_k) = 1, with
+    r_k > e_{k-1} r_{k-1}, as in the characteristic sequence of a branch."""
+    es = [rng.choice((2, 3)) for _ in range(rng.randint(2, 4))]
+    d = math.prod(es)
+    arr, prev = [d], d
+    for k, e in enumerate(es):
+        d //= e
+        u = next(u for u in itertools.count(prev // d + 1) if math.gcd(u, e) == 1)
+        u += rng.randrange(3) * e
+        arr.append(d * u)
+        prev = e * d * u
+    if rng.random() < 0.3:  # r_1, r_0, ... is free as well
+        arr[0], arr[1] = arr[1], arr[0]
+    return arr
+
+
+def test_ci_relations_build_no_table_beyond_the_freeness_test(monkeypatch):
+    # the reversed greedy's suffixes r_{j-1}, ..., r_0 are the prefixes
+    # whose tables is_free already built
+    built = []
+    init = NumSgp.__init__
+
+    def recording(self, generators):
+        built.append(tuple(generators))
+        init(self, generators)
+
+    monkeypatch.setattr(NumSgp, "__init__", recording)
+    rng = random.Random(1412)
+    arrangements = [[8, 12, 26, 53], [60, 40, 70, 71]]
+    arrangements += [_free_arrangement(rng) for _ in range(40)]
+    for arr in arrangements:
+        numsgp._monoid.cache_clear()
+        assert is_free(numsgp._monoid(tuple(arr)), arr), arr
+        built.clear()
+        pres = ci_relations(arr)
+        assert built == [], (arr, built)
+        assert all(sum(t * r for t, r in zip(p.beta, arr)) == p.value
+                   for p in pres.pairs)
+
+
 def test_conductor_matches_brute_force():
     for gens in ([3, 5], [4, 7, 9], [5, 6, 7], [6, 10, 15]):
         assert NumSgp(gens).conductor == brute_conductor(gens)
