@@ -30,13 +30,9 @@ class Rationals:
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into the rationals")
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # shared constants: a Fraction is immutable
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -122,13 +118,8 @@ class PrimeField:
             return self.coerce(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -24,7 +24,9 @@ k >= Ap[k mod m], nabla_n only grows as n runs up a residue class mod m:
 each vertex and each edge is present from a threshold on, and the vertex
 thresholds are the values w + a_i.  So one sweep per class, through its
 thresholds in increasing order, merges the components as they arrive (see
-:func:`presentation_for_generators`).
+:func:`presentation_for_generators`); a compare of the Apery column with
+its rotations, made for all classes at once, first marks the classes that
+hold no Betti element, and those are not swept (:func:`_betti_graphs`).
 
 One routine writes a value in the generators: the greedy of
 :func:`least_factorization_over`, which reads only the tables of the
@@ -41,7 +43,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple, Sequence
 
 
@@ -75,6 +77,8 @@ class NumSgp:
         self._m = self._scaled[0]
         self._ap = _apery(self._scaled, self._m)
         self._c = max(self._ap) - self._m + 1
+        # genus by Selmer's formula: w // m = (w - r) / m for w = Ap[r]
+        self._g = (sum(self._ap) - self._m * (self._m - 1) // 2) // self._m
 
     # -- membership and basic invariants -------------------------------
 
@@ -122,7 +126,7 @@ class NumSgp:
     @property
     def genus(self) -> int:
         self._require_numerical()
-        return sum(w // self._m for w in self._ap)
+        return self._g
 
     def sporadic_count(self) -> int:
         """Number of semigroup elements below the conductor."""
@@ -144,12 +148,37 @@ class NumSgp:
         """Pseudo-Frobenius numbers: x not in S with x + S* inside S.
 
         They are w - m for the w in Ap(S, m) with no w + a in Ap(S, m),
-        a a generator (Rosales and Garcia-Sanchez, ch. 2).
+        a a generator (Rosales and Garcia-Sanchez, ch. 2).  With w = Ap[r],
+        w + a lies in Ap(S, m) exactly when byte (r + a) mod m of a's
+        column in :attr:`_summands` is set; one OR of the columns, each
+        rotated by its generator, marks every w that is not maximal.
         """
         self._require_numerical()
+        m = self._m
+        hit = 0
+        for a, col in self._summands.items():
+            k = a % m
+            hit |= int.from_bytes(col[k:k + m], "little")
+        maximal = (int.from_bytes(b"\x01" * m, "little") ^ hit).to_bytes(m, "little")
+        return sorted(w - m for w in itertools.compress(self._ap, maximal))
+
+    @cached_property
+    def _summands(self) -> dict[int, bytes]:
+        """For each generator a of S/d, the column whose byte r is 1 when
+        Ap[r] - a lies in S/d, that is when Ap[r] = a + Ap[(r - a) mod m]
+        (which is at least Ap[r], lying in S/d in the class of r): one
+        compare of the Apery column with itself rotated by a.  A column is
+        written out twice, so that any rotation of it is one slice, read
+        as an int of byte lanes (``int.from_bytes``) whose lanes combine
+        class by class under ``&``, ``|`` and ``^``."""
         m, ap = self._m, self._ap
-        return sorted(w - m for w in ap
-                      if all(ap[(w + a) % m] != w + a for a in self._scaled))
+        cols = {}
+        for a in self._scaled:
+            k = m - a % m
+            col = bytes(map(operator.eq, ap, map(
+                operator.add, ap[k:] + ap[:k], itertools.repeat(a))))
+            cols[a] = col + col
+        return cols
 
     def minimal_generators(self) -> list[int]:
         """The unique minimal generating set (atoms of the monoid)."""
@@ -258,35 +287,65 @@ def _factorizations(n: int, gens: tuple[int, ...]) -> list[tuple[int, ...]]:
             for tail in _factorizations(n - k * gens[0], gens[1:])]
 
 
-def _betti_graphs(gens: tuple[int, ...], ap: list[int], m: int):
+def _betti_graphs(gens: tuple[int, ...], S: NumSgp):
     """(n, components of nabla_n) for each n at which nabla_n gains a vertex
-    and is disconnected (the Betti elements), by increasing n; ap is
-    Ap(<gens>, m).  Each component is a sorted list of indices.
+    and is disconnected (the Betti elements), by increasing n; S is the
+    numerical semigroup of gens, m its multiplicity.  Each component is a
+    sorted list of indices.
 
-    One sweep per residue class rho mod m through the thresholds of
-    :func:`presentation_for_generators`: vertex i is present from
-    a_i + Ap[(rho - a_i) mod m] on, edge i-j from
-    a_i + a_j + Ap[(rho - a_i - a_j) mod m] on (never before both ends).
+    Along a residue class rho mod m, vertex j is present from
+    T_j = a_j + Ap[(rho - a_j) mod m] on and edge k-j from
+    E_kj = a_k + a_j + Ap[(rho - a_k - a_j) mod m] on
+    (:func:`presentation_for_generators`).
+
+    Clear classes.  Order the vertices by (T_j, j).  When every vertex but
+    the first has an edge to an earlier vertex at its own threshold, the
+    vertices present at any n of the class are connected by edges present
+    at n (by induction along the order, edges once present staying), so
+    the class holds no Betti element.  E_kj >= max(T_k, T_j) always, since
+    n - a_k - a_j in S puts n - a_j in S; so the edge is there when j
+    arrives exactly when E_kj = T_j, which, with r = (rho - a_j) mod m,
+    says Ap[r] = a_k + Ap[(r - a_k) mod m]: byte r of a_k's column in
+    ``S._summands``.  Call that bit P_kj.  It forces T_k <= T_j, and
+    P_kj and P_jk together say T_k = E_kj = T_j.  So k precedes j with
+    the edge present exactly when P_kj and (k < j or not P_jk).  The first
+    vertex never has such a k, so the class is clear when at most one
+    vertex lacks one.  Both tests run on all m classes at once, as byte
+    lanes of one int per pair.
+
+    The other classes are swept through their thresholds in increasing
+    order, edges before vertices at equal n, merging components as the
+    edges arrive and recording the graph after the last vertex at each n.
     """
-    s = len(gens)
+    s, m = len(gens), S._m
+    # lane rho of before[k][j] is P_kj: byte (rho - a_j) mod m of a_k's column
+    cols = [S._summands[a] for a in gens]
+    starts = [-b % m for b in gens]
+    before = [[int.from_bytes(col[t:t + m], "little") for t in starts] for col in cols]
+    ones = int.from_bytes(b"\x01" * m, "little")
+    once = twice = 0  # the lanes with at least one, two vertices unattached
+    for j in range(s):
+        attached = 0
+        for k in range(s):
+            if k < j:
+                attached |= before[k][j]
+            elif k > j:
+                attached |= before[k][j] & ~before[j][k]
+        loose = ones ^ attached
+        twice |= once & loose
+        once |= loose
+
     # a step is n * width + code; the edges have the lower codes, so at
     # equal n the vertices come last
     ends = [(i, j) for j in range(s) for i in range(j)] + [(i, i) for i in range(s)]
     width = len(ends)
-    base = [w * width for w in ap]
-
-    def column(code):
-        """The steps of ends[code], one per class rho in turn."""
-        i, j = ends[code]
-        b = gens[i] + gens[j] if i != j else gens[i]
-        k = m - b % m  # base[k:] + base[:k] is width * Ap[(rho - b) mod m]
-        return map(operator.add,
-                   itertools.chain(itertools.islice(base, k, None), itertools.islice(base, k)),
-                   itertools.repeat(b * width + code))
+    base = [w * width for w in S._ap]
+    shifts = [(b, b * width + code) for code, b in enumerate(
+        gens[i] + gens[j] if i != j else gens[i] for i, j in ends)]
 
     found = []
-    for row in zip(*map(column, range(width))):
-        steps = sorted(row)
+    for rho in itertools.compress(range(m), twice.to_bytes(m, "little")):
+        steps = sorted([base[(rho - b) % m] + c for b, c in shifts])
         label = list(range(s))  # component of each vertex, named by a member
         seen: list[int] = []
         parts = 0
@@ -351,14 +410,24 @@ def presentation_for_generators(gens: Sequence[int]) -> Presentation:
     thresholds, over all classes, are the candidates w + a_i.  Sorting
     each class's s + s(s-1)/2 thresholds and merging components as they
     arrive gives every candidate's graph in O(m s^2) steps, with no table
-    sized by the conductor.
+    sized by the conductor; classes that a test on the Apery column
+    shows to hold no Betti element are not swept.
+
+    The answer is memoised per generator tuple, beside the tables of
+    ``_monoid``: ``build_basis``, ``minimal_basis`` and ``deform`` each
+    present the values of the same basis, and a ``Presentation`` is
+    immutable, so every caller shares one.
     """
-    gens = tuple(gens)
+    return _presentation(tuple(gens))
+
+
+@lru_cache(maxsize=256)
+def _presentation(gens: tuple[int, ...]) -> Presentation:
     d = reduce(math.gcd, gens)
     scaled = tuple(g // d for g in gens)
     S = _monoid(scaled)
     pairs: list[RelationPair] = []
-    for n, comps in _betti_graphs(scaled, S._ap, S._m):
+    for n, comps in _betti_graphs(scaled, S):
         vecs = sorted(least_factorization_over(n, scaled, comp) for comp in comps)
         pairs.extend(RelationPair(v, vecs[0], n * d) for v in vecs[1:])
     return Presentation(gens, tuple(pairs))

@@ -66,8 +66,8 @@ each of them divides D, so D = L m, and then m divides every W_k, hence
 divides gcd(D, content(W)) = 1.  The lift of f starts from that lcm, and a
 step with a = 1 leaves D as it was, so D is always the lcm reached at the
 start or at the last step that grew it.  Fractions are built only for what
-the caller sees: the recorded coefficients, the terms moved into the
-remainder and the remainder itself.
+the caller sees: the recorded coefficients (for a caller that reads them),
+the terms moved into the remainder and the remainder itself.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def _step(work: dict, den: int, prod: dict, e: int, p: int) -> tuple[dict, int]:
 
 
 def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
-                bound: int | None = None) -> ReductionOutcome:
+                bound: int | None = None, record: bool = True) -> ReductionOutcome:
     """Divide f by the basis of ``ctx`` according to ``mode``.
 
     f is lifted once to W / D, integer numerators over one denominator
@@ -226,7 +226,10 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
     place, with the common factor of W and D cancelled only when D grew,
     which keeps D the lcm of the denominators (module docstring).  A
     ``ValueBasis`` is a context too.  Fractions are built for the recorded
-    coefficients and, once at the end, for the remainder.
+    coefficients and, once at the end, for the remainder.  With
+    ``record=False`` no step is recorded and the expression is left empty:
+    the basis builders read only the remainder, and over Q each recorded
+    coefficient costs a gcd of two large integers.
     """
     if mode not in ("algorithmic", "expression", "reduced"):
         raise ValueError(f"unknown reduction mode {mode!r}")
@@ -260,9 +263,10 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
         nonlocal work, den
         theta = ctx.pick_factorization(e)
         prod, dp = ctx._lifted_product(theta)
-        w, u = work[e], prod[e]
-        expression.append((field.div(w, u) if p else Fraction(w * dp, den * u),
-                           theta))
+        if record:
+            w, u = work[e], prod[e]
+            expression.append((field.div(w, u) if p else Fraction(w * dp, den * u),
+                               theta))
         before = den
         work, den = _step(work, den, prod, e, p)
         if den != before:
@@ -375,7 +379,7 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
             s_poly = relation_element(basis, alpha, beta)
             if s_poly.is_zero:
                 continue
-            out = reduce_poly(s_poly, basis, "algorithmic")
+            out = reduce_poly(s_poly, basis, "algorithmic", record=False)
             if out.remainder.is_zero:
                 continue
             if len(elements) + 1 > MAX_ELEMENTS:
@@ -417,7 +421,7 @@ def reduced_basis(basis: ValueBasis) -> ValueBasis:
         if tail.is_zero:
             new_elements.append(elem)
             continue
-        out = reduce_poly(tail, basis, "reduced")
+        out = reduce_poly(tail, basis, "reduced", record=False)
         new_elements.append(BasisElement(head + out.remainder, elem.value))
     return ValueBasis(new_elements, basis.setting, basis.presentation,
                       basis.n_input)

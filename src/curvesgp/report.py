@@ -8,6 +8,7 @@ byte for byte.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
+from operator import countOf
 
 from .deformation import DeformationSet
 from .mpoly import render_mpoly
@@ -99,9 +100,10 @@ def dumps(obj) -> str:
 
     Any ``indent`` sends ``json`` down its pure-Python encoder, one generator
     frame per list item; here a list of plain ints (gaps, type sets,
-    exponent vectors) is one join, and strings go through ``json``'s own C
-    escaper.  Anything else (a float, a ``Fraction``, a non-``str`` key)
-    raises ``TypeError``.
+    exponent vectors) is one ``%`` call on a format of one ``%d`` per item,
+    which builds no ``str`` per item and no list of them, and strings go
+    through ``json``'s own C escaper.  Anything else (a float, a
+    ``Fraction``, a non-``str`` key) raises ``TypeError``.
     """
     return _dump(obj, "\n")
 
@@ -118,11 +120,11 @@ def _dump(v, nl: str) -> str:
     if t is list:
         if not v:
             return "[]"
-        if set(map(type, v)) == {int}:      # bool is not int here
-            items = map(str, v)
-        else:
-            items = [_dump(x, inner) for x in v]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if countOf(map(type, v), int) == len(v):  # bool is not int here
+            return ("[" + inner + ("%d," + inner) * (len(v) - 1) + "%d" + nl
+                    + "]") % tuple(v)
+        return ("[" + inner + ("," + inner).join([_dump(x, inner) for x in v])
+                + nl + "]")
     if t is dict:
         if not v:
             return "{}"

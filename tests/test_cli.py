@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from curvesgp import cli, numsgp, planebranch
 from curvesgp.cli import build_parser, main
-from util import deadline
+from util import P, deadline
 
 
 def run(capsys, *argv):
@@ -165,6 +166,29 @@ def test_reduce_command(capsys):
                        "--against", "x^4,x^6+x^7")
     assert code == 0
     assert "remainder:" in out
+
+
+def test_reduce_algorithmic_json_writes_its_expression(capsys):
+    # the basis builders do not record the step coefficients; `reduce`
+    # writes them in both modes, and f is the remainder plus the sum of
+    # c * f1^i * f2^j over the monic basis f1 = x^3 + x/3, f2 = x^2 + x
+    argv = ["reduce", "global", "1/2*x^8+x^3", "--against", "3*x^3+x,x^2+x"]
+    want = [["1/2", [0, 4]], ["-2", [1, 2]], ["1", [0, 3]], ["-7/3", [1, 1]],
+            ["1/6", [0, 2]], ["10/9", [1, 0]], ["11/18", [0, 1]]]
+    f1, f2 = P((3, 1), (1, "1/3")), P((2, 1), (1, 1))
+    total = P((1, "-53/54"))
+    for c, (i, j) in want:
+        total = total + (f1 ** i * f2 ** j).scale(Fraction(c))
+    assert total == P((8, "1/2"), (3, 1))
+    for mode in ("algorithmic", "expression"):
+        code, out, _ = run(capsys, *argv, "--mode", mode, "--json")
+        assert code == 0, mode
+        rep = json.loads(out)["reduction"]
+        assert rep["expression"] == want, mode
+        assert rep["remainder"]["string"] == "-53/54*x", mode
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "expression terms: 7"
 
 
 def test_reduce_normalises_against_like_the_basis_commands(capsys):

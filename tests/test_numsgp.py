@@ -9,9 +9,9 @@ from curvesgp import (NumSgp, RelationPair, ci_relations, cli, is_free, numsgp,
                       presentation_for_generators)
 from curvesgp.numsgp import gcd_chain, least_factorization
 from curvesgp.reduction import BasisElement, ReductionContext
-from util import (brute_conductor, brute_semigroup_members, deadline,
-                  factorization_components, factorization_table, presentation_by_enumeration,
-                  presentation_is_complete, presentation_sweep, xp)
+from util import (betti_graphs_by_full_sweep, brute_conductor, brute_semigroup_members,
+                  deadline, factorization_components, factorization_table,
+                  presentation_by_enumeration, presentation_is_complete, presentation_sweep, xp)
 
 
 def test_from_generators_conductor_18():
@@ -201,6 +201,42 @@ def test_presentation_matches_enumeration_route():
     cases += [_tied_threshold_tuple(tied) for _ in range(150)]
     for gens in cases:
         assert presentation_for_generators(gens).pairs == presentation_by_enumeration(gens), gens
+
+
+def _betti_case(rng):
+    """1-7 generators in 2..30, sometimes with a repeat; or a tied run of
+    :func:`_tied_threshold_tuple`; sometimes times a common factor; in
+    shuffled order."""
+    if rng.random() < 0.25:
+        gens = list(_tied_threshold_tuple(rng))
+    else:
+        gens = [rng.randint(2, 30) for _ in range(rng.randint(1, 7))]
+        if len(gens) < 7 and rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+    if rng.random() < 0.2:
+        gens = [rng.choice((2, 3, 5)) * g for g in gens]
+    rng.shuffle(gens)
+    return tuple(gens)
+
+
+def test_betti_graphs_match_a_sweep_of_every_class():
+    # the sweep skips the classes that the column test calls clear; a class
+    # wrongly called clear loses its Betti elements here
+    rng = random.Random(4089)
+    cases = [(1,), (5,), (2, 2), (4, 4, 6), (6, 4, 4), (3, 3, 5, 5), (9, 6, 9, 6, 15),
+             (10, 11, 12, 13, 14, 15, 16), tuple(range(16, 9, -1))]
+    cases += [_betti_case(rng) for _ in range(5000)]
+    holding = classes = 0
+    for gens in cases:
+        d = math.gcd(*gens)
+        scaled = tuple(g // d for g in gens)
+        S = NumSgp(scaled)
+        got = numsgp._betti_graphs(scaled, S)
+        assert got == betti_graphs_by_full_sweep(scaled, S._ap, S._m), gens
+        holding += len({n % S._m for n, _ in got})
+        classes += S._m
+    # classes with and without Betti elements are both exercised
+    assert 0 < holding < classes
 
 
 def test_presentation_at_huge_conductor_allocates_nothing_by_it(capsys):

@@ -14,6 +14,14 @@ from curvesgp.report import dumps
     [True, 1, 0, False],
     {"flags": [False, True], "ints": [1, True]},
     [-7, 10 ** 29, -(10 ** 29) - 1],
+    # all-int lists, written by one format call
+    [5],
+    [-1],
+    [0, -3, 10 ** 29, -(10 ** 29)],
+    {"gaps": [1, 2, 5], "genus": 3, "presentation": [{"alpha": [2, 0], "beta": [0, 3]}]},
+    [[1], [2, 3], [], [True], [False, 4]],
+    [True],
+    [False, False],
     -123456789012345678901234567890,
     'quote " backslash \\ tab \t bell \x07 and é, 𝄞',
     {'k"\\\x01é': ['"', "\\", "\x1f", "ü"]},

@@ -241,3 +241,39 @@ def presentation_by_enumeration(gens):
             least = sorted(min(c) for c in factorization_classes(vecs))
             pairs += [RelationPair(v, least[0], n * d) for v in least[1:]]
     return tuple(pairs)
+
+
+def betti_graphs_by_full_sweep(gens, ap, m):
+    """Reference route for ``numsgp._betti_graphs(gens, S)``, ap = Ap(S, m).
+
+    Sweeps every residue class rho mod m, clear or not: at each vertex
+    threshold n = a_i + Ap[(rho - a_i) mod m] of the class it joins, by
+    union-find, the vertices present at n (threshold <= n) along the edges
+    present at n (a_i + a_j + Ap[(rho - a_i - a_j) mod m] <= n), and keeps
+    n when they fall into more than one component.  Components are sorted
+    lists, ordered by their least member."""
+    s = len(gens)
+    found = []
+    for rho in range(m):
+        arrive = [a + ap[(rho - a) % m] for a in gens]
+        edges = [(i, j, gens[i] + gens[j] + ap[(rho - gens[i] - gens[j]) % m])
+                 for j in range(s) for i in range(j)]
+        for n in sorted(set(arrive)):
+            root = list(range(s))
+
+            def find(v):
+                while root[v] != v:
+                    v = root[v]
+                return v
+
+            for i, j, at in edges:
+                if at <= n:
+                    root[find(i)] = find(j)
+            comps: dict[int, list[int]] = {}
+            for v in range(s):
+                if arrive[v] <= n:
+                    comps.setdefault(find(v), []).append(v)
+            if len(comps) > 1:
+                found.append((n, sorted(comps.values())))
+    found.sort(key=lambda hit: hit[0])
+    return found
