@@ -16,7 +16,7 @@ flat family joining the curve to its monomial degeneration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .mpoly import MPoly
 from .numsgp import Presentation, ci_relations, presentation_for_generators
@@ -26,8 +26,7 @@ from .reduction import (BasisElement, ReductionContext, ValueBasis, reduce_poly,
                         relation_element, value_of)
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(NamedTuple):
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     value: int
@@ -37,8 +36,7 @@ class Relator:
     complete: bool
 
 
-@dataclass
-class DeformationSet:
+class DeformationSet(NamedTuple):
     """The relators of a deformation, with the generators they relate.
 
     Each term u^a X^theta of a homogenised relator has the relator's value

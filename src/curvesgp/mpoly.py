@@ -192,27 +192,6 @@ class MPoly:
 
     # -- substitution ------------------------------------------------
 
-    def subs(self, values: Mapping[str, "MPoly"]) -> "MPoly":
-        """Substitute MPolys (all over one common variable tuple) for variables."""
-        items = list(values.items())
-        target_vars = items[0][1].vars
-        f = self.field
-        out = MPoly.zero(target_vars, f)
-        cache: dict = {}
-
-        def power(name, k):
-            if (name, k) not in cache:
-                cache[(name, k)] = values[name] ** k
-            return cache[(name, k)]
-
-        for e, c in self.coeffs.items():
-            term = MPoly.constant(target_vars, c, f)
-            for name, k in zip(self.vars, e):
-                if k:
-                    term = term * power(name, k)
-            out = out + term
-        return out
-
     def eval_univariate(self, values: Mapping[str, Poly]) -> Poly:
         """Substitute a univariate polynomial for every variable.
 
@@ -462,7 +441,7 @@ def _integral_values(h: dict, w: int, D: int, char: int) -> tuple[dict, int]:
             for e, c in h.items()}, L * D ** m
 
 
-def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
+def curve_resultant(f: Poly, g: Poly) -> MPoly:
     """Res_t(X - f(t), Y - g(t)), normalised monic in the second variable.
 
     This is the minimal polynomial F(X, Y) of the parametrised curve
@@ -496,7 +475,7 @@ def curve_resultant(f: Poly, g: Poly, vars=("x", "y")) -> MPoly:
             v = -v if k % 2 else v
             out[(ex, n - k)] = v % field.char if field.char else Fraction(v, Mk)
         Mk *= M
-    return MPoly(tuple(vars), field, out)
+    return MPoly(("x", "y"), field, out)
 
 
 def eval_bipoly(G: MPoly, f: Poly, g: Poly) -> Poly:

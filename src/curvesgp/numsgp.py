@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple, Sequence
 
@@ -53,8 +52,7 @@ class RelationPair(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple[int, ...]
     pairs: tuple[RelationPair, ...]
 

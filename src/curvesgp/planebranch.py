@@ -23,10 +23,9 @@ normalises a local pair once and picks its pipeline from the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .fields import check_same_field
 from .mpoly import (MPoly, _add_product, _integral_roots, _integral_values,
@@ -43,8 +42,7 @@ class NotOnePlaceAtInfinity(ValueError):
 PRECISION_CAP = 2 ** 14
 
 
-@dataclass(frozen=True)
-class CharSequence:
+class CharSequence(NamedTuple):
     """An arrangement r_0, ..., r_h with its gcd chain d_1 = r_0, ...,
     d_{h+1} = 1 (d_{k+1} = gcd(d_k, r_k)) and ratios e_k = d_k / d_{k+1}.
 
@@ -424,8 +422,7 @@ def _normalize_global_pair(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return f, basis_element(g, "global").poly
 
 
-@dataclass
-class PlaneResult:
+class PlaneResult(NamedTuple):
     semigroup: NumSgp
     sequence: CharSequence
     curve: MPoly                # F(x, y)

@@ -194,18 +194,6 @@ class Poly:
         return Poly(f, {e - 1: f.mul(c, f.coerce(e))
                         for e, c in self.coeffs.items() if e > 0})
 
-    def substitute(self, g: "Poly") -> "Poly":
-        """f(g(x)), by Horner over the sparse support."""
-        check_same_field(self.field, g.field)
-        if self.is_zero:
-            return Poly.zero(self.field)
-        exps = list(reversed(self._exps))
-        acc = Poly(self.field, {0: self.coeffs[exps[0]]})
-        for prev, nxt in zip(exps, exps[1:]):
-            acc = acc * g ** (prev - nxt)
-            acc = acc + Poly(self.field, {0: self.coeffs[nxt]})
-        return acc * g ** exps[-1]
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field
                 and self.coeffs == other.coeffs)

@@ -73,8 +73,8 @@ the terms moved into the remainder and the remainder itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import check_same_field
 from .numsgp import (NumSgp, _monoid, least_factorization_over,
@@ -87,14 +87,12 @@ class LimitExceeded(RuntimeError):
     with gcd > 1, ``MAX_ELEMENTS`` or ``planebranch.PRECISION_CAP``."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     poly: Poly
     value: int
 
 
-@dataclass
-class ReductionOutcome:
+class ReductionOutcome(NamedTuple):
     remainder: Poly
     expression: list[tuple[object, tuple[int, ...]]]
     complete: bool  # False only past the expression bound or at the shortcut

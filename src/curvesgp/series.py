@@ -8,20 +8,25 @@ of order n into an exact n-th power of a new uniformiser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class SeriesApprox:
+# the fields alone: a NamedTuple body cannot override __new__, which
+# SeriesApprox needs to check prec and truncate poly
+class _Series(NamedTuple):
     poly: Poly
     prec: int
 
-    def __post_init__(self):
-        if self.prec < 1:
+
+class SeriesApprox(_Series):
+    __slots__ = ()
+
+    def __new__(cls, poly: Poly, prec: int):
+        if prec < 1:
             raise ValueError("precision must be positive")
-        object.__setattr__(self, "poly", self.poly.truncate(self.prec))
+        return super().__new__(cls, poly.truncate(prec), prec)
 
     @property
     def field(self):
@@ -59,10 +64,6 @@ class SeriesApprox:
                 base = base * base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        return (isinstance(other, SeriesApprox) and self.prec == other.prec
-                and self.poly == other.poly)
 
 
 def inverse_series(s: SeriesApprox) -> SeriesApprox:

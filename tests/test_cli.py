@@ -18,14 +18,33 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this copy of
+    the package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def spawn(*argv, **kwargs) -> subprocess.Popen:
     """``python -m curvesgp *argv`` in a fresh interpreter, importing this
     copy of the package, with stdout and stderr piped."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.Popen([sys.executable, "-m", "curvesgp", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "curvesgp", *argv],
+                            env=fresh_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up cost: ``import curvesgp.cli`` pulls in neither
+    ``dataclasses`` nor ``inspect`` (nor ``ast``, ``dis`` and ``tokenize``
+    behind them).  Only modules new after the import count, so a site hook
+    that preloads them cannot fail the test."""
+    code = ("import sys; before = set(sys.modules); import curvesgp.cli; "
+            "print(sorted({'dataclasses', 'inspect'} - before "
+            "& set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_local_prints_minimal_generators(capsys):

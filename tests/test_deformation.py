@@ -22,7 +22,7 @@ from curvesgp import (
 )
 from curvesgp.planebranch import char_sequence_from_support, delta_sequence
 from curvesgp.reduction import build_basis
-from util import UX, P, deadline, xp
+from util import UX, P, deadline, subs, xp
 
 
 def specialize_u(mp: MPoly, value) -> MPoly:
@@ -63,7 +63,7 @@ def check_invariants(ds):
             ux = {"u": MPoly.variable(("u", "x"), "u", ds.generators[0].field)}
             ux.update({f"X{i}": h
                        for i, h in enumerate(ds.homogenized_generators)})
-            assert rel.homogenized.subs(ux).is_zero
+            assert subs(rel.homogenized, ux).is_zero
 
 
 def test_homogenize_local_examples():

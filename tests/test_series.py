@@ -12,7 +12,7 @@ from curvesgp import (
     nth_root_series,
     reverse_series,
 )
-from util import P, xp
+from util import P, substitute, xp
 
 
 def series(p, prec):
@@ -35,7 +35,7 @@ def reversion_oracle(u: SeriesApprox) -> Poly:
     prec = u.prec
     t = xp(1)
     for k in range(2, prec):
-        comp = u.poly.substitute(t).truncate(k + 1)
+        comp = substitute(u.poly, t).truncate(k + 1)
         err = comp.coeff(k)
         t = t + xp(k, -err)
     return t

@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import reduce
 
 from curvesgp import MPoly, Poly, QQ, RelationPair
+from curvesgp.fields import check_same_field
 from curvesgp.reduction import LimitExceeded, ReductionOutcome
 
 
@@ -28,6 +29,41 @@ def UX(terms: dict, nvars: int, field=QQ) -> MPoly:
     """MPoly in (u, X0..X{nvars-1}) from {(eu, e0, ...): coefficient}."""
     vars = ("u",) + tuple(f"X{i}" for i in range(nvars))
     return MPoly(vars, field, {k: field.coerce(v) for k, v in terms.items()})
+
+
+def substitute(f: Poly, g: Poly) -> Poly:
+    """f(g(x)), by Horner over the sparse support."""
+    check_same_field(f.field, g.field)
+    if f.is_zero:
+        return Poly.zero(f.field)
+    exps = list(reversed(f.support))
+    acc = Poly(f.field, {0: f.coeffs[exps[0]]})
+    for prev, nxt in zip(exps, exps[1:]):
+        acc = acc * g ** (prev - nxt)
+        acc = acc + Poly(f.field, {0: f.coeffs[nxt]})
+    return acc * g ** exps[-1]
+
+
+def subs(F: MPoly, values: dict) -> MPoly:
+    """Substitute MPolys (all over one common variable tuple) for the
+    variables of F."""
+    target_vars = next(iter(values.values())).vars
+    f = F.field
+    out = MPoly.zero(target_vars, f)
+    cache: dict = {}
+
+    def power(name, k):
+        if (name, k) not in cache:
+            cache[(name, k)] = values[name] ** k
+        return cache[(name, k)]
+
+    for e, c in F.coeffs.items():
+        term = MPoly.constant(target_vars, c, f)
+        for name, k in zip(F.vars, e):
+            if k:
+                term = term * power(name, k)
+        out = out + term
+    return out
 
 
 def schoolbook_mul(a: Poly, b: Poly) -> Poly:
