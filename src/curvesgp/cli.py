@@ -1,5 +1,8 @@
 """Command line interface.
 
+Each command builds one report dictionary; ``--json`` prints it as JSON
+and otherwise :func:`report.text` renders the text lines from it.
+
 Exit codes: 0 success, 1 domain error (the error class is named in the
 message) or standard output closed before the report was written
 (``error[BrokenPipeError]``), 2 parse error, 3 growth guard tripped (the
@@ -27,10 +30,10 @@ from .planebranch import (
     gamma_curve_infinity,
     local_pipeline,
 )
-from .poly import render_poly
 from .reduction import (
     LimitExceeded,
     ReductionContext,
+    ValueBasis,
     basis_element,
     global_basis,
     local_basis,
@@ -98,90 +101,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_char_zero(args):
-    if getattr(args, "char", 0) != 0:
-        raise ValueError("plane-branch commands need characteristic zero")
-
-
-def _emit(args, rep: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
-    """Print the JSON report or the text lines; only the one printed is built.
+def _emit(args, build: Callable[[], dict]) -> None:
+    """Print the command's one report, built by *build*: as JSON with
+    ``--json``, else as the text lines :func:`report.text` renders from it.
 
     Exact coefficients may run past CPython's 4300-digit cap on ``str(int)``,
-    so the cap is lifted while the output is written (the parser keeps it
-    against huge literals)."""
+    so the cap is lifted while the report is built and written (the parser
+    keeps it against huge literals)."""
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        print(report.dumps(rep()) if args.json else "\n".join(lines()))
+        rep = build()
+        print(report.dumps(rep) if args.json else report.text(rep))
     finally:
         sys.set_int_max_str_digits(cap)
 
 
-def _basis_command(args, setting: str) -> None:
+def _basis(args, setting: str) -> ValueBasis:
     gens = parse_poly_list(args.polys, args.char)
     # these names, not build_basis: the benchmark's spans wrap them
-    basis = local_basis(gens) if setting == "local" else global_basis(gens)
-    show_basis = args.show in ("basis", "all")
-    reduced = reduced_basis(basis) if args.show in ("reduced", "all") else None
-
-    def rep():
-        out = {"command": setting,
-               "semigroup": report.semigroup_report(basis.semigroup)}
-        if show_basis:
-            out["basis"] = report.basis_report(basis)
-        if reduced is not None:
-            out["reduced_basis"] = report.basis_report(reduced)
-        if args.show == "all":
-            out["presentation"] = report.presentation_report(basis.presentation)
-        return out
-
-    def lines():
-        out = report.semigroup_lines(basis.semigroup)
-        if show_basis:
-            out += report.basis_lines(basis, "basis")
-        if reduced is not None:
-            out += report.basis_lines(reduced, "reduced basis")
-        if args.show == "all":
-            out.append(f"presentation pairs: {len(basis.presentation.pairs)}")
-        return out
-
-    _emit(args, rep, lines)
+    return local_basis(gens) if setting == "local" else global_basis(gens)
 
 
-def _sequence_line(seq) -> str:
-    return f"r sequence: {list(seq.r)}   d: {list(seq.d)}   e: {list(seq.e)}"
-
-
-def _plane_report(args, result) -> None:
-    S = result.semigroup
-    seq = result.sequence
-
-    def rep():
-        out = {
-            "command": args.command,
-            "semigroup": report.semigroup_report(S),
-            "char_sequence": report.char_sequence_report(seq),
-            "roots": [render_mpoly(g) for g in result.roots],
-            "curve": render_mpoly(result.curve),
-        }
+def _plane_report(cmd: str, result) -> dict:
+    """The report of a plane command; *result* is a :class:`PlaneResult`
+    or, from ``gamma_local_pair``, a (semigroup, sequence) pair."""
+    rep = {"command": cmd, "semigroup": report.semigroup_report(result[0]),
+           "char_sequence": report.char_sequence_report(result[1])}
+    if isinstance(result, PlaneResult):
+        rep["roots"] = [render_mpoly(G) for G in result.roots]
+        rep["curve"] = render_mpoly(result.curve)
         if result.evaluated:
-            out["evaluated"] = [report.poly_entry(p) for p in result.evaluated]
-        return out
-
-    def lines():
-        out = [f"F(x,y) = {render_mpoly(result.curve)}"]
-        out += report.semigroup_lines(S)
-        out.append(_sequence_line(seq))
-        out.append(f"conductor formula: {seq.conductor}")
-        if result.roots:
-            out.append("approximate roots: "
-                       + ", ".join(render_mpoly(g) for g in result.roots))
-        if result.evaluated:
-            out.append("evaluated roots: "
-                       + ", ".join(render_poly(p, "x") for p in result.evaluated))
-        return out
-
-    _emit(args, rep, lines)
+            rep["evaluated"] = [report.poly_entry(p) for p in result.evaluated]
+    return rep
 
 
 def run(argv: list[str]) -> int:
@@ -192,46 +144,43 @@ def run(argv: list[str]) -> int:
         parser.error("--bound needs --mode expression")
 
     if cmd in ("local", "global"):
-        _basis_command(args, cmd)
+        basis = _basis(args, cmd)
+        reduced = reduced_basis(basis) if args.show in ("reduced", "all") else None
 
-    elif cmd == "plane-local":
-        _require_char_zero(args)
-        result = local_pipeline(parse_poly(args.f), parse_poly(args.g))
-        if isinstance(result, PlaneResult):
-            _plane_report(args, result)
+        def build():
+            rep = {"command": cmd,
+                   "semigroup": report.semigroup_report(basis.semigroup)}
+            if args.show in ("basis", "all"):
+                rep["basis"] = report.basis_report(basis)
+            if reduced is not None:
+                rep["reduced_basis"] = report.basis_report(reduced)
+            if args.show == "all":
+                rep["presentation"] = report.presentation_report(basis.presentation)
+            return rep
+
+    elif cmd in ("plane-local", "plane-infinity", "curve-infinity"):
+        if args.char:
+            raise ValueError("plane-branch commands need characteristic zero")
+        if cmd == "curve-infinity":
+            result = gamma_curve_infinity(parse_mpoly(args.curve, ("x", "y")))
         else:
-            S, seq = result
-            _emit(args,
-                  lambda: {"command": cmd,
-                           "semigroup": report.semigroup_report(S),
-                           "char_sequence": report.char_sequence_report(seq)},
-                  lambda: report.semigroup_lines(S) + [_sequence_line(seq)])
-
-    elif cmd == "plane-infinity":
-        _require_char_zero(args)
-        result = gamma_at_infinity(parse_poly(args.f), parse_poly(args.g))
-        _plane_report(args, result)
-
-    elif cmd == "curve-infinity":
-        _require_char_zero(args)
-        F = parse_mpoly(args.curve, ("x", "y"))
-        result = gamma_curve_infinity(F)
-        _plane_report(args, result)
+            f, g = parse_poly(args.f), parse_poly(args.g)
+            pipeline = local_pipeline if cmd == "plane-local" else gamma_at_infinity
+            result = pipeline(f, g)
+        build = functools.partial(_plane_report, cmd, result)
 
     elif cmd == "deform":
-        gens = parse_poly_list(args.polys, args.char)
-        basis = local_basis(gens) if args.setting == "local" else global_basis(gens)
+        basis = _basis(args, args.setting)
         ds = deform_from_basis(basis)
         inexact = dict.fromkeys(r.value for r in ds.relators if not r.complete)
         for value in inexact:
             print(f"warning: expression for relation at value {value} was "
                   "truncated; its relators are inexact", file=sys.stderr)
-        _emit(args,
-              lambda: {"command": "deform",
-                       "semigroup": report.semigroup_report(basis.semigroup),
-                       "deformation": report.deformation_report(ds)},
-              lambda: report.semigroup_lines(basis.semigroup)
-              + report.deformation_lines(ds))
+
+        def build():
+            return {"command": "deform",
+                    "semigroup": report.semigroup_report(basis.semigroup),
+                    "deformation": report.deformation_report(ds)}
 
     elif cmd == "reduce":
         f = parse_poly(args.poly, args.char)
@@ -239,30 +188,26 @@ def run(argv: list[str]) -> int:
                  for p in parse_poly_list(args.against, args.char)]
         out = reduce_poly(f, ReductionContext(elems, args.setting), args.mode,
                           args.bound)
-        _emit(args,
-              lambda: {"command": "reduce",
-                       "reduction": report.reduction_report(out, f.field)},
-              lambda: [f"remainder: {render_poly(out.remainder, 'x')}",
-                       f"complete: {out.complete}   "
-                       f"shortcut: {out.consumed_conductor_shortcut}",
-                       f"expression terms: {len(out.expression)}"])
 
-    elif cmd == "semigroup":
+        def build():
+            return {"command": "reduce",
+                    "reduction": report.reduction_report(out, f.field)}
+
+    else:  # semigroup
         try:
             gens = [int(t) for t in args.generators.split(",") if t.strip()]
         except ValueError:
             raise ParseError("generators must be integers", 0) from None
         S = _monoid(tuple(gens))
 
-        def rep():
-            out = {"command": "semigroup", "semigroup": report.semigroup_report(S)}
-            if S.is_numerical:
-                out["presentation"] = report.presentation_report(
+        def build():
+            rep = {"command": "semigroup", "semigroup": report.semigroup_report(S)}
+            if args.json and S.is_numerical:  # the text lists no pairs
+                rep["presentation"] = report.presentation_report(
                     S.minimal_presentation())
-            return out
+            return rep
 
-        _emit(args, rep, lambda: report.semigroup_lines(S))
-
+    _emit(args, build)
     return 0
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .mpoly import MPoly
-from .numsgp import Presentation, ci_relations, presentation_for_generators
+from .numsgp import Presentation, ci_relations
 from .planebranch import gamma_at_infinity, plane_local
 from .poly import Poly
 from .reduction import (BasisElement, ReductionContext, ValueBasis, reduce_poly,
@@ -77,10 +77,9 @@ def homogenize(f: Poly, setting: str) -> MPoly:
                  {(abs(i - p), i): c for i, c in f.coeffs.items()})
 
 
-def deform(basis: ReductionContext,
-           presentation: Presentation | None = None) -> DeformationSet:
+def deform(basis: ReductionContext, presentation: Presentation) -> DeformationSet:
     """Deformation data for basis elements whose values generate the
-    semigroup, over ``presentation`` (a minimal one of the values if None).
+    semigroup, over ``presentation`` of their values.
 
     Each relation element is divided by ``basis`` itself, so a
     ``ValueBasis`` lends the powers cached while it was built.  The
@@ -94,8 +93,6 @@ def deform(basis: ReductionContext,
     generators' values ``basis.values`` and p the relation's value.
     """
     setting = basis.setting
-    if presentation is None:
-        presentation = presentation_for_generators(basis.values)
     elements = [e.poly for e in basis.elements]
     variables = ("u",) + tuple(f"X{i}" for i in range(len(elements)))
     field = basis.field

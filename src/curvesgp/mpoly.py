@@ -48,9 +48,9 @@ class MPoly:
         return cls(vars, field, {(0,) * n: field.coerce(value)})
 
     @classmethod
-    def variable(cls, vars, name: str, field=QQ, power: int = 1) -> "MPoly":
+    def variable(cls, vars, name: str, field=QQ) -> "MPoly":
         exp = [0] * len(vars)
-        exp[list(vars).index(name)] = power
+        exp[list(vars).index(name)] = 1
         return cls(vars, field, {tuple(exp): field.one})
 
     @classmethod

@@ -32,7 +32,7 @@ from .mpoly import (MPoly, _add_product, _integral_roots, _integral_values,
                     _symmetric_of_values, curve_resultant, eval_bipoly)
 from .numsgp import NumSgp, _monoid, gcd_chain, is_free
 from .poly import Poly
-from .reduction import LimitExceeded, basis_element
+from .reduction import LimitExceeded, basis_element, value_of
 
 
 class NotOnePlaceAtInfinity(ValueError):
@@ -287,14 +287,21 @@ def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     return _gamma_local(*_ordered_pair(f, g, "local"))
 
 
+def _require_primitive(f: Poly, g: Poly) -> None:
+    """Raise ValueError naming q and e when the q of :func:`_right_factor`
+    has order e > 1, that is when t -> (f, g) is not primitive."""
+    q = _right_factor(f, g)
+    if q is not None and q.order > 1:
+        raise ValueError(f"f and g are polynomials in q = {q} of order e = {q.order}: "
+                         "t -> (f, g) is not a primitive parametrisation")
+
+
 def _gamma_local(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     """:func:`gamma_local_pair` on a pair :func:`_ordered_pair` has
     normalised."""
     n = int(f.order)
-    q = _right_factor(f, g) if math.gcd(n, g.order) > 1 else None
-    if q is not None and q.order > 1:
-        raise ValueError(f"f and g are polynomials in q = {q} of order e = {q.order}: "
-                         "t -> (f, g) is not a primitive parametrisation")
+    if math.gcd(n, g.order) > 1:
+        _require_primitive(f, g)
     # every d_k divides n, so n never moves the descent; for a monomial f
     # s = t, and g's own support (however sparse) completes it at once
     supp = [n, *g.support] if len(f.support) == 1 else [n]
@@ -453,6 +460,22 @@ def _descend(F: MPoly, value) -> tuple[list[int], list[MPoly]]:
     return rs, roots
 
 
+def _descend_pair(f: Poly, g: Poly, setting: str
+                  ) -> tuple[list[int], MPoly, list[MPoly], list[Poly]]:
+    """:func:`_descend` on the resultant curve F of (f, g), each root G
+    valued by ``reduction.value_of(G(f, g), setting)``; returns the r_k, F,
+    the roots and the G(f, g)."""
+    F = curve_resultant(f, g)
+    evaluated: list[Poly] = []
+
+    def value(G: MPoly) -> int:
+        evaluated.append(eval_bipoly(G, f, g))
+        return value_of(evaluated[-1], setting)
+
+    rs, roots = _descend(F, value)
+    return rs, F, roots, evaluated
+
+
 def gamma_at_infinity(f: Poly, g: Poly) -> PlaneResult:
     """Degree semigroup of K[f, g] via approximate roots of the resultant.
 
@@ -467,14 +490,7 @@ def gamma_at_infinity(f: Poly, g: Poly) -> PlaneResult:
     if q is not None:
         raise ValueError(f"parametrisation is not proper: f and g are "
                          f"polynomials in q = {q}")
-    F = curve_resultant(f, g)
-    evaluated: list[Poly] = []
-
-    def degree_at(G: MPoly) -> int:
-        evaluated.append(eval_bipoly(G, f, g))
-        return int(evaluated[-1].degree)
-
-    rs, roots = _descend(F, degree_at)
+    rs, F, roots, evaluated = _descend_pair(f, g, "global")
     seq = delta_sequence(rs)
     return PlaneResult(_monoid(seq.r), seq, F, roots, evaluated, [f, g])
 
@@ -513,7 +529,9 @@ def plane_local(f: Poly, g: Poly) -> PlaneResult:
     :func:`_descend` on the orders of the G_k(f, g) then yields the
     characteristic sequence that g's support gives, and the
     g_k = G_k(f, g) realise its r_k as orders, giving a concrete basis of
-    K[[f, g]].
+    K[[f, g]].  When n and g's support share a factor, f and g are
+    polynomials in some x^e, e > 1, and the ValueError of
+    :func:`gamma_local_pair` names q and e.
     """
     return _plane_local(*_ordered_pair(f, g, "local"))
 
@@ -525,15 +543,10 @@ def _plane_local(f: Poly, g: Poly) -> PlaneResult:
     n = int(f.order)
     if n == g.order:
         raise ValueError("need o(f) < o(g) for the monomial pipeline")
+    if math.gcd(n, *g.support) > 1:
+        _require_primitive(f, g)
     seq = char_sequence_from_support(n, g.support)
-    F = curve_resultant(f, g)
-    evaluated: list[Poly] = []
-
-    def order_at(G: MPoly) -> int:
-        evaluated.append(eval_bipoly(G, f, g))
-        return int(evaluated[-1].order)
-
-    rs, roots = _descend(F, order_at)
+    rs, F, roots, evaluated = _descend_pair(f, g, "local")
     if tuple(rs) != seq.r:
         raise RuntimeError(f"approximate roots give the orders {rs}, "
                            f"the support of g gives {list(seq.r)}")

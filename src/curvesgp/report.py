@@ -1,8 +1,11 @@
-"""Report construction: exact JSON-able dictionaries and text lines.
+"""Report construction: one exact JSON-able dictionary per command, and
+the text lines rendered from it.
 
-Coefficients are serialised as exact strings (``"num/den"`` or residues),
-never floats; term lists are sorted by exponent so output is reproducible
-byte for byte.
+Each CLI command builds one report; ``--json`` prints it through
+:func:`dumps`, and otherwise :func:`text` renders its lines from the same
+dictionary, so no command states its output twice.  Coefficients are
+serialised as exact strings (``"num/den"`` or residues), never floats;
+term lists are sorted by exponent so output is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -139,35 +142,75 @@ def _dump(v, nl: str) -> str:
 # -- text rendering ----------------------------------------------------
 
 
-def semigroup_lines(S: NumSgp) -> list[str]:
-    mg = S.minimal_generators()
-    lines = [f"minimal generators: {mg}"]
-    if S.is_numerical:
-        lines.append(f"conductor: {S.conductor}   frobenius: {S.frobenius}   "
-                     f"genus: {S.genus}")
-        lines.append(f"gaps: {S.gaps()}")
-        lines.append(f"type set: {S.type_set()}   symmetric: {S.is_symmetric()}   "
-                     f"sporadic: {S.sporadic_count()}")
+def text(rep: dict) -> str:
+    """The text output of a command, rendered from its report.
+
+    Each part of the report gives its lines in the order below, by three
+    rules: ``F(x,y) = ...`` comes first; ``conductor formula:`` is printed
+    only when the report has a curve; ``presentation pairs:`` is printed
+    for every command but ``semigroup``, whose text lists no pairs.  The
+    report is consumed: its gap list is popped, so that the list is freed
+    before its line is joined.
+    """
+    lines = [f"F(x,y) = {rep['curve']}"] if "curve" in rep else []
+    if "semigroup" in rep:
+        lines += semigroup_lines(rep["semigroup"])
+    if "char_sequence" in rep:
+        seq = rep["char_sequence"]
+        lines.append(f"r sequence: {seq['r']}   d: {seq['d']}   e: {seq['e']}")
+        if "curve" in rep:
+            lines.append(f"conductor formula: {seq['C']}")
+    if rep.get("roots"):
+        lines.append("approximate roots: " + ", ".join(rep["roots"]))
+    if "evaluated" in rep:
+        lines.append("evaluated roots: "
+                     + ", ".join(e["string"] for e in rep["evaluated"]))
+    if "basis" in rep:
+        lines += basis_lines(rep["basis"], "basis")
+    if "reduced_basis" in rep:
+        lines += basis_lines(rep["reduced_basis"], "reduced basis")
+    if "presentation" in rep and rep["command"] != "semigroup":
+        lines.append(f"presentation pairs: {len(rep['presentation'])}")
+    if "deformation" in rep:
+        lines += deformation_lines(rep["deformation"])
+    if "reduction" in rep:
+        red = rep["reduction"]
+        lines += [f"remainder: {red['remainder']['string']}",
+                  f"complete: {red['complete']}   "
+                  f"shortcut: {red['used_conductor_shortcut']}",
+                  f"expression terms: {len(red['expression'])}"]
+    return "\n".join(lines)
+
+
+def semigroup_lines(rep: dict) -> list[str]:
+    """The lines of a :func:`semigroup_report`; its gap list is popped."""
+    lines = [f"minimal generators: {rep['minimal_generators']}"]
+    if "conductor" in rep:
+        lines.append(f"conductor: {rep['conductor']}   "
+                     f"frobenius: {rep['frobenius']}   genus: {rep['genus']}")
+        lines.append("gaps: " + str(rep.pop("gaps")))
+        lines.append(f"type set: {rep['type_set']}   "
+                     f"symmetric: {rep['symmetric']}   sporadic: {rep['sporadic']}")
     else:
-        lines.append(f"gcd: {S.d} (not a numerical semigroup); "
-                     f"scaled conductor: {S.scaled_conductor}")
+        lines.append(f"gcd: {rep['gcd']} (not a numerical semigroup); "
+                     f"scaled conductor: {rep['scaled_conductor']}")
     return lines
 
 
-def basis_lines(basis: ValueBasis, title: str) -> list[str]:
-    lines = [f"{title}:"]
-    for e in basis.elements:
-        lines.append(f"  value {e.value}: {render_poly(e.poly, 'x')}")
-    return lines
+def basis_lines(entries: list, title: str) -> list[str]:
+    """The lines of a :func:`basis_report`."""
+    return [f"{title}:"] + [f"  value {e['value']}: {e['string']}"
+                            for e in entries]
 
 
-def deformation_lines(ds: DeformationSet) -> list[str]:
-    lines = [f"deformation ({ds.setting}), variables {', '.join(ds.variables)}:"]
-    lines.append("  homogenized generators: "
-                 + ", ".join(render_mpoly(h) for h in ds.homogenized_generators))
-    for rel in ds.relators:
-        flag = "" if rel.complete else "   [inexact]"
-        lines.append(f"  F: {render_mpoly(rel.toric)}")
-        lines.append(f"  G: {render_mpoly(rel.exact)}")
-        lines.append(f"  H: {render_mpoly(rel.homogenized)}{flag}")
+def deformation_lines(rep: dict) -> list[str]:
+    """The lines of a :func:`deformation_report`."""
+    lines = [f"deformation ({rep['setting']}), variables "
+             f"{', '.join(rep['variables'])}:",
+             "  homogenized generators: "
+             + ", ".join(rep["homogenized_generators"])]
+    for F, G, H, complete in zip(rep["toric"], rep["exact"], rep["homogenized"],
+                                 rep["complete"]):
+        flag = "" if complete else "   [inexact]"
+        lines += [f"  F: {F}", f"  G: {G}", f"  H: {H}{flag}"]
     return lines

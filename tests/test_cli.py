@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvesgp import cli, numsgp, planebranch
+from curvesgp import cli, numsgp, planebranch, report
 from curvesgp.cli import build_parser, main
 from util import P, deadline
 
@@ -374,6 +374,19 @@ def test_plane_local_imprimitive_pair_stops_at_degree_bound(capsys):
     assert "not a primitive parametrisation" in err
 
 
+@pytest.mark.parametrize("f, g, named", [
+    ("x^2", "x^4+x^6", "q = x^2 of order e = 2"),
+    ("x^6", "x^9+x^12", "q = x^3 of order e = 3"),
+])
+def test_plane_local_monomial_route_names_q_and_e(capsys, f, g, named):
+    # through plane_local, as README says: exit 1 with q and e named, not
+    # a stalled descent on g's support
+    code, out, err = run(capsys, "plane-local", f, g)
+    assert (code, out) == (1, "")
+    assert err == (f"error[ValueError]: f and g are polynomials in {named}: "
+                   "t -> (f, g) is not a primitive parametrisation\n")
+
+
 @pytest.mark.parametrize("f, g, gens", [
     ("x", "x", [1]),                 # n = 1 and D = 1: the degree bound is 1
     ("x+x^2", "x^3", [1]),
@@ -526,7 +539,8 @@ def test_deform_five_term_branch_within_budget(capsys):
     assert err.count("warning: ") == 1 and "truncated" in err
 
 
-@pytest.mark.parametrize("argv", [
+# one argv per shape of report
+REPORT_ARGVS = [
     ["local", "x^4+x^5,x^6,x^15+x^16", "--show", "all"],
     ["global", "x^6+x^3,x^4", "--show", "all"],
     ["deform", "local", "x^4,x^6+x^7"],
@@ -538,11 +552,25 @@ def test_deform_five_term_branch_within_budget(capsys):
     ["reduce", "local", "x^13+x^14", "--against", "x^4,x^6+x^7"],
     ["semigroup", "4,6,13,15"],
     ["semigroup", "4,6"],                        # gcd 2: no presentation
-])
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS)
 def test_json_layout_is_json_dumps_indent_2(capsys, argv):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS + [
+    ["global", "x^3+7^6000*x", "--show", "basis"],  # past the str(int) cap
+])
+def test_text_is_rendered_from_the_json_report(capsys, argv):
+    code, text, err = run(capsys, *argv)
+    assert code == 0
+    code, out, err_json = run(capsys, *argv, "--json")
+    assert code == 0 and err_json == err
+    assert text == report.text(json.loads(out)) + "\n"
 
 
 def test_json_command_is_the_cli_command(capsys):

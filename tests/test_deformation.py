@@ -18,6 +18,7 @@ from curvesgp import (
     homogenize,
     local_basis,
     plane_deformation,
+    presentation_for_generators,
     value_of,
 )
 from curvesgp.planebranch import char_sequence_from_support, delta_sequence
@@ -113,7 +114,8 @@ def test_plane_deformation_global_paper_relators():
 
 
 def test_monomial_input_has_trivial_corrections():
-    ds = deform(context([xp(4), xp(6)], "local"))
+    ctx = context([xp(4), xp(6)], "local")
+    ds = deform(ctx, presentation_for_generators(ctx.values))
     for rel in ds.relators:
         assert rel.exact == rel.toric
         assert rel.homogenized == rel.toric
@@ -139,8 +141,9 @@ def test_deform_from_global_basis():
 
 
 def test_deform_rejects_non_basis():
+    ctx = context([xp(4) + xp(5), xp(6), xp(15) + xp(16)], "local")
     with pytest.raises(ValueError):
-        deform(context([xp(4) + xp(5), xp(6), xp(15) + xp(16)], "local"))
+        deform(ctx, presentation_for_generators(ctx.values))
 
 
 def test_free_toric_target():

@@ -485,6 +485,22 @@ def test_plane_pipelines_decide_imprimitivity_on_seeded_composites(monkeypatch):
     assert all(count >= 3 for count in seen.values()), seen
 
 
+@pytest.mark.parametrize("f, g, q, e", [
+    (xp(2), xp(4) + xp(6), "x^2", 2),
+    (xp(6), xp(9) + xp(12), "x^3", 3),
+])
+def test_plane_local_monomial_route_names_q_and_e(f, g, q, e):
+    # f a monomial and g's support in e*N: the descent on g's support
+    # would stall at e, so the pair is refused first, naming q = x^e
+    from curvesgp import plane_deformation
+
+    for call in (lambda: plane_local(f, g), lambda: plane_local(g, f),
+                 lambda: plane_deformation(f, g, "local")):
+        with pytest.raises(ValueError, match="not a primitive") as info:
+            call()
+        assert f"q = {q} of order e = {e}" in str(info.value)
+
+
 @pytest.mark.parametrize("k", [7, 10])
 def test_plane_local_imprimitive_pairs_of_degree_21_and_30_exit_fast(capsys, k):
     # p = t^2 + t^3, f = p + p^2, g = p^2 + p^k: the walk to the degree
