@@ -1,5 +1,15 @@
 """Command line interface.
 
+One table, :data:`COMMANDS`, lists each command's positionals and options
+with their type, default, choices, required flag and help;
+:func:`build_parser` builds the argparse parser from it.  :func:`run`
+reads a plain argv straight from the table (:func:`_parse_plain`): a
+command name, exactly its positionals, and its options by their exact
+names, each but ``--json`` followed by a value that does not start with
+``-``, every value passing its checks.  Every other argv (``-h``,
+``--opt=value``, abbreviations, ``--``, leading-minus values and every
+error) goes to argparse, so its messages and exit codes are argparse's.
+
 Each command builds one report dictionary; ``--json`` prints it as JSON
 and otherwise :func:`report.text` renders the text lines from it.
 
@@ -18,7 +28,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .deformation import deform_from_basis
 from .mpoly import render_mpoly
@@ -43,62 +53,125 @@ from .reduction import (
 from . import report
 
 
+class Arg(NamedTuple):
+    """One positional (a bare name) or option (``--name``) of a command:
+    the keywords that ``add_argument`` takes, and ``flag`` for a
+    ``store_true`` option."""
+    name: str
+    help: str | None = None
+    type: Callable | None = None
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    flag: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-")
+
+
+_CHAR = Arg("--char", "field characteristic (0 or a prime)", int, 0)
+_JSON = Arg("--json", "emit JSON", flag=True)
+_BASIS = (Arg("polys", "comma-separated polynomials in x (or t)"),
+          Arg("--show", choices=("semigroup", "basis", "reduced", "all"),
+              default="semigroup"), _CHAR, _JSON)
+_PAIR = (Arg("f"), Arg("g"), _CHAR, _JSON)
+_SETTING = Arg("setting", choices=("local", "global"))
+
+# command -> (help, arguments in the order --help lists them)
+COMMANDS: dict[str, tuple[str, tuple[Arg, ...]]] = {
+    "local": ("basis and order semigroup of K[[f1,...,fs]]", _BASIS),
+    "global": ("basis and degree semigroup of K[f1,...,fs]", _BASIS),
+    "plane-local": ("two-generator local pipeline", _PAIR),
+    "plane-infinity": ("two-generator pipeline at infinity", _PAIR),
+    "curve-infinity": ("semigroup of a plane curve with one place at infinity",
+                       (Arg("curve", "polynomial in x and y"), _CHAR, _JSON)),
+    "deform": ("deformation data of a computed basis",
+               (_SETTING, Arg("polys"), _CHAR, _JSON)),
+    "reduce": ("divide a polynomial by a basis",
+               (_SETTING, Arg("poly"),
+                Arg("--against", "comma-separated basis polynomials",
+                    required=True),
+                Arg("--mode", choices=("algorithmic", "expression"),
+                    default="algorithmic"),
+                Arg("--bound", "with --mode expression: stop past this order "
+                    "or degree", int),
+                _CHAR, _JSON)),
+    "semigroup": ("numerical semigroup facts",
+                  (Arg("generators", "comma-separated positive integers"),
+                   _JSON)),
+}
+
+# command -> (options by name, positionals in order, values by dest when
+# absent), for _parse_plain
+_PLAIN = {cmd: ({a.name: a for a in args if a.name.startswith("-")},
+                tuple(a for a in args if not a.name.startswith("-")),
+                {a.dest: False if a.flag else a.default for a in args})
+          for cmd, (_, args) in COMMANDS.items()}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: ``parse_args`` keeps no
-    state between calls, and building the subparsers costs milliseconds."""
+    """The argument parser of :data:`COMMANDS`, built once per process:
+    ``parse_args`` keeps no state between calls, and building the
+    subparsers costs milliseconds."""
     parser = argparse.ArgumentParser(
         prog="curvesgp",
         description="Semigroups of values of curve subalgebras, bases, "
                     "and deformations to monomial curves.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, char=True):
-        if char:
-            p.add_argument("--char", type=int, default=0,
-                           help="field characteristic (0 or a prime)")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    for name, what in (("local", "basis and order semigroup of K[[f1,...,fs]]"),
-                       ("global", "basis and degree semigroup of K[f1,...,fs]")):
+    for name, (what, args) in COMMANDS.items():
         p = sub.add_parser(name, help=what)
-        p.add_argument("polys", help="comma-separated polynomials in x (or t)")
-        p.add_argument("--show", choices=["semigroup", "basis", "reduced", "all"],
-                       default="semigroup")
-        add_common(p)
-
-    for name, what in (("plane-local", "two-generator local pipeline"),
-                       ("plane-infinity", "two-generator pipeline at infinity")):
-        p = sub.add_parser(name, help=what)
-        p.add_argument("f")
-        p.add_argument("g")
-        add_common(p)
-
-    p = sub.add_parser("curve-infinity",
-                       help="semigroup of a plane curve with one place at infinity")
-    p.add_argument("curve", help="polynomial in x and y")
-    add_common(p)
-
-    p = sub.add_parser("deform", help="deformation data of a computed basis")
-    p.add_argument("setting", choices=["local", "global"])
-    p.add_argument("polys")
-    add_common(p)
-
-    p = sub.add_parser("reduce", help="divide a polynomial by a basis")
-    p.add_argument("setting", choices=["local", "global"])
-    p.add_argument("poly")
-    p.add_argument("--against", required=True,
-                   help="comma-separated basis polynomials")
-    p.add_argument("--mode", choices=["algorithmic", "expression"],
-                   default="algorithmic")
-    p.add_argument("--bound", type=int, default=None,
-                   help="with --mode expression: stop past this order or degree")
-    add_common(p)
-
-    p = sub.add_parser("semigroup", help="numerical semigroup facts")
-    p.add_argument("generators", help="comma-separated positive integers")
-    add_common(p, char=False)
+        for a in args:
+            kw = {"action": "store_true"} if a.flag else {
+                "type": a.type, "default": a.default, "choices": a.choices}
+            if a.required:
+                kw["required"] = True
+            p.add_argument(a.name, help=a.help, **kw)
     return parser
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that ``build_parser().parse_args(argv)`` returns, read
+    from :data:`COMMANDS` without argparse, for a plain argv: a command
+    name, then exactly its positionals and any of its options by their
+    exact names, each option but ``--json`` followed by a value that does
+    not start with ``-``, every value passing its type, choices and
+    required checks.  Any other argv gives None, and argparse reads it."""
+    spec = _PLAIN.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options, positionals, defaults = spec
+    positionals = iter(positionals)
+    values = dict(defaults)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            a = options.get(token)
+            if a is None:
+                return None
+            if a.flag:
+                values[a.dest] = True
+                continue
+            token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        else:
+            a = next(positionals, None)
+            if a is None:
+                return None
+        if a.type is not None:
+            try:
+                token = a.type(token)
+            except ValueError:
+                return None
+        if a.choices is not None and token not in a.choices:
+            return None
+        values[a.dest] = token
+    if next(positionals, None) is not None or any(
+            a.required and values[a.dest] is None for a in options.values()):
+        return None
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _emit(args, build: Callable[[], dict]) -> None:
@@ -137,11 +210,12 @@ def _plane_report(cmd: str, result) -> dict:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     cmd = args.command
     if cmd == "reduce" and args.bound is not None and args.mode != "expression":
-        parser.error("--bound needs --mode expression")
+        build_parser().error("--bound needs --mode expression")
 
     if cmd in ("local", "global"):
         basis = _basis(args, cmd)

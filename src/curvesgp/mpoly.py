@@ -7,9 +7,16 @@ The curve of a parametrisation, Res_t(X - f(t), Y - g(t)), is the norm of
 Y - g(t) over K[X][t]/(f(t) - X) and comes from power sums and Newton's
 identities, without a matrix (Bostan, Flajolet, Salvy and Schost, J. Symb.
 Comp. 41, 2006), in one integer kernel, :func:`_symmetric_of_values`:
-over Q, roots and values are scaled to integral ones, so every product is
-a ``poly._int_mul`` and every division in Newton's identities is exact;
-``planebranch.intersection_degree`` shares it.  The approximate roots
+over Q, roots and values are scaled to integral ones, so every division in
+Newton's identities is exact; ``planebranch.intersection_degree`` shares
+it.  When the input is dense, the kernel runs on packed integers: each
+polynomial in X becomes its value at X = 2^beta, one Python int, and each
+result is unpacked once.  beta comes from a proven bound: the results are
+coefficients of Res_t(mu, Y - h), at most |mu|_1^m (1 + |h|_1)^n in size,
+since the 1-norm of a Sylvester determinant is at most the product of its
+rows' 1-norms.  When the power sums would take more packed bits than
+their dict terms warrant (``_PACK_BITS``), it runs the same recurrence on
+dicts, every product a ``poly._int_mul``.  The approximate roots
 (``planebranch.approximate_root``, from the same scaled coefficients) and
 their evaluation (:meth:`MPoly.eval_univariate`, by Horner's rule) run on
 integer numerators too, each divided once when its result is rebuilt.
@@ -25,7 +32,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field
-from .poly import Poly, _int_mul, _int_pow, _join_terms, _lift, _unlift
+from .poly import (Poly, _int_mul, _int_pow, _join_terms, _lift, _unlift,
+                   _unpack)
 
 
 class MPoly:
@@ -342,78 +350,216 @@ def resultant_eliminate(p: MPoly, q: MPoly, name: str, monic_in: str | None = No
     return res
 
 
-def _add_product(acc: dict, a: dict, b: dict, p: int, k: int = 1) -> None:
-    """acc += k * a * b, for integer polynomials as dicts and an integer k."""
-    if a and b:
-        get = acc.get
-        for e, c in _int_mul(a, b, p).items():
-            acc[e] = get(e, 0) + k * c
-
-
 def _reduced(acc: dict, p: int) -> dict:
     """acc with its coefficients reduced mod p (when p > 0), zeros dropped."""
     return {e: c % p if p else c for e, c in acc.items() if (c % p if p else c)}
 
 
-def _symmetric_of_values(b: list, h: dict, w: int, p: int, s: list) -> list[dict]:
+# The packed form of :func:`_symmetric_of_values` holds the power sums
+# S_0, ..., S_N, N = n m, as ints of about beta (j delta + 1) bits, delta =
+# max_i deg_X(B_i) / i the X-degree that each step in t adds: beta N
+# (N delta / 2 + 1) bits in all.  It is picked when they take at most
+# _PACK_BITS, where neither form costs much and packing saves the dicts'
+# per-term work, or at most _BITS_PER_TERM bits for each term that the
+# inputs (the B_i and the h_j) bring to each of the N + 1 sums: a dict term
+# costs about as much as that many packed bits.  Otherwise the inputs are
+# sparse beside the slots, as for (x^4, x^6 + x^1001): each of its power
+# sums is one term, and each would be packed at beta = 1016 bits a slot.
+_PACK_BITS = 1 << 23
+_BITS_PER_TERM = 1 << 10
+
+
+class _ZX:
+    """An integer polynomial in X, a dict exponent -> nonzero int (residues
+    in [0, p) when p > 0): the sparse form of the ring that
+    :func:`_symmetric_of_values` runs in, with the operations its
+    recurrence uses.  Each product is one ``poly._int_mul``; ``+=`` and
+    ``-=`` write into the left operand, which must be a fresh value."""
+
+    __slots__ = ("c", "p")
+
+    def __init__(self, c: dict, p: int):
+        self.c = c
+        self.p = p
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+    def _add(self, other: "_ZX", sign: int) -> "_ZX":
+        c, p = self.c, self.p
+        get = c.get
+        for e, v in other.c.items():
+            v = get(e, 0) + sign * v
+            if p:
+                v %= p
+            if v:
+                c[e] = v
+            else:
+                c.pop(e, None)
+        return self
+
+    def __iadd__(self, other: "_ZX") -> "_ZX":
+        return self._add(other, 1)
+
+    def __isub__(self, other: "_ZX") -> "_ZX":
+        return self._add(other, -1)
+
+    def __mul__(self, other: "_ZX") -> "_ZX":
+        if self.c and other.c:
+            return _ZX(_int_mul(self.c, other.c, self.p), self.p)
+        return _ZX({}, self.p)
+
+    def __divmod__(self, k: int) -> tuple["_ZX", "_ZX"]:
+        """(q, r) with self = k q + r; over GF(p), q = self / k and r = 0."""
+        p = self.p
+        if p:
+            inv = pow(k, -1, p)
+            return _ZX({e: v * inv % p for e, v in self.c.items()}, p), _ZX({}, p)
+        qr = [(e, *divmod(v, k)) for e, v in self.c.items()]
+        return (_ZX({e: q for e, q, _ in qr if q}, 0),
+                _ZX({e: r for e, _, r in qr if r}, 0))
+
+
+def _slot_bytes(b: list, h: dict, n: int, m: int) -> int:
+    """Bytes per slot of the packed form of :func:`_symmetric_of_values`,
+    or 0 for its sparse form, by the rule stated at ``_PACK_BITS``."""
+    norm_mu = 1 + sum(abs(c) for bi in b for c in bi.values())
+    norm_h = sum(abs(c) for hj in h.values() for c in hj.values())
+    nbytes = ((norm_mu ** m * (1 + norm_h) ** n).bit_length() + 8) // 8
+    N = n * m
+    delta = max((max(bi) / i for i, bi in enumerate(b, 1) if bi), default=0)
+    packed = 8 * nbytes * (N + 1) * (N * delta / 2 + 1)
+    terms = (N + 1) * (sum(map(len, b)) + sum(map(len, h.values())))
+    return nbytes if packed <= max(_PACK_BITS, _BITS_PER_TERM * terms) else 0
+
+
+def _symmetric_of_values(b: list, h: dict, p: int, s: dict) -> list[dict]:
     """E_0, ..., E_n: the elementary symmetric functions of the values
     h(tau_i) at the n roots tau_i of mu(t) = t^n + sum_i B_i t^(n-i).
 
-    b lists B_1, ..., B_n and h maps j*w + e (0 <= e < w) to the
-    coefficient of t^j X^e; all are integer polynomials in X as dicts
-    exponent -> int (residues over GF(p), p > 0), empty for zero, and w
-    must exceed n deg_X h.  s holds the power sums S_0, S_1, ... of the
-    tau_i and is extended in place, so a caller can keep it for many h.
-    Newton's recurrence S_j = -(j B_j + sum_{i<j} B_i S_{j-i}) needs no
-    division; the traces P_k = sum_j [t^j]h^k S_j follow, then
-    k E_k = sum_{i=1}^{k} (-1)^(i-1) E_{k-i} P_i.  That division by k is
-    exact on integers: E_k is a symmetric polynomial with integer
-    coefficients in the tau_i, hence an integer polynomial in the B_i
-    (equivalently, it lies in Q[X] and is integral over Z[X], which is
+    b lists B_1, ..., B_n and h maps j to the coefficient h_j of t^j; all
+    are integer polynomials in X as dicts exponent -> int (residues over
+    GF(p), p > 0), empty for zero, and h has no empty entry.  Newton's
+    recurrence S_j = -(j B_j + sum_{i<j} B_i S_{j-i}) gives the power sums
+    of the tau_i without division, the traces P_k = sum_j [t^j]h^k S_j
+    follow, then k E_k = sum_{i=1}^{k} (-1)^(i-1) E_{k-i} P_i.  That
+    division by k is exact on integers: E_k is a symmetric polynomial with
+    integer coefficients in the tau_i, hence an integer polynomial in the
+    B_i (equivalently, it lies in Q[X] and is integral over Z[X], which is
     integrally closed by Gauss's lemma); a remainder raises
     ArithmeticError.  Over GF(p) it needs p > n.
+
+    One recurrence runs in one of two forms of Z[X], picked by
+    :func:`_slot_bytes` (the rule at ``_PACK_BITS``); each power h^k is one
+    ``poly._int_mul``.  Packed, each polynomial in X is its value at
+    X = 2^beta, one Python int (Kronecker substitution, as in
+    ``poly._int_mul``), and h^k is a dict t-exponent -> int.  Evaluation at
+    2^beta is a ring homomorphism, so every step, the divisions by k
+    included, is exact whatever the size of its values, and beta only has
+    to be wide enough for ``poly._unpack`` to read each E_k back.  Its
+    coefficients are those of Res_t(mu, Y - h) = sum_k (-1)^k E_k Y^(n-k),
+    the determinant of the Sylvester matrix of mu and Y - h: m = deg_t h
+    rows of coefficients of mu and n rows of those of Y - h.  The 1-norm
+    of a determinant is at most the product of the 1-norms of its rows
+    (expand it over permutations, and |ab|_1 <= |a|_1 |b|_1), so every such
+    coefficient is at most |mu|_1^m (1 + |h|_1)^n, the norms taken over all
+    coefficients in t and X; beta is that bound's bit length plus a sign
+    bit, in whole bytes.  Over GF(p) the packed form runs on the residues
+    as integers and reduces each E_k after the unpack, which is right
+    because E_k is an integer polynomial in the inputs.  Sparse, each
+    polynomial in X is a :class:`_ZX`, reduced mod p as it goes, and h is
+    packed into one polynomial in X, t^j X^e to X^(j w + e) with
+    w = n deg_X h + 1, which no power h^k, k <= n, overflows.  s caches the
+    power sums per form, as lists S_0, S_1, ... under the slot width in
+    bytes (0 for the sparse form), and is extended in place, so a caller
+    can keep it for many h.
     """
     n = len(b)
     if 0 < p <= n:
         raise ValueError(f"characteristic {p} does not exceed the degree {n}")
-    if not s:
-        s.append({0: n})
-    terms = [(i, bi) for i, bi in enumerate(b, 1) if bi]
-    for j in range(len(s), n * (max(h) // w if h else 0) + 1):
-        acc = {e: -j * c for e, c in b[j - 1].items()} if j <= n else {}
-        for i, bi in terms:
+    m = max(h, default=0)
+    nbytes = _slot_bytes(b, h, n, m)
+    if nbytes:
+        width = 8 * nbytes
+
+        def lift(c: dict) -> int:
+            return sum(v << width * e for e, v in c.items())
+
+        def coeffs(v: int) -> dict:
+            return _unpack(v, 0, v.bit_length() // width + 1, nbytes)
+
+        zero = int  # int() == 0
+
+        def powers(live: list):
+            H = {j: lift(hj) for j, hj in h.items()}
+            hk = {0: 1}
+            for _ in range(n):
+                hk = _int_mul(hk, H, 0) if H else {}
+                yield hk
+    else:
+        def lift(c: dict) -> _ZX:
+            return _ZX(c, p)
+
+        def coeffs(v: _ZX) -> dict:
+            return v.c
+
+        def zero() -> _ZX:  # a fresh value, since += writes into it
+            return _ZX({}, p)
+
+        def powers(live: list):
+            w = n * max((max(hj) for hj in h.values()), default=0) + 1
+            H = {j * w + e: c for j, hj in h.items() for e, c in hj.items()}
+            hk = {0: 1}
+            for _ in range(n):
+                hk = _int_mul(hk, H, p) if H else {}
+                rows: dict = {}
+                for x, c in hk.items():
+                    j, e = divmod(x, w)
+                    if live[j]:  # a row that meets a zero power sum is not read
+                        rows.setdefault(j, {})[e] = c
+                yield {j: _ZX(row, p) for j, row in rows.items()}
+    sums = s.get(nbytes)
+    if sums is None:
+        sums = s[nbytes] = [lift({0: n})]
+    B = [lift(bi) for bi in b]
+    terms = [(i, Bi) for i, Bi in enumerate(B, 1) if Bi]
+    live = [bool(sj) for sj in sums]  # S_j != 0, read without a call per test
+    for j in range(len(sums), n * m + 1):
+        acc = B[j - 1] * lift({0: -j}) if j <= n else zero()
+        for i, Bi in terms:
             if i >= j:
                 break
-            _add_product(acc, bi, s[j - i], p, -1)
-        s.append(_reduced(acc, p))
-    traces = [{}]
-    hk = {0: 1}
-    for _ in range(n):
-        hk = _int_mul(hk, h, p) if hk and h else {}
-        acc = {}
-        for e, c in hk.items():
-            sj = s[e // w]
-            if sj:
-                x = e % w
-                for es, cs in sj.items():
-                    acc[x + es] = acc.get(x + es, 0) + c * cs
-        traces.append(_reduced(acc, p))
-    E = [{0: 1}]
+            if live[j - i]:
+                acc -= Bi * sums[j - i]
+        sums.append(acc)
+        live.append(bool(acc))
+    traces = [zero()]
+    for hk in powers(live):
+        acc = zero()
+        for j, c in hk.items():
+            if live[j]:
+                acc += c * sums[j]
+        traces.append(acc)
+    E = [lift({0: 1})]
+    live = [True]  # now E_k != 0
+    nonzero = [i for i in range(1, n + 1) if traces[i]]
     for k in range(1, n + 1):
-        acc = {}
-        for i in range(1, k + 1):
-            _add_product(acc, E[k - i], traces[i], p, 1 if i % 2 else -1)
-        inv = pow(k, -1, p) if p else None
-        for e, c in acc.items():
-            if p:
-                acc[e] = c * inv
-                continue
-            acc[e], r = divmod(c, k)
-            if r:
-                raise ArithmeticError(f"Newton's identity for E_{k}: {c} is "
-                                      f"not divisible by {k}")
-        E.append(_reduced(acc, p))
-    return E
+        acc = zero()
+        for i in nonzero:
+            if i > k:
+                break
+            if live[k - i]:
+                if i % 2:
+                    acc += E[k - i] * traces[i]
+                else:
+                    acc -= E[k - i] * traces[i]
+        q, r = divmod(acc, k)
+        if r:
+            raise ArithmeticError(f"Newton's identity for E_{k} is not "
+                                  f"divisible by {k}")
+        E.append(q)
+        live.append(bool(q))
+    return [_reduced(coeffs(Ek), p) for Ek in E]
 
 
 def _integral_roots(b: list, char: int) -> tuple[list, int]:
@@ -427,18 +573,18 @@ def _integral_roots(b: list, char: int) -> tuple[list, int]:
              for e, c in bi.items() if c} for i, bi in enumerate(b, 1)], D
 
 
-def _integral_values(h: dict, w: int, D: int, char: int) -> tuple[dict, int]:
-    """(H, M) with H(t) = M h(t/D) integral: for h = sum_j h_j t^j packed as
+def _integral_values(h: dict, D: int, char: int) -> tuple[dict, int]:
+    """(H, M) with H(t) = M h(t/D) integral: for h = sum_j h_j t^j given as
     in :func:`_symmetric_of_values`, L the lcm of its denominators and
     m = deg_t h, H_j = L h_j D^(m-j) and M = L D^m, so that H(D tau) =
     M h(tau) and the E_k of H scale the e_k of h by M^k.  Over GF(p),
     M = 1."""
     if char or not h:
         return h, 1
-    m = max(h) // w
-    L = math.lcm(*(c.denominator for c in h.values()))
-    return {e: c.numerator * (L // c.denominator) * D ** (m - e // w)
-            for e, c in h.items()}, L * D ** m
+    m = max(h)
+    L = math.lcm(*(c.denominator for hj in h.values() for c in hj.values()))
+    return {j: {e: c.numerator * (L // c.denominator) * D ** (m - j)
+                for e, c in hj.items()} for j, hj in h.items()}, L * D ** m
 
 
 def curve_resultant(f: Poly, g: Poly) -> MPoly:
@@ -454,9 +600,16 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
     integers: over Q with the roots D tau_i of t^n + sum_i D^i b_i t^(n-i),
     D the lcm of the denominators of the b_i, and the values M g(tau_i) of
     the integral H of :func:`_integral_values`, so each e_k is rebuilt once
-    as E_k / M^k.  The last step divides by 1, ..., n, so the
-    characteristic must be 0 or exceed deg f.  The value equals
-    :func:`resultant_eliminate` on the same pair.
+    as E_k / M^k.  For a dense pair the kernel evaluates X at 2^beta and
+    runs on one int per polynomial in X; beta is the bit length of
+    |mu|_1^deg g (1 + |H|_1)^n plus a sign bit, a bound on every
+    coefficient of the Sylvester determinant Res_t(mu, Y - H) (the product
+    of its rows' 1-norms), mu = t^n + sum_i D^i b_i t^(n-i).  A sparse pair,
+    whose packed power sums would take more bits than the rule at
+    ``_PACK_BITS`` allows for their terms, runs the same recurrence on
+    dicts.  The last step divides by 1, ..., n, so the characteristic must
+    be 0 or exceed deg f.  The value equals :func:`resultant_eliminate` on
+    the same pair.
     """
     check_same_field(f.field, g.field)
     field = f.field
@@ -467,8 +620,9 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
     b = [{0: field.mul(f.coeff(n - i), c_inv)} for i in range(1, n + 1)]
     b[-1][1] = field.neg(c_inv)
     B, D = _integral_roots(b, field.char)
-    H, M = _integral_values(g.coeffs, 1, D, field.char)
-    E = _symmetric_of_values(B, H, 1, field.char, [])
+    H, M = _integral_values({j: {0: c} for j, c in g.coeffs.items()}, D,
+                            field.char)
+    E = _symmetric_of_values(B, H, field.char, {})
     out, Mk = {}, 1
     for k, Ek in enumerate(E):
         for ex, v in Ek.items():

@@ -28,10 +28,10 @@ from itertools import count, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .fields import check_same_field
-from .mpoly import (MPoly, _add_product, _integral_roots, _integral_values,
+from .mpoly import (MPoly, _integral_roots, _integral_values,
                     _symmetric_of_values, curve_resultant, eval_bipoly)
 from .numsgp import NumSgp, _monoid, gcd_chain, is_free
-from .poly import Poly
+from .poly import Poly, _int_mul
 from .reduction import LimitExceeded, basis_element, value_of
 
 
@@ -177,8 +177,9 @@ def _miller(a: Sequence[dict], alpha: Fraction, N: int) -> list[tuple[dict, int]
                 w *= b * (j - t)
                 t += 1
             c = (k * i - b * j) * w
-            if c:
-                _add_product(acc, Ui, out[j - i][0], 0, c)
+            if c and out[j - i][0]:
+                for e, v in _int_mul(Ui, out[j - i][0], 0).items():
+                    acc[e] = acc.get(e, 0) + c * v
         s *= b * j * D
         out.append(({e: c for e, c in acc.items() if c}, s))
     return out
@@ -389,11 +390,10 @@ def _intersection_numbers(F: MPoly):
     F is scaled as in :func:`curve_resultant`, by the lcm D of the
     denominators of its y-coefficients in Q[x], and each G to the integral
     L D^m G(x, y/D), m = deg_y G; that multiplies Res_y(F, G) by a nonzero
-    constant, so the degree is deg_x E_n.  G is packed into one exponent
-    ey*W + ex with W = n deg_x G + 1, which no power G^k, k <= n, overflows
-    (Kronecker substitution), so its powers are plain integer products.
-    The integer power sums of the scaled roots of F are kept in one list,
-    extended as far as the y-degree of each G needs.
+    constant, so the degree is deg_x E_n.  The kernel picks its form,
+    packed or sparse, for each G; the integer power sums of the scaled
+    roots of F are kept per form and slot width, each list extended as far
+    as the y-degree of each G needs.
     """
     field = F.field
     n = F.degree_in("y")
@@ -404,13 +404,14 @@ def _intersection_numbers(F: MPoly):
         if ey < n:
             b[n - 1 - ey][ex] = c
     B, D = _integral_roots(b, field.char)
-    s: list = []
+    s: dict = {}
 
     def value(G: MPoly) -> int:
-        w = n * max(G.degree_in("x"), 0) + 1
-        h, _ = _integral_values({ey * w + ex: c for (ex, ey), c in G.coeffs.items()},
-                                w, D, field.char)
-        res = _symmetric_of_values(B, h, w, field.char, s)[n]
+        h: dict = {}
+        for (ex, ey), c in G.coeffs.items():
+            h.setdefault(ey, {})[ex] = c
+        h, _ = _integral_values(h, D, field.char)
+        res = _symmetric_of_values(B, h, field.char, s)[n]
         if not res:
             raise ValueError("the two curves share a component")
         return max(res)

@@ -1,8 +1,11 @@
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,8 @@ import pytest
 from curvesgp import cli, numsgp, planebranch, report
 from curvesgp.cli import build_parser, main
 from util import P, deadline
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -395,6 +400,8 @@ def test_plane_local_monomial_route_names_q_and_e(capsys, f, g, named):
     # swapped to f = x^4; the descent needs the exponent 20001, past
     # PRECISION_CAP, so it must not walk the coefficients up to it
     ("x^6+x^20001", "x^4", [4, 6, 20007]),
+    # a sparse g of high degree: the curve's power sums stay sparse
+    ("x^4", "x^6+x^1001", [4, 6, 1007]),
 ])
 def test_plane_local_edge_cases_of_the_descent(capsys, f, g, gens):
     start = time.perf_counter()
@@ -402,6 +409,25 @@ def test_plane_local_edge_cases_of_the_descent(capsys, f, g, gens):
     assert time.perf_counter() - start < 2
     assert (code, err) == (0, "")
     assert f"minimal generators: {gens}" in out
+
+
+def test_sparse_plane_inputs_stay_small(capsys):
+    # the resultant kernel packs a polynomial in X into one int only when
+    # the input is dense: packed slots sized by the coefficient bound
+    # |mu|_1^m (1 + |h|_1)^n would take 66 MB on the first input and
+    # exhaust memory on the second
+    argvs = [["plane-local", "x^4", "x^6+x^1001"],
+             ["plane-local", "x^6+x^20001", "x^4"],
+             ["plane-infinity", "x^4+x", "3*x^6+x^1001"]]
+    for argv in argvs:
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, ""), argv
+        assert peak < 32 * 2 ** 20, (argv, peak)
 
 
 def test_plane_local_precision_cap_below_degree_bound_exits_3(capsys, monkeypatch):
@@ -481,12 +507,14 @@ def test_local_two_large_monomials_within_budget(capsys):
 
 
 def _main_outcome(capsys, argv):
-    """(exit code, stdout) of one main call; argparse errors exit by raising."""
+    """(exit code, stdout, stderr) of one main call; argparse errors exit by
+    raising."""
     try:
         code = main(list(argv))
     except SystemExit as err:
         code = err.code
-    return code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):
@@ -505,7 +533,7 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
         build_parser.cache_clear()
         fresh.append(_main_outcome(capsys, argv))
     assert in_one_process == fresh
-    assert [code for code, _ in fresh] == [0, 0, 2, 2, 0, 0]
+    assert [code for code, *_ in fresh] == [0, 0, 2, 2, 0, 0]
     assert "value 13: x^13" in fresh[0][1]
     assert "reduced basis" not in fresh[-1][1]
 
@@ -620,3 +648,134 @@ def test_leading_minus_polynomial_after_double_dash(capsys, argv, gens):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["semigroup"]["minimal_generators"] == gens
+
+
+def _readme_cli_argvs() -> list[list[str]]:
+    """The argvs of the ``curvesgp`` lines of README's CLI block."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text[text.index("## CLI\n"):text.index("## Library\n")]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("curvesgp ")]
+
+
+def _bench_argvs() -> list[list[str]]:
+    """Every argv of the benchmark's job lists at seeds 1 and 7, with and
+    without ``--json``, once each."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from workloads import build_jobs
+        seen = {}
+        for workload in ("basis", "plane", "semigroup"):
+            for seed in (1, 7):
+                for job in build_jobs(workload, seed, 20):
+                    for argv in (job["argv"], job["argv"][:-1]):
+                        seen.setdefault(tuple(argv), argv)
+    finally:
+        sys.path.pop(0)
+    return list(seen.values())
+
+
+def _variant(rng, argv: list[str]) -> list[str]:
+    """One seeded change of a plain argv into one that argparse reads
+    differently, may reject, or reads the same."""
+    argv = list(argv)
+    args = cli.COMMANDS[argv[0]][1]
+    opts = [i for i, t in enumerate(argv[:-1])
+            if t.startswith("--") and t != "--json" and "=" not in t]
+    values = [i for i in range(1, len(argv)) if not argv[i].startswith("--")]
+    kind = rng.randrange(10)
+    if kind == 0 and opts:  # an option and its value moved to the front
+        i = rng.choice(opts)
+        pair = argv[i:i + 2]
+        del argv[i:i + 2]
+        argv[1:1] = pair
+    elif kind == 1 and opts:  # --opt=value
+        i = rng.choice(opts)
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif kind == 2:  # an abbreviated option
+        argv.insert(rng.randrange(1, len(argv) + 1),
+                    rng.choice(["--js", "--j", "--ch", "--sh", "--ag"]))
+    elif kind == 3:  # "--" before the last token
+        argv.insert(len(argv) - 1, "--")
+    elif kind == 4 and values:  # a leading minus on a value, often an option's
+        i = rng.choice([i + 1 for i in opts] if opts and rng.random() < 0.5
+                       else values)
+        argv[i] = "-" + argv[i]
+    elif kind == 5:  # an unknown option, with or without a value
+        argv[rng.randrange(1, len(argv) + 1):0] = rng.choice(
+            [["--bogus"], ["--bogus", "3"], ["-x"], ["-"]])
+    elif kind == 6 and len(argv) > 1:  # a token, or an option and its value, dropped
+        i = rng.choice(opts) if opts and rng.random() < 0.5 else \
+            rng.randrange(1, len(argv))
+        del argv[i:i + 1 + (i in opts)]
+    elif kind == 7:  # a bad choice or integer, or a repeated option
+        a = rng.choice([a for a in args if not a.flag])
+        if a.choices is None and a.type is None:
+            argv += ([a.name, rng.choice(["x^2", "-x^2", "-2*x^2"])]
+                     if a.name.startswith("-") else ["extra"])
+        elif not a.name.startswith("-"):  # "setting", right after the command
+            argv[1] = rng.choice(["Local", "globall", ""])
+        else:
+            bad = ["bad", "Semigroup"] if a.choices else ["0x7", " 5", "", "-3"]
+            argv += [a.name, rng.choice(bad + [str(a.default)])]
+    elif kind == 8:  # help
+        argv.insert(rng.randrange(0, len(argv) + 1), rng.choice(["-h", "--help"]))
+    else:  # --json repeated, or the command misspelt
+        argv += ["--json"] if rng.random() < 0.5 else []
+        if rng.random() < 0.3:
+            argv[0] = argv[0].upper()
+    return argv
+
+
+def test_plain_argv_path_equals_argparse(capsys, monkeypatch):
+    # the command table reads an argv, or declines it; where it reads one,
+    # it returns argparse's namespace, and main prints the same either way
+    plain = _bench_argvs() + _readme_cli_argvs() + [
+        ["reduce", "global", "x^7", "--against", "x^3,x^2", "--mode",
+         "expression", "--bound", "9", "--char", "7"],
+        ["reduce", "local", "x^4", "--against", "x^2", "--bound", "3"],
+        ["deform", "global", "x^6+x^3,x^4", "--char", "7", "--json"],
+        ["plane-infinity", "--char", "5", "x^6+x", "x^4"],
+        ["local", "--show", "all", "x^4,x^6+x^7", "--char", "101"]]
+    by_command: dict = {}
+    for argv in plain:
+        by_command.setdefault(argv[0], []).append(argv)
+    assert set(by_command) == set(cli.COMMANDS)
+    rng = random.Random(61)
+    variants = [_variant(rng, rng.choice(by_command[rng.choice(sorted(by_command))]))
+                for _ in range(500)] + [
+        ["reduce", "local", "x^4", "--against", "-x^2"],  # a value taken as an option
+        ["reduce", "local", "x^4", "--mode", "expression"],  # --against missing
+        ["local", "x^4,x^6", "--show", "bad"],
+        ["local", "x^4,x^6", "--char", "x"],
+        ["local", "x^4,x^6", "--char", "-3"],  # argparse reads -3 as a value
+        ["local", "x^4,x^6", "--char"],
+        ["local", "x^4,x^6", "--char=0"],
+        ["semigroup", "3,5", "--js"],
+        ["local", "x^4", "x^6"],
+        ["local"],
+        ["local", "-"],
+        ["local", ""],
+        ["local", "--json", "--", "-x^4,x^6+x^7"],
+        ["deform", "Local", "x^4,x^6"],
+        ["--help"],
+        ["plane-local", "-h"],
+        []]
+    parser = build_parser()
+    read = []
+    for argv in plain + variants:
+        args = cli._parse_plain(argv)
+        if args is not None:
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+            read.append(argv)
+    # every plain argv but README's "--against=-x^2" is read by the table
+    assert [a for a in plain if a not in read] == [
+        ["reduce", "local", "x^4", "--against=-x^2"]]
+    declined = [a for a in variants if a not in read]
+    assert 100 < len(declined) < 400
+    outcomes = [_main_outcome(capsys, argv) for argv in plain + variants]
+    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+    assert [_main_outcome(capsys, argv) for argv in plain + variants] == outcomes
+    codes = {code for code, _, _ in outcomes}
+    assert {0, 2} <= codes

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from curvesgp import (GF, QQ, MPoly, Poly, curve_resultant, eval_bipoly,
-                      resultant_eliminate)
+                      mpoly, resultant_eliminate)
 from curvesgp.mpoly import (_integral_roots, _symmetric_of_values,
                             sylvester_resultant)
+from curvesgp.planebranch import intersection_degree
 from util import XY, P, schoolbook_mul, xp
 
 
@@ -263,11 +264,29 @@ def _int_coeffs(p: Poly) -> dict:
     return {e: int(c) for e, c in p.coeffs.items()}
 
 
-def test_power_sums_and_elementary_symmetric_on_known_roots():
+def _power_sums(s: dict) -> tuple[int, list]:
+    """(slot bytes, S_0, S_1, ...) of the kernel's one cached form."""
+    (nbytes, sums), = s.items()
+    return nbytes, sums
+
+
+def test_power_sums_and_elementary_symmetric_on_known_roots(monkeypatch):
+    # by the kernel's rule (packed, on these inputs) and in its sparse form
+    _known_roots_check(packed=True)
+    monkeypatch.setattr(mpoly, "_slot_bytes", lambda *args: 0)
+    _known_roots_check(packed=False)
+
+
+def _known_roots_check(packed: bool):
     # roots r_i in K[X]: prod (t - r_i) = t^n + sum_i b_i t^(n-i) with
     # b_i = (-1)^i e_i; scaled as the callers scale them (roots D r_i),
-    # the kernel must give sum (D r_i)^j and back the e_i as D^i e_i
+    # the kernel must give sum (D r_i)^j and back the e_i as D^i e_i.  A
+    # packed power sum is the value of its polynomial at X = 2^(8 nbytes),
+    # over GF(p) of the residues taken as integers, and is read as that
+    # value (mod p): the slot width bounds the coefficients of the E_k, not
+    # those of the power sums
     rng = random.Random(37)
+    forms = set()
     for field in (QQ, GF(13)):
         for n in range(1, 7):
             roots = [P(*[(e, rng.choice((0, 1, -1, 2, "1/3")))
@@ -278,17 +297,81 @@ def test_power_sums_and_elementary_symmetric_on_known_roots():
                     + [e[-1] * r]
             b = [(e[i] if i % 2 == 0 else -e[i]).coeffs for i in range(1, n + 1)]
             B, D = _integral_roots(b, field.char)
-            s: list = []
+            s: dict = {}
             # the values h(tau) = tau^2 read every s_j for j <= 2n
-            _symmetric_of_values(B, {2: 1}, 1, field.char, s)
-            assert len(s) == 2 * n + 1
+            _symmetric_of_values(B, {2: {0: 1}}, field.char, s)
+            nbytes, sums = _power_sums(s)
+            forms.add(bool(nbytes))
+            assert len(sums) == 2 * n + 1
             for j in range(2 * n + 1):
                 want = Poly.zero(field)
                 for r in roots:
                     want = want + r ** j
-                assert s[j] == _int_coeffs(want.scale(D ** j)), (field, n, j)
-            E = _symmetric_of_values(B, {1: 1}, 1, field.char, s)
+                want = _int_coeffs(want.scale(D ** j))
+                if nbytes:
+                    diff = sums[j] - sum(c << 8 * nbytes * x for x, c in want.items())
+                    p = field.char
+                    assert (diff % p if p else diff) == 0, (field, n, j)
+                else:
+                    assert sums[j].c == want, (field, n, j)
+            E = _symmetric_of_values(B, {1: {0: 1}}, field.char, s)
             assert E == [_int_coeffs(ek.scale(D ** k)) for k, ek in enumerate(e)]
+    assert forms == {packed}
+
+
+def _dense_pair(rng, field):
+    """f of degree 1 to 5 and g of degree 1 to 10 with small coefficients
+    of both signs: their resultants' coefficients often come within a few
+    bits of the slot width that the kernel's bound gives them."""
+    coeffs = (1, -1, 2, -3, 5, 7, "1/2", "-2/3")
+    n, m = rng.randint(1, 5), rng.randint(1, 10)
+    f = P(*[(e, rng.choice(coeffs)) for e in range(n) if rng.random() < 0.7],
+          (n, rng.choice((1, -1, 3, "1/2"))), field=field)
+    g = P(*[(e, rng.choice(coeffs)) for e in range(m) if rng.random() < 0.7],
+          (m, rng.choice(coeffs)), field=field)
+    return f, g
+
+
+def test_kernel_forms_match_sylvester_route(monkeypatch):
+    # seeded pairs over Q and GF(p) and seeded pairs of curves, each by the
+    # kernel's rule and again in its sparse form, against the Sylvester
+    # route; the rule packs the dense pairs and leaves the curves with
+    # sparse x^1000 coefficients and 800-bit constants to the sparse form
+    picked = []
+    rule = mpoly._slot_bytes
+
+    def spy(*args):
+        picked.append(rule(*args))
+        return picked[-1]
+
+    rng = random.Random(53)
+    cases = []
+    for k in range(120):
+        field = GF(rng.choice((11, 13, 101))) if k % 4 == 3 else QQ
+        f, g = _dense_pair(rng, field)
+        cases.append((curve_resultant, (f, g), _sylvester_curve(f, g)))
+    big = 7 ** 300
+    for k in range(40):
+        field = GF(rng.choice((11, 13))) if k % 4 == 3 else QQ
+        xdeg, c = (1000, big) if k % 2 else (2, 3)
+
+        def curve(deg: int, top) -> MPoly:
+            terms = {(rng.randrange(xdeg + 1), j): rng.choice((1, -2, c))
+                     for j in range(deg) if rng.random() < 0.6}
+            return XY(terms | {(xdeg, 0): c, (0, deg): top}, field=field)
+
+        F = curve(rng.randrange(2, 5), 1)
+        G = curve(rng.randrange(1, 4), rng.choice((1, -3, c)))
+        res = sylvester_resultant(F, G, "y")
+        if not res.is_zero:
+            cases.append((intersection_degree, (F, G), res.degree_in("x")))
+    for form in ("rule", "sparse"):
+        monkeypatch.setattr(mpoly, "_slot_bytes", spy if form == "rule"
+                            else lambda *args: 0)
+        for fn, args, want in cases:
+            assert fn(*args) == want, (form, fn.__name__, args)
+    assert len(cases) > 150
+    assert 0 in picked and sum(map(bool, picked)) > 120
 
 
 def test_power_matches_repeated_multiplication():
