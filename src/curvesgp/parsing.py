@@ -9,18 +9,33 @@ Grammar (explicit ``*`` required, ``^`` binds tighter than unary minus):
     atom   := NUMBER | NAME | "(" expr ")"
 
 Division is only defined by nonzero constants, which is how rational
-coefficients like ``-135/32*x^83`` are written.  Errors carry the
-offending position in the input string.
+coefficients like ``-135/32*x^83`` are written.  A NUMBER has at most
+``sys.get_int_max_str_digits()`` digits.  A character outside the grammar,
+and then an over-long NUMBER, is reported before any error of the grammar.
+
+One pass over the tokens of one ``re.findall``; a value is a plain dict,
+exponent tuple -> coefficient.  A term folds its factors into one
+coefficient and one exponent vector; coefficients stay integers until a
+division, and each output term gets one ``Fraction`` (over GF(p), one
+residue).  Sums of several terms are multiplied and raised by the integer
+kernel of :mod:`curvesgp.poly`.  Errors carry the offending position in
+the input string, recomputed with the token pattern only once an error is
+raised.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import NamedTuple
+import sys
+from fractions import Fraction
 
 from .fields import field_of_characteristic
 from .mpoly import MPoly
-from .poly import Poly
+from .poly import Poly, _int_mul, _int_pow, _lift
+
+_TOKEN = r"[-+*/^()]|[A-Za-z_]\w*|\d+"
+_TOKENS = re.compile(_TOKEN)
 
 
 class ParseError(ValueError):
@@ -29,138 +44,170 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    pos: int
+class _Bad(Exception):
+    """A parse error at a token index: (message, index)."""
 
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()])")
+class _Reader:
+    """The grammar over one variable tuple and field, on token lists that
+    end with the empty string."""
 
+    def __init__(self, vars: tuple[str, ...], char: int):
+        self.field = field_of_characteristic(char)
+        self.p = self.field.char
+        self.index = {v: k for k, v in enumerate(vars)}
+        self.zero = (0,) * len(vars)
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        kind = m.lastgroup
-        tokens.append(Token(kind, m.group(), i))
-        i = m.end()
-    tokens.append(Token("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token], vars: tuple[str, ...], field):
-        self.tokens = tokens
-        self.i = 0
-        self.vars = vars
-        self.field = field
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
-            raise ParseError(f"expected {op!r}", tok.pos)
-        return self.advance()
-
-    def parse(self) -> MPoly:
-        value = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.value!r}", tok.pos)
-        return value
-
-    def expr(self) -> MPoly:
-        """One coefficient dict per sum, built into an MPoly once: adding
-        MPoly values term by term copies the sum so far at every sign."""
-        f = self.field
-        acc = dict(self.term().coeffs)
-        while self.peek().kind == "op" and self.peek().value in "+-":
-            combine = f.add if self.advance().value == "+" else f.sub
-            for e, c in self.term().coeffs.items():
-                acc[e] = combine(acc.get(e, f.zero), c)
-        return MPoly(self.vars, f, acc)
-
-    def term(self) -> MPoly:
-        value = self.factor()
-        while self.peek().kind == "op" and self.peek().value in "*/":
-            tok = self.advance()
-            rhs = self.factor()
-            if tok.value == "*":
-                value = value * rhs
+    def expr(self, toks: list[str], i: int) -> tuple[dict, int]:
+        """The sum from token i, not yet reduced, and the index after it.
+        A term is read as num/den * x^exps * poly, poly the product of its
+        factors of several terms."""
+        index, p, zero = self.index, self.p, self.zero
+        acc, num = {}, 1
+        while True:
+            den, exps, poly, div = 1, list(zero), None, None
+            while True:
+                while toks[i] == "-":
+                    num, i = -num, i + 1
+                tok, i = toks[i], i + 1
+                k = index.get(tok)
+                if tok == "(":
+                    value, i = self.expr(toks, i)
+                    if toks[i] != ")":
+                        raise _Bad("expected ')'", i)
+                    i += 1
+                elif tok.isdigit():
+                    c = int(tok)
+                elif k is None:
+                    raise _Bad(f"unknown variable {tok!r}" if tok and tok not in ")+*/^"
+                               else f"unexpected {tok or 'end of input'!r}", i - 1)
+                e = 1
+                if toks[i] == "^":
+                    if not toks[i + 1].isdigit():
+                        raise _Bad("exponent must be a nonnegative integer", i + 1)
+                    e, i = int(toks[i + 1]), i + 2
+                if k is not None:
+                    if e and div is not None:
+                        raise _Bad("division only by constants", div)
+                    exps[k] += e
+                else:
+                    if tok != "(":
+                        c = pow(c, e, p) if p else c ** e
+                    elif (value := self.power(value, e)).keys() <= {zero}:
+                        c = value.get(zero, 0)
+                    elif div is not None:
+                        raise _Bad("division only by constants", div)
+                    elif len(value) > 1:
+                        poly, c = value if poly is None else self.mul(poly, value), 1
+                    else:
+                        (mono, c), = value.items()
+                        exps = [a + b for a, b in zip(exps, mono)]
+                    if div is None and type(c) is int:
+                        num *= c
+                    elif div is None:
+                        num, den = num * c.numerator, den * c.denominator
+                    elif not c:
+                        raise _Bad("division by zero", div)
+                    else:
+                        num, den = num * c.denominator, den * c.numerator
+                if toks[i] != "*" and toks[i] != "/":
+                    break
+                div, i = (i if toks[i] == "/" else None), i + 1
+            c = (num * pow(den, -1, p) % p if p
+                 else num if den == 1 else Fraction(num, den))
+            mono = tuple(exps)
+            if poly is None:
+                acc[mono] = acc[mono] + c if mono in acc else c
             else:
-                if not rhs.is_constant():
-                    raise ParseError("division only by constants", tok.pos)
-                c = rhs.constant_value()
-                if self.field.is_zero(c):
-                    raise ParseError("division by zero", tok.pos)
-                value = value.scale(self.field.inv(c))
-        return value
+                for e, v in poly.items():
+                    e, v = tuple([a + b for a, b in zip(e, mono)]), v * c
+                    acc[e] = acc[e] + v if e in acc else v
+            if toks[i] != "+" and toks[i] != "-":
+                return acc, i
+            num, i = 1 if toks[i] == "+" else -1, i + 1
 
-    def factor(self) -> MPoly:
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "-":
-            self.advance()
-            return -self.factor()
-        return self.power()
+    def power(self, value: dict, n: int) -> dict:
+        """value^n with its terms reduced; by ``_int_pow`` for n >= 2."""
+        p = self.p
+        value = ({e: c % p for e, c in value.items() if c % p} if p
+                 else {e: c for e, c in value.items() if c})
+        if n == 0:
+            return {self.zero: 1}
+        return self.mul(value, None, n) if value and n > 1 else value
 
-    def power(self) -> MPoly:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "^":
-            self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind != "num":
-                raise ParseError("exponent must be a nonnegative integer",
-                                 exp_tok.pos)
-            self.advance()
-            base = base ** int(exp_tok.value)
-        return base
+    def mul(self, a: dict, b: dict | None, n: int = 1) -> dict:
+        """a*b, or a^n when b is None, for nonzero reduced values: exponent
+        vectors packed in base w (as ``planebranch.approximate_root`` packs
+        them), w - 1 the largest total degree of the result, and each side
+        lifted to numerators over one denominator (as ``Poly.__mul__``)."""
+        w = n * max(map(sum, a)) + (0 if b is None else max(map(sum, b))) + 1
+        weights = [w ** k for k in range(len(self.zero))]
 
-    def atom(self) -> MPoly:
-        tok = self.advance()
-        if tok.kind == "num":
-            return MPoly.constant(self.vars, int(tok.value), self.field)
-        if tok.kind == "name":
-            if tok.value not in self.vars:
-                raise ParseError(f"unknown variable {tok.value!r}", tok.pos)
-            return MPoly.variable(self.vars, tok.value, self.field)
-        if tok.kind == "op" and tok.value == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return value
-        raise ParseError(f"unexpected {tok.value or 'end of input'!r}", tok.pos)
+        def lift(value):
+            return _lift(self.field, {sum([x * v for x, v in zip(e, weights)]): c
+                                      for e, c in value.items()})
+
+        A, d = lift(a)
+        if b is None:
+            prod, d = _int_pow(A, n, self.p), d ** n
+        else:
+            B, db = lift(b)
+            prod, d = _int_mul(A, B, self.p), d * db
+        return {tuple([x // v % w for v in weights]): c if d == 1 else Fraction(c, d)
+                for x, c in prod.items()}
+
+    def parse(self, text: str) -> dict:
+        """exponent tuple -> nonzero field element of the polynomial text."""
+        toks = _TOKENS.findall(text)
+        if "".join(toks) != "".join(text.split()):
+            scan = re.finditer(rf"({_TOKEN})|\S", text)
+            bad = next(m for m in scan if m.group(1) is None)
+            raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+        toks.append("")
+        cap = sys.get_int_max_str_digits()
+        try:
+            if cap and len(text) > cap:  # int() refuses a longer literal
+                for i, t in enumerate(toks):
+                    if len(t) > cap and t.isdigit():
+                        raise _Bad(f"integer literal of {len(t)} digits exceeds "
+                                   f"the limit of {cap} digits", i)
+            value, i = self.expr(toks, 0)
+            if toks[i]:
+                raise _Bad(f"unexpected {toks[i]!r}", i)
+        except _Bad as err:
+            message, at = err.args
+            starts = [m.start() for m in _TOKENS.finditer(text)] + [len(text)]
+            raise ParseError(message, starts[at]) from None
+        p = self.p
+        if p:
+            return {e: c % p for e, c in value.items() if c % p}
+        return {e: c if type(c) is Fraction else Fraction(c)
+                for e, c in value.items() if c}
+
+
+_reader = functools.lru_cache(maxsize=16)(_Reader)
 
 
 def parse_mpoly(text: str, vars: tuple[str, ...], char: int = 0) -> MPoly:
-    field = field_of_characteristic(char)
-    return _Parser(tokenize(text), tuple(vars), field).parse()
+    reader = _reader(tuple(vars), char)
+    return MPoly(vars, reader.field, reader.parse(text))
 
 
 def parse_poly(text: str, char: int = 0) -> Poly:
     """Univariate parse; the variable may be named x or t, but not both."""
-    mp = parse_mpoly(text, ("x", "t"), char)
-    try:
-        return mp.to_poly()
-    except ValueError:
-        raise ParseError("use a single variable (x or t) per polynomial", 0) from None
+    return _univariate(_reader(("x", "t"), char), text)
 
 
 def parse_poly_list(text: str, char: int = 0) -> list[Poly]:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise ParseError("empty polynomial list", 0)
-    return [parse_poly(p, char) for p in parts]
+    reader = _reader(("x", "t"), char)
+    return [_univariate(reader, p) for p in parts]
+
+
+def _univariate(reader: _Reader, text: str) -> Poly:
+    value = reader.parse(text)
+    if "t" in text and any(a for a, _ in value) and any(b for _, b in value):
+        raise ParseError("use a single variable (x or t) per polynomial", 0)
+    return Poly._of(reader.field, {a + b: c for (a, b), c in value.items()})

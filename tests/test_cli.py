@@ -276,6 +276,19 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("template, position", [
+    ("x^2+{}*x^3", 4), ("x^{}", 2)])
+def test_over_long_literal_is_a_parse_error(capsys, template, position):
+    # int() refuses a literal past CPython's digit cap; that is a parse
+    # error at the literal, which names the cap, and no ValueError
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "local", template.format("9" * (cap + 700)))
+    assert code == 2
+    assert out == ""
+    assert err == (f"parse error: integer literal of {cap + 700} digits "
+                   f"exceeds the limit of {cap} digits (at position {position})\n")
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "semigroup", "0,3")
     assert code == 1

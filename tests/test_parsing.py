@@ -1,10 +1,13 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from curvesgp import GF, QQ, MPoly, ParseError, Poly, parse_mpoly, parse_poly, parse_poly_list
 from curvesgp.poly import render_poly
+import oracles
 from util import XY, P, deadline, xp
 
 
@@ -119,3 +122,113 @@ def test_long_sums_parse_in_linear_time():
     text = _signed_sum((f"x^{i}*y^{j}", c) for (i, j), c in terms)
     with deadline(3):
         assert parse_mpoly(text, ("x", "y")) == MPoly(("x", "y"), QQ, want)
+
+
+def test_powers_of_sums_run_on_the_integer_kernel():
+    # (x+1)^1600 took seconds as MPoly products of Fractions
+    with deadline(3):
+        assert parse_poly("(x+1)^1500") == Poly(QQ, {
+            k: Fraction(math.comb(1500, k)) for k in range(1501)})
+    with deadline(3):
+        F = parse_mpoly("(x+y+1)^60", ("x", "y"))
+    f = math.factorial
+    assert F == XY({(i, j): f(60) // (f(i) * f(j) * f(60 - i - j))
+                    for i in range(61) for j in range(61 - i)})
+    assert len(F.coeffs) == 1891
+
+
+def test_over_long_literal_is_read_before_the_grammar():
+    # a literal int() refuses is found with the tokens, like a bad character:
+    # after any bad character, and before any error of the grammar
+    cap = sys.get_int_max_str_digits()
+    long = "9" * (cap + 1)
+    with pytest.raises(ParseError, match=f"literal of {cap + 1} digits exceeds "
+                                         f"the limit of {cap} digits") as err:
+        parse_poly(f"x^2 )({long}")
+    assert err.value.position == 6
+    with pytest.raises(ParseError, match="unexpected character '~'"):
+        parse_poly(f"{long}+x~")
+
+
+def _random_expr(rng, names, depth=0) -> str:
+    """A random sum over the grammar; numbers that vanish mod 5 or 13, zero
+    divisors such as (x-x) and names outside the variable tuple included."""
+    text = ""
+    for j in range(rng.randint(1, 3)):
+        term = _random_factor(rng, names, depth)
+        for _ in range(rng.randint(0, 2)):
+            op = rng.choice("***/")
+            # a divisor is mostly a number, so that most terms parse
+            term += op + _random_factor(rng, names, depth,
+                                        op == "/" and rng.random() < 0.7)
+        text += ("" if j == 0 else rng.choice("+-")) + term
+    return text
+
+
+def _random_factor(rng, names, depth, number=False) -> str:
+    r = 0 if number else rng.random()
+    if r < 0.35:
+        atom = str(rng.choice([0, 1, 2, 3, 5, 7, 10, 13, 26, 100]))
+    elif r < 0.75 or depth >= 2:
+        atom = rng.choice(names)
+    else:
+        atom = "(" + _random_expr(rng, names, depth + 1) + ")"
+    if rng.random() < 0.4:
+        atom += f"^{rng.randint(0, 4)}"
+    return "-" * rng.choice([0, 0, 0, 1, 2]) + atom
+
+
+def _mutate(rng, text: str) -> str:
+    """text with one character deleted, or one inserted at a random place:
+    an operator, a name or digit character (the Arabic-Indic three
+    included, which ``\\d`` reads as a digit), a space, or a bad
+    character."""
+    k = rng.randrange(len(text) + 1)
+    if text and rng.random() < 0.4:
+        return text[:k] + text[k + 1:]
+    return text[:k] + rng.choice("+-*/^()x2 ~$,é_\u0663") + text[k:]
+
+
+def _outcome(parse, *args):
+    """The parsed value with its coefficient types, or the exception's type,
+    message and position."""
+    try:
+        value = parse(*args)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "position", None)
+    polys = value if isinstance(value, list) else [value]
+    return value, [sorted({type(c).__name__ for c in p.coeffs.values()})
+                   for p in polys]
+
+
+MALFORMED = ["x^", "x~2", "2x", "x/x", "1/0*x", "x^2^3", "()", "x*/2", "(x",
+             "x)", "z", "1/(2-2)", "3/(x-x+0)", ""]
+
+
+@pytest.mark.parametrize("char", [0, 5, 13])
+def test_parser_matches_the_mpoly_reference(char):
+    # the one-pass integer parser against the MPoly parser it replaced:
+    # equal values and coefficient types, or equal errors
+    rng = random.Random(31 + char)
+    for vars in (("x", "y"), ("x", "t")):
+        names = vars * 8 + ("z", "t", "y")
+        texts = MALFORMED + [" - x ^ 2 +\t3 * ( y - 1 ) "]
+        for _ in range(3000):
+            text = _random_expr(rng, names)
+            texts.append(_mutate(rng, text) if rng.random() < 0.3 else text)
+        for k, text in enumerate(texts):
+            assert (_outcome(parse_mpoly, text, vars, char)
+                    == _outcome(oracles.parse_mpoly, text, vars, char)), text
+            if vars == ("x", "t"):
+                assert (_outcome(parse_poly, text, char)
+                        == _outcome(oracles.parse_poly, text, char)), text
+                pair = f"{texts[k - 1]},{text}"
+                assert (_outcome(parse_poly_list, pair, char)
+                        == _outcome(oracles.parse_poly_list, pair, char)), pair
+
+
+def test_field_is_checked_before_any_token():
+    # --char 4 is refused as a field, whatever the text holds
+    for parse in (parse_poly, parse_poly_list, oracles.parse_poly):
+        with pytest.raises(ValueError, match="4 is not prime"):
+            parse("x~2", 4)
