@@ -8,21 +8,22 @@ Y - g(t) over K[X][t]/(f(t) - X) and comes from power sums and Newton's
 identities, without a matrix (Bostan, Flajolet, Salvy and Schost, J. Symb.
 Comp. 41, 2006), in one integer kernel, :func:`_symmetric_of_values`:
 over Q, roots and values are scaled to integral ones, so every division in
-Newton's identities is exact; ``planebranch.intersection_degree`` shares
-it.  When the input is dense, the kernel runs on packed integers: each
-polynomial in X becomes its value at X = 2^beta, one Python int, and each
-result is unpacked once.  beta comes from a proven bound: the results are
-coefficients of Res_t(mu, Y - h), at most |mu|_1^m (1 + |h|_1)^n in size,
-since the 1-norm of a Sylvester determinant is at most the product of its
-rows' 1-norms.  When the power sums would take more packed bits than
-their dict terms warrant (``_PACK_BITS``), it runs the same recurrence on
-dicts, every product a ``poly._int_mul``.  The approximate roots
-(``planebranch.approximate_root``, from the same scaled coefficients) and
-their evaluation (:meth:`MPoly.eval_univariate`, by Horner's rule) run on
-integer numerators too, each divided once when its result is rebuilt.
-The Sylvester matrix with
-fraction-free (Bareiss) elimination serves only :func:`resultant_eliminate`
-and the tests, as their reference route.
+Newton's identities is exact; ``planebranch.intersection_degree`` calls
+it once per pair of curves.  When the input is dense, the kernel runs on
+packed integers: each polynomial in X becomes its value at X = 2^beta,
+one Python int, and each result is unpacked once.  beta comes from a
+proven bound: the results are coefficients of Res_t(mu, Y - h), at most
+|mu|_1^m (1 + |h|_1)^n in size, since the 1-norm of a Sylvester
+determinant is at most the product of its rows' 1-norms.  When the power
+sums would take more packed bits than their dict terms warrant (one rule,
+``_BITS_PER_TERM`` bits a term), it runs the same recurrence on dicts,
+every product a ``poly._int_mul`` and every sum a ``poly._sub_scaled``.
+The approximate roots (``planebranch.approximate_root``, from the same
+scaled coefficients) and their evaluation (:meth:`MPoly.eval_univariate`,
+by Horner's rule) run on integer numerators too, each divided once when
+its result is rebuilt.  The Sylvester matrix with fraction-free (Bareiss)
+elimination serves only :func:`resultant_eliminate` and the tests, as
+their reference route.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field
-from .poly import (Poly, _int_mul, _int_pow, _join_terms, _lift, _unlift,
-                   _unpack)
+from .poly import (Poly, _int_mul, _int_pow, _join_terms, _lift, _reduced,
+                   _sub_scaled, _unlift, _unpack)
 
 
 class MPoly:
@@ -210,8 +211,9 @@ class MPoly:
         exponents K > K' > ... > k_min, the integral d^E G(v) is
         (...(d^(E-K) G_K a^(K-K') + d^(E-K') G_K') a^(K'-K'') + ...)
         a^(k_min), each G_k evaluated the same way in the remaining
-        variables.  Every product is a ``poly._int_mul``, and the result
-        is divided once, by the denominator of G times each d^E.
+        variables.  Every product is a ``poly._int_mul``, every sum a
+        ``poly._sub_scaled``, and the result is divided once, by the
+        denominator of G times each d^E.
         """
         f = self.field
         p = f.char
@@ -233,9 +235,7 @@ class MPoly:
             acc: dict = {}
             for k, lower in zip(exps, exps[1:] + [0]):
                 scale = d ** (degs[i] - k)
-                for e, c in horner(rows[k], i - 1).items():
-                    acc[e] = acc.get(e, 0) + scale * c
-                acc = _reduced(acc, p)
+                _sub_scaled(acc, -scale, horner(rows[k], i - 1), p)
                 if k > lower and acc:
                     acc = _int_mul(acc, _int_pow(a, k - lower, p), p) if a else {}
             return acc
@@ -350,22 +350,15 @@ def resultant_eliminate(p: MPoly, q: MPoly, name: str, monic_in: str | None = No
     return res
 
 
-def _reduced(acc: dict, p: int) -> dict:
-    """acc with its coefficients reduced mod p (when p > 0), zeros dropped."""
-    return {e: c % p if p else c for e, c in acc.items() if (c % p if p else c)}
-
-
 # The packed form of :func:`_symmetric_of_values` holds the power sums
 # S_0, ..., S_N, N = n m, as ints of about beta (j delta + 1) bits, delta =
 # max_i deg_X(B_i) / i the X-degree that each step in t adds: beta N
 # (N delta / 2 + 1) bits in all.  It is picked when they take at most
-# _PACK_BITS, where neither form costs much and packing saves the dicts'
-# per-term work, or at most _BITS_PER_TERM bits for each term that the
-# inputs (the B_i and the h_j) bring to each of the N + 1 sums: a dict term
-# costs about as much as that many packed bits.  Otherwise the inputs are
-# sparse beside the slots, as for (x^4, x^6 + x^1001): each of its power
-# sums is one term, and each would be packed at beta = 1016 bits a slot.
-_PACK_BITS = 1 << 23
+# _BITS_PER_TERM bits for each term that the inputs (the B_i and the h_j)
+# bring to each of the N + 1 sums: a dict term costs about as much as that
+# many packed bits.  Otherwise the inputs are sparse beside the slots, as
+# for (x^4, x^6 + x^1001): each of its power sums is one term, and each
+# would be packed at beta = 1016 bits a slot.
 _BITS_PER_TERM = 1 << 10
 
 
@@ -374,7 +367,8 @@ class _ZX:
     in [0, p) when p > 0): the sparse form of the ring that
     :func:`_symmetric_of_values` runs in, with the operations its
     recurrence uses.  Each product is one ``poly._int_mul``; ``+=`` and
-    ``-=`` write into the left operand, which must be a fresh value."""
+    ``-=`` are one ``poly._sub_scaled`` each and write into the left
+    operand, which must be a fresh value."""
 
     __slots__ = ("c", "p")
 
@@ -385,24 +379,13 @@ class _ZX:
     def __bool__(self) -> bool:
         return bool(self.c)
 
-    def _add(self, other: "_ZX", sign: int) -> "_ZX":
-        c, p = self.c, self.p
-        get = c.get
-        for e, v in other.c.items():
-            v = get(e, 0) + sign * v
-            if p:
-                v %= p
-            if v:
-                c[e] = v
-            else:
-                c.pop(e, None)
+    def __iadd__(self, other: "_ZX") -> "_ZX":
+        _sub_scaled(self.c, -1, other.c, self.p)
         return self
 
-    def __iadd__(self, other: "_ZX") -> "_ZX":
-        return self._add(other, 1)
-
     def __isub__(self, other: "_ZX") -> "_ZX":
-        return self._add(other, -1)
+        _sub_scaled(self.c, 1, other.c, self.p)
+        return self
 
     def __mul__(self, other: "_ZX") -> "_ZX":
         if self.c and other.c:
@@ -422,7 +405,7 @@ class _ZX:
 
 def _slot_bytes(b: list, h: dict, n: int, m: int) -> int:
     """Bytes per slot of the packed form of :func:`_symmetric_of_values`,
-    or 0 for its sparse form, by the rule stated at ``_PACK_BITS``."""
+    or 0 for its sparse form, by the rule stated at ``_BITS_PER_TERM``."""
     norm_mu = 1 + sum(abs(c) for bi in b for c in bi.values())
     norm_h = sum(abs(c) for hj in h.values() for c in hj.values())
     nbytes = ((norm_mu ** m * (1 + norm_h) ** n).bit_length() + 8) // 8
@@ -430,10 +413,10 @@ def _slot_bytes(b: list, h: dict, n: int, m: int) -> int:
     delta = max((max(bi) / i for i, bi in enumerate(b, 1) if bi), default=0)
     packed = 8 * nbytes * (N + 1) * (N * delta / 2 + 1)
     terms = (N + 1) * (sum(map(len, b)) + sum(map(len, h.values())))
-    return nbytes if packed <= max(_PACK_BITS, _BITS_PER_TERM * terms) else 0
+    return nbytes if packed <= _BITS_PER_TERM * terms else 0
 
 
-def _symmetric_of_values(b: list, h: dict, p: int, s: dict) -> list[dict]:
+def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
     """E_0, ..., E_n: the elementary symmetric functions of the values
     h(tau_i) at the n roots tau_i of mu(t) = t^n + sum_i B_i t^(n-i).
 
@@ -450,8 +433,8 @@ def _symmetric_of_values(b: list, h: dict, p: int, s: dict) -> list[dict]:
     ArithmeticError.  Over GF(p) it needs p > n.
 
     One recurrence runs in one of two forms of Z[X], picked by
-    :func:`_slot_bytes` (the rule at ``_PACK_BITS``); each power h^k is one
-    ``poly._int_mul``.  Packed, each polynomial in X is its value at
+    :func:`_slot_bytes` (the rule at ``_BITS_PER_TERM``); each power h^k is
+    one ``poly._int_mul``.  Packed, each polynomial in X is its value at
     X = 2^beta, one Python int (Kronecker substitution, as in
     ``poly._int_mul``), and h^k is a dict t-exponent -> int.  Evaluation at
     2^beta is a ring homomorphism, so every step, the divisions by k
@@ -469,10 +452,7 @@ def _symmetric_of_values(b: list, h: dict, p: int, s: dict) -> list[dict]:
     because E_k is an integer polynomial in the inputs.  Sparse, each
     polynomial in X is a :class:`_ZX`, reduced mod p as it goes, and h is
     packed into one polynomial in X, t^j X^e to X^(j w + e) with
-    w = n deg_X h + 1, which no power h^k, k <= n, overflows.  s caches the
-    power sums per form, as lists S_0, S_1, ... under the slot width in
-    bytes (0 for the sparse form), and is extended in place, so a caller
-    can keep it for many h.
+    w = n deg_X h + 1, which no power h^k, k <= n, overflows.
     """
     n = len(b)
     if 0 < p <= n:
@@ -518,13 +498,11 @@ def _symmetric_of_values(b: list, h: dict, p: int, s: dict) -> list[dict]:
                     if live[j]:  # a row that meets a zero power sum is not read
                         rows.setdefault(j, {})[e] = c
                 yield {j: _ZX(row, p) for j, row in rows.items()}
-    sums = s.get(nbytes)
-    if sums is None:
-        sums = s[nbytes] = [lift({0: n})]
     B = [lift(bi) for bi in b]
     terms = [(i, Bi) for i, Bi in enumerate(B, 1) if Bi]
-    live = [bool(sj) for sj in sums]  # S_j != 0, read without a call per test
-    for j in range(len(sums), n * m + 1):
+    sums = [lift({0: n})]
+    live = [True]  # S_j != 0, read without a call per test; S_0 = n
+    for j in range(1, n * m + 1):
         acc = B[j - 1] * lift({0: -j}) if j <= n else zero()
         for i, Bi in terms:
             if i >= j:
@@ -605,11 +583,11 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
     |mu|_1^deg g (1 + |H|_1)^n plus a sign bit, a bound on every
     coefficient of the Sylvester determinant Res_t(mu, Y - H) (the product
     of its rows' 1-norms), mu = t^n + sum_i D^i b_i t^(n-i).  A sparse pair,
-    whose packed power sums would take more bits than the rule at
-    ``_PACK_BITS`` allows for their terms, runs the same recurrence on
-    dicts.  The last step divides by 1, ..., n, so the characteristic must
-    be 0 or exceed deg f.  The value equals :func:`resultant_eliminate` on
-    the same pair.
+    whose packed power sums would take more than ``_BITS_PER_TERM`` bits
+    for each of their input terms, runs the same recurrence on dicts.  The
+    last step divides by 1, ..., n, so the characteristic must be 0 or
+    exceed deg f.  The value equals :func:`resultant_eliminate` on the same
+    pair.
     """
     check_same_field(f.field, g.field)
     field = f.field
@@ -622,7 +600,7 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
     B, D = _integral_roots(b, field.char)
     H, M = _integral_values({j: {0: c} for j, c in g.coeffs.items()}, D,
                             field.char)
-    E = _symmetric_of_values(B, H, field.char, {})
+    E = _symmetric_of_values(B, H, field.char)
     out, Mk = {}, 1
     for k, Ek in enumerate(E):
         for ex, v in Ek.items():

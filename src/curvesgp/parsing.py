@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .fields import field_of_characteristic
 from .mpoly import MPoly
-from .poly import Poly, _int_mul, _int_pow, _lift
+from .poly import Poly, _int_mul, _int_pow, _lift, _reduced
 
 _TOKEN = r"[-+*/^()]|[A-Za-z_]\w*|\d+"
 _TOKENS = re.compile(_TOKEN)
@@ -127,10 +127,9 @@ class _Reader:
             num, i = 1 if toks[i] == "+" else -1, i + 1
 
     def power(self, value: dict, n: int) -> dict:
-        """value^n with its terms reduced; by ``_int_pow`` for n >= 2."""
-        p = self.p
-        value = ({e: c % p for e, c in value.items() if c % p} if p
-                 else {e: c for e, c in value.items() if c})
+        """value^n with its terms reduced (``poly._reduced``); by
+        ``_int_pow`` for n >= 2."""
+        value = _reduced(value, self.p)
         if n == 0:
             return {self.zero: 1}
         return self.mul(value, None, n) if value and n > 1 else value
@@ -178,9 +177,8 @@ class _Reader:
             message, at = err.args
             starts = [m.start() for m in _TOKENS.finditer(text)] + [len(text)]
             raise ParseError(message, starts[at]) from None
-        p = self.p
-        if p:
-            return {e: c % p for e, c in value.items() if c % p}
+        if self.p:
+            return _reduced(value, self.p)
         return {e: c if type(c) is Fraction else Fraction(c)
                 for e, c in value.items() if c}
 

@@ -31,7 +31,7 @@ from .fields import check_same_field
 from .mpoly import (MPoly, _integral_roots, _integral_values,
                     _symmetric_of_values, curve_resultant, eval_bipoly)
 from .numsgp import NumSgp, _monoid, gcd_chain, is_free
-from .poly import Poly, _int_mul
+from .poly import Poly, _int_mul, _sub_scaled
 from .reduction import LimitExceeded, basis_element, value_of
 
 
@@ -158,8 +158,9 @@ def _miller(a: Sequence[dict], alpha: Fraction, N: int) -> list[tuple[dict, int]
     s_j = b^j j! D^j.  Multiplied by b^(j-1) (j-1)! D^j, and with the
     integer k = b (alpha + 1), it becomes
     N_j = sum_i (k i - b j) b^(i-1) (j-1)!/(j-i)! U_i N_{j-i},
-    N_0 = 1, with every product a ``poly._int_mul`` and no division; the
-    caller divides each N_j by s_j once (characteristic zero).
+    N_0 = 1, with every product a ``poly._int_mul``, every sum a
+    ``poly._sub_scaled`` and no division; the caller divides each N_j by
+    s_j once (characteristic zero).
     """
     U, D = _integral_roots(a, 0)
     u = [(i, Ui) for i, Ui in enumerate(U, 1) if Ui]
@@ -178,10 +179,9 @@ def _miller(a: Sequence[dict], alpha: Fraction, N: int) -> list[tuple[dict, int]
                 t += 1
             c = (k * i - b * j) * w
             if c and out[j - i][0]:
-                for e, v in _int_mul(Ui, out[j - i][0], 0).items():
-                    acc[e] = acc.get(e, 0) + c * v
+                _sub_scaled(acc, -c, _int_mul(Ui, out[j - i][0], 0), 0)
         s *= b * j * D
-        out.append(({e: c for e, c in acc.items() if c}, s))
+        out.append((acc, s))
     return out
 
 
@@ -380,20 +380,12 @@ def intersection_degree(F: MPoly, G: MPoly) -> int:
 
     Res_y(F, G) = prod_i G(y_i) over the roots y_i of F is the E_n of the
     values G(y_i), found by the integer kernel of :func:`curve_resultant`.
-    """
-    return _intersection_numbers(F)(G)
-
-
-def _intersection_numbers(F: MPoly):
-    """G -> int(F, G) of :func:`intersection_degree`, for one F and many G.
-
-    F is scaled as in :func:`curve_resultant`, by the lcm D of the
-    denominators of its y-coefficients in Q[x], and each G to the integral
-    L D^m G(x, y/D), m = deg_y G; that multiplies Res_y(F, G) by a nonzero
-    constant, so the degree is deg_x E_n.  The kernel picks its form,
-    packed or sparse, for each G; the integer power sums of the scaled
-    roots of F are kept per form and slot width, each list extended as far
-    as the y-degree of each G needs.
+    F is scaled as there, by the lcm D of the denominators of its
+    y-coefficients in Q[x], and G to the integral L D^m G(x, y/D),
+    m = deg_y G; that multiplies Res_y(F, G) by a nonzero constant, so the
+    degree is deg_x E_n.  The kernel picks its form, packed or sparse, for
+    the pair, and computes the power sums of the scaled roots of F as far
+    as m needs.
     """
     field = F.field
     n = F.degree_in("y")
@@ -404,19 +396,14 @@ def _intersection_numbers(F: MPoly):
         if ey < n:
             b[n - 1 - ey][ex] = c
     B, D = _integral_roots(b, field.char)
-    s: dict = {}
-
-    def value(G: MPoly) -> int:
-        h: dict = {}
-        for (ex, ey), c in G.coeffs.items():
-            h.setdefault(ey, {})[ex] = c
-        h, _ = _integral_values(h, D, field.char)
-        res = _symmetric_of_values(B, h, field.char, s)[n]
-        if not res:
-            raise ValueError("the two curves share a component")
-        return max(res)
-
-    return value
+    h: dict = {}
+    for (ex, ey), c in G.coeffs.items():
+        h.setdefault(ey, {})[ex] = c
+    h, _ = _integral_values(h, D, field.char)
+    res = _symmetric_of_values(B, h, field.char)[n]
+    if not res:
+        raise ValueError("the two curves share a component")
+    return max(res)
 
 
 def _normalize_global_pair(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -513,7 +500,7 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     if not lead.is_constant():
         raise NotOnePlaceAtInfinity("leading y-coefficient is not a unit")
     F = F.scale(F.field.inv(lead.constant_value()))
-    rs, roots = _descend(F, _intersection_numbers(F))
+    rs, roots = _descend(F, lambda G: intersection_degree(F, G))
     seq = delta_sequence(rs)
     return PlaneResult(_monoid(seq.r), seq, F, roots, [], [])
 

@@ -15,7 +15,12 @@ residues already are integers and come back as they are, over 1.  One
 private kernel, ``_int_mul``, multiplies two such integer forms, reduces
 mod p over GF(p) and drops zeros; ``Poly.__mul__`` rebuilds its result
 into one coefficient per output term, a ``Fraction(c, da*db)`` over Q, and
-the reduction step of :mod:`curvesgp.reduction` keeps it lifted.
+the reduction step of :mod:`curvesgp.reduction` keeps it lifted.  This
+module owns every update of that integer form, exponent -> nonzero int
+(residues in [0, p) over GF(p)): ``_reduced`` reduces a dict mod p and
+drops its zeros, and ``_sub_scaled`` subtracts a scaled dict in place; the
+reduction step, the resultant kernel, Horner evaluation, the Miller
+recurrence and the parser all call these two.
 
 The integer product is a schoolbook double loop on plain ints for fewer
 than ``_PACK_PAIRS`` term pairs #a * #b, and for operands too sparse to
@@ -231,6 +236,30 @@ def _unlift(field, coeffs: dict, d: int) -> Poly:
     return Poly._of(field, {e: Fraction(c, d) for e, c in coeffs.items()})
 
 
+def _reduced(acc: dict, p: int) -> dict:
+    """acc as a new dict with its coefficients reduced into [0, p) when p
+    is nonzero, and its zero coefficients dropped."""
+    if p:
+        return {e: v for e, c in acc.items() if (v := c % p)}
+    return {e: c for e, c in acc.items() if c}
+
+
+def _sub_scaled(w: dict, b: int, q: dict, p: int) -> None:
+    """w <- w - b q in place at the exponents of q, mod p when p is nonzero;
+    zeros are deleted.  Precondition: b q has no zero term (b is nonzero,
+    and nonzero mod p over GF(p), and q has no zero coefficient), so a sum
+    that comes out zero had its exponent in w."""
+    get = w.get
+    for k, c in q.items():
+        v = get(k, 0) - b * c
+        if p:
+            v %= p
+        if v:
+            w[k] = v
+        else:
+            del w[k]
+
+
 def _int_mul(a: dict, b: dict, p: int) -> dict:
     """exponent -> nonzero integer coefficient of the product of two
     nonempty integer polynomials, reduced into [0, p) when p is nonzero.
@@ -243,23 +272,13 @@ def _int_mul(a: dict, b: dict, p: int) -> dict:
     na, nb = len(a), len(b)
     slots = ahi - alo + bhi - blo + 1
     if na * nb < _PACK_PAIRS or slots * _PAIRS_PER_SLOT > na * nb:
-        prod = _schoolbook(a, b)
-        if not p:
-            return {e: c for e, c in prod.items() if c}
-    else:
-        bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
-                 * min(na, nb))
-        nbytes = (bound.bit_length() + 8) // 8
-        prod = _unpack(_pack(a, alo, ahi, nbytes) * _pack(b, blo, bhi, nbytes),
-                       alo + blo, slots, nbytes)
-        if not p:
-            return prod
-    out = {}
-    for e, c in prod.items():
-        c %= p
-        if c:
-            out[e] = c
-    return out
+        return _reduced(_schoolbook(a, b), p)
+    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+             * min(na, nb))
+    nbytes = (bound.bit_length() + 8) // 8
+    prod = _unpack(_pack(a, alo, ahi, nbytes) * _pack(b, blo, bhi, nbytes),
+                   alo + blo, slots, nbytes)
+    return _reduced(prod, p) if p else prod
 
 
 def _int_pow(a: dict, k: int, p: int) -> dict:

@@ -56,10 +56,10 @@ With lead exponent e, w = W[e] and u = P[e], one function, ``_step``,
 sets W / D <- (a W - b P) / (a D), with a = u / g, b = w / g for
 g = gcd(w, u), signed so that a > 0, and over GF(p) with a = 1 and
 b = w u^(-1); the lead term cancels.  W is updated in place, only at the
-exponents of P, and zeros are deleted.  A relation element
-f^alpha - kappa f^beta is one such step, of a copy of the lifted f^alpha
-against f^beta.  A division records the coefficient c = (w / D) / (u / d_P)
-of each step.  Only a step with a != 1 grows D, and only then does the
+exponents of P, and zeros are deleted, by ``poly._sub_scaled``.  A
+relation element f^alpha - kappa f^beta is one such step, of a copy of the
+lifted f^alpha against f^beta.  A division records the coefficient
+c = (w / D) / (u / d_P) of each step.  Only a step with a != 1 grows D, and only then does the
 division divide W and D by gcd(D, content(W)).  After that division D is
 the lcm L of the denominators of the coefficients W_k / D in lowest terms:
 each of them divides D, so D = L m, and then m divides every W_k, hence
@@ -79,7 +79,7 @@ from typing import NamedTuple
 from .fields import check_same_field
 from .numsgp import (NumSgp, _monoid, least_factorization_over,
                      presentation_for_generators)
-from .poly import Poly, _int_mul, _int_pow, _lift, _unlift
+from .poly import Poly, _int_mul, _int_pow, _lift, _sub_scaled, _unlift
 
 
 class LimitExceeded(RuntimeError):
@@ -178,26 +178,14 @@ class ReductionContext:
         return self.monoid.scaled_conductor + 2 * top + 1
 
 
-def _sub_scaled(w: dict, b: int, q: dict, p: int) -> None:
-    """w <- w - b q in place at the exponents of q, mod p when p is nonzero;
-    zeros are deleted.  b q has no zero term, so a zero sum was in w."""
-    get = w.get
-    for k, c in q.items():
-        v = get(k, 0) - b * c
-        if p:
-            v %= p
-        if v:
-            w[k] = v
-        else:
-            del w[k]
-
-
 def _step(work: dict, den: int, prod: dict, e: int, p: int) -> tuple[dict, int]:
     """One fraction-free step: (a W - b P, a D) for W / D against a lifted
     product P, with the terms at e cancelling.  Over Q, a = u / g and
     b = w / g for w = W[e], u = P[e], g = gcd(w, u), signed so that a > 0;
     over GF(p), a = 1 and b = w u^(-1).  W is written in place when a = 1
-    and replaced by a new dict otherwise; P is only read."""
+    and replaced by a new dict otherwise, then updated by
+    ``poly._sub_scaled`` (b P has no zero term, as b != 0); P is only
+    read."""
     w, u = work[e], prod[e]
     if p:
         _sub_scaled(work, w * pow(u, -1, p) % p, prod, p)

@@ -6,6 +6,11 @@ record per lexeme, and one ``MPoly`` of field elements per atom, power,
 product and sum.  The differential test in ``test_parsing.py`` holds the
 package's one-pass integer parser to the values, exception types,
 messages and positions of this one.
+
+``global_apery`` is an independent route to the degree semigroup of
+K[f_1, ..., f_s], the Apéry basis of the algebra as a K[f]-module, on
+plain ``Poly`` arithmetic; ``test_global_basis.py`` holds the basis loop
+to it.
 """
 
 from __future__ import annotations
@@ -154,3 +159,55 @@ def parse_poly_list(text: str, char: int = 0) -> list[Poly]:
     if not parts:
         raise ParseError("empty polynomial list", 0)
     return [parse_poly(p, char) for p in parts]
+
+
+def global_apery(gens: list[Poly]) -> tuple[int, dict[int, int]]:
+    """(n, Ap) for generators of positive degree: the least degree n of a
+    generator and, for each residue class mod n that the degrees of
+    A = K[f_1, ..., f_s] meet, the least such degree, so that the degree
+    semigroup of A is <n, Ap>.
+
+    Let f be the first generator of least degree n, made monic.  K[x] is a
+    free K[f]-module on 1, x, ..., x^(n-1), and A is a submodule.  The
+    closure keeps, for each class mod n, the element of least degree found
+    so far, starting from 1, and multiplies each newly kept element by
+    every other generator.  A newcomer is reduced against the kept element
+    of its class times f^k while that element's degree is at most its own;
+    what is left, if nonzero, is kept, and an element it displaces is
+    reduced again.  When the queue is empty, the K[f]-span M of the kept
+    elements contains 1, every element ever reduced to zero or displaced,
+    and every product of a kept element with a generator, so M = A.  The
+    kept degrees lie in distinct classes, so a K[f]-combination of them
+    has the degree of one of its terms, and the degrees of A are the kept
+    ones plus multiples of n.  Each displacement lowers the degree kept
+    in a class, so the closure ends.
+    """
+    field = gens[0].field
+    first = min(range(len(gens)), key=lambda i: gens[i].degree)
+    f = gens[first].scale(field.inv(gens[first].leading_coeff))
+    n = int(f.degree)
+    others = [g for i, g in enumerate(gens) if i != first]
+    kept: dict[int, Poly] = {}
+    powers = [Poly.constant(1, field)]  # f^0, f^1, ...
+    queue = [powers[0]]
+    while queue:
+        h = queue.pop()
+        while not h.is_zero:
+            d = int(h.degree)
+            g = kept.get(d % n)
+            if g is None or g.degree > d:
+                break
+            k = (d - int(g.degree)) // n
+            while len(powers) <= k:
+                powers.append(powers[-1] * f)
+            step = g * powers[k]
+            h = h - step.scale(field.div(h.leading_coeff, step.leading_coeff))
+        if h.is_zero:
+            continue
+        h = h.scale(field.inv(h.leading_coeff))
+        displaced = kept.get(int(h.degree) % n)
+        kept[int(h.degree) % n] = h
+        if displaced is not None:
+            queue.append(displaced)
+        queue.extend(h * g for g in others)
+    return n, {i: int(g.degree) for i, g in kept.items()}

@@ -135,6 +135,16 @@ def test_curve_infinity_transcript(capsys):
     assert "y^3-x^2-2*x-1/2" in out
 
 
+def test_curve_infinity_sparse_abhyankar_moh_family(capsys):
+    # (y^a - x^b)^2 - x^c, a = 5, b = 702, c = 1003, has the semigroup at
+    # infinity <2a, 2b, ac>: a descent through two approximate roots, each
+    # intersection number found by the kernel's sparse form
+    with deadline(2):
+        code, out, _ = run(capsys, "curve-infinity", "(y^5-x^702)^2-x^1003")
+    assert code == 0
+    assert "minimal generators: [10, 1404, 5015]" in out
+
+
 def test_plane_infinity(capsys):
     code, out, _ = run(capsys, "plane-infinity", "x^6+x", "x^4")
     assert code == 0

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from curvesgp import (BasisElement, Poly, ReductionContext, deform_from_basis, global_basis,
-                      reduce_poly, reduced_basis)
-from util import P, xp
+from curvesgp import (GF, QQ, BasisElement, Poly, ReductionContext,
+                      deform_from_basis, global_basis, reduce_poly, reduced_basis)
+from oracles import global_apery
+from util import P, deadline, xp
 
 
 def elems(*polys):
@@ -111,6 +113,41 @@ def test_two_generator_cardinality_bound():
         basis = global_basis([f_poly, g_poly])
         assert 2 <= len(basis.elements) <= l + 2
         checked += 1
+
+
+def _atoms(n: int, ap: dict[int, int]) -> list[int]:
+    """The minimal generators of <n, Ap>: its members n and Ap that are
+    not a sum of two nonzero members, by trying every split."""
+    def member(x: int) -> bool:
+        return x % n in ap and x >= ap[x % n]
+
+    return [w for w in sorted({n, *ap.values()} - {0})
+            if not any(member(a) and member(w - a) for a in range(1, w))]
+
+
+def _random_generator(rng, field) -> Poly:
+    """A polynomial of degree 2 to 9 with a few lower terms."""
+    def coeff():
+        if field.char:
+            return rng.randrange(1, field.char)
+        return Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 2, 3)))
+
+    d = rng.randint(2, 9)
+    return Poly(field, {d: coeff(), **{e: coeff() for e in range(d)
+                                       if rng.random() < 0.3}})
+
+
+def test_global_semigroup_matches_apery_closure():
+    # the basis loop against the K[f]-module Apery closure of the oracles:
+    # two generators over Q, two or three over GF(13) and GF(101)
+    rng = random.Random(61)
+    with deadline(3):
+        for k in range(300):
+            field = (QQ, GF(13), GF(101))[k % 3]
+            count = 2 if field is QQ else rng.randint(2, 3)
+            gens = [_random_generator(rng, field) for _ in range(count)]
+            got = global_basis(gens).semigroup.minimal_generators()
+            assert got == _atoms(*global_apery(gens)), gens
 
 
 def test_reduced_basis_global():

@@ -264,59 +264,51 @@ def _int_coeffs(p: Poly) -> dict:
     return {e: int(c) for e, c in p.coeffs.items()}
 
 
-def _power_sums(s: dict) -> tuple[int, list]:
-    """(slot bytes, S_0, S_1, ...) of the kernel's one cached form."""
-    (nbytes, sums), = s.items()
-    return nbytes, sums
-
-
 def test_power_sums_and_elementary_symmetric_on_known_roots(monkeypatch):
-    # by the kernel's rule (packed, on these inputs) and in its sparse form
-    _known_roots_check(packed=True)
-    monkeypatch.setattr(mpoly, "_slot_bytes", lambda *args: 0)
-    _known_roots_check(packed=False)
+    # by the kernel's rule (packed, on these inputs) and in its sparse form;
+    # the spy records the form that each call ran in
+    rule = mpoly._slot_bytes
+    for packed in (True, False):
+        forms = set()
+
+        def spy(*args):
+            nbytes = rule(*args) if packed else 0
+            forms.add(bool(nbytes))
+            return nbytes
+
+        monkeypatch.setattr(mpoly, "_slot_bytes", spy)
+        _known_roots_check()
+        assert forms == {packed}
 
 
-def _known_roots_check(packed: bool):
+def _elementary(values: list, field) -> list:
+    """e_0, ..., e_n of the values, by expanding prod (Y + v_i)."""
+    e = [Poly.constant(1, field)]
+    for v in values:
+        e = [e[0], *(e[k] + e[k - 1] * v for k in range(1, len(e))), e[-1] * v]
+    return e
+
+
+def _known_roots_check():
     # roots r_i in K[X]: prod (t - r_i) = t^n + sum_i b_i t^(n-i) with
-    # b_i = (-1)^i e_i; scaled as the callers scale them (roots D r_i),
-    # the kernel must give sum (D r_i)^j and back the e_i as D^i e_i.  A
-    # packed power sum is the value of its polynomial at X = 2^(8 nbytes),
-    # over GF(p) of the residues taken as integers, and is read as that
-    # value (mod p): the slot width bounds the coefficients of the E_k, not
-    # those of the power sums
+    # b_i = (-1)^i e_i; scaled as the callers scale them (roots D r_i), the
+    # kernel must give back D^i e_i for the values h(tau) = tau, and
+    # D^(2k) e_k(r_1^2, ..., r_n^2) for h(tau) = tau^2, which reads every
+    # power sum S_j, j <= 2n
     rng = random.Random(37)
-    forms = set()
     for field in (QQ, GF(13)):
         for n in range(1, 7):
             roots = [P(*[(e, rng.choice((0, 1, -1, 2, "1/3")))
                          for e in range(3)], field=field) for _ in range(n)]
-            e = [Poly.constant(1, field)]  # elementary symmetric, by expansion
-            for r in roots:
-                e = [e[0]] + [e[k] + e[k - 1] * r for k in range(1, len(e))] \
-                    + [e[-1] * r]
+            e = _elementary(roots, field)
             b = [(e[i] if i % 2 == 0 else -e[i]).coeffs for i in range(1, n + 1)]
             B, D = _integral_roots(b, field.char)
-            s: dict = {}
-            # the values h(tau) = tau^2 read every s_j for j <= 2n
-            _symmetric_of_values(B, {2: {0: 1}}, field.char, s)
-            nbytes, sums = _power_sums(s)
-            forms.add(bool(nbytes))
-            assert len(sums) == 2 * n + 1
-            for j in range(2 * n + 1):
-                want = Poly.zero(field)
-                for r in roots:
-                    want = want + r ** j
-                want = _int_coeffs(want.scale(D ** j))
-                if nbytes:
-                    diff = sums[j] - sum(c << 8 * nbytes * x for x, c in want.items())
-                    p = field.char
-                    assert (diff % p if p else diff) == 0, (field, n, j)
-                else:
-                    assert sums[j].c == want, (field, n, j)
-            E = _symmetric_of_values(B, {1: {0: 1}}, field.char, s)
+            E = _symmetric_of_values(B, {1: {0: 1}}, field.char)
             assert E == [_int_coeffs(ek.scale(D ** k)) for k, ek in enumerate(e)]
-    assert forms == {packed}
+            squares = _elementary([r * r for r in roots], field)
+            E = _symmetric_of_values(B, {2: {0: 1}}, field.char)
+            assert E == [_int_coeffs(ek.scale(D ** (2 * k)))
+                         for k, ek in enumerate(squares)], (field, n)
 
 
 def _dense_pair(rng, field):
