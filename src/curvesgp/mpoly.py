@@ -6,20 +6,23 @@ data over ``("u", "x")`` are different things, and mixing them is an error.
 The curve of a parametrisation, Res_t(X - f(t), Y - g(t)), is the norm of
 Y - g(t) over K[X][t]/(f(t) - X) and comes from power sums and Newton's
 identities, without a matrix (Bostan, Flajolet, Salvy and Schost, J. Symb.
-Comp. 41, 2006), in one integer kernel, :func:`_symmetric_of_values`:
-over Q, roots and values are scaled to integral ones, so every division in
-Newton's identities is exact; ``planebranch.intersection_degree`` calls
-it once per pair of curves.  When the input is dense, the kernel runs on
-packed integers: each polynomial in X becomes its value at X = 2^beta,
-one Python int, and each result is unpacked once.  beta comes from a
-proven bound: the results are coefficients of Res_t(mu, Y - h), at most
-|mu|_1^m (1 + |h|_1)^n in size, since the 1-norm of a Sylvester
-determinant is at most the product of its rows' 1-norms.  When the power
-sums would take more packed bits than their dict terms warrant (one rule,
-``_BITS_PER_TERM`` bits a term), it runs the same recurrence on dicts,
-every product a ``poly._int_mul`` and every sum a ``poly._sub_scaled``.
+Comp. 41, 2006), in one integer kernel, :func:`_symmetric_of_values`,
+behind one front end, :func:`_norm_values`: over Q, roots and values are
+scaled to integral ones, so every division in Newton's identities is
+exact.  The curve and the intersection numbers of
+:func:`intersection_degree` (one call per pair of curves) both go through
+it.  When the input is dense, the kernel runs on packed integers: each
+polynomial in X becomes its value at X = 2^beta, one Python int, and each
+result is unpacked once.  beta comes from a proven bound: the results are
+coefficients of Res_t(mu, Y - h), at most |mu|_1^m (1 + |h|_1)^n in size,
+since the 1-norm of a Sylvester determinant is at most the product of its
+rows' 1-norms.  When the power sums would take more packed bits than their
+dict terms warrant (one rule, ``_BITS_PER_TERM`` bits a term), it runs the
+same recurrence on dicts, every product a ``poly._int_mul`` and every sum
+a ``poly._sub_scaled``.
 The approximate roots (``planebranch.approximate_root``, from the same
-scaled coefficients) and their evaluation (:meth:`MPoly.eval_univariate`,
+scaled coefficients, read by :meth:`MPoly.rows` as the intersection
+numbers read theirs) and their evaluation (:meth:`MPoly.eval_univariate`,
 by Horner's rule) run on integer numerators too, each divided once when
 its result is rebuilt.  The Sylvester matrix with fraction-free (Bareiss)
 elimination serves only :func:`resultant_eliminate` and the tests, as
@@ -33,8 +36,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field
-from .poly import (Poly, _int_mul, _int_pow, _join_terms, _lift, _reduced,
-                   _sub_scaled, _unlift, _unpack)
+from .poly import (Poly, _int_mul, _int_pow, _integral_roots, _join_terms,
+                   _lift, _reduced, _sub_scaled, _unlift, _unpack)
 
 
 class MPoly:
@@ -101,6 +104,19 @@ class MPoly:
                 e2 = e[:i] + (0,) + e[i + 1:]
                 out[e2] = c
         return MPoly(self.vars, self.field, out)
+
+    def rows(self, name: str, w: int = 1) -> dict[int, dict]:
+        """The terms by their exponent of ``name``: exponent -> {the other
+        exponents packed into one int -> coefficient}.  The packing is the
+        Kronecker substitution in base w, the first other variable lowest,
+        so w must exceed every exponent but the last one's; with a single
+        other variable the packed int is its exponent."""
+        i = self.vars.index(name)
+        out: dict = {}
+        for e, c in self.coeffs.items():
+            rest = e[:i] + e[i + 1:]
+            out.setdefault(e[i], {})[sum(x * w ** k for k, x in enumerate(rest))] = c
+        return out
 
     def is_constant(self) -> bool:
         return all(all(x == 0 for x in e) for e in self.coeffs)
@@ -540,29 +556,27 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
     return [_reduced(coeffs(Ek), p) for Ek in E]
 
 
-def _integral_roots(b: list, char: int) -> tuple[list, int]:
-    """(B, D) with B_i = D^i b_i: for b_1, ..., b_n in Q[X] (dicts exponent
-    -> Fraction) and D the lcm of their denominators, the roots of
-    t^n + sum_i B_i t^(n-i) are D times those of t^n + sum_i b_i t^(n-i),
-    and every B_i is integral.  Over GF(p), D = 1; zeros are dropped.  The
-    inputs of ``planebranch._miller`` are scaled the same way, U_i = D^i a_i."""
-    D = 1 if char else math.lcm(*(c.denominator for bi in b for c in bi.values()))
-    return [{e: c if char else c.numerator * (D ** i // c.denominator)
-             for e, c in bi.items() if c} for i, bi in enumerate(b, 1)], D
+def _norm_values(b: list, h: dict, char: int) -> tuple[list[dict], int]:
+    """(E, M): E_0, ..., E_n of :func:`_symmetric_of_values` for the values
+    h(tau_i) at the n roots tau_i of t^n + sum_i b_i t^(n-i), with
+    E_k = M^k e_k for the elementary symmetric functions e_k of the values.
 
-
-def _integral_values(h: dict, D: int, char: int) -> tuple[dict, int]:
-    """(H, M) with H(t) = M h(t/D) integral: for h = sum_j h_j t^j given as
-    in :func:`_symmetric_of_values`, L the lcm of its denominators and
-    m = deg_t h, H_j = L h_j D^(m-j) and M = L D^m, so that H(D tau) =
-    M h(tau) and the E_k of H scale the e_k of h by M^k.  Over GF(p),
-    M = 1."""
-    if char or not h:
-        return h, 1
-    m = max(h)
-    L = math.lcm(*(c.denominator for hj in h.values() for c in hj.values()))
-    return {j: {e: c.numerator * (L // c.denominator) * D ** (m - j)
-                for e, c in hj.items()} for j, hj in h.items()}, L * D ** m
+    b and h are given as the kernel takes them, over Q with fractions.
+    ``poly._integral_roots`` scales the roots to D tau_i, integral, D the
+    lcm of the denominators of the b_i.  With L the lcm of those of h and
+    m = deg_t h, the values become those of H(t) = M h(t/D), with
+    H_j = L h_j D^(m-j) integral and M = L D^m, so that H(D tau_i) =
+    M h(tau_i).  Over GF(p), D = M = 1.
+    """
+    B, D = _integral_roots(b, char)
+    M = 1
+    if not char and h:
+        m = max(h)
+        L = math.lcm(*(c.denominator for hj in h.values() for c in hj.values()))
+        h = {j: {e: c.numerator * (L // c.denominator) * D ** (m - j)
+                 for e, c in hj.items()} for j, hj in h.items()}
+        M = L * D ** m
+    return _symmetric_of_values(B, h, char), M
 
 
 def curve_resultant(f: Poly, g: Poly) -> MPoly:
@@ -575,9 +589,10 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
     (-1)^k e_k Y^(n-k) over the n = deg f roots tau_i of f(t) = X, with
     f(t) - X = c*(t^n + b_1 t^(n-1) + ... + b_n) (only b_n = (f_0 - X)/c
     involves X).  The e_k come from :func:`_symmetric_of_values` on
-    integers: over Q with the roots D tau_i of t^n + sum_i D^i b_i t^(n-i),
-    D the lcm of the denominators of the b_i, and the values M g(tau_i) of
-    the integral H of :func:`_integral_values`, so each e_k is rebuilt once
+    integers, through the front end :func:`_norm_values` that
+    :func:`intersection_degree` shares: over Q with the roots D tau_i of
+    t^n + sum_i D^i b_i t^(n-i), D the lcm of the denominators of the b_i,
+    and the values M g(tau_i) of an integral H, so each e_k is rebuilt once
     as E_k / M^k.  For a dense pair the kernel evaluates X at 2^beta and
     runs on one int per polynomial in X; beta is the bit length of
     |mu|_1^deg g (1 + |H|_1)^n plus a sign bit, a bound on every
@@ -597,10 +612,7 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
     c_inv = field.inv(f.leading_coeff)
     b = [{0: field.mul(f.coeff(n - i), c_inv)} for i in range(1, n + 1)]
     b[-1][1] = field.neg(c_inv)
-    B, D = _integral_roots(b, field.char)
-    H, M = _integral_values({j: {0: c} for j, c in g.coeffs.items()}, D,
-                            field.char)
-    E = _symmetric_of_values(B, H, field.char)
+    E, M = _norm_values(b, {j: {0: c} for j, c in g.coeffs.items()}, field.char)
     out, Mk = {}, 1
     for k, Ek in enumerate(E):
         for ex, v in Ek.items():
@@ -608,6 +620,29 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
             out[(ex, n - k)] = v % field.char if field.char else Fraction(v, Mk)
         Mk *= M
     return MPoly(("x", "y"), field, out)
+
+
+def intersection_degree(F: MPoly, G: MPoly) -> int:
+    """int(F, G) = deg_x Res_y(F, G), for F monic in y.
+
+    Res_y(F, G) = prod_i G(y_i) over the roots y_i of F is the e_n of the
+    values G(y_i), which :func:`_norm_values`, the front end of
+    :func:`curve_resultant`, computes on the y-rows of F below y^n and
+    those of G.  Its E_n is a nonzero constant multiple of e_n, so the
+    degree is deg_x E_n.  The kernel picks its form, packed or sparse, for
+    the pair, and computes the power sums of the scaled roots of F as far
+    as deg_y G needs.
+    """
+    field = F.field
+    n = F.degree_in("y")
+    if F.vars != ("x", "y") or F.coeff_in("y", n) != MPoly.constant(F.vars, 1, field):
+        raise ValueError("the first curve must be in (x, y) and monic in y")
+    rows = F.rows("y")
+    b = [rows.get(n - i, {}) for i in range(1, n + 1)]
+    res = _norm_values(b, G.rows("y"), field.char)[0][n]
+    if not res:
+        raise ValueError("the two curves share a component")
+    return max(res)
 
 
 def eval_bipoly(G: MPoly, f: Poly, g: Poly) -> Poly:

@@ -28,10 +28,9 @@ from itertools import count, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .fields import check_same_field
-from .mpoly import (MPoly, _integral_roots, _integral_values,
-                    _symmetric_of_values, curve_resultant, eval_bipoly)
+from .mpoly import MPoly, curve_resultant, eval_bipoly, intersection_degree
 from .numsgp import NumSgp, _monoid, gcd_chain, is_free
-from .poly import Poly, _int_mul, _sub_scaled
+from .poly import Poly, _int_mul, _integral_roots, _sub_scaled
 from .reduction import LimitExceeded, basis_element, value_of
 
 
@@ -151,7 +150,7 @@ def _miller(a: Sequence[dict], alpha: Fraction, N: int) -> list[tuple[dict, int]
 
     a lists a_1, a_2, ... as polynomials in one variable over Q (dicts
     exponent -> Fraction; a scalar sits at exponent 0).  They are scaled
-    as ``mpoly._integral_roots`` scales them, to the integral U_i = D^i a_i,
+    as ``poly._integral_roots`` scales them, to the integral U_i = D^i a_i,
     D the lcm of their denominators.  The J.C.P. Miller recurrence
     j v_j = sum_{i=1}^{j} ((alpha + 1) i - j) a_i v_{j-i} divides by j and
     by the denominator b of alpha; both divisions are deferred into
@@ -268,15 +267,21 @@ def reparametrize(f: Poly, g: Poly, prec: int) -> Poly:
 def gamma_local_pair(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     """Semigroup of orders of K[[f, g]] via the Newton-Puiseux descent.
 
-    The descent reads the coefficients of :func:`reparametrize` one at a
-    time (for a monomial f, g's own support) and stops at d = 1 (its
-    minima increase, so later ones cannot move it).  It gets there exactly
-    when t -> (f, g) parametrises its branch primitively, which is decided
-    first.  By Lüroth's theorem f = F(q) and g = G(q) for the q of
-    :func:`_right_factor` (q = t if there is none), and y -> (F, G) is
-    birational onto its image, so it parametrises each branch primitively;
-    the semigroup therefore has gcd e = ord(q - q(0)), which divides both
-    orders.  If e > 1 this raises ValueError naming q and e.  If e = 1 the
+    The descent runs on the support of :func:`reparametrize`'s g(t(s)) and
+    stops at d = 1 (its minima increase, so later exponents cannot move
+    it).  It is seeded with n and o(g), the first exponent of that support
+    (s = t u^(1/n) with u(0) = 1, so g(t(s)) has order o(g)), or for a
+    monomial f (s = t) with g's own support, and reads the coefficients
+    one at a time only while the gcd d of its support exceeds 1: a pair
+    of coprime orders is answered before the first coefficient.  It gets
+    to d = 1 exactly when t -> (f, g) parametrises its branch primitively,
+    which one gate decides first, on the seed.  By Lüroth's theorem
+    f = F(q) and g = G(q) for the q of :func:`_right_factor` (q = t if
+    there is none), and y -> (F, G) is birational onto its image, so it
+    parametrises each branch primitively; the semigroup therefore has gcd
+    e = ord(q - q(0)), which divides every exponent of the seed (for
+    f = x^n, q is x^e), so the gate runs only when their gcd exceeds 1.
+    If e > 1 this raises ValueError naming q and e.  If e = 1 the
     descent ends below precision (D - 1)^2 + 1, D = max(deg f, deg g):
     the branch lies on a rational plane curve of degree at most D, whose
     delta invariant is at most (D - 1)(D - 2)/2 (genus formula, Fulton,
@@ -301,22 +306,24 @@ def _gamma_local(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
     """:func:`gamma_local_pair` on a pair :func:`_ordered_pair` has
     normalised."""
     n = int(f.order)
-    if math.gcd(n, g.order) > 1:
-        _require_primitive(f, g)
     # every d_k divides n, so n never moves the descent; for a monomial f
-    # s = t, and g's own support (however sparse) completes it at once
-    supp = [n, *g.support] if len(f.support) == 1 else [n]
+    # s = t, and g's own support (however sparse) completes it at once;
+    # otherwise o(g) is the stream's first exponent (s = t u^(1/n), u(0) = 1)
+    supp = [n, *g.support] if len(f.support) == 1 else [n, int(g.order)]
     d = math.gcd(*supp)
-    for k, c in enumerate(_lagrange_coeffs(f, g)):
-        if d == 1:
-            seq = char_sequence_from_support(n, supp)
-            return _monoid(seq.r), seq
+    if d > 1:
+        _require_primitive(f, g)
+    stream = enumerate(_lagrange_coeffs(f, g))  # read only while d > 1
+    while d > 1:
+        k, c = next(stream)
         if k >= PRECISION_CAP:
             raise LimitExceeded(
                 f"gcd descent stalls at {d} at precision {k} (PRECISION_CAP)")
         if not f.field.is_zero(c):
             supp.append(k)
             d = math.gcd(d, k)
+    seq = char_sequence_from_support(n, supp)
+    return _monoid(seq.r), seq
 
 
 # -- approximate roots -------------------------------------------------
@@ -335,10 +342,11 @@ def approximate_root(F: MPoly, d: int, var: str = "y") -> MPoly:
     two, G^d - G'^d = (G - G') (d y^((d-1)q) + lower) has degree at least
     (d - 1) q = n - q unless G = G'.
 
-    The a_i, i <= q, are read in one pass over F, with the other variables
-    packed into one exponent in base w = q m + 1, m the largest exponent
-    in F (Kronecker substitution): every term :func:`_miller` forms is a
-    product of at most q of the a_i, so no exponent reaches w.  The
+    The a_i, i <= q, are F's rows in ``var`` (:meth:`MPoly.rows`), with
+    the other variables packed into one exponent in base w = q m + 1, m
+    the largest exponent in F (Kronecker substitution): every term
+    :func:`_miller` forms is a product of at most q of the a_i, so no
+    exponent reaches w.  The
     recurrence runs on integers, and each coefficient of v_j is divided
     once, by its s_j = d^j j! D^j, when G is rebuilt.
     """
@@ -354,56 +362,18 @@ def approximate_root(F: MPoly, d: int, var: str = "y") -> MPoly:
     q = n // d
     r = F.vars.index(var)
     w = q * max(map(max, F.coeffs)) + 1
-    weights = [w ** k for k in range(len(F.vars) - 1)]
-    a: list = [{} for _ in range(q)]
-    for e, c in F.coeffs.items():
-        if n - q <= e[r] < n:
-            rest = e[:r] + e[r + 1:]
-            a[n - 1 - e[r]][sum(x * wk for x, wk in zip(rest, weights))] = c
+    rows = F.rows(var, w)
+    a = [rows.get(n - i, {}) for i in range(1, q + 1)]
     coeffs = {}
     for j, (N, s) in enumerate(_miller(a, Fraction(1, d), q + 1)):
         for packed, c in N.items():
-            exp = []
-            for _ in weights:
-                packed, x = divmod(packed, w)
-                exp.append(x)
+            exp = [packed // w ** k % w for k in range(len(F.vars) - 1)]
             exp.insert(r, q - j)
             coeffs[tuple(exp)] = Fraction(c, s)
     return MPoly(F.vars, F.field, coeffs)
 
 
 # -- global pipelines --------------------------------------------------
-
-
-def intersection_degree(F: MPoly, G: MPoly) -> int:
-    """int(F, G) = deg_x Res_y(F, G), for F monic in y.
-
-    Res_y(F, G) = prod_i G(y_i) over the roots y_i of F is the E_n of the
-    values G(y_i), found by the integer kernel of :func:`curve_resultant`.
-    F is scaled as there, by the lcm D of the denominators of its
-    y-coefficients in Q[x], and G to the integral L D^m G(x, y/D),
-    m = deg_y G; that multiplies Res_y(F, G) by a nonzero constant, so the
-    degree is deg_x E_n.  The kernel picks its form, packed or sparse, for
-    the pair, and computes the power sums of the scaled roots of F as far
-    as m needs.
-    """
-    field = F.field
-    n = F.degree_in("y")
-    if F.vars != ("x", "y") or F.coeff_in("y", n) != MPoly.constant(F.vars, 1, field):
-        raise ValueError("the first curve must be in (x, y) and monic in y")
-    b: list = [{} for _ in range(n)]
-    for (ex, ey), c in F.coeffs.items():
-        if ey < n:
-            b[n - 1 - ey][ex] = c
-    B, D = _integral_roots(b, field.char)
-    h: dict = {}
-    for (ex, ey), c in G.coeffs.items():
-        h.setdefault(ey, {})[ex] = c
-    h, _ = _integral_values(h, D, field.char)
-    res = _symmetric_of_values(B, h, field.char)[n]
-    if not res:
-        raise ValueError("the two curves share a component")
-    return max(res)
 
 
 def _normalize_global_pair(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -513,13 +483,13 @@ def plane_local(f: Poly, g: Poly) -> PlaneResult:
 
     The pair is normalised as in :func:`gamma_local_pair`, after which f
     must be a monomial x^n, of order below g's (reach that situation
-    through :func:`reparametrize` otherwise).  The descent of
-    :func:`_descend` on the orders of the G_k(f, g) then yields the
-    characteristic sequence that g's support gives, and the
-    g_k = G_k(f, g) realise its r_k as orders, giving a concrete basis of
-    K[[f, g]].  When n and g's support share a factor, f and g are
-    polynomials in some x^e, e > 1, and the ValueError of
-    :func:`gamma_local_pair` names q and e.
+    through :func:`reparametrize` otherwise).  The semigroup and the
+    characteristic sequence are :func:`gamma_local_pair`'s, read off g's
+    support with its one primitivity gate: when n and g's support share a
+    factor, f and g are polynomials in some x^e, e > 1, and its ValueError
+    names q and e.  The descent of :func:`_descend` on the orders of the
+    G_k(f, g) must then yield the same r_k, and the g_k = G_k(f, g)
+    realise them as orders, giving a concrete basis of K[[f, g]].
     """
     return _plane_local(*_ordered_pair(f, g, "local"))
 
@@ -528,17 +498,14 @@ def _plane_local(f: Poly, g: Poly) -> PlaneResult:
     """:func:`plane_local` on a pair :func:`_ordered_pair` has normalised."""
     if len(f.support) != 1:
         raise ValueError("first generator must be a monomial x^n")
-    n = int(f.order)
-    if n == g.order:
+    if f.order == g.order:
         raise ValueError("need o(f) < o(g) for the monomial pipeline")
-    if math.gcd(n, *g.support) > 1:
-        _require_primitive(f, g)
-    seq = char_sequence_from_support(n, g.support)
+    S, seq = _gamma_local(f, g)
     rs, F, roots, evaluated = _descend_pair(f, g, "local")
     if tuple(rs) != seq.r:
         raise RuntimeError(f"approximate roots give the orders {rs}, "
                            f"the support of g gives {list(seq.r)}")
-    return PlaneResult(_monoid(seq.r), seq, F, roots, evaluated, [f, g])
+    return PlaneResult(S, seq, F, roots, evaluated, [f, g])
 
 
 def local_pipeline(f: Poly, g: Poly) -> PlaneResult | tuple[NumSgp, CharSequence]:

@@ -136,25 +136,24 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _termwise(self, other: "Poly", op) -> "Poly":
+        """self op other term by term, for the field's ``add`` or ``sub``."""
         check_same_field(self.field, other.field)
         acc = dict(self.coeffs)
-        f = self.field
+        zero = self.field.zero
         for e, c in other.coeffs.items():
-            acc[e] = f.add(acc.get(e, f.zero), c)
-        return Poly(f, acc)
+            acc[e] = op(acc.get(e, zero), c)
+        return Poly(self.field, acc)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._termwise(other, self.field.add)
 
     def __neg__(self) -> "Poly":
         f = self.field
         return Poly(f, {e: f.neg(c) for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        check_same_field(self.field, other.field)
-        acc = dict(self.coeffs)
-        f = self.field
-        for e, c in other.coeffs.items():
-            acc[e] = f.sub(acc.get(e, f.zero), c)
-        return Poly(f, acc)
+        return self._termwise(other, self.field.sub)
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Exact product through one integer product of the two operands:
@@ -225,6 +224,19 @@ def _lift(field, coeffs: dict) -> tuple[dict, int]:
     if d == 1:
         return {e: c.numerator for e, c in coeffs.items()}, 1
     return {e: c.numerator * (d // c.denominator) for e, c in coeffs.items()}, d
+
+
+def _integral_roots(b: list, char: int) -> tuple[list, int]:
+    """(B, D) with B_i = D^i b_i: for b_1, ..., b_n in Q[X] (dicts exponent
+    -> Fraction) and D the lcm of their denominators, the roots of
+    t^n + sum_i B_i t^(n-i) are D times those of t^n + sum_i b_i t^(n-i),
+    and every B_i is integral: the weighted form of :func:`_lift`.  Over
+    GF(p), D = 1; zeros are dropped.  The resultant kernel of
+    :mod:`curvesgp.mpoly` and ``planebranch._miller`` (U_i = D^i a_i) both
+    scale their inputs this way."""
+    D = 1 if char else math.lcm(*(c.denominator for bi in b for c in bi.values()))
+    return [{e: c if char else c.numerator * (D ** i // c.denominator)
+             for e, c in bi.items() if c} for i, bi in enumerate(b, 1)], D
 
 
 def _unlift(field, coeffs: dict, d: int) -> Poly:

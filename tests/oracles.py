@@ -10,11 +10,14 @@ messages and positions of this one.
 ``global_apery`` is an independent route to the degree semigroup of
 K[f_1, ..., f_s], the Apéry basis of the algebra as a K[f]-module, on
 plain ``Poly`` arithmetic; ``test_global_basis.py`` holds the basis loop
-to it.
+to it.  ``local_apery`` is the same closure for the order semigroup of
+K[[f_1, ..., f_s]] over K[[f]], truncated at a cap that it doubles on its
+own; ``test_local_basis.py`` holds the basis loop to it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple
 
@@ -211,3 +214,75 @@ def global_apery(gens: list[Poly]) -> tuple[int, dict[int, int]]:
             queue.append(displaced)
         queue.extend(h * g for g in others)
     return n, {i: int(g.degree) for i, g in kept.items()}
+
+
+def local_apery(gens: list[Poly]) -> tuple[int, dict[int, int]]:
+    """(n, Ap) for generators of positive order whose orders have gcd 1:
+    the least order n of a generator and, for each residue class mod n,
+    the least order of A = K[[f_1, ..., f_s]] in it, so that the order
+    semigroup of A is <n, Ap>.
+
+    Let f be the first generator of least order n, made monic at its
+    trailing term.  K[[x]] is a free K[[f]]-module on 1, x, ..., x^(n-1),
+    and A is a submodule.  :func:`_local_closure` runs the closure of
+    :func:`global_apery` with orders for degrees, in K[[x]]/(x^c): a
+    reduction step and a product only raise orders, so the image of A
+    there is the K[[f]]-span M of the kept elements, and an element of M
+    has the order of one of its terms (their orders lie in distinct
+    classes) unless that order reaches c.  So every order of A below c is
+    a kept order plus a multiple of n, and once each of the n classes
+    holds a kept element (of order below c), the kept orders are the
+    Apéry set.  Otherwise c doubles, from one more than the largest
+    degree of the inputs; the cap comes from nothing else.  It fills for
+    c past n plus the Frobenius number of the semigroup of the inputs'
+    orders, which lies in that of A; their gcd 1 makes that number finite.
+    """
+    if math.gcd(*(int(g.order) for g in gens)) != 1:
+        raise ValueError("the orders of the generators must have gcd 1")
+    field = gens[0].field
+    first = min(range(len(gens)), key=lambda i: gens[i].order)
+    f = gens[first].scale(field.inv(gens[first].trailing_coeff))
+    n = int(f.order)
+    others = [g for i, g in enumerate(gens) if i != first]
+    cap = 1 + max(int(g.degree) for g in gens)
+    while True:
+        kept = _local_closure(f, others, cap)
+        if len(kept) == n:
+            return n, {i: int(g.order) for i, g in kept.items()}
+        cap *= 2
+
+
+def _local_closure(f: Poly, others: list[Poly], cap: int) -> dict[int, Poly]:
+    """The class mod n = o(f) -> the kept element of least order of
+    :func:`local_apery`'s closure, every product truncated below x^cap.
+    A newcomer is reduced against the kept element of its class times f^k
+    while that element's order is at most its own; what is left, if
+    nonzero, is kept, and an element it displaces is reduced again.  Each
+    step raises the newcomer's order below the cap, and each displacement
+    lowers the order kept in a class, so the closure ends."""
+    field = f.field
+    n = int(f.order)
+    kept: dict[int, Poly] = {}
+    powers = [Poly.constant(1, field)]  # f^0, f^1, ... mod x^cap
+    queue = [powers[0]]
+    while queue:
+        h = queue.pop()
+        while not h.is_zero:
+            d = int(h.order)
+            g = kept.get(d % n)
+            if g is None or g.order > d:
+                break
+            k = (d - int(g.order)) // n
+            while len(powers) <= k:
+                powers.append((powers[-1] * f).truncate(cap))
+            step = (g * powers[k]).truncate(cap)
+            h = h - step.scale(field.div(h.trailing_coeff, step.trailing_coeff))
+        if h.is_zero:
+            continue
+        h = h.scale(field.inv(h.trailing_coeff))
+        displaced = kept.get(int(h.order) % n)
+        kept[int(h.order) % n] = h
+        if displaced is not None:
+            queue.append(displaced)
+        queue.extend((h * g).truncate(cap) for g in others)
+    return kept

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from curvesgp import (
     GF,
+    QQ,
     BasisElement,
     LimitExceeded,
     Poly,
@@ -15,7 +17,9 @@ from curvesgp import (
     reduced_basis,
 )
 from curvesgp.cli import main
-from util import P, xp
+from oracles import local_apery
+from test_global_basis import _atoms
+from util import P, deadline, xp
 
 
 def elems(*polys):
@@ -208,3 +212,35 @@ def test_reduced_basis_unique_across_generating_sets():
     b2 = minimal_basis(local_basis([xp(4), xp(6) + xp(7), extra]))
     assert sorted(str(e.poly) for e in b1.elements) == sorted(
         str(e.poly) for e in b2.elements)
+
+
+def _random_local_generator(rng, field) -> Poly:
+    """A polynomial of order 2 to 8 and degree at most 9, with a few
+    terms between."""
+    def coeff():
+        if field.char:
+            return rng.randrange(1, field.char)
+        return Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 2, 3)))
+
+    o = rng.randint(2, 8)
+    d = rng.randint(o, 9)
+    return Poly(field, {o: coeff(), d: coeff(),
+                        **{e: coeff() for e in range(o + 1, d)
+                           if rng.random() < 0.3}})
+
+
+def test_local_semigroup_matches_apery_closure():
+    # the basis loop against the K[[f]]-module Apery closure of the oracles,
+    # which finds its own cap: two generators over Q, two or three over
+    # GF(13) and GF(101); the orders have gcd 1, so neither route needs
+    # the escape bound
+    rng = random.Random(67)
+    with deadline(3):
+        for k in range(600):
+            field = (QQ, GF(13), GF(101))[k % 3]
+            count = 2 if field is QQ else rng.randint(2, 3)
+            gens = []
+            while not gens or math.gcd(*(g.order for g in gens)) != 1:
+                gens = [_random_local_generator(rng, field) for _ in range(count)]
+            got = local_basis(gens).semigroup.minimal_generators()
+            assert got == _atoms(*local_apery(gens)), gens

@@ -5,8 +5,8 @@ import pytest
 
 from curvesgp import (GF, QQ, MPoly, Poly, curve_resultant, eval_bipoly,
                       mpoly, resultant_eliminate)
-from curvesgp.mpoly import (_integral_roots, _symmetric_of_values,
-                            sylvester_resultant)
+from curvesgp.mpoly import _symmetric_of_values, sylvester_resultant
+from curvesgp.poly import _integral_roots
 from curvesgp.planebranch import intersection_degree
 from util import XY, P, schoolbook_mul, xp
 

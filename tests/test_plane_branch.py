@@ -514,6 +514,48 @@ def test_plane_local_imprimitive_pairs_of_degree_21_and_30_exit_fast(capsys, k):
     assert code == 1
     assert "q = x^3+x^2 of order e = 2" in capsys.readouterr().err
 
+def test_coprime_orders_answer_before_the_first_coefficient(monkeypatch, capsys):
+    # the local descent is seeded with o(g), the first exponent of the
+    # stream: with orders 4 and 7 it is complete at once, so neither the
+    # stream nor the primitivity gate (whose right factor is an
+    # approximate root) runs the Miller recurrence
+    from curvesgp import planebranch
+    from curvesgp.cli import main
+
+    calls = []
+    miller = planebranch._miller
+    monkeypatch.setattr(planebranch, "_miller",
+                        lambda *args: calls.append(args) or miller(*args))
+    S, seq = gamma_local_pair(xp(4) + xp(5), xp(7) + xp(8))
+    assert (S.minimal_generators(), seq.r, seq.m) == ([4, 7], (4, 7), (7,))
+    assert main(["plane-local", "x^4+x^5", "x^7", "--json"]) == 0
+    assert '"minimal_generators": [\n      4,\n      7\n    ]' in capsys.readouterr().out
+    # o(g) past PRECISION_CAP is still the first exponent, not a stall
+    assert gamma_local_pair(xp(2) + xp(3), xp(16385))[1].r == (2, 16385)
+    assert calls == []
+    # orders 4 and 6 share a factor: the stream is read, through the spy
+    assert gamma_local_pair(xp(4) + xp(5), xp(6))[1].r == (4, 6, 13)
+    assert calls
+
+
+@pytest.mark.parametrize("argv, q", [
+    (["plane-local", "x^2", "x^4+x^6"], "x^2"),
+    (["plane-local", "x^2+x^3", "x^2+x^3+x^4+2*x^5+x^6"], "x^3+x^2"),
+])
+def test_one_primitivity_gate_keeps_its_messages(capsys, argv, q):
+    # a monomial f with g in x^2, and g = f + f^2: the one gate refuses
+    # both with the message that names q and e
+    from curvesgp.cli import main
+
+    for args in (argv, argv + ["--json"]):
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error[ValueError]: f and g are polynomials in q = {q} of "
+                       "order e = 2: t -> (f, g) is not a primitive "
+                       "parametrisation\n")
+
+
 def test_gamma_curve_infinity_transcript():
     F = XY({(0, 6): 1, (2, 3): -2, (1, 3): -4, (0, 3): -1, (4, 0): 1})
     res = gamma_curve_infinity(F)
