@@ -130,20 +130,24 @@ class MPoly:
 
     # -- arithmetic --------------------------------------------------
 
-    def __add__(self, other: "MPoly") -> "MPoly":
+    def _termwise(self, other: "MPoly", op) -> "MPoly":
+        """self op other term by term, for the field's ``add`` or ``sub``."""
         self._check(other)
-        f = self.field
         acc = dict(self.coeffs)
+        zero = self.field.zero
         for e, c in other.coeffs.items():
-            acc[e] = f.add(acc.get(e, f.zero), c)
-        return MPoly(self.vars, f, acc)
+            acc[e] = op(acc.get(e, zero), c)
+        return MPoly(self.vars, self.field, acc)
+
+    def __add__(self, other: "MPoly") -> "MPoly":
+        return self._termwise(other, self.field.add)
 
     def __neg__(self) -> "MPoly":
         f = self.field
         return MPoly(self.vars, f, {e: f.neg(c) for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
+        return self._termwise(other, self.field.sub)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
@@ -156,15 +160,11 @@ class MPoly:
         return MPoly(self.vars, f, acc)
 
     def __pow__(self, n: int) -> "MPoly":
-        """Binary powering from the base; a single term in one step."""
+        """Binary powering from the base."""
         if n < 0:
             raise ValueError("negative power")
         if n == 0:
             return MPoly.constant(self.vars, 1, self.field)
-        if len(self.coeffs) == 1:
-            (e, c), = self.coeffs.items()
-            return MPoly(self.vars, self.field,
-                         {tuple(k * n for k in e): self.field.pow(c, n)})
         result = None
         base = self
         while n:
@@ -326,7 +326,8 @@ def sylvester_resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
 
     The result keeps the full variable tuple (the eliminated variable simply
     no longer occurs).  Degenerate degrees follow the usual conventions:
-    both constant in the variable is an error, one constant gives a power.
+    both constant in the variable is an error, and one constant c of the
+    other's degree d gives c^d, the determinant of the diagonal matrix.
     """
     dp = p.degree_in(name)
     dq = q.degree_in(name)
@@ -334,10 +335,6 @@ def sylvester_resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
         raise ValueError("resultant of a zero polynomial")
     if dp <= 0 and dq <= 0:
         raise ValueError(f"both inputs are constant in {name}")
-    if dp == 0:
-        return p ** dq
-    if dq == 0:
-        return q ** dp
     pc = [p.coeff_in(name, k) for k in range(dp, -1, -1)]
     qc = [q.coeff_in(name, k) for k in range(dq, -1, -1)]
     n = dp + dq

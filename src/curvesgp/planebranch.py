@@ -459,7 +459,11 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     Only the necessary delta-sequence conditions are checked; when they
     fail the input cannot have one place at infinity and the error says
     so.  The value of a root G is the intersection number int(F, G) of
-    :func:`intersection_degree`.
+    :func:`intersection_degree`.  G has y-degree below deg_y F, so it
+    shares a component with F only when F is reducible or not reduced;
+    a curve monic in y with one place at infinity is irreducible, since
+    each factor of positive y-degree meets the line at infinity, and such
+    a G raises :class:`NotOnePlaceAtInfinity` naming it.
     """
     if F.field.char != 0:
         raise ValueError("the plane-branch pipeline needs characteristic zero")
@@ -470,7 +474,18 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     if not lead.is_constant():
         raise NotOnePlaceAtInfinity("leading y-coefficient is not a unit")
     F = F.scale(F.field.inv(lead.constant_value()))
-    rs, roots = _descend(F, lambda G: intersection_degree(F, G))
+
+    def value(G: MPoly) -> int:
+        try:
+            return intersection_degree(F, G)
+        except ValueError:
+            if F.vars != ("x", "y"):  # intersection_degree's own refusal
+                raise
+            raise NotOnePlaceAtInfinity(
+                f"the approximate root {G} shares a component with the "
+                "curve, which is reducible or not reduced") from None
+
+    rs, roots = _descend(F, value)
     seq = delta_sequence(rs)
     return PlaneResult(_monoid(seq.r), seq, F, roots, [], [])
 

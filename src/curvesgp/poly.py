@@ -22,10 +22,10 @@ drops its zeros, and ``_sub_scaled`` subtracts a scaled dict in place; the
 reduction step, the resultant kernel, Horner evaluation, the Miller
 recurrence and the parser all call these two.
 
-The integer product is a schoolbook double loop on plain ints for fewer
-than ``_PACK_PAIRS`` term pairs #a * #b, and for operands too sparse to
-pack: more than one exponent slot of the product per ``_PAIRS_PER_SLOT``
-term pairs, as for (x^1009 + 1) * (x^1013 + x).  Otherwise each operand
+The integer product picks its path by one slot rule: a schoolbook double
+loop on plain ints when the product has more than one exponent slot per
+``_PAIRS_PER_SLOT`` term pairs #a * #b, as for short operands and for
+sparse ones like (x^1009 + 1) * (x^1013 + x).  Otherwise each operand
 is packed densely into one Python int, one coefficient per slot of w bits
 (Kronecker substitution x -> 2^w: A. Schonhage, 1982; D. Harvey, *Faster
 polynomial multiplication via multipoint Kronecker substitution*, J. Symb.
@@ -48,10 +48,10 @@ from typing import Iterable
 
 from .fields import QQ, check_same_field
 
-# Products with fewer term pairs #a * #b stay on the schoolbook loop, and
-# so do those with more than one product slot to unpack per
-# _PAIRS_PER_SLOT term pairs: a slot costs about as much as that many pairs.
-_PACK_PAIRS = 256
+# Products with more than one product slot to unpack per _PAIRS_PER_SLOT
+# term pairs #a * #b stay on the schoolbook loop: a slot costs about as
+# much as that many pairs.  As the slots number at least #a + #b - 1,
+# packing needs #a * #b >= 240.
 _PAIRS_PER_SLOT = 8
 
 
@@ -276,14 +276,14 @@ def _int_mul(a: dict, b: dict, p: int) -> dict:
     """exponent -> nonzero integer coefficient of the product of two
     nonempty integer polynomials, reduced into [0, p) when p is nonzero.
 
-    The schoolbook loop runs below ``_PACK_PAIRS`` term pairs or when the
-    operands are too sparse to pack, Kronecker packing otherwise, as the
+    The schoolbook loop runs when the product has more than one slot per
+    ``_PAIRS_PER_SLOT`` term pairs, Kronecker packing otherwise, as the
     module docstring sets out."""
     alo, ahi = min(a), max(a)
     blo, bhi = min(b), max(b)
     na, nb = len(a), len(b)
     slots = ahi - alo + bhi - blo + 1
-    if na * nb < _PACK_PAIRS or slots * _PAIRS_PER_SLOT > na * nb:
+    if slots * _PAIRS_PER_SLOT > na * nb:
         return _reduced(_schoolbook(a, b), p)
     bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
              * min(na, nb))

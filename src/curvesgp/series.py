@@ -45,7 +45,7 @@ class SeriesApprox(_Series):
 
     def __mul__(self, other: "SeriesApprox") -> "SeriesApprox":
         prec = min(self.prec, other.prec)
-        return SeriesApprox((self.poly * other.poly).truncate(prec), prec)
+        return SeriesApprox(self.poly * other.poly, prec)
 
     def scale(self, c) -> "SeriesApprox":
         return SeriesApprox(self.poly.scale(c), self.prec)
@@ -53,17 +53,9 @@ class SeriesApprox(_Series):
     def truncated(self, prec: int) -> "SeriesApprox":
         return SeriesApprox(self.poly, min(prec, self.prec))
 
-    def power(self, n: int, prec: int | None = None) -> "SeriesApprox":
-        prec = self.prec if prec is None else min(prec, self.prec)
-        result = SeriesApprox(Poly.constant(1, self.field), prec)
-        base = self.truncated(prec)
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+    def power(self, n: int) -> "SeriesApprox":
+        """self^n by one ``Poly.__pow__``, truncated once; n >= 0."""
+        return SeriesApprox(self.poly ** n, self.prec)
 
 
 def inverse_series(s: SeriesApprox) -> SeriesApprox:
@@ -79,16 +71,19 @@ def inverse_series(s: SeriesApprox) -> SeriesApprox:
         k = min(2 * k, s.prec)
         vk = SeriesApprox(v.poly, k)
         sv = (s.truncated(k)) * vk
-        v = SeriesApprox((vk.poly * (two - sv.poly)).truncate(k), k)
+        v = SeriesApprox(vk.poly * (two - sv.poly), k)
     return v
 
 
 def nth_root_series(s: SeriesApprox, n: int) -> SeriesApprox:
     """g with g^n = s mod x^prec and g(0) = 1.
 
-    Requires s(0) = 1.  In characteristic 0 the coefficients come from the
-    first-order relation n*g'*s = g*s'; over GF(p) with p not dividing n a
-    Newton iteration is used instead, and p | n is rejected.
+    Requires s(0) = 1.  One Newton iteration for g^n - s = 0 serves every
+    field, each step doubling the precision (R. P. Brent and H. T. Kung,
+    *Fast algorithms for manipulating formal power series*, J. ACM 25,
+    1978); over GF(p), p | n is rejected.  This is the reference route of
+    ``planebranch.reparametrize``, which runs J.C.P. Miller's recurrence
+    instead.
     """
     if n < 1:
         raise ValueError("root index must be positive")
@@ -100,27 +95,6 @@ def nth_root_series(s: SeriesApprox, n: int) -> SeriesApprox:
     if n == 1:
         return s
     prec = s.prec
-    if f.char == 0:
-        scoef = s.poly.coeffs
-        g = {0: f.one}
-        for m in range(prec - 1):
-            # coefficient of x^m in: n*g'*s - g*s' = 0, solved for g_{m+1}
-            acc = f.zero
-            for i, ci in scoef.items():
-                if 1 <= i <= m + 1:
-                    gj = g.get(m + 1 - i)
-                    if gj is not None:
-                        acc = f.add(acc, f.mul(f.coerce(i), f.mul(ci, gj)))
-            for j, gj in g.items():
-                if 1 <= j <= m:
-                    ci = scoef.get(m + 1 - j)
-                    if ci is not None:
-                        acc = f.sub(acc, f.mul(f.coerce(n * j), f.mul(gj, ci)))
-            val = f.div(acc, f.coerce(n * (m + 1)))
-            if not f.is_zero(val):
-                g[m + 1] = val
-        return SeriesApprox(Poly(f, g), prec)
-    # prime characteristic, p coprime to n: Newton for g^n - s = 0
     g = SeriesApprox(Poly.constant(1, f), 1)
     k = 1
     while k < prec:
@@ -128,7 +102,7 @@ def nth_root_series(s: SeriesApprox, n: int) -> SeriesApprox:
         gk = SeriesApprox(g.poly, k)
         gn1 = gk.power(n - 1)
         delta = (gn1 * gk - s.truncated(k)) * inverse_series(gn1.scale(f.coerce(n)))
-        g = SeriesApprox((gk - delta).poly, k)
+        g = gk - delta
     return g
 
 

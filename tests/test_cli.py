@@ -145,6 +145,19 @@ def test_curve_infinity_sparse_abhyankar_moh_family(capsys):
     assert "minimal generators: [10, 1404, 5015]" in out
 
 
+@pytest.mark.parametrize("curve", ["y^3-x^2*y", "y^2", "(y^2-x^3)^2"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_curve_infinity_refuses_a_reducible_or_nonreduced_curve(capsys, curve,
+                                                                json_flag):
+    # three places at infinity, a double line and a double cusp: an
+    # approximate root shares a component with the curve
+    code, out, err = run(capsys, "curve-infinity", curve, *json_flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[NotOnePlaceAtInfinity]: the approximate root ")
+    assert "reducible or not reduced" in err
+
+
 def test_plane_infinity(capsys):
     code, out, _ = run(capsys, "plane-infinity", "x^6+x", "x^4")
     assert code == 0

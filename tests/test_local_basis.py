@@ -9,6 +9,7 @@ from curvesgp import (
     QQ,
     BasisElement,
     LimitExceeded,
+    NumSgp,
     Poly,
     local_basis,
     ReductionContext,
@@ -244,3 +245,21 @@ def test_local_semigroup_matches_apery_closure():
                 gens = [_random_local_generator(rng, field) for _ in range(count)]
             got = local_basis(gens).semigroup.minimal_generators()
             assert got == _atoms(*local_apery(gens)), gens
+
+
+def test_local_semigroup_matches_apery_closure_three_generators_over_q():
+    # three generators over Q with fractional coefficients, orders of gcd
+    # 1: 56 of the 200 cases adjoin an element whose order is not in the
+    # semigroup of the input orders, which two generators of coprime
+    # orders never do
+    rng = random.Random(89)
+    adjoined = 0
+    with deadline(3):
+        for _ in range(200):
+            gens = []
+            while not gens or math.gcd(*(g.order for g in gens)) != 1:
+                gens = [_random_local_generator(rng, QQ) for _ in range(3)]
+            got = local_basis(gens).semigroup.minimal_generators()
+            assert got == _atoms(*local_apery(gens)), gens
+            adjoined += got != NumSgp([int(g.order) for g in gens]).minimal_generators()
+    assert adjoined == 56

@@ -579,6 +579,18 @@ def test_gamma_curve_infinity_rejects_two_places():
         gamma_curve_infinity(XY({(0, 2): 1, (2, 0): -1, (0, 0): -1}))
 
 
+def test_gamma_curve_infinity_rejects_a_reducible_curve():
+    # (y^2 - x^3)^2: the second approximate root is y^2 - x^3 itself
+    F = XY({(0, 2): 1, (3, 0): -1}) ** 2
+    with pytest.raises(NotOnePlaceAtInfinity, match=r"root y\^2-x\^3 shares"):
+        gamma_curve_infinity(F)
+    # a curve not in (x, y) keeps the refusal of intersection_degree
+    G = MPoly(("y", "x"), QQ, {(2, 0): QQ.one, (0, 3): -QQ.one})
+    with pytest.raises(ValueError, match="must be in \\(x, y\\)") as info:
+        gamma_curve_infinity(G)
+    assert type(info.value) is ValueError
+
+
 def test_delta_check():
     assert delta_check([10, 4, 5])
     assert NumSgp([10, 4, 5]).minimal_generators() == [4, 5]

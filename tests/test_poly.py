@@ -165,14 +165,15 @@ def test_mul_matches_schoolbook_on_random_operands(packed_calls):
 
 
 def test_mul_threshold_boundary(packed_calls):
-    """Dense products just below the pair threshold stay on the schoolbook
-    loop, and from it on are packed; both agree with the oracle."""
+    """The slot rule alone picks the path: a dense na x nb product has
+    na + nb - 1 slots and is packed when 8 slots cost no more than its
+    na * nb term pairs, so 15 x 15 stays on the schoolbook loop and
+    15 x 16 is packed; both paths agree with the oracle."""
     rng = random.Random(73)
-    n = math.isqrt(poly_module._PACK_PAIRS)
-    assert n * n == poly_module._PACK_PAIRS
+    assert poly_module._PAIRS_PER_SLOT == 8
     for field in _KERNEL_FIELDS:
-        for na, nb, packed in ((n - 1, n, False), (n, n, True),
-                               (n + 1, n, True), (2 * n, n // 2 - 1, False)):
+        for na, nb, packed in ((15, 15, False), (15, 16, True), (16, 16, True),
+                               (17, 16, True), (32, 7, False)):
             del packed_calls[:]
             _check_product(_random_poly(rng, field, na, na),
                            _random_poly(rng, field, nb, nb))
@@ -191,7 +192,9 @@ def test_mul_coefficients_reaching_the_slot_bound(packed_calls):
     """Equal coefficients +-M on n consecutive exponents make the middle
     coefficient of the product exactly +-M^2 n, the bound the slots are
     sized for, across every bit length of the bound modulo 8."""
-    n = math.isqrt(poly_module._PACK_PAIRS)
+    # n = 2 * _PAIRS_PER_SLOT: the n x n product has 2n - 1 slots, and
+    # (2n - 1) * _PAIRS_PER_SLOT < n * n term pairs, so it is packed
+    n = 2 * poly_module._PAIRS_PER_SLOT
     ones = range(n)
     for k in range(1, 80):
         for m in (2 ** k - 1, 2 ** k, 2 ** k + 1):

@@ -5,6 +5,7 @@ import pytest
 
 from curvesgp import (
     GF,
+    QQ,
     Poly,
     SeriesApprox,
     compose_series,
@@ -12,7 +13,7 @@ from curvesgp import (
     nth_root_series,
     reverse_series,
 )
-from util import P, substitute, xp
+from util import P, deadline, substitute, xp
 
 
 def series(p, prec):
@@ -82,6 +83,24 @@ def test_nth_root_power_identity_random():
             [(0, 1)] + [(k, rng.randrange(-3, 4)) for k in range(1, prec)])
         got = nth_root_series(series(f, prec), n)
         assert got.power(n).poly == f.truncate(prec)
+    # fractional coefficients over Q, and GF(101) with 101 not dividing n
+    fractions = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 3, -1)
+    for field in (QQ, GF(101)):
+        for _ in range(25):
+            prec = rng.randrange(2, 16)
+            n = rng.randrange(2, 7)
+            f = Poly.from_terms(
+                [(0, 1)] + [(k, rng.choice(fractions)) for k in range(1, prec)
+                            if rng.random() < 0.6], field)
+            got = nth_root_series(series(f, prec), n)
+            assert got.power(n).poly == f.truncate(prec), (field, f, n)
+            assert got.coeff(0) == field.one
+
+
+def test_power_rejects_a_negative_exponent():
+    with deadline(2):
+        with pytest.raises(ValueError, match="negative power"):
+            series(Poly.constant(1) + xp(1), 6).power(-1)
 
 
 def test_reverse_trivial():
