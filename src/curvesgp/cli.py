@@ -178,9 +178,11 @@ def _emit(args, build: Callable[[], dict]) -> None:
     """Print the command's one report, built by *build*: as JSON with
     ``--json``, else as the text lines :func:`report.text` renders from it.
 
-    Exact coefficients may run past CPython's 4300-digit cap on ``str(int)``,
-    so the cap is lifted while the report is built and written (the parser
-    keeps it against huge literals)."""
+    Exact coefficients, and the values that error messages name, may run
+    past CPython's 4300-digit cap on ``str(int)``.  *build* does all of the
+    command's work after its inputs were read, so the cap is lifted once,
+    while the report is computed and written, and the parser keeps it
+    against huge literals."""
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -190,8 +192,7 @@ def _emit(args, build: Callable[[], dict]) -> None:
         sys.set_int_max_str_digits(cap)
 
 
-def _basis(args, setting: str) -> ValueBasis:
-    gens = parse_poly_list(args.polys, args.char)
+def _basis(gens: list, setting: str) -> ValueBasis:
     # these names, not build_basis: the benchmark's spans wrap them
     return local_basis(gens) if setting == "local" else global_basis(gens)
 
@@ -210,6 +211,8 @@ def _plane_report(cmd: str, result) -> dict:
 
 
 def run(argv: list[str]) -> int:
+    """Read the command's inputs, then compute and print its report in
+    :func:`_emit`."""
     args = _parse_plain(argv)
     if args is None:
         args = build_parser().parse_args(argv)
@@ -218,10 +221,12 @@ def run(argv: list[str]) -> int:
         build_parser().error("--bound needs --mode expression")
 
     if cmd in ("local", "global"):
-        basis = _basis(args, cmd)
-        reduced = reduced_basis(basis) if args.show in ("reduced", "all") else None
+        gens = parse_poly_list(args.polys, args.char)
 
         def build():
+            basis = _basis(gens, cmd)
+            reduced = (reduced_basis(basis) if args.show in ("reduced", "all")
+                       else None)
             rep = {"command": cmd,
                    "semigroup": report.semigroup_report(basis.semigroup)}
             if args.show in ("basis", "all"):
@@ -236,34 +241,37 @@ def run(argv: list[str]) -> int:
         if args.char:
             raise ValueError("plane-branch commands need characteristic zero")
         if cmd == "curve-infinity":
-            result = gamma_curve_infinity(parse_mpoly(args.curve, ("x", "y")))
+            inputs = (parse_mpoly(args.curve, ("x", "y")),)
+            pipeline = gamma_curve_infinity
         else:
-            f, g = parse_poly(args.f), parse_poly(args.g)
+            inputs = (parse_poly(args.f), parse_poly(args.g))
             pipeline = local_pipeline if cmd == "plane-local" else gamma_at_infinity
-            result = pipeline(f, g)
-        build = functools.partial(_plane_report, cmd, result)
-
-    elif cmd == "deform":
-        basis = _basis(args, args.setting)
-        ds = deform_from_basis(basis)
-        inexact = dict.fromkeys(r.value for r in ds.relators if not r.complete)
-        for value in inexact:
-            print(f"warning: expression for relation at value {value} was "
-                  "truncated; its relators are inexact", file=sys.stderr)
 
         def build():
+            return _plane_report(cmd, pipeline(*inputs))
+
+    elif cmd == "deform":
+        gens = parse_poly_list(args.polys, args.char)
+
+        def build():
+            basis = _basis(gens, args.setting)
+            ds = deform_from_basis(basis)
+            inexact = dict.fromkeys(r.value for r in ds.relators if not r.complete)
+            for value in inexact:
+                print(f"warning: expression for relation at value {value} was "
+                      "truncated; its relators are inexact", file=sys.stderr)
             return {"command": "deform",
                     "semigroup": report.semigroup_report(basis.semigroup),
                     "deformation": report.deformation_report(ds)}
 
     elif cmd == "reduce":
         f = parse_poly(args.poly, args.char)
-        elems = [basis_element(p, args.setting)
-                 for p in parse_poly_list(args.against, args.char)]
-        out = reduce_poly(f, ReductionContext(elems, args.setting), args.mode,
-                          args.bound)
+        against = parse_poly_list(args.against, args.char)
 
         def build():
+            elems = [basis_element(p, args.setting) for p in against]
+            out = reduce_poly(f, ReductionContext(elems, args.setting), args.mode,
+                              args.bound)
             return {"command": "reduce",
                     "reduction": report.reduction_report(out, f.field)}
 
@@ -272,9 +280,9 @@ def run(argv: list[str]) -> int:
             gens = [int(t) for t in args.generators.split(",") if t.strip()]
         except ValueError:
             raise ParseError("generators must be integers", 0) from None
-        S = _monoid(tuple(gens))
 
         def build():
+            S = _monoid(tuple(gens))
             rep = {"command": "semigroup", "semigroup": report.semigroup_report(S)}
             if args.json and S.is_numerical:  # the text lists no pairs
                 rep["presentation"] = report.presentation_report(

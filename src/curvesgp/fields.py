@@ -1,10 +1,15 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Coefficients are plain Python values (``fractions.Fraction`` for the
-rationals, ``int`` residues in ``[0, p)`` for GF(p)); a field object
-bundles the arithmetic so polynomials can stay agnostic of which field
-they live over.  All operations are exact; division by zero raises
-``ZeroDivisionError`` instead of producing any sentinel value.
+Coefficients are plain Python values; a field object bundles the
+arithmetic so polynomials can stay agnostic of which field they live over.
+Over GF(p) a coefficient is an ``int`` residue in ``[0, p)``.  Over Q it is
+in one canonical form: an ``int`` when it is integral, and otherwise a
+``fractions.Fraction`` in lowest terms with denominator > 1, never a
+float.  So integral coefficients, the common case, cost only integer
+arithmetic, as in FLINT's ``fmpq_poly`` (W. Hart, *Fast Library for Number
+Theory: An Introduction*, ICMS 2010); :func:`rational` builds the form from
+a numerator and a denominator.  All operations are exact; division by zero
+raises ``ZeroDivisionError`` instead of producing any sentinel value.
 """
 
 from __future__ import annotations
@@ -16,32 +21,47 @@ class MixedFieldError(ValueError):
     """Operands belong to different coefficient fields."""
 
 
+def rational(num: int, den: int):
+    """num / den over Q in canonical form: an ``int`` when den divides num,
+    else a ``Fraction`` in lowest terms."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _canonical(a):
+    """A sum, difference, product or power of canonical rationals in
+    canonical form: ``Fraction`` arithmetic can return a whole number."""
+    return a if type(a) is int or a.denominator != 1 else a.numerator
+
+
 class Rationals:
-    """The field of rational numbers, with Fraction coefficients."""
+    """The field of rational numbers: ``int`` coefficients when integral,
+    ``Fraction`` ones otherwise (module docstring)."""
 
     char = 0
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)  # a bool becomes 0 or 1
+        if isinstance(value, Fraction):
+            return _canonical(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _canonical(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into the rationals")
 
-    # shared constants: a Fraction is immutable
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
@@ -49,15 +69,17 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return rational(a.denominator, a.numerator)
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        return a / b
+        return rational(a.numerator * b.denominator, a.denominator * b.numerator)
 
     def pow(self, a, n):
-        return a ** n
+        if n < 0:
+            a, n = self.inv(a), -n
+        return _canonical(a ** n)
 
     def is_zero(self, a):
         return a == 0

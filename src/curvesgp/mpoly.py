@@ -32,10 +32,9 @@ their reference route.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .fields import QQ, check_same_field
+from .fields import QQ, check_same_field, rational
 from .poly import (Poly, _int_mul, _int_pow, _integral_roots, _join_terms,
                    _lift, _reduced, _sub_scaled, _unlift, _unpack)
 
@@ -418,15 +417,22 @@ class _ZX:
 
 def _slot_bytes(b: list, h: dict, n: int, m: int) -> int:
     """Bytes per slot of the packed form of :func:`_symmetric_of_values`,
-    or 0 for its sparse form, by the rule stated at ``_BITS_PER_TERM``."""
+    or 0 for its sparse form, by the rule stated at ``_BITS_PER_TERM``,
+    in integers: with delta = top / at, the packed bits
+    8 nbytes (N + 1) (N delta / 2 + 1) are at most ``_BITS_PER_TERM`` a
+    term exactly when 4 nbytes (N + 1) (N top + 2 at) is at most
+    at ``_BITS_PER_TERM`` terms."""
     norm_mu = 1 + sum(abs(c) for bi in b for c in bi.values())
     norm_h = sum(abs(c) for hj in h.values() for c in hj.values())
     nbytes = ((norm_mu ** m * (1 + norm_h) ** n).bit_length() + 8) // 8
     N = n * m
-    delta = max((max(bi) / i for i, bi in enumerate(b, 1) if bi), default=0)
-    packed = 8 * nbytes * (N + 1) * (N * delta / 2 + 1)
+    top, at = 0, 1
+    for i, bi in enumerate(b, 1):
+        if bi and max(bi) * at > top * i:
+            top, at = max(bi), i
     terms = (N + 1) * (sum(map(len, b)) + sum(map(len, h.values())))
-    return nbytes if packed <= _BITS_PER_TERM * terms else 0
+    return (nbytes if 4 * nbytes * (N + 1) * (N * top + 2 * at)
+            <= at * _BITS_PER_TERM * terms else 0)
 
 
 def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
@@ -614,7 +620,7 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
     for k, Ek in enumerate(E):
         for ex, v in Ek.items():
             v = -v if k % 2 else v
-            out[(ex, n - k)] = v % field.char if field.char else Fraction(v, Mk)
+            out[(ex, n - k)] = v % field.char if field.char else rational(v, Mk)
         Mk *= M
     return MPoly(("x", "y"), field, out)
 

@@ -16,11 +16,12 @@ and then an over-long NUMBER, is reported before any error of the grammar.
 One pass over the tokens of one ``re.findall``; a value is a plain dict,
 exponent tuple -> coefficient.  A term folds its factors into one
 coefficient and one exponent vector; coefficients stay integers until a
-division, and each output term gets one ``Fraction`` (over GF(p), one
-residue).  Sums of several terms are multiplied and raised by the integer
-kernel of :mod:`curvesgp.poly`.  Errors carry the offending position in
-the input string, recomputed with the token pattern only once an error is
-raised.
+division, and each output term gets one canonical rational
+(``fields.rational``: an ``int`` when integral, else a ``Fraction``; over
+GF(p), one residue).  Sums of several terms are multiplied and raised by
+the integer kernel of :mod:`curvesgp.poly`.  Errors carry the offending
+position in the input string, recomputed with the token pattern only once
+an error is raised.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from fractions import Fraction
 
-from .fields import field_of_characteristic
+from .fields import field_of_characteristic, rational
 from .mpoly import MPoly
 from .poly import Poly, _int_mul, _int_pow, _lift, _reduced
 
@@ -114,7 +114,7 @@ class _Reader:
                     break
                 div, i = (i if toks[i] == "/" else None), i + 1
             c = (num * pow(den, -1, p) % p if p
-                 else num if den == 1 else Fraction(num, den))
+                 else num if den == 1 else rational(num, den))
             mono = tuple(exps)
             if poly is None:
                 acc[mono] = acc[mono] + c if mono in acc else c
@@ -152,7 +152,7 @@ class _Reader:
         else:
             B, db = lift(b)
             prod, d = _int_mul(A, B, self.p), d * db
-        return {tuple([x // v % w for v in weights]): c if d == 1 else Fraction(c, d)
+        return {tuple([x // v % w for v in weights]): rational(c, d)
                 for x, c in prod.items()}
 
     def parse(self, text: str) -> dict:
@@ -179,7 +179,8 @@ class _Reader:
             raise ParseError(message, starts[at]) from None
         if self.p:
             return _reduced(value, self.p)
-        return {e: c if type(c) is Fraction else Fraction(c)
+        coerce = self.field.coerce  # a sum of Fractions may be whole
+        return {e: c if type(c) is int else coerce(c)
                 for e, c in value.items() if c}
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator, NamedTuple, Sequence
 
-from .fields import check_same_field
+from .fields import check_same_field, rational
 from .mpoly import MPoly, curve_resultant, eval_bipoly, intersection_degree
 from .numsgp import NumSgp, _monoid, gcd_chain, is_free
 from .poly import Poly, _int_mul, _integral_roots, _sub_scaled
@@ -149,7 +149,7 @@ def _miller(a: Sequence[dict], alpha: Fraction, N: int) -> list[tuple[dict, int]
     (1 + sum_i a_i z^i)^alpha, on integers.
 
     a lists a_1, a_2, ... as polynomials in one variable over Q (dicts
-    exponent -> Fraction; a scalar sits at exponent 0).  They are scaled
+    exponent -> rational; a scalar sits at exponent 0).  They are scaled
     as ``poly._integral_roots`` scales them, to the integral U_i = D^i a_i,
     D the lcm of their denominators.  The J.C.P. Miller recurrence
     j v_j = sum_{i=1}^{j} ((alpha + 1) i - j) a_i v_{j-i} divides by j and
@@ -219,7 +219,8 @@ def _right_factor(f: Poly, g: Poly) -> Poly | None:
 def _lagrange_coeffs(f: Poly, g: Poly) -> Iterator:
     """[s^0], [s^1], ... of :func:`reparametrize`, untruncated: [s^k]
     reads f and g only below t^k."""
-    zero = f.field.zero
+    field = f.field
+    zero = field.zero
     n = int(f.order)
     a = [{0: f.coeffs.get(n + i, 0)} for i in range(1, int(f.degree) - n + 1)]
     dg = sorted(g.derivative().coeffs.items())
@@ -233,8 +234,8 @@ def _lagrange_coeffs(f: Poly, g: Poly) -> Iterator:
         total = zero
         for e, c in terms:
             N, s = v[k - 1 - e]
-            total += c * Fraction(N.get(0, 0), s)
-        yield total / k
+            total = field.add(total, field.mul(c, rational(N.get(0, 0), s)))
+        yield field.div(total, k)
 
 
 def reparametrize(f: Poly, g: Poly, prec: int) -> Poly:
@@ -369,7 +370,7 @@ def approximate_root(F: MPoly, d: int, var: str = "y") -> MPoly:
         for packed, c in N.items():
             exp = [packed // w ** k % w for k in range(len(F.vars) - 1)]
             exp.insert(r, q - j)
-            coeffs[tuple(exp)] = Fraction(c, s)
+            coeffs[tuple(exp)] = rational(c, s)
     return MPoly(F.vars, F.field, coeffs)
 
 

@@ -11,11 +11,13 @@ Instances are immutable after construction and safe to share.
 Products run on integers in both fields.  One lift, ``_lift(field,
 coeffs)``, serves both: over Q each operand becomes integer numerators over
 one common denominator (the lcm of its denominators); over GF(p) the
-residues already are integers and come back as they are, over 1.  One
-private kernel, ``_int_mul``, multiplies two such integer forms, reduces
-mod p over GF(p) and drops zeros; ``Poly.__mul__`` rebuilds its result
-into one coefficient per output term, a ``Fraction(c, da*db)`` over Q, and
-the reduction step of :mod:`curvesgp.reduction` keeps it lifted.  This
+residues, and over Q coefficients that are all ``int``, already are
+integers and come back as they are, over 1.  One private kernel,
+``_int_mul``, multiplies two such integer forms, reduces mod p over GF(p)
+and drops zeros; ``Poly.__mul__`` rebuilds its result into one canonical
+coefficient per output term, ``fields.rational(c, da*db)`` over Q (an
+``int`` when da*db divides c, so integral operands build no ``Fraction``),
+and the reduction step of :mod:`curvesgp.reduction` keeps it lifted.  This
 module owns every update of that integer form, exponent -> nonzero int
 (residues in [0, p) over GF(p)): ``_reduced`` reduces a dict mod p and
 drops its zeros, and ``_sub_scaled`` subtracts a scaled dict in place; the
@@ -43,10 +45,9 @@ borrow of 1 upward.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable
 
-from .fields import QQ, check_same_field
+from .fields import QQ, check_same_field, rational
 
 # Products with more than one product slot to unpack per _PAIRS_PER_SLOT
 # term pairs #a * #b stay on the schoolbook loop: a slot costs about as
@@ -216,19 +217,17 @@ class Poly:
 
 def _lift(field, coeffs: dict) -> tuple[dict, int]:
     """(numerators, d): over Q, integer numerators over the lcm d of the
-    denominators, in a new dict; over GF(p), the residues themselves (the
-    dict is not copied) with d = 1."""
-    if field.char:
+    denominators, in a new dict; over GF(p), and over Q when every
+    coefficient is an ``int``, the dict itself (not copied) with d = 1."""
+    if field.char or all(type(c) is int for c in coeffs.values()):
         return coeffs, 1
     d = math.lcm(*[c.denominator for c in coeffs.values()])
-    if d == 1:
-        return {e: c.numerator for e, c in coeffs.items()}, 1
     return {e: c.numerator * (d // c.denominator) for e, c in coeffs.items()}, d
 
 
 def _integral_roots(b: list, char: int) -> tuple[list, int]:
     """(B, D) with B_i = D^i b_i: for b_1, ..., b_n in Q[X] (dicts exponent
-    -> Fraction) and D the lcm of their denominators, the roots of
+    -> rational) and D the lcm of their denominators, the roots of
     t^n + sum_i B_i t^(n-i) are D times those of t^n + sum_i b_i t^(n-i),
     and every B_i is integral: the weighted form of :func:`_lift`.  Over
     GF(p), D = 1; zeros are dropped.  The resultant kernel of
@@ -241,11 +240,11 @@ def _integral_roots(b: list, char: int) -> tuple[list, int]:
 
 def _unlift(field, coeffs: dict, d: int) -> Poly:
     """The polynomial coeffs / d, for nonzero integer coeffs (residues over
-    GF(p), with d = 1); over GF(p) the polynomial keeps the dict itself, so
+    GF(p), with d = 1); with d = 1 the polynomial keeps the dict itself, so
     the caller must not write to it afterwards."""
-    if field.char:
+    if d == 1:
         return Poly._of(field, coeffs)
-    return Poly._of(field, {e: Fraction(c, d) for e, c in coeffs.items()})
+    return Poly._of(field, {e: rational(c, d) for e, c in coeffs.items()})
 
 
 def _reduced(acc: dict, p: int) -> dict:
@@ -278,10 +277,13 @@ def _int_mul(a: dict, b: dict, p: int) -> dict:
 
     The schoolbook loop runs when the product has more than one slot per
     ``_PAIRS_PER_SLOT`` term pairs, Kronecker packing otherwise, as the
-    module docstring sets out."""
+    module docstring sets out.  The slots number at least #a + #b - 1, so
+    that count alone settles most short products before any min or max."""
+    na, nb = len(a), len(b)
+    if (na + nb - 1) * _PAIRS_PER_SLOT > na * nb:
+        return _reduced(_schoolbook(a, b), p)
     alo, ahi = min(a), max(a)
     blo, bhi = min(b), max(b)
-    na, nb = len(a), len(b)
     slots = ahi - alo + bhi - blo + 1
     if slots * _PAIRS_PER_SLOT > na * nb:
         return _reduced(_schoolbook(a, b), p)

@@ -65,18 +65,18 @@ the lcm L of the denominators of the coefficients W_k / D in lowest terms:
 each of them divides D, so D = L m, and then m divides every W_k, hence
 divides gcd(D, content(W)) = 1.  The lift of f starts from that lcm, and a
 step with a = 1 leaves D as it was, so D is always the lcm reached at the
-start or at the last step that grew it.  Fractions are built only for what
-the caller sees: the recorded coefficients (for a caller that reads them),
-the terms moved into the remainder and the remainder itself.
+start or at the last step that grew it.  Coefficients over Q are rebuilt
+(``fields.rational``: an ``int`` when integral, else a ``Fraction``) only
+for what the caller sees: the recorded coefficients (for a caller that
+reads them), the terms moved into the remainder and the remainder itself.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
-from .fields import check_same_field
+from .fields import check_same_field, rational
 from .numsgp import (NumSgp, _monoid, least_factorization_over,
                      presentation_for_generators)
 from .poly import Poly, _int_mul, _int_pow, _lift, _sub_scaled, _unlift
@@ -211,8 +211,8 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
     W / D <- (a W - b P) / (a D) against the lifted product P / d_P, in
     place, with the common factor of W and D cancelled only when D grew,
     which keeps D the lcm of the denominators (module docstring).  A
-    ``ValueBasis`` is a context too.  Fractions are built for the recorded
-    coefficients and, once at the end, for the remainder.  With
+    ``ValueBasis`` is a context too.  Over Q the recorded coefficients and,
+    once at the end, the remainder are rebuilt by ``fields.rational``.  With
     ``record=False`` no step is recorded and the expression is left empty:
     the basis builders read only the remainder, and over Q each recorded
     coefficient costs a gcd of two large integers.
@@ -239,8 +239,8 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
 
     expression: list[tuple[object, tuple[int, ...]]] = []
     collected: dict[int, object] = {}
-    # a private copy: the steps write into it, and over GF(p) the lift
-    # hands back f's own dict
+    # a private copy: the steps write into it, and over GF(p), or over Q
+    # with int coefficients, the lift hands back f's own dict
     work, den = _lift(field, dict(f.coeffs))
     complete = True
     used_shortcut = False
@@ -251,7 +251,7 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
         prod, dp = ctx._lifted_product(theta)
         if record:
             w, u = work[e], prod[e]
-            expression.append((field.div(w, u) if p else Fraction(w * dp, den * u),
+            expression.append((field.div(w, u) if p else rational(w * dp, den * u),
                                theta))
         before = den
         work, den = _step(work, den, prod, e, p)
@@ -263,7 +263,7 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
 
     def strip_lead(e: int) -> None:
         v = work.pop(e)
-        collected[e] = v if p else Fraction(v, den)
+        collected[e] = v if p else rational(v, den)
 
     while work:
         e = lead(work)

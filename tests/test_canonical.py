@@ -1,0 +1,108 @@
+"""Canonical rationals: over Q every coefficient that a route hands back is
+an ``int`` when it is integral and otherwise a ``Fraction`` with
+denominator > 1, never a float.  Seeded inputs mix integral and fractional
+coefficients, and leading and trailing ones that normalisation divides by.
+"""
+
+import random
+from fractions import Fraction
+
+from curvesgp import (MPoly, Poly, QQ, ReductionContext, approximate_root,
+                      curve_resultant, deform_from_basis, eval_bipoly,
+                      global_basis, local_basis, parse_mpoly, parse_poly,
+                      reduce_poly, reduced_basis, reparametrize)
+from curvesgp.fields import rational
+from curvesgp.reduction import basis_element
+from util import P, is_canonical
+
+POOL = (1, -1, 2, -3, 6, "1/2", "-2/3", "3/4", "5/6", "-7/3")
+
+
+def coefficients(value):
+    """Every coefficient held by a Poly, an MPoly or a list of either."""
+    if isinstance(value, (Poly, MPoly)):
+        return list(value.coeffs.values())
+    return [c for v in value for c in coefficients(v)]
+
+
+def assert_canonical(value, what):
+    bad = [c for c in coefficients(value) if not is_canonical(c)]
+    assert not bad, (what, bad)
+
+
+def random_poly(rng, order, top, terms):
+    """order's term first, with a coefficient from POOL, then up to terms
+    more above it, below top."""
+    exps = rng.sample(range(order + 1, top), min(terms, top - order - 1))
+    return P((order, rng.choice(POOL)), *[(e, rng.choice(POOL)) for e in exps])
+
+
+def test_rational_is_canonical():
+    for num in range(-12, 13):
+        for den in (1, -1, 2, -3, 4, 6, 12):
+            q = rational(num, den)
+            assert is_canonical(q) and q == Fraction(num, den), (num, den)
+    for a in (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)):
+        for b in (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 3)):
+            got = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.div(a, b),
+                   QQ.inv(b), QQ.neg(a), QQ.pow(b, 3), QQ.pow(b, -2),
+                   QQ.pow(a, 0), QQ.coerce(b), QQ.coerce(str(b))]
+            assert all(map(is_canonical, got)), (a, b, got)
+            assert got[3] == Fraction(a) / Fraction(b)
+
+
+def test_parsing_and_poly_arithmetic_are_canonical():
+    rng = random.Random(41)
+    for text in ("1/2*x^2+1/2*x^2+3/4*x", "(1/2*x+1/2)^2*4", "2/2*x^3-6/3",
+                 "(2/3*x^2+1/3)*(3/2*x-3)", "x^4/4*4+x/3"):
+        assert_canonical(parse_poly(text), text)
+        assert_canonical(parse_mpoly(text.replace("x^4", "y^4"), ("x", "y")),
+                         text)
+    for _ in range(60):
+        f = random_poly(rng, rng.randrange(0, 4), 12, rng.randrange(0, 5))
+        g = random_poly(rng, rng.randrange(0, 4), 12, rng.randrange(0, 5))
+        c = QQ.coerce(rng.choice(POOL))
+        assert_canonical([f + g, f - g, -f, f * g, f ** 3, f.scale(c),
+                          f.scale(QQ.inv(f.leading_coeff)), f.derivative()],
+                         (f, g))
+        assert_canonical(parse_poly(str(f * g)), str(f * g))
+
+
+def test_bases_reductions_and_deformations_are_canonical():
+    rng = random.Random(43)
+    for _ in range(12):
+        n, m = rng.choice([(3, 4), (4, 5), (3, 5), (4, 7)])
+        gens = [random_poly(rng, n, n + 6, 2), random_poly(rng, m, m + 6, 2)]
+        local = local_basis(gens)
+        assert_canonical([e.poly for e in local.elements], gens)
+        assert_canonical([e.poly for e in reduced_basis(local).elements], gens)
+        # coprime degrees n and m, every other term below them
+        top = [random_poly(rng, 0, k, 2) + P((k, rng.choice(POOL))) for k in (n, m)]
+        glob = global_basis(top)
+        assert_canonical([e.poly for e in glob.elements], top)
+        assert_canonical([e.poly for e in reduced_basis(glob).elements], top)
+        for basis in (local, glob):
+            ds = deform_from_basis(basis)
+            assert_canonical([ds.generators, ds.homogenized_generators, ds.toric,
+                              ds.exact, ds.homogenized], gens)
+        f = random_poly(rng, n + m, n + m + 8, 4)
+        elems = [basis_element(g, "local") for g in gens]
+        for mode in ("expression", "reduced", "algorithmic"):
+            out = reduce_poly(f, ReductionContext(elems, "local"), mode)
+            assert_canonical(out.remainder, (f, mode))
+            assert all(is_canonical(c) for c, _ in out.expression), (f, mode)
+
+
+def test_plane_routes_are_canonical():
+    rng = random.Random(47)
+    for _ in range(12):
+        n = rng.choice((2, 3, 4))
+        f = P((n, 1), *[(n + k, rng.choice(POOL)) for k in rng.sample(range(1, 5), 2)])
+        g = random_poly(rng, rng.randrange(n + 1, 2 * n + 2), 12, 2)
+        assert_canonical(reparametrize(f, g, 10), (f, g))
+        F = curve_resultant(f, g)
+        assert_canonical(F, (f, g))
+        for d in (d for d in range(1, F.degree_in("y") + 1) if F.degree_in("y") % d == 0):
+            G = approximate_root(F, d)
+            assert_canonical(G, (F, d))
+            assert_canonical(eval_bipoly(G, f, g), (G, f, g))

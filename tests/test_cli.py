@@ -675,6 +675,26 @@ def test_coefficients_past_the_int_string_cap_are_printed(capsys):
     assert json.loads(out)["basis"][0]["terms"] == [[1, big], [3, "1"]]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["curve-infinity", "(y^2-7^6000*x^3)^2"],
+     "error[NotOnePlaceAtInfinity]: the approximate root y^2-"),
+    (["plane-infinity", "(x^2+7^6000*x)^3", "(x^2+7^6000*x)^2"],
+     "error[ValueError]: parametrisation is not proper: f and g are "
+     "polynomials in q = x^2+"),
+])
+def test_error_messages_past_the_int_string_cap_are_printed(capsys, argv, message):
+    # the message names a polynomial with a 5071-digit coefficient: the
+    # digit cap is lifted for the whole computation, not only the report
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert sys.get_int_max_str_digits() == cap
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+    assert "Exceeds the limit" not in err
+    assert len(err) > 5071
+
+
 @pytest.mark.parametrize("argv, gens", [
     (["plane-local", "--json", "--", "-2/3*x^6-3*x^2", "x^3"], [2, 3]),
     (["local", "--json", "--", "-x^4,x^6+x^7"], [4, 6, 13]),

@@ -165,6 +165,12 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
+def is_canonical(c) -> bool:
+    """c is a rational in canonical form: an int (not a bool), or a
+    Fraction with denominator > 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def frac(s) -> Fraction:
     return Fraction(s)
 
