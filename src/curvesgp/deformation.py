@@ -6,7 +6,7 @@ with u^{p-i} instead, so both lifts are u^{|i-p|} with p the value of f.
 Feeding the reduction expressions of the relation elements through the
 same lift yields, for each presentation pair, three relators in the X_i:
 
-* ``toric``        F_i = X^alpha - kappa X^beta   (kappa fixes unit coefficients)
+* ``toric``        F_i = X^alpha - kappa X^beta   (kappa from the relation step)
 * ``exact``        G_i = F_i - sum c_theta X^theta  (vanishes on the generators)
 * ``homogenized``  H_i = F_i - sum u^{|D_theta - p_i|} c_theta X^theta
 
@@ -85,10 +85,13 @@ def deform(basis: ReductionContext, presentation: Presentation) -> DeformationSe
     ``ValueBasis`` lends the powers cached while it was built.  The
     elements need not be monic: unit coefficients are absorbed into the
     toric binomials, which is exactly what rescaling the ambient variables
-    does.  Expressions that do not close up within the default bound of
-    the expression division leave their relator flagged incomplete
-    (``Relator.complete`` false), since the order-valued division may
-    genuinely be an infinite series.  A term c X^theta of an expression
+    does.  Each binomial's kappa is the one that
+    ``reduction.relation_element`` read off the leads its step cancelled.
+    Expressions that do not close up within the default bound of the
+    expression division (a local one; a degree division always ends)
+    leave their relator flagged incomplete (``Relator.complete`` false),
+    since the order-valued division may genuinely be an infinite
+    series.  A term c X^theta of an expression
     is lifted with u^{|D - p|}, D = sum theta_i v_i weighed by the
     generators' values ``basis.values`` and p the relation's value.
     """
@@ -99,13 +102,12 @@ def deform(basis: ReductionContext, presentation: Presentation) -> DeformationSe
 
     relators = []
     for alpha, beta, value in presentation.pairs:
-        s_poly = relation_element(basis, alpha, beta)
+        s_poly, kappa = relation_element(basis, alpha, beta)
         out = reduce_poly(s_poly, basis, "expression")
         if not out.remainder.is_zero:
             raise ValueError(
                 f"relation {alpha} ~ {beta} does not reduce to zero: "
                 "the given elements are not a basis")
-        kappa = field.div(basis.unit_product(alpha), basis.unit_product(beta))
         toric = MPoly(variables, field, {(0,) + tuple(alpha): field.one,
                                          (0,) + tuple(beta): field.neg(kappa)})
         # one accumulation per relator; MPoly drops the zeros once

@@ -43,6 +43,8 @@ class Rationals:
     char = 0
 
     def coerce(self, value):
+        if type(value) is int:
+            return value
         if isinstance(value, int):
             return int(value)  # a bool becomes 0 or 1
         if isinstance(value, Fraction):

@@ -45,7 +45,8 @@ class MPoly:
     def __init__(self, vars: Sequence[str], field, coeffs: dict):
         self.vars = tuple(vars)
         self.field = field
-        self.coeffs = {e: c for e, c in coeffs.items() if not field.is_zero(c)}
+        coerce = field.coerce  # canonical coefficients, as in Poly
+        self.coeffs = {e: v for e, c in coeffs.items() if (v := coerce(c))}
 
     # -- constructors ------------------------------------------------
 
@@ -56,7 +57,7 @@ class MPoly:
     @classmethod
     def constant(cls, vars, value, field=QQ) -> "MPoly":
         n = len(vars)
-        return cls(vars, field, {(0,) * n: field.coerce(value)})
+        return cls(vars, field, {(0,) * n: value})
 
     @classmethod
     def variable(cls, vars, name: str, field=QQ) -> "MPoly":
@@ -142,8 +143,7 @@ class MPoly:
         return self._termwise(other, self.field.add)
 
     def __neg__(self) -> "MPoly":
-        f = self.field
-        return MPoly(self.vars, f, {e: f.neg(c) for e, c in self.coeffs.items()})
+        return MPoly(self.vars, self.field, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self._termwise(other, self.field.sub)
@@ -175,9 +175,9 @@ class MPoly:
         return result
 
     def scale(self, c) -> "MPoly":
-        f = self.field
-        c = f.coerce(c)
-        return MPoly(self.vars, f, {e: f.mul(v, c) for e, v in self.coeffs.items()})
+        c = self.field.coerce(c)
+        return MPoly(self.vars, self.field,
+                     {e: v * c for e, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (isinstance(other, MPoly) and self.vars == other.vars

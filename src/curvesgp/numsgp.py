@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 
@@ -70,7 +70,7 @@ class NumSgp:
         if any(g <= 0 for g in gens):
             raise ValueError("generators must be positive")
         self.generators = tuple(gens)
-        self.d = reduce(math.gcd, gens)
+        self.d = math.gcd(*gens)
         self._scaled = tuple(sorted(set(g // self.d for g in gens)))
         self._m = self._scaled[0]
         self._ap = _apery(self._scaled, self._m)
@@ -421,7 +421,7 @@ def presentation_for_generators(gens: Sequence[int]) -> Presentation:
 
 @lru_cache(maxsize=256)
 def _presentation(gens: tuple[int, ...]) -> Presentation:
-    d = reduce(math.gcd, gens)
+    d = math.gcd(*gens)
     scaled = tuple(g // d for g in gens)
     S = _monoid(scaled)
     pairs: list[RelationPair] = []
@@ -436,10 +436,7 @@ def _presentation(gens: tuple[int, ...]) -> Presentation:
 
 def gcd_chain(arrangement: Sequence[int]) -> list[int]:
     """d_1 = r_0, d_{k+1} = gcd(d_k, r_k); one entry per prefix."""
-    ds = [arrangement[0]]
-    for r in arrangement[1:]:
-        ds.append(math.gcd(ds[-1], r))
-    return ds
+    return list(itertools.accumulate(arrangement, math.gcd))
 
 
 def is_free(S: NumSgp, arrangement: Sequence[int]) -> bool:

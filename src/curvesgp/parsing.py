@@ -18,8 +18,12 @@ exponent tuple -> coefficient.  A term folds its factors into one
 coefficient and one exponent vector; coefficients stay integers until a
 division, and each output term gets one canonical rational
 (``fields.rational``: an ``int`` when integral, else a ``Fraction``; over
-GF(p), one residue).  Sums of several terms are multiplied and raised by
-the integer kernel of :mod:`curvesgp.poly`.  Errors carry the offending
+GF(p), one residue).  A sum of such terms may come out as a whole
+``Fraction``; the ``Poly`` or ``MPoly`` built from the value puts it in
+canonical form, so the reader only drops the zeros.  Sums of several
+terms are multiplied and raised by the integer kernel of
+:mod:`curvesgp.poly`, once a bound on the result's size stays within
+``_SIZE_CAP`` bits (:meth:`_Reader.mul`).  Errors carry the offending
 position in the input string, recomputed with the token pattern only once
 an error is raised.
 """
@@ -27,12 +31,19 @@ an error is raised.
 from __future__ import annotations
 
 import functools
+import math
 import re
 import sys
 
 from .fields import field_of_characteristic, rational
 from .mpoly import MPoly
 from .poly import Poly, _int_mul, _int_pow, _lift, _reduced
+from .reduction import LimitExceeded
+
+# The most bits that a product or power of sums in the input may hold, by
+# the estimate of _Reader.mul: (N + 1)^2 for (x+1)^N, so (x+1)^2047 is the
+# largest power of x+1 within it, parsed in about half a second
+_SIZE_CAP = 1 << 22
 
 _TOKEN = r"[-+*/^()]|[A-Za-z_]\w*|\d+"
 _TOKENS = re.compile(_TOKEN)
@@ -138,25 +149,48 @@ class _Reader:
         """a*b, or a^n when b is None, for nonzero reduced values: exponent
         vectors packed in base w (as ``planebranch.approximate_root`` packs
         them), w - 1 the largest total degree of the result, and each side
-        lifted to numerators over one denominator (as ``Poly.__mul__``)."""
-        w = n * max(map(sum, a)) + (0 if b is None else max(map(sum, b))) + 1
+        lifted to numerators over one denominator (as ``Poly.__mul__``).
+
+        Before it multiplies, it bounds the result's size and raises
+        :class:`LimitExceeded` past ``_SIZE_CAP`` bits.  With A and B the
+        lifted numerators, each coefficient of A^n B is at most
+        |A|_1^n |B|_1 in absolute value (and below p over GF(p)).  The
+        terms number at most C(#a + n - 1, n) #b, and at most the product
+        over the variables of (degree + 1), the degree of a^n b in each
+        being n times a's plus b's."""
+        other = b or {self.zero: 1}  # a^n is a^n * 1
+        w = n * max(map(sum, a)) + max(map(sum, other)) + 1
         weights = [w ** k for k in range(len(self.zero))]
 
         def lift(value):
             return _lift(self.field, {sum([x * v for x, v in zip(e, weights)]): c
                                       for e, c in value.items()})
 
-        A, d = lift(a)
-        if b is None:
-            prod, d = _int_pow(A, n, self.p), d ** n
-        else:
-            B, db = lift(b)
-            prod, d = _int_mul(A, B, self.p), d * db
+        def bits(lifted):  # ceil(log2 |lifted|_1)
+            return (sum(map(abs, lifted.values())) - 1).bit_length()
+
+        def degrees(value):
+            return [max(column) for column in zip(*value)]
+
+        (A, da), (B, db) = lift(a), lift(other)
+        # past the cap, C(#a + n - 1, n) >= n + 1 need not be computed
+        terms = len(B) * (n + 1 if len(A) > 1 and n > _SIZE_CAP
+                          else math.comb(len(A) + n - 1, n))
+        slots = math.prod(n * x + y + 1 for x, y in zip(degrees(a), degrees(other)))
+        size = n * bits(A) + bits(B) + 1
+        size = min(size, self.p.bit_length() or size) * min(terms, slots)
+        if size > _SIZE_CAP:
+            raise LimitExceeded(
+                f"a product of sums in the input would hold up to 2^"
+                f"{size.bit_length()} bits, past the cap of 2^{_SIZE_CAP.bit_length() - 1}")
+        prod = _int_pow(A, n, self.p) if b is None else _int_mul(A, B, self.p)
+        d = da ** n * db
         return {tuple([x // v % w for v in weights]): rational(c, d)
                 for x, c in prod.items()}
 
     def parse(self, text: str) -> dict:
-        """exponent tuple -> nonzero field element of the polynomial text."""
+        """exponent tuple -> nonzero coefficient of the polynomial text, put
+        in canonical form by the ``Poly`` or ``MPoly`` built from it."""
         toks = _TOKENS.findall(text)
         if "".join(toks) != "".join(text.split()):
             scan = re.finditer(rf"({_TOKEN})|\S", text)
@@ -177,11 +211,7 @@ class _Reader:
             message, at = err.args
             starts = [m.start() for m in _TOKENS.finditer(text)] + [len(text)]
             raise ParseError(message, starts[at]) from None
-        if self.p:
-            return _reduced(value, self.p)
-        coerce = self.field.coerce  # a sum of Fractions may be whole
-        return {e: c if type(c) is int else coerce(c)
-                for e, c in value.items() if c}
+        return _reduced(value, self.p)
 
 
 _reader = functools.lru_cache(maxsize=16)(_Reader)
@@ -209,4 +239,4 @@ def _univariate(reader: _Reader, text: str) -> Poly:
     value = reader.parse(text)
     if "t" in text and any(a for a, _ in value) and any(b for _, b in value):
         raise ParseError("use a single variable (x or t) per polynomial", 0)
-    return Poly._of(reader.field, {a + b: c for (a, b), c in value.items()})
+    return Poly(reader.field, {a + b: c for (a, b), c in value.items()})

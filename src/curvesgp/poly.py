@@ -6,7 +6,12 @@ the order o(f) is its minimum and the degree d(f) its maximum.  Orders of
 the zero polynomial are +infinity by convention, degrees -infinity, so
 comparisons against conductors and bounds work without special cases.
 
-Instances are immutable after construction and safe to share.
+Instances are immutable after construction and safe to share.  The
+constructor puts every coefficient in the field's canonical form
+(``field.coerce``: over Q an ``int`` when integral, else a ``Fraction``;
+over GF(p) a residue; a float is a ``TypeError``) and drops the zeros, so
+equal polynomials have equal dicts; ``Poly._of`` wraps results that are
+already in that form.
 
 Products run on integers in both fields.  One lift, ``_lift(field,
 coeffs)``, serves both: over Q each operand becomes integer numerators over
@@ -62,14 +67,18 @@ class Poly:
     __slots__ = ("field", "coeffs", "_exps")
 
     def __init__(self, field, coeffs: dict):
+        """Each coefficient in the field's canonical form (``coerce``: an
+        ``int`` when integral over Q, a residue over GF(p); a float is a
+        ``TypeError``), zeros dropped."""
         self.field = field
-        clean = {e: c for e, c in coeffs.items() if not field.is_zero(c)}
-        self.coeffs = clean
-        self._exps = tuple(sorted(clean))
+        coerce = field.coerce
+        self.coeffs = {e: v for e, c in coeffs.items() if (v := coerce(c))}
+        self._exps = tuple(sorted(self.coeffs))
 
     @classmethod
     def _of(cls, field, coeffs: dict) -> "Poly":
-        """Wrap a dict whose coefficients are known to be nonzero."""
+        """Wrap a dict whose coefficients are known to be canonical and
+        nonzero."""
         p = object.__new__(cls)
         p.field = field
         p.coeffs = coeffs
@@ -84,11 +93,11 @@ class Poly:
 
     @classmethod
     def constant(cls, value, field=QQ) -> "Poly":
-        return cls(field, {0: field.coerce(value)})
+        return cls(field, {0: value})
 
     @classmethod
     def x_power(cls, exp: int, field=QQ, coeff=1) -> "Poly":
-        return cls(field, {exp: field.coerce(coeff)})
+        return cls(field, {exp: coeff})
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, object]], field=QQ) -> "Poly":
@@ -96,8 +105,7 @@ class Poly:
         for exp, c in terms:
             if exp < 0:
                 raise ValueError("negative exponent")
-            c = field.coerce(c)
-            acc[exp] = field.add(acc.get(exp, field.zero), c)
+            acc[exp] = acc.get(exp, 0) + field.coerce(c)
         return cls(field, acc)
 
     # -- structure ---------------------------------------------------
@@ -150,8 +158,7 @@ class Poly:
         return self._termwise(other, self.field.add)
 
     def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, {e: f.neg(c) for e, c in self.coeffs.items()})
+        return Poly(self.field, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self._termwise(other, self.field.sub)
@@ -180,9 +187,8 @@ class Poly:
         return _unlift(field, _int_pow(a, n, field.char), d ** n)
 
     def scale(self, c) -> "Poly":
-        f = self.field
-        c = f.coerce(c)
-        return Poly(f, {e: f.mul(v, c) for e, v in self.coeffs.items()})
+        c = self.field.coerce(c)
+        return Poly(self.field, {e: v * c for e, v in self.coeffs.items()})
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k may be negative if all exponents allow it)."""
@@ -195,9 +201,7 @@ class Poly:
         return Poly(self.field, {e: c for e, c in self.coeffs.items() if e < prec})
 
     def derivative(self) -> "Poly":
-        f = self.field
-        return Poly(f, {e - 1: f.mul(c, f.coerce(e))
-                        for e, c in self.coeffs.items() if e > 0})
+        return Poly(self.field, {e - 1: c * e for e, c in self.coeffs.items() if e})
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field
@@ -218,7 +222,10 @@ class Poly:
 def _lift(field, coeffs: dict) -> tuple[dict, int]:
     """(numerators, d): over Q, integer numerators over the lcm d of the
     denominators, in a new dict; over GF(p), and over Q when every
-    coefficient is an ``int``, the dict itself (not copied) with d = 1."""
+    coefficient is an ``int``, the dict itself (not copied) with d = 1.
+    ``Poly`` and ``MPoly`` hold canonical coefficients, so their integral
+    ones are ``int``s; an integral ``Fraction`` from a sum in the parser
+    lifts over 1 like any other."""
     if field.char or all(type(c) is int for c in coeffs.values()):
         return coeffs, 1
     d = math.lcm(*[c.denominator for c in coeffs.values()])

@@ -26,7 +26,9 @@ Reduction modes
 The three modes are one subduction loop.  Each pass takes the lead
 exponent e of the working polynomial and applies these rules in order:
 
-1. ``expression`` stops past ``bound``, with ``complete=False``.
+1. ``expression`` stops past ``bound``, with ``complete=False``.  With no
+   ``bound`` given, a local division stops past ``default_bound``, and a
+   global one runs to its end.
 2. ``algorithmic`` and ``reduced`` stop at the gcd-1 conductor shortcut
    (local setting only): a residual with e >= conductor lies in the
    algebra, so it is dropped to zero.
@@ -58,8 +60,9 @@ g = gcd(w, u), signed so that a > 0, and over GF(p) with a = 1 and
 b = w u^(-1); the lead term cancels.  W is updated in place, only at the
 exponents of P, and zeros are deleted, by ``poly._sub_scaled``.  A
 relation element f^alpha - kappa f^beta is one such step, of a copy of the
-lifted f^alpha against f^beta.  A division records the coefficient
-c = (w / D) / (u / d_P) of each step.  Only a step with a != 1 grows D, and only then does the
+lifted f^alpha against f^beta, and the two leads it cancels give kappa,
+the toric binomial's coefficient, to ``deformation.deform``.  A division
+records the coefficient c = (w / D) / (u / d_P) of each step.  Only a step with a != 1 grows D, and only then does the
 division divide W and D by gcd(D, content(W)).  After that division D is
 the lcm L of the denominators of the coefficients W_k / D in lowest terms:
 each of them divides D, so D = L m, and then m divides every W_k, hence
@@ -77,14 +80,15 @@ import math
 from typing import NamedTuple
 
 from .fields import check_same_field, rational
-from .numsgp import (NumSgp, _monoid, least_factorization_over,
+from .numsgp import (NumSgp, Presentation, _monoid, least_factorization_over,
                      presentation_for_generators)
 from .poly import Poly, _int_mul, _int_pow, _lift, _sub_scaled, _unlift
 
 
 class LimitExceeded(RuntimeError):
     """A growth guard tripped (exit 3): the escape bound of a local division
-    with gcd > 1, ``MAX_ELEMENTS`` or ``planebranch.PRECISION_CAP``."""
+    with gcd > 1, ``MAX_ELEMENTS``, ``planebranch.PRECISION_CAP`` or the
+    parser's size cap on a product of sums, ``parsing._SIZE_CAP``."""
 
 
 class BasisElement(NamedTuple):
@@ -116,8 +120,8 @@ class ReductionContext:
                 raise ValueError("zero basis element")
         self.values = tuple(e.value for e in elements)
         self.monoid = _monoid(self.values)  # shared with the presentation
-        # extremal coefficient of each element: its value is that exponent
-        self.unit_coeffs = tuple(e.poly.coeffs[e.value] for e in elements)
+        # the lead term of a working polynomial is its extremal one
+        self.lead = min if setting == "local" else max
         # positions ordered by (value, adjoin time), most expensive first;
         # factorisations are chosen to spend high-value generators last
         self._prio_desc = sorted(range(len(elements)),
@@ -161,15 +165,12 @@ class ReductionContext:
         a, d = self._lifted_product(theta)
         return _unlift(self.field, dict(a), d)  # a may be a cached power
 
-    def unit_product(self, theta: tuple[int, ...]):
-        f = self.field
-        out = f.one
-        for i, k in enumerate(theta):
-            if k:
-                out = f.mul(out, f.pow(self.unit_coeffs[i], k))
-        return out
-
-    def default_bound(self) -> int:
+    def default_bound(self):
+        """The bound of an ``expression`` division that names none: none
+        globally, where degrees only fall, and locally the scaled
+        conductor plus the largest degree of the basis."""
+        if self.setting == "global":
+            return math.inf
         maxdeg = max(int(e.poly.degree) for e in self.elements)
         return self.monoid.scaled_conductor + maxdeg
 
@@ -224,7 +225,7 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
     p = field.char
     monoid = ctx.monoid
     local = ctx.setting == "local"
-    lead = min if local else max
+    lead = ctx.lead
     # the conductor shortcut is Prop-2.5 territory: order >= conductor puts an
     # element in the algebra; there is no degree analogue, so global runs
     # never drop residuals
@@ -232,8 +233,6 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
     c = monoid.scaled_conductor
     if mode == "expression" and bound is None:
         bound = ctx.default_bound()
-        if not local and not f.is_zero:
-            bound = max(bound, int(f.degree))
     escape = (ctx.escape_bound(f) if local and not shortcut_ok
               and mode != "expression" and not f.is_zero else None)
 
@@ -293,15 +292,20 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
 
 
 class ValueBasis(ReductionContext):
-    """A validated basis: elements whose values generate the value monoid,
-    with a presentation of those values.  It is its own reduction context,
-    so the powers cached while it was built serve every later division."""
+    """A validated basis: elements whose values generate the value monoid.
+    It is its own reduction context, so the powers cached while it was
+    built serve every later division."""
 
     def __init__(self, elements: list[BasisElement], setting: str,
-                 presentation, n_input: int):
+                 n_input: int):
         super().__init__(elements, setting)
-        self.presentation = presentation
         self.n_input = n_input
+
+    @property
+    def presentation(self) -> Presentation:
+        """A minimal presentation of the values, memoised per value tuple
+        by ``presentation_for_generators``."""
+        return presentation_for_generators(self.values)
 
     @property
     def semigroup(self) -> NumSgp:
@@ -330,19 +334,24 @@ def basis_element(p: Poly, setting: str) -> BasisElement:
     return BasisElement(p.scale(p.field.inv(p.coeffs[value])), value)
 
 
-def relation_element(ctx: ReductionContext, alpha, beta) -> Poly:
-    """S = f^alpha - kappa f^beta, with kappa fixing the unit coefficients.
+def relation_element(ctx: ReductionContext, alpha, beta) -> tuple[Poly, object]:
+    """(S, kappa) for S = f^alpha - kappa f^beta, kappa the ratio of the
+    extremal coefficients of f^alpha and f^beta.
 
-    For a monic basis kappa is 1 and this is the plain binomial difference;
+    For a monic basis kappa is 1 and S is the plain binomial difference;
     in general kappa makes the extremal monomials cancel exactly, so the
-    value of S is strictly past the relation's value.  It is one
-    :func:`_step` of a copy of the lifted f^alpha against f^beta.
+    value of S is strictly past the relation's value.  S is one
+    :func:`_step` of a copy of the lifted f^alpha, A / d_alpha, against
+    f^beta = B / d_beta, and kappa is read off the two leads it cancels:
+    A[e] d_beta / (d_alpha B[e]) over Q, A[e] B[e]^(-1) over GF(p).
     """
     a, da = ctx._lifted_product(alpha)
-    b, _ = ctx._lifted_product(beta)
-    e = min(a) if ctx.setting == "local" else max(a)
+    b, db = ctx._lifted_product(beta)
+    e = ctx.lead(a)
+    p = ctx.field.char
+    kappa = a[e] * pow(b[e], -1, p) % p if p else rational(a[e] * db, da * b[e])
     # the cache may share a with a power, so the step gets a copy
-    return _unlift(ctx.field, *_step(dict(a), da, b, e, ctx.field.char))
+    return _unlift(ctx.field, *_step(dict(a), da, b, e, p)), kappa
 
 
 def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
@@ -358,11 +367,9 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
         elements.append(basis_element(g, setting))
 
     while True:
-        pres = presentation_for_generators(tuple(e.value for e in elements))
-        basis = ValueBasis(elements, setting, pres, len(gens))
-        adjoined = False
-        for alpha, beta, _value in pres.pairs:
-            s_poly = relation_element(basis, alpha, beta)
+        basis = ValueBasis(elements, setting, len(gens))
+        for alpha, beta, _value in basis.presentation.pairs:
+            s_poly, _kappa = relation_element(basis, alpha, beta)
             if s_poly.is_zero:
                 continue
             out = reduce_poly(s_poly, basis, "algorithmic", record=False)
@@ -372,9 +379,8 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
                 raise LimitExceeded(
                     f"basis grew past max_elements={MAX_ELEMENTS}")
             elements.append(basis_element(out.remainder, setting))
-            adjoined = True
             break
-        if not adjoined:
+        else:
             return basis
 
 
@@ -409,8 +415,7 @@ def reduced_basis(basis: ValueBasis) -> ValueBasis:
             continue
         out = reduce_poly(tail, basis, "reduced", record=False)
         new_elements.append(BasisElement(head + out.remainder, elem.value))
-    return ValueBasis(new_elements, basis.setting, basis.presentation,
-                      basis.n_input)
+    return ValueBasis(new_elements, basis.setting, basis.n_input)
 
 
 def minimal_basis(basis: ValueBasis) -> ValueBasis:
@@ -422,7 +427,5 @@ def minimal_basis(basis: ValueBasis) -> ValueBasis:
         if elem.value in minimal_values and elem.value not in seen:
             kept.append(elem)
             seen.add(elem.value)
-    trimmed = ValueBasis(kept, basis.setting,
-                         presentation_for_generators(tuple(e.value for e in kept)),
-                         min(basis.n_input, len(kept)))
+    trimmed = ValueBasis(kept, basis.setting, min(basis.n_input, len(kept)))
     return reduced_basis(trimmed)

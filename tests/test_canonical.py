@@ -7,7 +7,9 @@ coefficients, and leading and trailing ones that normalisation divides by.
 import random
 from fractions import Fraction
 
-from curvesgp import (MPoly, Poly, QQ, ReductionContext, approximate_root,
+import pytest
+
+from curvesgp import (GF, MPoly, Poly, QQ, ReductionContext, approximate_root,
                       curve_resultant, deform_from_basis, eval_bipoly,
                       global_basis, local_basis, parse_mpoly, parse_poly,
                       reduce_poly, reduced_basis, reparametrize)
@@ -49,6 +51,45 @@ def test_rational_is_canonical():
                    QQ.pow(a, 0), QQ.coerce(b), QQ.coerce(str(b))]
             assert all(map(is_canonical, got)), (a, b, got)
             assert got[3] == Fraction(a) / Fraction(b)
+
+
+def test_constructors_store_canonical_coefficients():
+    # the same polynomial is stored one way, however its coefficients came
+    gf5 = GF(5)
+    assert Poly(gf5, {1: 7}) == Poly(gf5, {1: 2})
+    assert Poly(gf5, {1: 7, 2: 5, 3: -1}).coeffs == {1: 2, 3: 4}
+    assert Poly(gf5, {1: Fraction(1, 2)}).coeffs == {1: 3}
+    assert MPoly(("x", "y"), gf5, {(1, 0): 7, (0, 1): 10}).coeffs == {(1, 0): 2}
+    f = Poly(QQ, {0: Fraction(2), 1: True, 2: Fraction(0), 3: False,
+                  4: Fraction(6, 4)})
+    assert f.coeffs == {0: 2, 1: 1, 4: Fraction(3, 2)}
+    assert all(map(is_canonical, f.coeffs.values()))
+    assert f == P((0, 2), (1, 1), (4, "3/2"))
+    F = MPoly(("x", "y"), QQ, {(0, 1): Fraction(1), (1, 0): True, (1, 1): 0})
+    assert F.coeffs == {(0, 1): 1, (1, 0): 1}
+    assert all(type(c) is int for c in F.coeffs.values())
+    assert f * f == P((0, 4), (1, 4), (2, 1), (4, 6), (5, 3), (8, "9/4"))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_constructors_refuse_floats(field):
+    with pytest.raises(TypeError):
+        Poly(field, {1: 0.5})
+    with pytest.raises(TypeError):
+        Poly(field, {0: 1, 1: 2.0})
+    with pytest.raises(TypeError):
+        MPoly(("x", "y"), field, {(1, 0): 0.5})
+
+
+def test_parser_output_is_canonical_in_both_fields():
+    # a sum of fractions that comes out whole, and residues past p
+    assert parse_poly("1/2*x+1/2*x+1/3-1/3+x^2/4*4").coeffs == {1: 1, 2: 1}
+    assert parse_poly("7*x+10+1/2*x^2", 5).coeffs == {1: 2, 2: 3}
+    assert parse_poly("7*x+10+1/2*x^2", 5) == Poly(GF(5), {1: 7, 2: 8})
+    F = parse_mpoly("1/3*x*y+2/3*x*y+5*y", ("x", "y"), 5)
+    assert F.coeffs == {(1, 1): 1}
+    for text in ("(1/2*x+1/2)^2*4", "(1/3*x+2/3*x)^3-x^3+x^2"):
+        assert all(type(c) is int for c in parse_poly(text).coeffs.values())
 
 
 def test_parsing_and_poly_arithmetic_are_canonical():

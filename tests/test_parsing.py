@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from curvesgp import GF, QQ, MPoly, ParseError, Poly, parse_mpoly, parse_poly, parse_poly_list
+from curvesgp.cli import main
+from curvesgp.reduction import LimitExceeded
 from curvesgp.poly import render_poly
 import oracles
 from util import XY, P, deadline, xp
@@ -135,6 +137,25 @@ def test_powers_of_sums_run_on_the_integer_kernel():
     assert F == XY({(i, j): f(60) // (f(i) * f(j) * f(60 - i - j))
                     for i in range(61) for j in range(61 - i)})
     assert len(F.coeffs) == 1891
+
+
+def test_products_of_sums_past_the_size_cap_stop_before_multiplying(capsys):
+    # (x+1)^N holds about N^2 / 2 bits; past the cap the parser raises
+    # LimitExceeded at once, and the CLI exits 3
+    with deadline(3):
+        for text in ("(x+1)^20000", "(x+1)^2048", "(1/3*x+2)^3000",
+                     "(x+1)^600*(x+1)^600*(x+1)^600*(x+1)^600",
+                     "(x+1)^" + "9" * 4000, "(x+y+1)^3000"):
+            with pytest.raises(LimitExceeded, match="past the cap of 2"):
+                parse_mpoly(text, ("x", "y"))
+        assert main(["local", "(x+1)^20000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[LimitExceeded]: ") and "Traceback" not in err
+    # the estimate is a bound, not a guess: (y^3-x^2)^300 has 301 terms,
+    # and over GF(p) every coefficient is below p
+    with deadline(3):
+        assert len(parse_mpoly("(y^3-x^2)^300", ("x", "y")).coeffs) == 301
+        assert parse_poly("(x+1)^16807", 7) == P((0, 1), (16807, 1), field=GF(7))
 
 
 def test_over_long_literal_is_read_before_the_grammar():

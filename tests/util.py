@@ -113,7 +113,7 @@ def reference_reduce(f: Poly, ctx, mode: str, bound=None) -> ReductionOutcome:
                 f"{p}, in the value monoid of gcd {monoid.d}")
         theta = ctx.pick_factorization(p)
         _, lead_c = lead_of(work)
-        coeff = field.div(lead_c, ctx.unit_product(theta))
+        coeff = field.div(lead_c, lead_of(ctx.product(theta))[1])
         expression.append((coeff, theta))
         return work - ctx.product(theta).scale(coeff)
 
