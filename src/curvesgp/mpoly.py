@@ -640,6 +640,7 @@ def intersection_degree(F: MPoly, G: MPoly) -> int:
     n = F.degree_in("y")
     if F.vars != ("x", "y") or F.coeff_in("y", n) != MPoly.constant(F.vars, 1, field):
         raise ValueError("the first curve must be in (x, y) and monic in y")
+    F._check(G)
     rows = F.rows("y")
     b = [rows.get(n - i, {}) for i in range(1, n + 1)]
     res = _norm_values(b, G.rows("y"), field.char)[0][n]

@@ -103,7 +103,7 @@ class _Reader:
                     exps[k] += e
                 else:
                     if tok != "(":
-                        c = pow(c, e, p) if p else c ** e
+                        c = self.power({zero: c}, e).get(zero, 0)
                     elif (value := self.power(value, e)).keys() <= {zero}:
                         c = value.get(zero, 0)
                     elif div is not None:

@@ -1,7 +1,6 @@
 import json
 import os
 import random
-import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +11,7 @@ import pytest
 
 from curvesgp import cli, numsgp, planebranch, report
 from curvesgp.cli import build_parser, main
-from util import P, deadline
+from util import P, deadline, readme_cli_argvs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -174,14 +173,14 @@ def test_plane_local(capsys):
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_plane_local_report_depends_on_the_normalised_pair(capsys, flags):
-    # the swapped pair and the one with a constant term and a non-monic
-    # monomial are the same normalised pair as x^4, x^6+x^7
+    # the swapped pair, a non-monic monomial, and one with a constant term
+    # as well are the same normalised pair as x^4, x^6+x^7
     outs = [run(capsys, "plane-local", f, g, *flags)
             for f, g in (("x^4", "x^6+x^7"), ("x^6+x^7", "x^4"),
-                         ("5+2*x^4", "x^6+x^7"))]
+                         ("2*x^4", "x^6+x^7"), ("5+2*x^4", "x^6+x^7"))]
     code, out, _ = outs[0]
     assert code == 0 and ('"curve"' if flags else "F(x,y)") in out  # the full report
-    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert all(other == outs[0] for other in outs[1:])
 
 
 def test_plane_local_normalises_the_pair_once(capsys, monkeypatch):
@@ -194,6 +193,29 @@ def test_plane_local_normalises_the_pair_once(capsys, monkeypatch):
         normalised.clear()
         assert run(capsys, "plane-local", f, g)[0] == 0
         assert len(normalised) == 2, (f, g)
+
+
+def test_plane_local_through_three_approximate_roots(capsys):
+    code, out, _ = run(capsys, "plane-local", "x^8", "x^12+x^14+x^15", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["roots"]) == len(data["evaluated"]) == 3
+    assert data["char_sequence"]["r"] == [8, 12, 26, 53]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["plane-local", "x^4+x^5", "x^6"], ["m", "d", "e", "r", "C"]),
+    # orders 4 and 7 are coprime: the descent is seeded with o(g) and
+    # stops before the first reparametrised coefficient
+    (["plane-local", "x^4+x^5", "x^7"], ["m", "d", "e", "r", "C"]),
+    (["plane-infinity", "x^6+x", "x^4"], ["d", "e", "r", "C"]),
+    (["curve-infinity", "y^6-2*x^2*y^3-4*x*y^3-y^3+x^4"], ["d", "e", "r", "C"]),
+])
+def test_char_sequence_names_m_only_for_a_local_descent(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (list(data["char_sequence"]), data["command"]) == (keys, argv[0])
 
 
 def test_plane_local_series_branch(capsys):
@@ -405,10 +427,9 @@ def test_plane_local_imprimitive_pair_stops_at_degree_bound(capsys):
     # g = f + f^2 lies in K[[f]] and f has order 2, so the descent on the
     # reparametrised g would never leave 2*N; the common right factor
     # q = f of order e = 2 decides it before the descent starts
-    start = time.perf_counter()
-    code, out, err = run(capsys, "plane-local", "x^2+x^3",
-                         "x^2+x^3+x^4+2*x^5+x^6")
-    assert time.perf_counter() - start < 5
+    with deadline(5):
+        code, out, err = run(capsys, "plane-local", "x^2+x^3",
+                             "x^2+x^3+x^4+2*x^5+x^6")
     assert code == 1
     assert out == ""
     assert "polynomials in q = x^3+x^2 of order e = 2" in err
@@ -464,6 +485,14 @@ def test_sparse_plane_inputs_stay_small(capsys):
             tracemalloc.stop()
         assert (code, err) == (0, ""), argv
         assert peak < 32 * 2 ** 20, (argv, peak)
+
+
+@pytest.mark.parametrize("argv", [["plane-local", "x^4", "x^6+x^10001"],
+                                  ["plane-infinity", "x^4+x", "3*x^6+x^1001"]])
+def test_sparse_plane_inputs_answer_at_once(capsys, argv):
+    with deadline(10):
+        code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
 
 
 def test_plane_local_precision_cap_below_degree_bound_exits_3(capsys, monkeypatch):
@@ -523,6 +552,18 @@ def test_json_semigroup_presentation(capsys):
     assert len(data["presentation"]) == 2
 
 
+def test_semigroup_lists_every_gap_up_to_the_frobenius_number(capsys):
+    # <1009, 1013> has 510048 gaps, written by one format call
+    with deadline(10):
+        code, out, _ = run(capsys, "semigroup", "1009,1013", "--json")
+    assert code == 0
+    data = json.loads(out)["semigroup"]
+    gaps = data["gaps"]
+    assert len(gaps) == data["genus"] == 510048
+    assert all(a < b for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] == data["frobenius"] == 1020095
+
+
 def test_semigroup_four_large_generators_within_budget(capsys):
     # the presentation scan visits ~4000 candidate values w + a_i
     start = time.perf_counter()
@@ -572,6 +613,22 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert [code for code, *_ in fresh] == [0, 0, 2, 2, 0, 0]
     assert "value 13: x^13" in fresh[0][1]
     assert "reduced basis" not in fresh[-1][1]
+
+
+def test_argvs_that_argparse_reads(capsys):
+    # argvs that the command table declines go to argparse: help exits 0,
+    # an abbreviation and --opt=value read as the plain forms, and a bad
+    # choice exits 2 with argparse's message
+    for argv in (["--help"], ["plane-local", "--help"]):
+        code, out, _ = _main_outcome(capsys, argv)
+        assert code == 0 and out.startswith("usage: curvesgp"), argv
+    assert _main_outcome(capsys, ["semigroup", "3,5", "--js"]) == \
+        _main_outcome(capsys, ["semigroup", "3,5", "--json"])
+    assert _main_outcome(capsys, ["local", "x^4,x^6", "--char=0"]) == \
+        _main_outcome(capsys, ["local", "x^4,x^6", "--char", "0"])
+    code, out, err = _main_outcome(capsys, ["local", "x^4,x^6", "--show", "bad"])
+    assert (code, out) == (2, "")
+    assert "argument --show: invalid choice: 'bad'" in err
 
 
 def test_local_reduced_basis_of_five_term_branch_within_budget(capsys):
@@ -628,7 +685,7 @@ def test_json_layout_is_json_dumps_indent_2(capsys, argv):
 
 @pytest.mark.parametrize("argv", REPORT_ARGVS + [
     ["global", "x^3+7^6000*x", "--show", "basis"],  # past the str(int) cap
-])
+] + readme_cli_argvs())
 def test_text_is_rendered_from_the_json_report(capsys, argv):
     code, text, err = run(capsys, *argv)
     assert code == 0
@@ -706,15 +763,6 @@ def test_leading_minus_polynomial_after_double_dash(capsys, argv, gens):
     assert json.loads(out)["semigroup"]["minimal_generators"] == gens
 
 
-def _readme_cli_argvs() -> list[list[str]]:
-    """The argvs of the ``curvesgp`` lines of README's CLI block."""
-    with open(os.path.join(ROOT, "README.md")) as fh:
-        text = fh.read()
-    block = text[text.index("## CLI\n"):text.index("## Library\n")]
-    return [shlex.split(line)[1:] for line in block.splitlines()
-            if line.startswith("curvesgp ")]
-
-
 def _bench_argvs() -> list[list[str]]:
     """Every argv of the benchmark's job lists at seeds 1 and 7, with and
     without ``--json``, once each."""
@@ -787,7 +835,7 @@ def _variant(rng, argv: list[str]) -> list[str]:
 def test_plain_argv_path_equals_argparse(capsys, monkeypatch):
     # the command table reads an argv, or declines it; where it reads one,
     # it returns argparse's namespace, and main prints the same either way
-    plain = _bench_argvs() + _readme_cli_argvs() + [
+    plain = _bench_argvs() + readme_cli_argvs() + [
         ["reduce", "global", "x^7", "--against", "x^3,x^2", "--mode",
          "expression", "--bound", "9", "--char", "7"],
         ["reduce", "local", "x^4", "--against", "x^2", "--bound", "3"],

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvesgp import (GF, QQ, MPoly, Poly, curve_resultant, eval_bipoly,
-                      mpoly, resultant_eliminate)
+from curvesgp import (GF, QQ, MixedFieldError, MPoly, Poly, curve_resultant,
+                      eval_bipoly, mpoly, resultant_eliminate)
 from curvesgp.mpoly import _symmetric_of_values, sylvester_resultant
 from curvesgp.poly import _integral_roots
 from curvesgp.planebranch import intersection_degree
@@ -364,6 +364,18 @@ def test_kernel_forms_match_sylvester_route(monkeypatch):
             assert fn(*args) == want, (form, fn.__name__, args)
     assert len(cases) > 150
     assert 0 in picked and sum(map(bool, picked)) > 120
+
+
+def test_intersection_degree_refuses_a_second_curve_of_another_ring():
+    # G's y-rows are read as F's: a G over GF(7), or one whose x- and
+    # z-terms the rows would merge, must not answer
+    F = XY({(0, 2): 1, (3, 0): -1})
+    assert intersection_degree(F, XY({(0, 1): 1, (1, 0): 1})) == 3
+    with pytest.raises(MixedFieldError):
+        intersection_degree(F, XY({(0, 1): 1, (1, 0): 1}, field=GF(7)))
+    G = MPoly(("x", "y", "z"), QQ, {(0, 1, 0): 1, (1, 0, 0): 1, (0, 0, 1): 1})
+    with pytest.raises(ValueError, match="variable mismatch"):
+        intersection_degree(F, G)
 
 
 def test_power_matches_repeated_multiplication():

@@ -42,6 +42,13 @@ def test_parse_unary_minus_binds_looser_than_power():
     assert parse_poly("3-x") == P((0, 3), (1, -1))
 
 
+def test_powers_of_number_literals():
+    assert parse_poly("2^10*x") == xp(1, 1024)
+    assert parse_poly("0^0*x+0^3") == xp(1)
+    assert parse_poly("x/2^3-2^3*x^2") == P((1, "1/8"), (2, -8))
+    assert parse_poly("7^1000*x^2+13^5*x", char=13) == P((2, 9), field=GF(13))
+
+
 def test_parse_parentheses():
     assert parse_poly("(x+1)*(x-1)") == P((2, 1), (0, -1))
 
@@ -126,11 +133,14 @@ def test_long_sums_parse_in_linear_time():
         assert parse_mpoly(text, ("x", "y")) == MPoly(("x", "y"), QQ, want)
 
 
-def test_powers_of_sums_run_on_the_integer_kernel():
+def test_powers_of_sums_run_on_the_integer_kernel(capsys):
     # (x+1)^1600 took seconds as MPoly products of Fractions
     with deadline(3):
         assert parse_poly("(x+1)^1500") == Poly(QQ, {
             k: Fraction(math.comb(1500, k)) for k in range(1501)})
+    with deadline(10):
+        assert main(["local", "(x+1)^1600"]) == 0
+    assert "minimal generators: [1]" in capsys.readouterr().out
     with deadline(3):
         F = parse_mpoly("(x+y+1)^60", ("x", "y"))
     f = math.factorial
@@ -151,6 +161,11 @@ def test_products_of_sums_past_the_size_cap_stop_before_multiplying(capsys):
         assert main(["local", "(x+1)^20000"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error[LimitExceeded]: ") and "Traceback" not in err
+    # a power of a number literal passes the same cap: 7^3000000 would
+    # hold 8.4 Mbit
+    with deadline(2):
+        assert main(["local", "x^2+7^3000000*x"]) == 3
+    assert capsys.readouterr().err.startswith("error[LimitExceeded]: ")
     # the estimate is a bound, not a guess: (y^3-x^2)^300 has 301 terms,
     # and over GF(p) every coefficient is below p
     with deadline(3):

@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import os
+import shlex
 import signal
 from fractions import Fraction
 from functools import reduce
@@ -163,6 +165,16 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def readme_cli_argvs() -> list[list[str]]:
+    """The argvs of the ``curvesgp`` lines of README's CLI block."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    block = text[text.index("## CLI\n"):text.index("## Library\n")]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("curvesgp ")]
 
 
 def is_canonical(c) -> bool:
