@@ -180,9 +180,17 @@ class _Reader:
         size = n * bits(A) + bits(B) + 1
         size = min(size, self.p.bit_length() or size) * min(terms, slots)
         if size > _SIZE_CAP:
+            if b is not None:
+                what = f"a product of sums of {len(a)} and {len(b)} terms"
+            elif a.keys() == {self.zero}:
+                what = f"a power ^{n} of a constant"
+            elif len(a) == 1:
+                what = f"a power ^{n} of a term"
+            else:
+                what = f"a power ^{n} of a sum of {len(a)} terms"
             raise LimitExceeded(
-                f"a product of sums in the input would hold up to 2^"
-                f"{size.bit_length()} bits, past the cap of 2^{_SIZE_CAP.bit_length() - 1}")
+                f"{what} in the input would hold up to 2^{size.bit_length()} "
+                f"bits, past the cap of 2^{_SIZE_CAP.bit_length() - 1}")
         prod = _int_pow(A, n, self.p) if b is None else _int_mul(A, B, self.p)
         d = da ** n * db
         return {tuple([x // v % w for v in weights]): rational(c, d)

@@ -14,7 +14,11 @@ Bases
 ``local_basis`` and ``global_basis`` grow a generating set until the values
 of its elements generate the whole value semigroup of the algebra: whenever
 a relation element fails to divide to zero, its normalisation (monic at the
-extremal term) joins the basis and the loop restarts.  ``reduced_basis``
+extremal term) joins the basis and the loop restarts.  A round divides only
+the relations below a value read off the value monoid, past which none can
+divide to anything but zero (``build_basis``): c - 1 locally, for gcd 1 and
+conductor c, by rule 2 below; and 0 globally for two coprime degrees, where
+the algebra's degrees are already those two generate.  ``reduced_basis``
 then pushes every tail onto the gaps of the semigroup, which makes the
 result canonical: there is exactly one minimal reduced basis
 (``minimal_basis``).  A basis (``ValueBasis``) is its own reduction
@@ -88,7 +92,7 @@ from .poly import Poly, _int_mul, _int_pow, _lift, _sub_scaled, _unlift
 class LimitExceeded(RuntimeError):
     """A growth guard tripped (exit 3): the escape bound of a local division
     with gcd > 1, ``MAX_ELEMENTS``, ``planebranch.PRECISION_CAP`` or the
-    parser's size cap on a product of sums, ``parsing._SIZE_CAP``."""
+    parser's size cap on a power or a product of sums, ``parsing._SIZE_CAP``."""
 
 
 class BasisElement(NamedTuple):
@@ -357,7 +361,27 @@ def relation_element(ctx: ReductionContext, alpha, beta) -> tuple[Poly, object]:
 def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
     """The adjoin-and-restart loop shared by both settings.  Two guards
     raise :class:`LimitExceeded`: the escape bound of :func:`reduce_poly`
-    and a basis past ``MAX_ELEMENTS`` elements."""
+    and a basis past ``MAX_ELEMENTS`` elements.
+
+    Each round presents the values and divides the relation elements in
+    increasing value, adjoining the first nonzero remainder.  Only the
+    pairs of value below ``past`` are divided, since no relation at or past
+    it can have a nonzero remainder:
+
+    - Locally, with gcd 1 and conductor c, ``past = c - 1``.  The relation
+      element S = f^alpha - kappa f^beta of a pair of value v has order > v,
+      its two trailing terms cancelling.  For v >= c - 1 that order is
+      >= c, so S is zero or rule 2 of :func:`reduce_poly` drops it at once.
+    - Globally, with two values n, a of gcd 1, ``past = 0``.  The resultant
+      F = Res_t(X - f, Y - g) has Y-degree n with a nonzero constant leading
+      coefficient, and F(f, g) = 0.  So every P(f, g) is
+      sum_{j<n} p_j(f) g^j, whose terms have degrees n deg p_j + a j,
+      distinct mod n: the degree of P(f, g) is one of them, in <n, a>.  The
+      value semigroup is <n, a>, every lead of a division by {f, g} lies
+      in it, and every relation divides to zero.  (Locally two coprime
+      orders n, a are covered by the first rule, as n a >= c - 1.)
+    - Otherwise ``past`` is infinite and every pair is divided.
+    """
     if not gens:
         raise ValueError("at least one generator is required")
     field = gens[0].field
@@ -368,7 +392,15 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
 
     while True:
         basis = ValueBasis(elements, setting, len(gens))
-        for alpha, beta, _value in basis.presentation.pairs:
+        monoid = basis.monoid
+        if not monoid.is_numerical:
+            past = math.inf
+        elif setting == "local":
+            past = monoid.conductor - 1
+        else:
+            past = 0 if len(basis.values) == 2 else math.inf
+        for alpha, beta, _value in presentation_for_generators(
+                basis.values, past).pairs:
             s_poly, _kappa = relation_element(basis, alpha, beta)
             if s_poly.is_zero:
                 continue

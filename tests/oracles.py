@@ -13,6 +13,11 @@ plain ``Poly`` arithmetic; ``test_global_basis.py`` holds the basis loop
 to it.  ``local_apery`` is the same closure for the order semigroup of
 K[[f_1, ..., f_s]] over K[[f]], truncated at a cap that it doubles on its
 own; ``test_local_basis.py`` holds the basis loop to it.
+
+``basis_loop`` is the basis loop with no bound on the relations: every
+round divides the relation element of every pair of the full minimal
+presentation.  ``test_reduction.py`` holds ``build_basis``, which skips the
+relations that cannot change the semigroup, to its elements, in order.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ import math
 import re
 from typing import NamedTuple
 
-from curvesgp.fields import field_of_characteristic
+from curvesgp.fields import check_same_field, field_of_characteristic
 from curvesgp.mpoly import MPoly
 from curvesgp.parsing import ParseError
 from curvesgp.poly import Poly
+from curvesgp.reduction import (MAX_ELEMENTS, BasisElement, LimitExceeded, ValueBasis,
+                                basis_element, reduce_poly, relation_element)
 
 
 class Token(NamedTuple):
@@ -286,3 +293,33 @@ def _local_closure(f: Poly, others: list[Poly], cap: int) -> dict[int, Poly]:
             queue.append(displaced)
         queue.extend((h * g).truncate(cap) for g in others)
     return kept
+
+
+def basis_loop(gens: list[Poly], setting: str) -> ValueBasis:
+    """The adjoin-and-restart loop over every pair of the full presentation
+    of the values: a round adjoins the normalised remainder of the first
+    relation element that does not divide to zero."""
+    if not gens:
+        raise ValueError("at least one generator is required")
+    field = gens[0].field
+    elements: list[BasisElement] = []
+    for g in gens:
+        check_same_field(field, g.field)
+        elements.append(basis_element(g, setting))
+
+    while True:
+        basis = ValueBasis(elements, setting, len(gens))
+        for alpha, beta, _value in basis.presentation.pairs:
+            s_poly, _kappa = relation_element(basis, alpha, beta)
+            if s_poly.is_zero:
+                continue
+            out = reduce_poly(s_poly, basis, "algorithmic", record=False)
+            if out.remainder.is_zero:
+                continue
+            if len(elements) + 1 > MAX_ELEMENTS:
+                raise LimitExceeded(
+                    f"basis grew past max_elements={MAX_ELEMENTS}")
+            elements.append(basis_element(out.remainder, setting))
+            break
+        else:
+            return basis

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -165,7 +166,16 @@ def test_products_of_sums_past_the_size_cap_stop_before_multiplying(capsys):
     # hold 8.4 Mbit
     with deadline(2):
         assert main(["local", "x^2+7^3000000*x"]) == 3
-    assert capsys.readouterr().err.startswith("error[LimitExceeded]: ")
+    assert capsys.readouterr().err.startswith(
+        "error[LimitExceeded]: a power ^3000000 of a constant in the input")
+    # the message names what was estimated: a power of a sum, or a product
+    with deadline(3):
+        for text, what in (("(x+1)^20000", "a power ^20000 of a sum of 2 terms"),
+                           ("(x+1)^600*(x+1)^600*(x+1)^600*(x+1)^600",
+                            "a product of sums of 1801 and 601 terms")):
+            with pytest.raises(LimitExceeded, match=re.escape(
+                    f"{what} in the input would hold up to 2^")):
+                parse_poly(text)
     # the estimate is a bound, not a guess: (y^3-x^2)^300 has 301 terms,
     # and over GF(p) every coefficient is below p
     with deadline(3):
