@@ -32,6 +32,7 @@ their reference route.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field, rational
@@ -280,16 +281,18 @@ class MPoly:
 
 def render_mpoly(p: MPoly) -> str:
     """Deterministic rendering; later variables dominate the term order."""
+    coeff_str, coeffs = p.field.coeff_str, p.coeffs
     terms = []
-    for e in sorted(p.coeffs, key=lambda t: tuple(reversed(t)), reverse=True):
+    for e in sorted(coeffs, key=itemgetter(*range(len(p.vars) - 1, -1, -1)),
+                    reverse=True):
         factors = []
         for name, k in zip(p.vars, e):
             if k == 1:
                 factors.append(name)
             elif k > 1:
                 factors.append(f"{name}^{k}")
-        terms.append((p.coeffs[e], "*".join(factors)))
-    return _join_terms(p.field, terms)
+        terms.append((coeff_str(coeffs[e]), "*".join(factors)))
+    return _join_terms(terms)
 
 
 # -- determinants and resultants --------------------------------------

@@ -424,9 +424,9 @@ def presentation_for_generators(gens: Sequence[int],
     are a prefix of the minimal presentation, and a graph at n < below is
     built from the thresholds up to n alone: the sweep cuts each class
     before it starts.  ``build_basis`` asks for that prefix: at or past a
-    bound it reads off the value monoid (c - 1 locally, 0 for two coprime
-    degrees), no relation can change the semigroup, as
-    ``reduction.build_basis`` proves.
+    bound it reads off the value monoid (0 for two coprime values, else
+    c - 1 locally), no relation can change the semigroup, as
+    ``reduction.build_basis`` proves; at a bound of 0 it asks for nothing.
 
     The answer is memoised per (generator tuple, below), beside the tables
     of ``_monoid``: ``build_basis``, ``minimal_basis`` and ``deform`` each

@@ -370,25 +370,27 @@ def _unpack(value: int, lo: int, slots: int, nbytes: int) -> dict:
     return out
 
 
-def _join_terms(field, terms) -> str:
-    """The signed sum of (coefficient, monomial) terms in the given order:
-    a coefficient 1 is elided before a monomial, only a negative first term
-    is signed, and no terms give ``"0"``."""
+def _join_terms(terms) -> str:
+    """The signed sum of (coefficient string, monomial) terms in the given
+    order: a coefficient 1 is elided before a monomial, only a negative
+    first term is signed, and no terms give ``"0"``."""
     parts = []
-    for c, mono in terms:
-        s = field.coeff_str(c)
-        neg = s.startswith("-")
-        if neg:
-            s = s[1:]
+    for s, mono in terms:
         if mono:
-            s = mono if s == "1" else f"{s}*{mono}"
-        parts.append(("-" if neg else "+" if parts else "") + s)
+            s = (mono if s == "1" else "-" + mono if s == "-1"
+                 else f"{s}*{mono}")
+        parts.append(s if not parts or s[0] == "-" else "+" + s)
     return "".join(parts) or "0"
+
+
+def _render_terms(terms, var: str) -> str:
+    """The rendering of (exponent, coefficient string) terms given in
+    increasing exponent, highest first, in the variable var."""
+    return _join_terms([(s, "" if e == 0 else var if e == 1 else f"{var}^{e}")
+                        for e, s in reversed(terms)])
 
 
 def render_poly(p: Poly, var: str) -> str:
     """GAP-style rendering, highest exponent first: ``-1/2*x^15+x^13``."""
-    return _join_terms(p.field, [
-        (p.coeffs[e], "" if e == 0 else var if e == 1 else f"{var}^{e}")
-        for e in reversed(p.support)])
-
+    coeff_str, coeffs = p.field.coeff_str, p.coeffs
+    return _render_terms([(e, coeff_str(coeffs[e])) for e in p.support], var)

@@ -16,9 +16,10 @@ of its elements generate the whole value semigroup of the algebra: whenever
 a relation element fails to divide to zero, its normalisation (monic at the
 extremal term) joins the basis and the loop restarts.  A round divides only
 the relations below a value read off the value monoid, past which none can
-divide to anything but zero (``build_basis``): c - 1 locally, for gcd 1 and
-conductor c, by rule 2 below; and 0 globally for two coprime degrees, where
-the algebra's degrees are already those two generate.  ``reduced_basis``
+divide to anything but zero (``build_basis``): 0 for two values of gcd 1
+in either setting, where the values already generate the semigroup; and
+otherwise c - 1 locally, for gcd 1 and conductor c, by rule 2 below.  A
+round whose bound is 0 asks for no presentation at all.  ``reduced_basis``
 then pushes every tail onto the gaps of the semigroup, which makes the
 result canonical: there is exactly one minimal reduced basis
 (``minimal_basis``).  A basis (``ValueBasis``) is its own reduction
@@ -329,13 +330,17 @@ def basis_element(p: Poly, setting: str) -> BasisElement:
     """p made monic at its extremal term (trailing locally, leading
     globally), valued at that term's exponent.  Locally the constant term
     goes first, since constants lie in the algebra; a zero or constant p is
-    refused."""
-    if setting == "local":
-        p = p - Poly.constant(p.coeff(0), p.field)
+    refused.  The constant is dropped from the coefficient dict, and p is
+    scaled only when its coefficient at the value is not already 1."""
+    field = p.field
+    if setting == "local" and 0 in p.coeffs:
+        p = Poly._of(field, {e: c for e, c in p.coeffs.items() if e})
     if p.is_zero or p.degree == 0:
         raise ValueError("zero or constant generator")
     value = value_of(p, setting)
-    return BasisElement(p.scale(p.field.inv(p.coeffs[value])), value)
+    lead = p.coeffs[value]
+    return BasisElement(p if lead == field.one else p.scale(field.inv(lead)),
+                        value)
 
 
 def relation_element(ctx: ReductionContext, alpha, beta) -> tuple[Poly, object]:
@@ -363,23 +368,25 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
     raise :class:`LimitExceeded`: the escape bound of :func:`reduce_poly`
     and a basis past ``MAX_ELEMENTS`` elements.
 
-    Each round presents the values and divides the relation elements in
-    increasing value, adjoining the first nonzero remainder.  Only the
-    pairs of value below ``past`` are divided, since no relation at or past
-    it can have a nonzero remainder:
+    Each round presents the values below ``past`` and divides their
+    relation elements in increasing value, adjoining the first nonzero
+    remainder; no relation at or past ``past`` can have a nonzero
+    remainder, and a round with ``past <= 0`` asks for no presentation:
 
-    - Locally, with gcd 1 and conductor c, ``past = c - 1``.  The relation
-      element S = f^alpha - kappa f^beta of a pair of value v has order > v,
-      its two trailing terms cancelling.  For v >= c - 1 that order is
-      >= c, so S is zero or rule 2 of :func:`reduce_poly` drops it at once.
-    - Globally, with two values n, a of gcd 1, ``past = 0``.  The resultant
-      F = Res_t(X - f, Y - g) has Y-degree n with a nonzero constant leading
-      coefficient, and F(f, g) = 0.  So every P(f, g) is
-      sum_{j<n} p_j(f) g^j, whose terms have degrees n deg p_j + a j,
-      distinct mod n: the degree of P(f, g) is one of them, in <n, a>.  The
-      value semigroup is <n, a>, every lead of a division by {f, g} lies
-      in it, and every relation divides to zero.  (Locally two coprime
-      orders n, a are covered by the first rule, as n a >= c - 1.)
+    - With two values n, a of gcd 1, in either setting, ``past = 0``.
+      Globally, the resultant F = Res_t(X - f, Y - g) has Y-degree n with a
+      nonzero constant leading coefficient, and F(f, g) = 0.  So every
+      P(f, g) is sum_{j<n} p_j(f) g^j, whose terms have degrees
+      n deg p_j + a j, distinct mod n: the degree of P(f, g) is one of
+      them, in <n, a>.  The value semigroup is <n, a>, every lead of a
+      division by {f, g} lies in it, and every relation divides to zero.
+      Locally the one relation has value n a > (n - 1)(a - 1) - 1 = c - 1,
+      so the next rule already divides nothing.
+    - Otherwise locally, with gcd 1 and conductor c, ``past = c - 1``.  The
+      relation element S = f^alpha - kappa f^beta of a pair of value v has
+      order > v, its two trailing terms cancelling.  For v >= c - 1 that
+      order is >= c, so S is zero or rule 2 of :func:`reduce_poly` drops it
+      at once.
     - Otherwise ``past`` is infinite and every pair is divided.
     """
     if not gens:
@@ -395,10 +402,14 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
         monoid = basis.monoid
         if not monoid.is_numerical:
             past = math.inf
+        elif len(basis.values) == 2:
+            past = 0
         elif setting == "local":
             past = monoid.conductor - 1
         else:
-            past = 0 if len(basis.values) == 2 else math.inf
+            past = math.inf
+        if past <= 0:
+            return basis  # every relation has a positive value
         for alpha, beta, _value in presentation_for_generators(
                 basis.values, past).pairs:
             s_poly, _kappa = relation_element(basis, alpha, beta)
@@ -438,15 +449,20 @@ def reduced_basis(basis: ValueBasis) -> ValueBasis:
     global one) stays; reduction keeps every value, so the semigroup and
     presentation carry over unchanged.
     """
+    field = basis.field
     new_elements = []
     for elem in basis.elements:
-        head = Poly(basis.field, {elem.value: elem.poly.coeffs[elem.value]})
-        tail = elem.poly - head
-        if tail.is_zero:
+        coeffs, value = elem.poly.coeffs, elem.value
+        if len(coeffs) == 1:
             new_elements.append(elem)
             continue
+        tail = Poly._of(field, {e: c for e, c in coeffs.items() if e != value})
         out = reduce_poly(tail, basis, "reduced", record=False)
-        new_elements.append(BasisElement(head + out.remainder, elem.value))
+        # the remainder lies on gaps and the value in the semigroup, so the
+        # two supports are disjoint and one dict holds the new element
+        new_elements.append(BasisElement(
+            Poly._of(field, {value: coeffs[value], **out.remainder.coeffs}),
+            value))
     return ValueBasis(new_elements, basis.setting, basis.n_input)
 
 

@@ -17,16 +17,20 @@ from .deformation import DeformationSet
 from .mpoly import render_mpoly
 from .numsgp import NumSgp, Presentation
 from .planebranch import CharSequence
-from .poly import Poly, render_poly
+from .poly import Poly, _render_terms
 from .reduction import ReductionOutcome, ValueBasis
 
 
 def poly_terms(p: Poly) -> list:
-    return [[e, p.field.coeff_str(p.coeffs[e])] for e in p.support]
+    coeff_str, coeffs = p.field.coeff_str, p.coeffs
+    return [[e, coeff_str(coeffs[e])] for e in p.support]
 
 
 def poly_entry(p: Poly, value=None) -> dict:
-    entry = {"terms": poly_terms(p), "string": render_poly(p, "x")}
+    """The terms of p and its string, rendered from one coefficient string
+    per term."""
+    terms = poly_terms(p)
+    entry = {"terms": terms, "string": _render_terms(terms, "x")}
     if value is not None:
         entry["value"] = value
     return entry

@@ -54,8 +54,21 @@ class SeriesApprox(_Series):
         return SeriesApprox(self.poly, min(prec, self.prec))
 
     def power(self, n: int) -> "SeriesApprox":
-        """self^n by one ``Poly.__pow__``, truncated once; n >= 0."""
-        return SeriesApprox(self.poly ** n, self.prec)
+        """self^n, n >= 0, by binary powering with each product truncated
+        at ``prec``, so no term past the precision is formed beyond one
+        product's worth."""
+        if n < 0:
+            raise ValueError("negative power")
+        out, base = None, self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        if out is None:
+            return SeriesApprox(Poly.constant(1, self.field), self.prec)
+        return out
 
 
 def inverse_series(s: SeriesApprox) -> SeriesApprox:

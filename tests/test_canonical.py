@@ -14,8 +14,9 @@ from curvesgp import (GF, MPoly, Poly, QQ, ReductionContext, approximate_root,
                       global_basis, local_basis, parse_mpoly, parse_poly,
                       reduce_poly, reduced_basis, reparametrize)
 from curvesgp.fields import rational
-from curvesgp.reduction import basis_element
-from util import P, is_canonical
+from curvesgp.reduction import basis_element, build_basis
+from util import (P, is_canonical, reference_basis_element,
+                  reference_reduced_basis)
 
 POOL = (1, -1, 2, -3, 6, "1/2", "-2/3", "3/4", "5/6", "-7/3")
 
@@ -126,6 +127,30 @@ def test_bases_reductions_and_deformations_are_canonical():
             ds = deform_from_basis(basis)
             assert_canonical([ds.generators, ds.homogenized_generators, ds.toric,
                               ds.exact, ds.homogenized], gens)
+        # the normalisers against their Poly-arithmetic references: inputs
+        # with and without a constant term, the value's coefficient 1 and
+        # not 1, over Q and GF(101), in both settings; the wide pairs have
+        # values of gcd 2, so their bases adjoin elements
+        wide = {"local": [P((4, rng.choice(POOL)), (rng.choice((5, 7)), 1)),
+                          random_poly(rng, 6, 12, 2)],
+                "global": [P((6, rng.choice(POOL)), (rng.choice((1, 3, 5)), 1)),
+                           P((4, rng.choice(POOL)), (rng.randrange(1, 4), -1))]}
+        for field in (QQ, GF(101)):
+            for setting, polys in (("local", gens), ("global", top)):
+                for p in polys:
+                    value = p.order if setting == "local" else p.degree
+                    for const in (0, "5/2"):
+                        for lead in (1, "-2/3"):
+                            q = Poly(field, {**p.coeffs, value: lead, 0: const})
+                            assert basis_element(q, setting) == \
+                                reference_basis_element(q, setting), (q, setting)
+                for basis in (build_basis([Poly(field, p.coeffs) for p in polys],
+                                          setting),
+                              build_basis([Poly(field, p.coeffs)
+                                           for p in wide[setting]], setting)):
+                    got = [tuple(e) for e in reduced_basis(basis).elements]
+                    assert got == reference_reduced_basis(basis), (basis.elements,
+                                                                   setting)
         f = random_poly(rng, n + m, n + m + 8, 4)
         elems = [basis_element(g, "local") for g in gens]
         for mode in ("expression", "reduced", "algorithmic"):

@@ -23,6 +23,7 @@ from curvesgp import (
     gamma_at_infinity,
     gamma_curve_infinity,
     gamma_local_pair,
+    global_basis,
     local_basis,
     nth_root_series,
     plane_local,
@@ -32,7 +33,7 @@ from curvesgp import (
 from curvesgp import numsgp
 from curvesgp.mpoly import sylvester_resultant
 from curvesgp.planebranch import intersection_degree
-from curvesgp.reduction import basis_element
+from curvesgp.reduction import ValueBasis, basis_element, minimal_basis
 from util import XY, P, is_canonical, xp
 
 
@@ -823,3 +824,65 @@ def test_dedekind_conductor_formula_on_seeded_pairs():
         assert c == local_basis([f, g]).semigroup.conductor, (f, g)
         seen["checked"] += 1
     assert seen["checked"] >= 100 and seen["imprimitive"] and seen["second branch"], seen
+
+
+def _assert_reduced_at_values(basis, what):
+    """Each element monic at its value, every other exponent a gap."""
+    S = basis.semigroup
+    for e in basis.elements:
+        assert e.poly.coeffs[e.value] == 1, (what, e)
+        assert not any(S.contains(k) for k in e.poly.support if k != e.value), \
+            (what, e)
+
+
+def test_minimal_bases_agree_across_routes():
+    # the minimal reduced basis is unique, so the loop's basis and the
+    # plane routes' {f, g, G_k(f, g)} must reduce to the same polynomials;
+    # both sides run the same reduced division, so each result is also
+    # checked to be reduced (tails on gaps) and monic at its values
+    rng = random.Random(53)
+    local = [(xp(8), P((12, 1), (14, 1), (15, 1))),
+             (xp(16), P((24, 1), (28, 1), (30, 1), (31, 1))),
+             (xp(4), P((6, 1), (7, "1/2"), (9, -2)))]
+    # g's order shares a factor with n at least half the time, which gives
+    # two or more characteristic exponents
+    while len(local) < 40:
+        n = rng.randrange(4, 13)
+        lo = rng.randrange(n + 1, 2 * n)
+        if math.gcd(n, lo) > 1 or rng.random() < 0.5:
+            g = _seeded_terms(rng, lo, rng.randrange(1, 4))
+            if math.gcd(n, *g.support) == 1:
+                local.append((xp(n), g))
+    coeffs = (1, -1, 2, "1/2", "-2/3")
+    # degrees that share a factor, so that the descent takes two steps
+    infinity = [(xp(8), P((12, 1), (2, 1))), (P((6, 1), (1, -1)), P((4, 1), (1, 2)))]
+    while len(infinity) < 40:
+        n = rng.choice((4, 6, 8))
+        m = rng.choice([k for k in range(2, 13) if k != n and math.gcd(k, n) > 1])
+        f, g = (P((d, 1), *[(e, rng.choice(coeffs)) for e in
+                            rng.sample(range(1, d), min(d - 1, rng.randrange(1, 4)))])
+                for d in (n, m))
+        infinity.append((f, g))
+
+    seen = {"local": 0, "global": 0, "local three": 0, "global three": 0}
+    for setting, pairs, route, loop in (
+            ("local", local, plane_local, local_basis),
+            ("global", infinity, gamma_at_infinity, global_basis)):
+        for f, g in pairs:
+            try:
+                res = route(f, g)
+            except ValueError as err:
+                assert str(err).startswith((
+                    "parametrisation is not proper",
+                    "generators are algebraically dependent in degree 1")), (f, g, err)
+                continue
+            elements = [basis_element(p, setting)
+                        for p in res.generators + res.evaluated]
+            want = minimal_basis(loop([f, g]))
+            got = minimal_basis(ValueBasis(elements, setting, 2))
+            assert sorted(got.elements, key=lambda e: e.value) == \
+                sorted(want.elements, key=lambda e: e.value), (setting, f, g)
+            _assert_reduced_at_values(got, (setting, f, g))
+            seen[setting] += 1
+            seen[f"{setting} three"] += len(got.elements) > 2
+    assert min(seen.values()) >= 5, seen

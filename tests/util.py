@@ -150,6 +150,31 @@ def reference_reduce(f: Poly, ctx, mode: str, bound=None) -> ReductionOutcome:
     return ReductionOutcome(remainder, expression, complete, used_shortcut)
 
 
+def reference_basis_element(p: Poly, setting: str) -> tuple[Poly, int]:
+    """Reference route for ``reduction.basis_element``, by ``Poly``
+    arithmetic: locally the constant term subtracted as a polynomial, then
+    the whole scaled by the inverse of the coefficient at the value."""
+    if setting == "local":
+        p = p - Poly.constant(p.coeff(0), p.field)
+    value = int(p.order if setting == "local" else p.degree)
+    return p.scale(p.field.inv(p.coeffs[value])), value
+
+
+def reference_reduced_basis(basis) -> list[tuple[Poly, int]]:
+    """Reference route for ``reduction.reduced_basis``: each element split
+    into head and tail by ``Poly`` subtraction, the tail divided by
+    :func:`reference_reduce` in ``reduced`` mode, and the head added back
+    to its remainder."""
+    out = []
+    for elem in basis.elements:
+        head = Poly(basis.field, {elem.value: elem.poly.coeffs[elem.value]})
+        tail = elem.poly - head
+        if not tail.is_zero:
+            head = head + reference_reduce(tail, basis, "reduced").remainder
+        out.append((head, elem.value))
+    return out
+
+
 @contextlib.contextmanager
 def deadline(seconds):
     """Fail instead of hanging: raise TimeoutError in the block once it has
