@@ -4,14 +4,17 @@ Every series f = sum c_i x^i of order p lifts to H_f = sum c_i u^{i-p} x^i,
 homogeneous for the weight b - a on (u, x); polynomials of degree p lift
 with u^{p-i} instead, so both lifts are u^{|i-p|} with p the value of f.
 Feeding the reduction expressions of the relation elements through the
-same lift yields, for each presentation pair, three relators in the X_i:
+same lift yields, for each presentation pair, one stored relator in the
+u and the X_i,
 
-* ``toric``        F_i = X^alpha - kappa X^beta   (kappa from the relation step)
-* ``exact``        G_i = F_i - sum c_theta X^theta  (vanishes on the generators)
-* ``homogenized``  H_i = F_i - sum u^{|D_theta - p_i|} c_theta X^theta
+* ``homogenized``  H_i = X^alpha - kappa X^beta - sum u^{|D_theta - p_i|} c_theta X^theta
 
-so H_i at u=1 is G_i, at u=0 is F_i, and the quotient by all H_i is the
-flat family joining the curve to its monomial degeneration.
+(kappa from the relation step), and the quotient by all H_i is the flat
+family joining the curve to its monomial degeneration.  Its two ends are
+read off H_i:
+
+* ``toric``  F_i = H_i(u = 0) = X^alpha - kappa X^beta, the monomial curve's binomial
+* ``exact``  G_i = H_i(u = 1), which vanishes on the generators
 """
 
 from __future__ import annotations
@@ -27,13 +30,29 @@ from .reduction import (BasisElement, ReductionContext, ValueBasis, reduce_poly,
 
 
 class Relator(NamedTuple):
+    """The relator H of one presentation pair alpha ~ beta of value p.
+
+    Only H is stored; F and G are its views at u = 0 and u = 1.  Both are
+    exact: the steps of one division have distinct leads, so distinct
+    theta, none of value p and so none equal to alpha or beta; and each
+    sits at u^{|D_theta - p|}, an exponent >= 1.  So H's terms at u^0 are
+    the two of F, and setting u = 1 merges no two terms.
+    """
+
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     value: int
-    toric: MPoly
-    exact: MPoly
     homogenized: MPoly
     complete: bool
+
+    @property
+    def toric(self) -> MPoly:
+        return self.homogenized.coeff_in("u", 0)
+
+    @property
+    def exact(self) -> MPoly:
+        h = self.homogenized
+        return MPoly(h.vars, h.field, {(0,) + e[1:]: c for e, c in h.coeffs.items()})
 
 
 class DeformationSet(NamedTuple):
@@ -93,7 +112,9 @@ def deform(basis: ReductionContext, presentation: Presentation) -> DeformationSe
     since the order-valued division may genuinely be an infinite
     series.  A term c X^theta of an expression
     is lifted with u^{|D - p|}, D = sum theta_i v_i weighed by the
-    generators' values ``basis.values`` and p the relation's value.
+    generators' values ``basis.values`` and p the relation's value.  Each
+    relator is built as H alone, one dict and one ``MPoly``; F and G are
+    its views (:class:`Relator`).
     """
     setting = basis.setting
     elements = [e.poly for e in basis.elements]
@@ -108,19 +129,14 @@ def deform(basis: ReductionContext, presentation: Presentation) -> DeformationSe
             raise ValueError(
                 f"relation {alpha} ~ {beta} does not reduce to zero: "
                 "the given elements are not a basis")
-        toric = MPoly(variables, field, {(0,) + tuple(alpha): field.one,
-                                         (0,) + tuple(beta): field.neg(kappa)})
-        # one accumulation per relator; MPoly drops the zeros once
-        exact = dict(toric.coeffs)
-        homog = dict(toric.coeffs)
+        # every key is distinct (see Relator), so nothing accumulates
+        homog = {(0,) + tuple(alpha): field.one,
+                 (0,) + tuple(beta): field.neg(kappa)}
         for coeff, theta in out.expression:
             u_exp = abs(sum(t * v for t, v in zip(theta, basis.values)) - value)
-            for acc, key in ((exact, (0,) + theta), (homog, (u_exp,) + theta)):
-                acc[key] = field.sub(acc.get(key, field.zero), coeff)
-        exact = MPoly(variables, field, exact)
-        homog = MPoly(variables, field, homog)
-        relators.append(Relator(alpha, beta, value, toric, exact, homog,
-                                out.complete))
+            homog[(u_exp,) + theta] = field.neg(coeff)
+        relators.append(Relator(alpha, beta, value,
+                                MPoly(variables, field, homog), out.complete))
     relators.sort(key=lambda r: (r.value, r.alpha))
     return DeformationSet(setting, variables, elements,
                           [homogenize(p, setting) for p in elements], relators)

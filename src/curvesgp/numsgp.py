@@ -39,7 +39,6 @@ arrangement, which are least factorisations in reversed order
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -286,11 +285,11 @@ def _factorizations(n: int, gens: tuple[int, ...]) -> list[tuple[int, ...]]:
             for tail in _factorizations(n - k * gens[0], gens[1:])]
 
 
-def _betti_graphs(gens: tuple[int, ...], S: NumSgp, below: float = math.inf):
-    """(n, components of nabla_n) for each n < below at which nabla_n gains
-    a vertex and is disconnected (the Betti elements), by increasing n; S
-    is the numerical semigroup of gens, m its multiplicity.  Each component
-    is a sorted list of indices.
+def _betti_graphs(gens: tuple[int, ...], S: NumSgp):
+    """(n, components of nabla_n) for each n at which nabla_n gains a
+    vertex and is disconnected (the Betti elements), by increasing n; S is
+    the numerical semigroup of gens, m its multiplicity.  Each component is
+    a sorted list of indices.
 
     Along a residue class rho mod m, vertex j is present from
     T_j = a_j + Ap[(rho - a_j) mod m] on and edge k-j from
@@ -315,9 +314,6 @@ def _betti_graphs(gens: tuple[int, ...], S: NumSgp, below: float = math.inf):
     The other classes are swept through their thresholds in increasing
     order, edges before vertices at equal n, merging components as the
     edges arrive and recording the graph after the last vertex at each n.
-    With a finite ``below``, each class's sorted thresholds are first cut
-    at below (one bisection): the graph at n < below is made of the steps
-    up to n alone, so the cut changes no graph it keeps.
     """
     s, m = len(gens), S._m
     # lane rho of before[k][j] is P_kj: byte (rho - a_j) mod m of a_k's column
@@ -348,8 +344,6 @@ def _betti_graphs(gens: tuple[int, ...], S: NumSgp, below: float = math.inf):
     found = []
     for rho in itertools.compress(range(m), twice.to_bytes(m, "little")):
         steps = sorted([base[(rho - b) % m] + c for b, c in shifts])
-        if below < math.inf:
-            del steps[bisect.bisect_left(steps, below * width):]
         last = len(steps) - 1
         label = list(range(s))  # component of each vertex, named by a member
         seen: list[int] = []
@@ -378,10 +372,8 @@ def _betti_graphs(gens: tuple[int, ...], S: NumSgp, below: float = math.inf):
     return found
 
 
-def presentation_for_generators(gens: Sequence[int],
-                                below: float = math.inf) -> Presentation:
-    """Binomial generators of the kernel of X_i -> x^{a_i}; with ``below``
-    given, only the pairs of value < below.
+def presentation_for_generators(gens: Sequence[int]) -> Presentation:
+    """Binomial generators of the kernel of X_i -> x^{a_i}.
 
     Works for arbitrary positive generator tuples (scaling by the gcd
     changes nothing).  The candidate values are {w + a_i : w in Ap(S, m)},
@@ -420,31 +412,27 @@ def presentation_for_generators(gens: Sequence[int],
     sized by the conductor; classes that a test on the Apery column
     shows to hold no Betti element are not swept.
 
-    The pairs come out by increasing value, so those of value < below
-    are a prefix of the minimal presentation, and a graph at n < below is
-    built from the thresholds up to n alone: the sweep cuts each class
-    before it starts.  ``build_basis`` asks for that prefix: at or past a
-    bound it reads off the value monoid (0 for two coprime values, else
-    c - 1 locally), no relation can change the semigroup, as
+    The pairs come out by increasing value.  ``build_basis`` relies on
+    that: it stops at the first pair at or past a bound it reads off the
+    value monoid (0 for two coprime values, else c - 1 locally), past
+    which no relation can change the semigroup, as
     ``reduction.build_basis`` proves; at a bound of 0 it asks for nothing.
 
-    The answer is memoised per (generator tuple, below), beside the tables
-    of ``_monoid``: ``build_basis``, ``minimal_basis`` and ``deform`` each
+    The answer is memoised per generator tuple, beside the tables of
+    ``_monoid``: ``build_basis``, ``minimal_basis`` and ``deform`` each
     present the values of the same basis, and a ``Presentation`` is
     immutable, so every caller shares one.
     """
-    return _presentation(tuple(gens), below)
+    return _presentation(tuple(gens))
 
 
 @lru_cache(maxsize=256)
-def _presentation(gens: tuple[int, ...], below: float) -> Presentation:
+def _presentation(gens: tuple[int, ...]) -> Presentation:
     d = math.gcd(*gens)
     scaled = tuple(g // d for g in gens)
     S = _monoid(scaled)
     pairs: list[RelationPair] = []
-    # a pair of value n * d is kept when n * d < below, so n < ceil(below / d)
-    cut = below if below == math.inf else -(-below // d)
-    for n, comps in _betti_graphs(scaled, S, cut):
+    for n, comps in _betti_graphs(scaled, S):
         vecs = sorted(least_factorization_over(n, scaled, comp) for comp in comps)
         pairs.extend(RelationPair(v, vecs[0], n * d) for v in vecs[1:])
     return Presentation(gens, tuple(pairs))

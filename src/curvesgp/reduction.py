@@ -14,17 +14,18 @@ Bases
 ``local_basis`` and ``global_basis`` grow a generating set until the values
 of its elements generate the whole value semigroup of the algebra: whenever
 a relation element fails to divide to zero, its normalisation (monic at the
-extremal term) joins the basis and the loop restarts.  A round divides only
-the relations below a value read off the value monoid, past which none can
-divide to anything but zero (``build_basis``): 0 for two values of gcd 1
-in either setting, where the values already generate the semigroup; and
-otherwise c - 1 locally, for gcd 1 and conductor c, by rule 2 below.  A
-round whose bound is 0 asks for no presentation at all.  ``reduced_basis``
-then pushes every tail onto the gaps of the semigroup, which makes the
-result canonical: there is exactly one minimal reduced basis
-(``minimal_basis``).  A basis (``ValueBasis``) is its own reduction
-context, so the powers cached while it was built serve every later
-division by it.
+extremal term) joins the basis and the loop restarts.  A round walks the
+minimal presentation of its values, shared with every later reader of
+the same values, and stops at the first relation at or past a value read
+off the value monoid, past which none can divide to anything but zero
+(``build_basis``): 0 for two values of gcd 1 in either setting, where the
+values already generate the semigroup; and otherwise c - 1 locally, for
+gcd 1 and conductor c, by rule 2 below.  A round whose bound is 0 asks
+for no presentation at all.  ``reduced_basis`` then pushes every tail
+onto the gaps of the semigroup, which makes the result canonical: there
+is exactly one minimal reduced basis (``minimal_basis``).  A basis
+(``ValueBasis``) is its own reduction context, so the powers cached while
+it was built serve every later division by it.
 
 Reduction modes
 ---------------
@@ -368,10 +369,13 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
     raise :class:`LimitExceeded`: the escape bound of :func:`reduce_poly`
     and a basis past ``MAX_ELEMENTS`` elements.
 
-    Each round presents the values below ``past`` and divides their
-    relation elements in increasing value, adjoining the first nonzero
-    remainder; no relation at or past ``past`` can have a nonzero
-    remainder, and a round with ``past <= 0`` asks for no presentation:
+    Each round divides the relation elements of the minimal presentation
+    of its values in increasing value, adjoining the first nonzero
+    remainder, and stops at the first pair at or past ``past``: no
+    relation there can have a nonzero remainder.  The presentation is
+    ``basis.presentation``, memoised per value tuple, so the last round's
+    is the one that ``deform`` and the reports read; a round with
+    ``past <= 0`` asks for none:
 
     - With two values n, a of gcd 1, in either setting, ``past = 0``.
       Globally, the resultant F = Res_t(X - f, Y - g) has Y-degree n with a
@@ -410,8 +414,9 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
             past = math.inf
         if past <= 0:
             return basis  # every relation has a positive value
-        for alpha, beta, _value in presentation_for_generators(
-                basis.values, past).pairs:
+        for alpha, beta, value in basis.presentation.pairs:
+            if value >= past:
+                return basis
             s_poly, _kappa = relation_element(basis, alpha, beta)
             if s_poly.is_zero:
                 continue

@@ -51,13 +51,34 @@ def lifted_values(relator: MPoly, values, setting) -> set:
             for e in relator.coeffs}
 
 
+def extremal_product(gens, exps, setting):
+    """The extremal coefficient of prod gens_i^exps_i: the product of the
+    generators' own."""
+    f = gens[0].field
+    out = f.one
+    for g, k in zip(gens, exps):
+        out = f.mul(out, f.pow(g.coeffs[value_of(g, setting)], k))
+    return out
+
+
 def check_invariants(ds):
     """Specialisation, exactness, homogeneity and count for a DeformationSet."""
     values = [value_of(p, ds.setting) for p in ds.generators]
+    field = ds.generators[0].field
     for rel in ds.relators:
         assert specialize_u(rel.homogenized, 1) == rel.exact
         assert specialize_u(rel.homogenized, 0) == rel.toric
         assert lifted_values(rel.homogenized, values, ds.setting) == {rel.value}
+        # F = X^alpha - kappa X^beta, kappa the ratio of the extremal
+        # coefficients of f^alpha and f^beta, so nonzero
+        kappa = field.div(extremal_product(ds.generators, rel.alpha, ds.setting),
+                          extremal_product(ds.generators, rel.beta, ds.setting))
+        assert rel.toric.coeffs == {(0,) + tuple(rel.alpha): field.one,
+                                    (0,) + tuple(rel.beta): field.neg(kappa)}
+        # every other term of H is a step's, at u^{|D_theta - value|} >= 1
+        for e in rel.homogenized.coeffs.keys() - rel.toric.coeffs.keys():
+            weight = sum(t * v for t, v in zip(e[1:], values))
+            assert e[0] == abs(weight - rel.value) >= 1, (rel, e)
         if rel.complete:
             subst = {f"X{i}": p for i, p in enumerate(ds.generators)}
             assert rel.exact.eval_univariate(subst).is_zero
@@ -199,4 +220,5 @@ def test_deform_from_basis_divides_by_the_basis(monkeypatch):
                                    basis.presentation)
                     assert ds.relators == fresh.relators, (gens, setting)
                     assert ds.generators == fresh.generators
+                    check_invariants(ds)
                     done += 1

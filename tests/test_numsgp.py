@@ -203,32 +203,6 @@ def test_presentation_matches_enumeration_route():
         assert presentation_for_generators(gens).pairs == presentation_by_enumeration(gens), gens
 
 
-def test_presentation_below_a_bound_is_a_prefix_of_the_full_one():
-    # the sweep cuts each class at the bound before it starts; what it
-    # keeps must be exactly the full presentation's pairs of smaller value,
-    # at the bounds the basis loop uses (0 and c - 1), at c, at a value
-    # inside the range of the Betti elements and with no bound; 634 of the
-    # 2000 cuts keep a proper, nonempty prefix
-    rng = random.Random(1412)
-    proper = 0
-    for _ in range(400):
-        m = rng.randint(2, 60)
-        gens = [m] + [rng.randint(m, 3 * m) for _ in range(rng.randint(1, 5))]
-        if rng.random() < 0.2:
-            gens = [rng.choice((2, 3)) * g for g in gens]
-        rng.shuffle(gens)
-        gens = tuple(gens)
-        full = presentation_for_generators(gens).pairs
-        c = NumSgp(gens).scaled_conductor
-        top = max((p.value for p in full), default=0)
-        for below in (0, c - 1, c, rng.randint(0, top + 1), math.inf):
-            got = presentation_for_generators(gens, below)
-            assert got.generators == gens
-            assert got.pairs == tuple(p for p in full if p.value < below), (gens, below)
-            proper += 0 < len(got.pairs) < len(full)
-    assert proper == 634
-
-
 def _betti_case(rng):
     """1-7 generators in 2..30, sometimes with a repeat; or a tied run of
     :func:`_tied_threshold_tuple`; sometimes times a common factor; in
