@@ -30,9 +30,11 @@ hold no Betti element, and those are not swept (:func:`_betti_graphs`).
 
 One routine writes a value in the generators: the greedy of
 :func:`least_factorization_over`, which reads only the tables of the
-suffixes it needs, keyed by the sorted generators (:func:`_members`).
-It serves the presentation components, the reduction's choice of
-factorisation and the complete-intersection pairs of a free
+suffixes of three or more generators it walks, keyed by the sorted
+generators (:func:`_members`), and fixes the last two coefficients in
+closed form, by one modular inverse, so a two-generator component reads
+no table.  It serves the presentation components, the reduction's
+choice of factorisation and the complete-intersection pairs of a free
 arrangement, which are least factorisations in reversed order
 (:func:`ci_relations`).
 """
@@ -210,9 +212,18 @@ def _apery(gens: Sequence[int], n: int) -> list[int]:
     a generator a splits the residues into gcd(a, n) cycles r -> r + a;
     one walk round each cycle from its least entry, carrying
     w -> min(Ap[r + a], w + a), updates the table in O(n) steps.
+
+    A generator a with Ap[a mod n] <= a is not walked.  After a prefix of
+    gens the table is Ap(<n, prefix>, n), so a = Ap[a mod n] + j n for
+    some j >= 0 already lies in <n, prefix> and adding it changes no
+    entry.  That skips n itself (Ap[0] = 0), its multiples and every
+    generator that is a sum of earlier ones.
     """
     ap: list = [0] + [None] * (n - 1)
     for a in gens:
+        w = ap[a % n]
+        if w is not None and w <= a:
+            continue  # a lies in the monoid of n and the walked generators
         k = math.gcd(a, n)
         for r in range(k):
             reached = [p for p in range(r, n, k) if ap[p] is not None]
@@ -261,17 +272,30 @@ def least_factorization_over(n: int, gens: Sequence[int],
     n must lie in the monoid of those generators; no table of their whole
     tuple is built.  Each k_j is the least k such that the remainder
     r - k*a_j (r what is left of n after the earlier terms) lies in the
-    monoid of the later generators, so only the tables of the proper
-    suffixes are read (through :func:`_members`, in any order of the
-    generators).  It is lex-least because a prefix extends to a
-    factorisation exactly when the remainder lies in that monoid.
+    monoid of the later generators.  It is lex-least because a prefix
+    extends to a factorisation exactly when the remainder lies in that
+    monoid.  Only the tables of the proper suffixes of three or more
+    generators are read (through :func:`_members`, in any order of the
+    generators).
+
+    The last two, a and b with g = gcd(a, b), need no table: r - k*a lies
+    in <b> exactly when r - k*a >= 0 and k*a = r (mod b), that is
+    k = (r/g) (a/g)^(-1) (mod b/g).  The greedy keeps r in <a, b>, so g
+    divides r and some solution has r - k*a >= 0; the least nonnegative
+    solution is no larger, so it is the k of the greedy.
     """
     sub = [gens[i] for i in idx]
     vec = [0] * len(gens)
-    for j, (i, a) in enumerate(zip(idx[:-1], sub)):
+    for j, (i, a) in enumerate(zip(idx[:-2], sub)):
         later = _members(sub[j + 1:])
         k = next(k for k in range(n // a + 1) if later.contains(n - k * a))
         vec[i] = k
+        n -= k * a
+    if len(sub) > 1:
+        a, b = sub[-2:]
+        g = math.gcd(a, b)
+        k = n // g * pow(a // g, -1, b // g) % (b // g)
+        vec[idx[-2]] = k
         n -= k * a
     vec[idx[-1]] = n // sub[-1]
     return tuple(vec)

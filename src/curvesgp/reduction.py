@@ -392,6 +392,9 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
       order is >= c, so S is zero or rule 2 of :func:`reduce_poly` drops it
       at once.
     - Otherwise ``past`` is infinite and every pair is divided.
+
+    The rounds share one cache of the powers f_i^k: elements are only
+    appended, so a key (i, k) names the same power in every later round.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -401,8 +404,10 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
         check_same_field(field, g.field)
         elements.append(basis_element(g, setting))
 
+    powers: dict = {}
     while True:
         basis = ValueBasis(elements, setting, len(gens))
+        basis._powers = powers
         monoid = basis.monoid
         if not monoid.is_numerical:
             past = math.inf

@@ -285,6 +285,84 @@ def test_least_factorization_over_builds_no_table_of_the_whole_tuple(monkeypatch
             assert sub not in requested, (gens, idx, n)
 
 
+def _factorization_case(rng):
+    """2-4 generators in 2..24: a pair with gcd > 1, a repeat, or a
+    non-minimal sum among them, in shuffled order."""
+    gens = [rng.randint(2, 24) for _ in range(rng.randint(1, 3))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        d = rng.randint(2, 4)
+        gens += [d * rng.randint(1, 6), d * rng.randint(1, 6)]
+    elif kind == 1:
+        gens.append(rng.choice(gens))
+    else:
+        gens.append(rng.choice(gens) + rng.choice(gens))
+    rng.shuffle(gens)
+    return tuple(gens[:4])
+
+
+def test_least_factorization_over_is_lex_least_on_every_index_order():
+    # the last two coordinates come from one modular inverse mod b/g
+    rng = random.Random(1412)
+    cases = [(4, 6), (6, 4), (6, 6, 9), (10, 4, 6), (12, 8, 18, 5)]
+    cases += [_factorization_case(rng) for _ in range(120)]
+    for gens in cases:
+        s = len(gens)
+        orders = [list(range(s)), list(range(s - 1, -1, -1))]
+        orders += [rng.sample(range(s), rng.randint(2, s)) for _ in range(3)]
+        top = 3 * max(gens) + NumSgp(gens).scaled_conductor
+        table = factorization_table(gens, top)
+        for idx in orders:
+            off = set(range(s)) - set(idx)
+            for n, vecs in enumerate(table):
+                over = [v for v in vecs if not any(v[i] for i in off)]
+                if over:
+                    want = min(over, key=lambda v: [v[i] for i in idx])
+                    got = numsgp.least_factorization_over(n, gens, idx)
+                    assert got == want, (gens, idx, n)
+
+
+def test_least_factorization_over_two_indices_reads_no_table(monkeypatch):
+    requested = []
+
+    def recording(gens):
+        requested.append(gens)
+        return monoid(gens)
+
+    monoid = numsgp._monoid
+    monkeypatch.setattr(numsgp, "_monoid", recording)
+    rng = random.Random(1007)
+    for _ in range(60):
+        gens = _factorization_case(rng)
+        idx = rng.sample(range(len(gens)), 2)
+        a, b = (gens[i] for i in idx)
+        values = range(0, 3 * a * b + 1, math.gcd(a, b))
+        for n in rng.sample(values, min(10, len(values))):
+            if monoid((a, b)).contains(n):
+                requested.clear()
+                vec = numsgp.least_factorization_over(n, gens, idx)
+                assert vec[idx[0]] * a + vec[idx[1]] * b == n
+                assert requested == [], (gens, idx, n)
+
+
+def test_apery_skips_generators_already_in_the_monoid():
+    # multiples of n and non-minimal sums, before or after their summands
+    rng = random.Random(2007)
+    for _ in range(150):
+        gens = [rng.randint(2, 30) for _ in range(rng.randint(2, 4))]
+        if math.gcd(*gens) != 1:
+            gens.append(rng.randint(2, 30) | 1)
+            gens.append(gens[-1] + 1)
+        n = rng.choice(gens + [sum(rng.sample(gens, 2))])
+        gens += [n * rng.randint(1, 3), rng.choice(gens) + rng.choice(gens)]
+        rng.shuffle(gens)
+        top = brute_conductor(gens) + n
+        member = brute_semigroup_members(gens, top)
+        expected = [next(k for k in range(r, top + 1, n) if member[k])
+                    for r in range(n)]
+        assert numsgp._apery(gens, n) == expected, (gens, n)
+
+
 def test_pick_factorization_spends_high_values_last():
     rng = random.Random(2014)
     for _ in range(80):

@@ -109,14 +109,19 @@ def corpus_reports(src: pathlib.Path, scratch: str) -> list[list]:
     return json.loads(pathlib.Path(path).read_text())
 
 
+def extract_src(rev: str, dest: str) -> pathlib.Path:
+    """``git archive REV src`` extracted into *dest*; returns its ``src``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return pathlib.Path(dest, "src")
+
+
 def against(rev: str) -> tuple[list[list[str]], list[list], list[list]]:
     """(argvs, reports at *rev*, reports of the working tree), one entry per
     corpus argv."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        old = corpus_reports(pathlib.Path(tmp, "src"), tmp)
+        old = corpus_reports(extract_src(rev, tmp), tmp)
         new = corpus_reports(ROOT / "src", tmp)
     return [argv for argv, _ in load()], old, new
 
