@@ -18,7 +18,8 @@ message) or standard output closed before the report was written
 (``error[BrokenPipeError]``), 2 parse error, 3 growth guard tripped (the
 escape bound, ``MAX_ELEMENTS``, ``PRECISION_CAP`` or the parser's size cap:
 ``error[LimitExceeded]``)
-or memory exhausted (``error[MemoryError]``).
+or memory exhausted (``error[MemoryError]``, naming the command when the
+error itself carries no text).
 ``deform`` writes one line ``warning: <message>`` to standard error for
 each relation value whose relators are inexact (``Relator.complete``).
 """
@@ -76,7 +77,7 @@ _JSON = Arg("--json", "emit JSON", flag=True)
 _BASIS = (Arg("polys", "comma-separated polynomials in x (or t)"),
           Arg("--show", choices=("semigroup", "basis", "reduced", "all"),
               default="semigroup"), _CHAR, _JSON)
-_PAIR = (Arg("f"), Arg("g"), _CHAR, _JSON)
+_PAIR = (Arg("f"), Arg("g"), _JSON)
 _SETTING = Arg("setting", choices=("local", "global"))
 
 # command -> (help, arguments in the order --help lists them)
@@ -86,7 +87,7 @@ COMMANDS: dict[str, tuple[str, tuple[Arg, ...]]] = {
     "plane-local": ("two-generator local pipeline", _PAIR),
     "plane-infinity": ("two-generator pipeline at infinity", _PAIR),
     "curve-infinity": ("semigroup of a plane curve with one place at infinity",
-                       (Arg("curve", "polynomial in x and y"), _CHAR, _JSON)),
+                       (Arg("curve", "polynomial in x and y"), _JSON)),
     "deform": ("deformation data of a computed basis",
                (_SETTING, Arg("polys"), _CHAR, _JSON)),
     "reduce": ("divide a polynomial by a basis",
@@ -239,8 +240,6 @@ def run(argv: list[str]) -> int:
             return rep
 
     elif cmd in ("plane-local", "plane-infinity", "curve-infinity"):
-        if args.char:
-            raise ValueError("plane-branch commands need characteristic zero")
         if cmd == "curve-infinity":
             inputs = (parse_mpoly(args.curve, ("x", "y")),)
             pipeline = gamma_curve_infinity
@@ -312,7 +311,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     except (LimitExceeded, MemoryError) as err:
-        print(f"error[{type(err).__name__}]: {err}", file=sys.stderr)
+        # a MemoryError raised by the interpreter has no text
+        text = str(err) or f"out of memory in {argv[0]}"
+        print(f"error[{type(err).__name__}]: {text}", file=sys.stderr)
         return 3
     except (ValueError, ZeroDivisionError, ArithmeticError, RuntimeError) as err:
         print(f"error[{type(err).__name__}]: {err}", file=sys.stderr)

@@ -86,7 +86,7 @@ import math
 from typing import NamedTuple
 
 from .fields import check_same_field, rational
-from .numsgp import (NumSgp, Presentation, _monoid, least_factorization_over,
+from .numsgp import (Presentation, _monoid, least_factorization_over,
                      presentation_for_generators)
 from .poly import Poly, _int_mul, _int_pow, _lift, _sub_scaled, _unlift
 
@@ -110,7 +110,9 @@ class ReductionOutcome(NamedTuple):
 
 
 class ReductionContext:
-    """Basis elements plus the caches reduction steps share."""
+    """Basis elements, the ``semigroup`` (a :class:`~curvesgp.numsgp.NumSgp`)
+    their values generate, and the caches reduction steps share.  The
+    elements must be nonzero and over one field."""
 
     def __init__(self, elements: list[BasisElement], setting: str):
         if not elements:
@@ -125,7 +127,7 @@ class ReductionContext:
             if e.poly.is_zero:
                 raise ValueError("zero basis element")
         self.values = tuple(e.value for e in elements)
-        self.monoid = _monoid(self.values)  # shared with the presentation
+        self.semigroup = _monoid(self.values)  # shared with the presentation
         # the lead term of a working polynomial is its extremal one
         self.lead = min if setting == "local" else max
         # positions ordered by (value, adjoin time), most expensive first;
@@ -178,11 +180,11 @@ class ReductionContext:
         if self.setting == "global":
             return math.inf
         maxdeg = max(int(e.poly.degree) for e in self.elements)
-        return self.monoid.scaled_conductor + maxdeg
+        return self.semigroup.scaled_conductor + maxdeg
 
     def escape_bound(self, f: Poly) -> int:
         top = max(int(f.degree), max(int(e.poly.degree) for e in self.elements))
-        return self.monoid.scaled_conductor + 2 * top + 1
+        return self.semigroup.scaled_conductor + 2 * top + 1
 
 
 def _step(work: dict, den: int, prod: dict, e: int, p: int) -> tuple[dict, int]:
@@ -229,14 +231,14 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
     check_same_field(f.field, ctx.field)
     field = ctx.field
     p = field.char
-    monoid = ctx.monoid
+    semigroup = ctx.semigroup
     local = ctx.setting == "local"
     lead = ctx.lead
     # the conductor shortcut is Prop-2.5 territory: order >= conductor puts an
     # element in the algebra; there is no degree analogue, so global runs
     # never drop residuals
-    shortcut_ok = local and monoid.is_numerical
-    c = monoid.scaled_conductor
+    shortcut_ok = local and semigroup.is_numerical
+    c = semigroup.scaled_conductor
     if mode == "expression" and bound is None:
         bound = ctx.default_bound()
     escape = (ctx.escape_bound(f) if local and not shortcut_ok
@@ -280,14 +282,14 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
             used_shortcut, complete = True, False
             work = {}
             break
-        if not monoid.contains(e):
+        if not semigroup.contains(e):
             if mode == "algorithmic":
                 break  # residual handed back whole: it is the next element
             strip_lead(e)
         elif escape is not None and e >= escape:
             raise LimitExceeded(
                 f"local division reached the escape bound {escape} at exponent "
-                f"{e}, in the value monoid of gcd {monoid.d}")
+                f"{e}, in the value monoid of gcd {semigroup.d}")
         else:
             subtract(e)
 
@@ -312,10 +314,6 @@ class ValueBasis(ReductionContext):
         """A minimal presentation of the values, memoised per value tuple
         by ``presentation_for_generators``."""
         return presentation_for_generators(self.values)
-
-    @property
-    def semigroup(self) -> NumSgp:
-        return self.monoid
 
 
 MAX_ELEMENTS = 64
@@ -398,23 +396,19 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
     """
     if not gens:
         raise ValueError("at least one generator is required")
-    field = gens[0].field
-    elements: list[BasisElement] = []
-    for g in gens:
-        check_same_field(field, g.field)
-        elements.append(basis_element(g, setting))
+    elements = [basis_element(g, setting) for g in gens]
 
     powers: dict = {}
     while True:
         basis = ValueBasis(elements, setting, len(gens))
         basis._powers = powers
-        monoid = basis.monoid
-        if not monoid.is_numerical:
+        semigroup = basis.semigroup
+        if not semigroup.is_numerical:
             past = math.inf
         elif len(basis.values) == 2:
             past = 0
         elif setting == "local":
-            past = monoid.conductor - 1
+            past = semigroup.conductor - 1
         else:
             past = math.inf
         if past <= 0:

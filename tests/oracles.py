@@ -14,6 +14,12 @@ to it.  ``local_apery`` is the same closure for the order semigroup of
 K[[f_1, ..., f_s]] over K[[f]], truncated at a cap that it doubles on its
 own; ``test_local_basis.py`` holds the basis loop to it.
 
+``local_echelon`` is a route that is not a subduction: the reduced row
+echelon form of the truncated span of the monomials in the generators,
+by schoolbook products and Gauss-Jordan elimination on field elements.
+``test_local_basis.py`` holds the local semigroup and the minimal reduced
+basis to its pivots and rows.
+
 ``basis_loop`` is the basis loop with no bound on the relations: every
 round divides the relation element of every pair of the full minimal
 presentation.  ``test_reduction.py`` holds ``build_basis``, which skips the
@@ -293,6 +299,70 @@ def _local_closure(f: Poly, others: list[Poly], cap: int) -> dict[int, Poly]:
             queue.append(displaced)
         queue.extend((h * g).truncate(cap) for g in others)
     return kept
+
+
+def local_echelon(gens: list[Poly], N: int) -> dict[int, Poly]:
+    """Pivot -> row of the reduced row echelon form, pivots lowest first,
+    of the K-span of {f^alpha mod x^(N+1) : alpha . v <= N}, for f_i the
+    generators with their constant terms dropped and v_i their orders.
+    Each row is monic at its pivot and zero at every other pivot.
+
+    Truncation to K[[x]]/(x^(N+1)) is a ring map, and f^alpha vanishes
+    there once alpha . v > N, so the span is the image of
+    A = K[[f_1, ..., f_s]], and its pivots are the orders of A up to N:
+    Gamma meets [0, N] in exactly the pivots.  Take N >= c - 1, c the
+    conductor, and N at least the largest minimal generator.  Then the row
+    at a minimal generator gamma is the minimal reduced basis element at
+    gamma: both are monic at gamma with every other term at a gap below c,
+    so their difference lies in A with every term at a gap, and is zero.
+    """
+    field = gens[0].field
+    fs = [{e: c for e, c in g.coeffs.items() if e} for g in gens]
+    orders = [min(f) for f in fs]
+
+    def times(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                if i + j <= N:
+                    out[i + j] = field.add(out.get(i + j, field.zero),
+                                           field.mul(x, y))
+        return {e: c for e, c in out.items() if not field.is_zero(c)}
+
+    def subtract(row: dict, c, other: dict) -> None:
+        """row -= c * other, in place."""
+        for e, y in other.items():
+            z = field.sub(row.get(e, field.zero), field.mul(c, y))
+            if field.is_zero(z):
+                row.pop(e, None)
+            else:
+                row[e] = z
+
+    # every alpha once, as a nondecreasing sequence of factor indices:
+    # (f^alpha, alpha . v, index of the last factor)
+    monomials = [({0: field.one}, 0, 0)]
+    for prod, weight, last in monomials:  # grows while it is walked
+        for i in range(last, len(fs)):
+            if weight + orders[i] <= N:
+                monomials.append((times(prod, fs[i]), weight + orders[i], i))
+    rows: dict[int, dict] = {}
+    for prod, _, _ in monomials:
+        row = dict(prod)
+        while row:
+            e = min(row)
+            if e not in rows:
+                inv = field.inv(row[e])
+                rows[e] = {k: field.mul(c, inv) for k, c in row.items()}
+                break
+            subtract(row, row[e], rows[e])
+    # Gauss-Jordan, lowest pivot first: a row only has terms at or past
+    # its pivot, so clearing q from the rows below q puts no term back at
+    # a pivot already cleared
+    for q in sorted(rows):
+        for p, row in rows.items():
+            if p < q and q in row:
+                subtract(row, row[q], rows[q])
+    return {e: Poly(field, rows[e]) for e in sorted(rows)}
 
 
 def basis_loop(gens: list[Poly], setting: str) -> ValueBasis:

@@ -244,7 +244,7 @@ def _suite_remainder_in_gaps():
     cases = 0
     while cases < 200:
         ctx = _random_local_context(rng)
-        gaps = set(ctx.monoid.gaps())
+        gaps = set(ctx.semigroup.gaps())
         f = Poly.from_terms([(rng.randrange(1, 25), rng.randrange(-4, 5))
                              for _ in range(rng.randrange(1, 5))])
         if f.is_zero:

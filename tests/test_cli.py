@@ -378,6 +378,17 @@ def test_memory_error_exits_3_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_bare_memory_error_names_the_command(capsys, monkeypatch):
+    # the interpreter raises MemoryError() with no text when it runs out
+    def exhausted(argv):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    code, out, err = run(capsys, "semigroup", "3000001,3000002")
+    assert (code, out) == (3, "")
+    assert err == "error[MemoryError]: out of memory in semigroup\n"
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # the report lists about 5 * 10^5 gaps, far more than a pipe buffers,
     # so writing it fails once the reader has gone
@@ -408,9 +419,16 @@ def test_warning_is_one_line_without_source_path(capsys):
 
 
 def test_plane_commands_reject_char(capsys):
-    code, _, err = run(capsys, "plane-local", "x^4", "x^6+x^7", "--char", "5")
-    assert code == 1
-    assert "characteristic zero" in err
+    # the plane commands work over Q only, so their table rows take no --char
+    for argv in (["plane-local", "x^4", "x^6+x^7"],
+                 ["plane-infinity", "x^4", "x^6+x"],
+                 ["curve-infinity", "y^2-x^3"]):
+        code, out, err = _main_outcome(capsys, argv + ["--char", "5"])
+        assert code == 2, argv
+        assert out == ""
+        assert "unrecognized arguments: --char 5" in err
+        code, out, _ = _main_outcome(capsys, [argv[0], "-h"])
+        assert code == 0 and "--json" in out and "--char" not in out, argv
 
 
 def test_plane_infinity_rejects_non_proper_parametrisation(capsys):
@@ -840,7 +858,6 @@ def test_plain_argv_path_equals_argparse(capsys, monkeypatch):
          "expression", "--bound", "9", "--char", "7"],
         ["reduce", "local", "x^4", "--against", "x^2", "--bound", "3"],
         ["deform", "global", "x^6+x^3,x^4", "--char", "7", "--json"],
-        ["plane-infinity", "--char", "5", "x^6+x", "x^4"],
         ["local", "--show", "all", "x^4,x^6+x^7", "--char", "101"]]
     by_command: dict = {}
     for argv in plain:
@@ -856,6 +873,7 @@ def test_plain_argv_path_equals_argparse(capsys, monkeypatch):
         ["local", "x^4,x^6", "--char", "-3"],  # argparse reads -3 as a value
         ["local", "x^4,x^6", "--char"],
         ["local", "x^4,x^6", "--char=0"],
+        ["plane-infinity", "--char", "5", "x^6+x", "x^4"],  # takes no --char
         ["semigroup", "3,5", "--js"],
         ["local", "x^4", "x^6"],
         ["local"],

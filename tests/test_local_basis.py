@@ -18,7 +18,7 @@ from curvesgp import (
     reduced_basis,
 )
 from curvesgp.cli import main
-from oracles import local_apery
+from oracles import local_apery, local_echelon
 from test_global_basis import _atoms
 from util import P, deadline, xp
 
@@ -263,3 +263,34 @@ def test_local_semigroup_matches_apery_closure_three_generators_over_q():
             assert got == _atoms(*local_apery(gens)), gens
             adjoined += got != NumSgp([int(g.order) for g in gens]).minimal_generators()
     assert adjoined == 56
+
+
+def test_minimal_basis_matches_echelon_route():
+    # the loop against exact linear algebra on the truncated span of the
+    # monomials in the generators, which shares no step with a
+    # subduction: with N = max(c - 1, largest minimal generator), the
+    # pivots are the semigroup up to N and the row at each minimal
+    # generator is the minimal reduced basis element there
+    rng = random.Random(5)
+    answered = 0
+    with deadline(3):
+        for k in range(300):
+            field = (QQ, GF(2), GF(3), GF(101))[k % 4]
+            # orders 2 to 8 often share a factor; a constant is dropped
+            gens = [_random_local_generator(rng, field)
+                    + Poly.constant(rng.randrange(2), field)
+                    for _ in range(rng.randint(2, 4))]
+            try:
+                basis = local_basis(gens)
+            except LimitExceeded:
+                continue
+            S = basis.semigroup
+            if not S.is_numerical:
+                continue
+            N = max(S.conductor - 1, S.minimal_generators()[-1])
+            rows = local_echelon(gens, N)
+            assert list(rows) == [n for n in range(N + 1) if S.contains(n)], gens
+            for e in minimal_basis(basis).elements:
+                assert e.poly == rows[e.value], (gens, e.value)
+            answered += 1
+    assert answered == 291

@@ -371,7 +371,7 @@ def test_pick_factorization_spends_high_values_last():
         # largest value first, the later of two equal values first
         order = sorted(range(len(values)), key=lambda i: (-values[i], -i))
         priority = lambda v: [v[i] for i in order]
-        top = 3 * max(values) + ctx.monoid.scaled_conductor
+        top = 3 * max(values) + ctx.semigroup.scaled_conductor
         for n, vecs in enumerate(factorization_table(values, top)):
             if vecs:
                 assert ctx.pick_factorization(n) == min(vecs, key=priority), (values, n)

@@ -5,7 +5,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from curvesgp import GF, QQ, BasisElement, Poly, deform_from_basis
+import pytest
+
+from curvesgp import (GF, QQ, BasisElement, MixedFieldError, Poly,
+                      deform_from_basis, global_basis, local_basis)
 from curvesgp.numsgp import presentation_for_generators
 from curvesgp.reduction import (LimitExceeded, ReductionContext, build_basis,
                                 reduce_poly, reduced_basis, relation_element)
@@ -208,7 +211,7 @@ def test_a_reused_basis_keeps_its_caches_intact():
                         basis = build_basis(gens, setting)
                     except (ValueError, LimitExceeded):
                         continue
-                    if not basis.monoid.is_numerical:
+                    if not basis.semigroup.is_numerical:
                         continue
                     built += 1
                     reduced_basis(basis)
@@ -256,3 +259,11 @@ def test_basis_loop_skips_only_relations_that_divide_to_zero():
                     seen["two coprime"] += (setting == "global" and len(want) == 2
                                             and math.gcd(*(v for v, _ in want)) == 1)
     assert seen == {"adjoined": 73, "raised": 3, "two coprime": 23}
+
+
+def test_bases_refuse_generators_over_two_fields():
+    # the basis's first context is where the fields are compared
+    gens = [Poly.x_power(2), Poly.x_power(3, GF(5))]
+    for build in (local_basis, global_basis):
+        with pytest.raises(MixedFieldError):
+            build(gens)

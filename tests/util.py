@@ -87,7 +87,7 @@ def reference_reduce(f: Poly, ctx, mode: str, bound=None) -> ReductionOutcome:
     In the local setting with gcd > 1, ``algorithmic`` and ``reduced`` raise
     ``LimitExceeded`` before a subtraction at or past the escape bound."""
     field = ctx.field
-    monoid = ctx.monoid
+    monoid = ctx.semigroup
     local = ctx.setting == "local"
     shortcut_ok = local and monoid.is_numerical
     c = monoid.scaled_conductor
