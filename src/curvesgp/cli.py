@@ -273,7 +273,7 @@ def run(argv: list[str]) -> int:
             out = reduce_poly(f, ReductionContext(elems, args.setting), args.mode,
                               args.bound)
             return {"command": "reduce",
-                    "reduction": report.reduction_report(out, f.field)}
+                    "reduction": report.reduction_report(out)}
 
     else:  # semigroup
         try:
@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         text = str(err) or f"out of memory in {argv[0]}"
         print(f"error[{type(err).__name__}]: {text}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError, ArithmeticError, RuntimeError) as err:
+    except (ValueError, ArithmeticError, RuntimeError) as err:
         print(f"error[{type(err).__name__}]: {err}", file=sys.stderr)
         return 1
 

@@ -148,9 +148,8 @@ def deform_from_basis(basis: ValueBasis) -> DeformationSet:
 
 
 def _sign_normalized(p: Poly, setting: str) -> Poly:
-    """Flip the sign so the extremal coefficient is positive (rationals)."""
-    if p.field.char != 0:
-        return p
+    """Flip the sign so the extremal coefficient is positive; the plane
+    pipelines run over the rationals only."""
     return -p if p.coeffs[value_of(p, setting)] < 0 else p
 
 

@@ -10,6 +10,10 @@ arithmetic, as in FLINT's ``fmpq_poly`` (W. Hart, *Fast Library for Number
 Theory: An Introduction*, ICMS 2010); :func:`rational` builds the form from
 a numerator and a denominator.  All operations are exact; division by zero
 raises ``ZeroDivisionError`` instead of producing any sentinel value.
+
+Every coefficient a polynomial holds is canonical, so a field needs no
+zero test or printer of its own: a coefficient is falsy exactly when it is
+zero, and ``str`` writes it as the reports print it (``-1/2``, ``3``).
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ def rational(num: int, den: int):
 
 
 def _canonical(a):
-    """A sum, difference, product or power of canonical rationals in
-    canonical form: ``Fraction`` arithmetic can return a whole number."""
+    """A sum, difference or product of canonical rationals, or a parsed
+    ``Fraction``, in canonical form: ``Fraction`` arithmetic can return a
+    whole number."""
     return a if type(a) is int or a.denominator != 1 else a.numerator
 
 
@@ -77,17 +82,6 @@ class Rationals:
         if b == 0:
             raise ZeroDivisionError("division by zero")
         return rational(a.numerator * b.denominator, a.denominator * b.numerator)
-
-    def pow(self, a, n):
-        if n < 0:
-            a, n = self.inv(a), -n
-        return _canonical(a ** n)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def coeff_str(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -160,19 +154,10 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow(self, a, n):
-        return pow(a, n, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def coeff_str(self, a):
-        return str(a % self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -32,12 +32,12 @@ their reference route.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field, rational
 from .poly import (Poly, _int_mul, _int_pow, _integral_roots, _join_terms,
-                   _lift, _reduced, _sub_scaled, _unlift, _unpack)
+                   _lift, _power, _reduced, _sub_scaled, _unlift, _unpack)
 
 
 class MPoly:
@@ -160,20 +160,12 @@ class MPoly:
         return MPoly(self.vars, f, acc)
 
     def __pow__(self, n: int) -> "MPoly":
-        """Binary powering from the base."""
+        """Binary powering by :func:`poly._power`."""
         if n < 0:
             raise ValueError("negative power")
         if n == 0:
             return MPoly.constant(self.vars, 1, self.field)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, mul)
 
     def scale(self, c) -> "MPoly":
         c = self.field.coerce(c)
@@ -209,7 +201,7 @@ class MPoly:
             for e2, c2 in other.coeffs.items():
                 tgt = tuple(a + b for a, b in zip(diff, e2))
                 v = f.sub(rem.get(tgt, f.zero), f.mul(q, c2))
-                if f.is_zero(v):
+                if not v:
                     rem.pop(tgt, None)
                 else:
                     rem[tgt] = v
@@ -281,7 +273,7 @@ class MPoly:
 
 def render_mpoly(p: MPoly) -> str:
     """Deterministic rendering; later variables dominate the term order."""
-    coeff_str, coeffs = p.field.coeff_str, p.coeffs
+    coeffs = p.coeffs
     terms = []
     for e in sorted(coeffs, key=itemgetter(*range(len(p.vars) - 1, -1, -1)),
                     reverse=True):
@@ -291,7 +283,7 @@ def render_mpoly(p: MPoly) -> str:
                 factors.append(name)
             elif k > 1:
                 factors.append(f"{name}^{k}")
-        terms.append((coeff_str(coeffs[e]), "*".join(factors)))
+        terms.append((str(coeffs[e]), "*".join(factors)))
     return _join_terms(terms)
 
 

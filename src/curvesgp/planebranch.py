@@ -320,7 +320,7 @@ def _gamma_local(f: Poly, g: Poly) -> tuple[NumSgp, CharSequence]:
         if k >= PRECISION_CAP:
             raise LimitExceeded(
                 f"gcd descent stalls at {d} at precision {k} (PRECISION_CAP)")
-        if not f.field.is_zero(c):
+        if c:
             supp.append(k)
             d = math.gcd(d, k)
     seq = char_sequence_from_support(n, supp)

@@ -302,17 +302,23 @@ def _int_mul(a: dict, b: dict, p: int) -> dict:
     return _reduced(prod, p) if p else prod
 
 
-def _int_pow(a: dict, k: int, p: int) -> dict:
-    """a^k, k >= 1, for a nonempty integer polynomial a, by binary
-    powering on :func:`_int_mul` (reduced into [0, p) when p is nonzero)."""
+def _power(x, k: int, mul):
+    """x^k, k >= 1, by binary powering from the base: the one powering
+    loop, shared by integer polynomials, ``MPoly`` and ``SeriesApprox``."""
     out = None
     while k:
         if k & 1:
-            out = a if out is None else _int_mul(out, a, p)
+            out = x if out is None else mul(out, x)
         k >>= 1
         if k:
-            a = _int_mul(a, a, p)
+            x = mul(x, x)
     return out
+
+
+def _int_pow(a: dict, k: int, p: int) -> dict:
+    """a^k, k >= 1, for a nonempty integer polynomial a, by :func:`_power`
+    on :func:`_int_mul` (reduced into [0, p) when p is nonzero)."""
+    return _power(a, k, lambda u, v: _int_mul(u, v, p))
 
 
 def _schoolbook(a: dict, b: dict) -> dict:
@@ -392,5 +398,5 @@ def _render_terms(terms, var: str) -> str:
 
 def render_poly(p: Poly, var: str) -> str:
     """GAP-style rendering, highest exponent first: ``-1/2*x^15+x^13``."""
-    coeff_str, coeffs = p.field.coeff_str, p.coeffs
-    return _render_terms([(e, coeff_str(coeffs[e])) for e in p.support], var)
+    coeffs = p.coeffs
+    return _render_terms([(e, str(coeffs[e])) for e in p.support], var)

@@ -390,18 +390,12 @@ def build_basis(gens: list[Poly], setting: str) -> ValueBasis:
       order is >= c, so S is zero or rule 2 of :func:`reduce_poly` drops it
       at once.
     - Otherwise ``past`` is infinite and every pair is divided.
-
-    The rounds share one cache of the powers f_i^k: elements are only
-    appended, so a key (i, k) names the same power in every later round.
     """
     if not gens:
         raise ValueError("at least one generator is required")
     elements = [basis_element(g, setting) for g in gens]
-
-    powers: dict = {}
     while True:
         basis = ValueBasis(elements, setting, len(gens))
-        basis._powers = powers
         semigroup = basis.semigroup
         if not semigroup.is_numerical:
             past = math.inf

@@ -22,8 +22,8 @@ from .reduction import ReductionOutcome, ValueBasis
 
 
 def poly_terms(p: Poly) -> list:
-    coeff_str, coeffs = p.field.coeff_str, p.coeffs
-    return [[e, coeff_str(coeffs[e])] for e in p.support]
+    coeffs = p.coeffs
+    return [[e, str(coeffs[e])] for e in p.support]
 
 
 def poly_entry(p: Poly, value=None) -> dict:
@@ -66,10 +66,10 @@ def basis_report(basis: ValueBasis) -> list:
     return [poly_entry(e.poly, e.value) for e in basis.elements]
 
 
-def reduction_report(out: ReductionOutcome, field) -> dict:
+def reduction_report(out: ReductionOutcome) -> dict:
     return {
         "remainder": poly_entry(out.remainder),
-        "expression": [[field.coeff_str(c), list(theta)]
+        "expression": [[str(c), list(theta)]
                        for c, theta in out.expression],
         "complete": out.complete,
         "used_conductor_shortcut": out.consumed_conductor_shortcut,

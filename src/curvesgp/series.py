@@ -8,9 +8,10 @@ of order n into an exact n-th power of a new uniformiser.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
-from .poly import Poly
+from .poly import Poly, _power
 
 
 # the fields alone: a NamedTuple body cannot override __new__, which
@@ -54,28 +55,21 @@ class SeriesApprox(_Series):
         return SeriesApprox(self.poly, min(prec, self.prec))
 
     def power(self, n: int) -> "SeriesApprox":
-        """self^n, n >= 0, by binary powering with each product truncated
-        at ``prec``, so no term past the precision is formed beyond one
-        product's worth."""
+        """self^n, n >= 0, by :func:`poly._power` with each product
+        truncated at ``prec``, so no term past the precision is formed
+        beyond one product's worth."""
         if n < 0:
             raise ValueError("negative power")
-        out, base = None, self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        if out is None:
+        if n == 0:
             return SeriesApprox(Poly.constant(1, self.field), self.prec)
-        return out
+        return _power(self, n, mul)
 
 
 def inverse_series(s: SeriesApprox) -> SeriesApprox:
     """1/s by Newton iteration; needs a unit constant term."""
     c0 = s.coeff(0)
     f = s.field
-    if f.is_zero(c0):
+    if not c0:
         raise ZeroDivisionError("series has no inverse: zero constant term")
     v = SeriesApprox(Poly.constant(f.inv(c0), f), 1)
     two = Poly.constant(2, f)

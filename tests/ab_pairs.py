@@ -125,7 +125,7 @@ def main(args: list[str]) -> int:
             change.append(got["change"])
             print(f"pair {k + 1}/{opts.pairs} ({order[0]} first): " + ", ".join(
                 f"{name} {got['parent'][name]:.5g} -> {got['change'][name]:.5g}"
-                for name, _ in metrics[:3]), flush=True)
+                for name, _ in metrics), flush=True)
     print(f"\n{opts.workload}, seed {opts.seed}, {opts.against} against the "
           f"working tree, {opts.pairs} pairs")
     print("\n".join(format_rows(summarise(parent, change, metrics))))

@@ -116,7 +116,7 @@ class _Parser:
                 if not rhs.is_constant():
                     raise ParseError("division only by constants", tok.pos)
                 c = rhs.constant_value()
-                if self.field.is_zero(c):
+                if not c:
                     raise ParseError("division by zero", tok.pos)
                 value = value.scale(self.field.inv(c))
         return value
@@ -327,13 +327,13 @@ def local_echelon(gens: list[Poly], N: int) -> dict[int, Poly]:
                 if i + j <= N:
                     out[i + j] = field.add(out.get(i + j, field.zero),
                                            field.mul(x, y))
-        return {e: c for e, c in out.items() if not field.is_zero(c)}
+        return {e: c for e, c in out.items() if c}
 
     def subtract(row: dict, c, other: dict) -> None:
         """row -= c * other, in place."""
         for e, y in other.items():
             z = field.sub(row.get(e, field.zero), field.mul(c, y))
-            if field.is_zero(z):
+            if not z:
                 row.pop(e, None)
             else:
                 row[e] = z

@@ -160,7 +160,7 @@ def test_criterion_08_deformations():
         for e, c in mp.coeffs.items():
             key = (0,) + e[1:]
             out[key] = f.add(out.get(key, f.zero),
-                             f.mul(c, f.pow(f.coerce(value), e[0])))
+                             f.mul(c, f.coerce(value) ** e[0]))
         return MPoly(mp.vars, f, out)
 
     def verify(ds):

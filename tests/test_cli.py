@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvesgp import cli, numsgp, planebranch, report
+from curvesgp import cli, numsgp, planebranch, reduction, report
 from curvesgp.cli import build_parser, main
 from util import P, deadline, readme_cli_argvs
 
@@ -522,6 +522,15 @@ def test_plane_local_precision_cap_below_degree_bound_exits_3(capsys, monkeypatc
     assert code == 3
     assert out == ""
     assert "at precision 16 (PRECISION_CAP)" in err
+
+
+def test_basis_past_max_elements_exits_3(capsys, monkeypatch):
+    # the basis of <8, 12, 14 + ...> adjoins values 26 and 53, so a cap of
+    # 3 elements stops the second adjunction
+    monkeypatch.setattr(reduction, "MAX_ELEMENTS", 3)
+    code, out, err = run(capsys, "local", "x^8,x^12+x^14+x^15")
+    assert (code, out) == (3, "")
+    assert err == "error[LimitExceeded]: basis grew past max_elements=3\n"
 
 
 def test_presentation_computed_only_for_json(capsys, monkeypatch):

@@ -32,7 +32,7 @@ def specialize_u(mp: MPoly, value) -> MPoly:
     out = {}
     for e, c in mp.coeffs.items():
         key = (0,) + e[1:]
-        term = f.mul(c, f.pow(f.coerce(value), e[0]))
+        term = f.mul(c, f.coerce(value) ** e[0])
         out[key] = f.add(out.get(key, f.zero), term)
     return MPoly(mp.vars, f, out)
 
@@ -57,7 +57,7 @@ def extremal_product(gens, exps, setting):
     f = gens[0].field
     out = f.one
     for g, k in zip(gens, exps):
-        out = f.mul(out, f.pow(g.coeffs[value_of(g, setting)], k))
+        out = f.mul(out, g.coeffs[value_of(g, setting)] ** k)
     return out
 
 

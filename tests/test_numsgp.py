@@ -381,6 +381,7 @@ def test_is_free():
     assert is_free(NumSgp([2, 7]), [2, 7])
     assert is_free(NumSgp([4, 6, 13]), [4, 6, 13])
     assert not is_free(NumSgp([4, 6, 13]), [4, 6])  # does not generate
+    assert not is_free(NumSgp([5, 7, 9]), [5, 7, 9])  # 1 * 9 is not in <5, 7>
 
 
 def test_ci_relations():

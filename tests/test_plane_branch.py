@@ -599,6 +599,14 @@ def test_delta_check():
     assert delta_check([2, 7])
     assert not delta_check([4, 6, 26])  # gcd chain stalls at 2
     assert not delta_check([4, 6, 13])  # products increase: local, not global
+    # entries must be positive: [4, 0, 5] also fails the gcd descent, and
+    # [2, -3] would otherwise reach the monoid of a negative generator
+    assert not delta_check([4, 0, 5])
+    assert not delta_check([2, -3])
+    # the gcd chain 4, 4, 1 does not descend strictly: [4, 4, 5] also fails
+    # the products, and [4, 4, 3] would otherwise pass them and be free
+    assert not delta_check([4, 4, 5])
+    assert not delta_check([4, 4, 3])
 
 
 def test_delta_sequence_object():

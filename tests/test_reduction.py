@@ -26,7 +26,7 @@ def _coeff(rng, field):
         c = rng.choice(COEFFS)
         if field.char == 0 or Fraction(c).denominator % field.char:
             c = field.coerce(c)
-            if not field.is_zero(c):
+            if c:
                 return c
 
 
