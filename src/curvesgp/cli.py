@@ -16,8 +16,8 @@ and otherwise :func:`report.text` renders the text lines from it.
 Exit codes: 0 success, 1 domain error (the error class is named in the
 message) or standard output closed before the report was written
 (``error[BrokenPipeError]``), 2 parse error, 3 growth guard tripped (the
-escape bound, ``MAX_ELEMENTS``, ``PRECISION_CAP`` or the parser's size cap:
-``error[LimitExceeded]``)
+escape bound, ``MAX_ELEMENTS``, the coefficient budget ``MAX_COEFF_BITS``,
+``PRECISION_CAP`` or the parser's size cap: ``error[LimitExceeded]``)
 or memory exhausted (``error[MemoryError]``, naming the command when the
 error itself carries no text).
 ``deform`` writes one line ``warning: <message>`` to standard error for

@@ -130,11 +130,10 @@ def deform(basis: ReductionContext, presentation: Presentation) -> DeformationSe
                 f"relation {alpha} ~ {beta} does not reduce to zero: "
                 "the given elements are not a basis")
         # every key is distinct (see Relator), so nothing accumulates
-        homog = {(0,) + tuple(alpha): field.one,
-                 (0,) + tuple(beta): field.neg(kappa)}
+        homog = {(0,) + tuple(alpha): 1, (0,) + tuple(beta): -kappa}
         for coeff, theta in out.expression:
             u_exp = abs(sum(t * v for t, v in zip(theta, basis.values)) - value)
-            homog[(u_exp,) + theta] = field.neg(coeff)
+            homog[(u_exp,) + theta] = -coeff
         relators.append(Relator(alpha, beta, value,
                                 MPoly(variables, field, homog), out.complete))
     relators.sort(key=lambda r: (r.value, r.alpha))

@@ -1,9 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Coefficients are plain Python values; a field object bundles the
-arithmetic so polynomials can stay agnostic of which field they live over.
-Over GF(p) a coefficient is an ``int`` residue in ``[0, p)``.  Over Q it is
-in one canonical form: an ``int`` when it is integral, and otherwise a
+Coefficients are plain Python values, and their arithmetic is Python's
+own ``+``, ``-`` and ``*``.  A field object keeps only what differs between
+Q and GF(p): how a value is made canonical (``coerce``), how it is inverted
+(``inv``, ``div``) and how the field is named (``char``, equality).  Over
+GF(p) a coefficient is an ``int`` residue in ``[0, p)``.  Over Q it is in
+one canonical form: an ``int`` when it is integral, and otherwise a
 ``fractions.Fraction`` in lowest terms with denominator > 1, never a
 float.  So integral coefficients, the common case, cost only integer
 arithmetic, as in FLINT's ``fmpq_poly`` (W. Hart, *Fast Library for Number
@@ -11,9 +13,13 @@ Theory: An Introduction*, ICMS 2010); :func:`rational` builds the form from
 a numerator and a denominator.  All operations are exact; division by zero
 raises ``ZeroDivisionError`` instead of producing any sentinel value.
 
-Every coefficient a polynomial holds is canonical, so a field needs no
-zero test or printer of its own: a coefficient is falsy exactly when it is
-zero, and ``str`` writes it as the reports print it (``-1/2``, ``3``).
+Every coefficient a polynomial holds is canonical: the ``Poly`` and
+``MPoly`` constructors pass each one through ``coerce`` once, so a sum,
+difference or product of canonical values (an integral ``Fraction`` over
+Q, a residue outside ``[0, p)`` over GF(p)) is made canonical there.  A
+field needs no zero test or printer of its own: a canonical coefficient is
+falsy exactly when it is zero, and ``str`` writes it as the reports print
+it (``-1/2``, ``3``).
 """
 
 from __future__ import annotations
@@ -34,13 +40,6 @@ def rational(num: int, den: int):
     return Fraction(num, den) if r else q
 
 
-def _canonical(a):
-    """A sum, difference or product of canonical rationals, or a parsed
-    ``Fraction``, in canonical form: ``Fraction`` arithmetic can return a
-    whole number."""
-    return a if type(a) is int or a.denominator != 1 else a.numerator
-
-
 class Rationals:
     """The field of rational numbers: ``int`` coefficients when integral,
     ``Fraction`` ones otherwise (module docstring)."""
@@ -52,26 +51,11 @@ class Rationals:
             return value
         if isinstance(value, int):
             return int(value)  # a bool becomes 0 or 1
-        if isinstance(value, Fraction):
-            return _canonical(value)
         if isinstance(value, str):
-            return _canonical(Fraction(value))
+            value = Fraction(value)
+        if isinstance(value, Fraction):  # arithmetic can give a whole number
+            return value if value.denominator != 1 else value.numerator
         raise TypeError(f"cannot coerce {value!r} into the rationals")
-
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        return _canonical(a + b)
-
-    def sub(self, a, b):
-        return _canonical(a - b)
-
-    def mul(self, a, b):
-        return _canonical(a * b)
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -128,28 +112,13 @@ class PrimeField:
     def coerce(self, value):
         if isinstance(value, int):
             return value % self.p
+        if isinstance(value, str):
+            value = Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return value.numerator * self.inv(value.denominator % self.p) % self.p
-        if isinstance(value, str):
-            return self.coerce(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
-
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -157,7 +126,7 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return a * self.inv(b) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -170,10 +139,7 @@ class PrimeField:
 
 
 QQ = Rationals()
-
-
-def GF(p: int) -> PrimeField:
-    return PrimeField(p)
+GF = PrimeField
 
 
 def field_of_characteristic(char: int):

@@ -32,7 +32,7 @@ their reference route.
 from __future__ import annotations
 
 import math
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field, rational
@@ -64,7 +64,7 @@ class MPoly:
     def variable(cls, vars, name: str, field=QQ) -> "MPoly":
         exp = [0] * len(vars)
         exp[list(vars).index(name)] = 1
-        return cls(vars, field, {tuple(exp): field.one})
+        return cls(vars, field, {tuple(exp): 1})
 
     @classmethod
     def from_poly(cls, p: Poly, vars, name: str) -> "MPoly":
@@ -124,7 +124,7 @@ class MPoly:
 
     def constant_value(self):
         if self.is_zero:
-            return self.field.zero
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant")
         return next(iter(self.coeffs.values()))
@@ -132,32 +132,34 @@ class MPoly:
     # -- arithmetic --------------------------------------------------
 
     def _termwise(self, other: "MPoly", op) -> "MPoly":
-        """self op other term by term, for the field's ``add`` or ``sub``."""
+        """self op other term by term, for ``operator.add`` or
+        ``operator.sub``; the constructor makes each result canonical."""
         self._check(other)
         acc = dict(self.coeffs)
-        zero = self.field.zero
         for e, c in other.coeffs.items():
-            acc[e] = op(acc.get(e, zero), c)
+            acc[e] = op(acc.get(e, 0), c)
         return MPoly(self.vars, self.field, acc)
 
     def __add__(self, other: "MPoly") -> "MPoly":
-        return self._termwise(other, self.field.add)
+        return self._termwise(other, add)
 
     def __neg__(self) -> "MPoly":
         return MPoly(self.vars, self.field, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        return self._termwise(other, self.field.sub)
+        return self._termwise(other, sub)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
+        """The schoolbook double loop on exponent tuples, canonicalised once
+        by the constructor: the independent product behind the
+        Sylvester/Bareiss reference route, on no shared integer kernel."""
         self._check(other)
-        f = self.field
         acc: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = f.add(acc.get(e, f.zero), f.mul(c1, c2))
-        return MPoly(self.vars, f, acc)
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return MPoly(self.vars, self.field, acc)
 
     def __pow__(self, n: int) -> "MPoly":
         """Binary powering by :func:`poly._power`."""
@@ -200,7 +202,7 @@ class MPoly:
             quot[diff] = q
             for e2, c2 in other.coeffs.items():
                 tgt = tuple(a + b for a, b in zip(diff, e2))
-                v = f.sub(rem.get(tgt, f.zero), f.mul(q, c2))
+                v = f.coerce(rem.get(tgt, 0) - q * c2)
                 if not v:
                     rem.pop(tgt, None)
                 else:
@@ -252,15 +254,6 @@ class MPoly:
         for (_, d), E in zip(lifted, degs):
             den *= d ** E
         return _unlift(f, acc, den)
-
-    def to_poly(self) -> Poly:
-        """Collapse to a univariate Poly; needs at most one active variable."""
-        active = [i for i in range(len(self.vars))
-                  if any(e[i] for e in self.coeffs)]
-        if len(active) > 1:
-            raise ValueError("more than one variable present")
-        i = active[0] if active else 0
-        return Poly(self.field, {e[i]: c for e, c in self.coeffs.items()})
 
     # -- display -----------------------------------------------------
 
@@ -608,8 +601,8 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
         raise ValueError("first generator must have positive degree")
     n = int(f.degree)
     c_inv = field.inv(f.leading_coeff)
-    b = [{0: field.mul(f.coeff(n - i), c_inv)} for i in range(1, n + 1)]
-    b[-1][1] = field.neg(c_inv)
+    b = [{0: field.coerce(f.coeff(n - i) * c_inv)} for i in range(1, n + 1)]
+    b[-1][1] = field.coerce(-c_inv)
     E, M = _norm_values(b, {j: {0: c} for j, c in g.coeffs.items()}, field.char)
     out, Mk = {}, 1
     for k, Ek in enumerate(E):

@@ -254,16 +254,6 @@ def _members(gens: Sequence[int]) -> NumSgp:
     return _monoid(tuple(sorted(gens)))
 
 
-def least_factorization(n: int, gens: Sequence[int]) -> tuple[int, ...] | None:
-    """The lex-least exponent vector over gens with value n, or None when
-    n is not in their monoid (one table of the whole tuple decides that);
-    members go to :func:`least_factorization_over`."""
-    gens = tuple(gens)
-    if not _monoid(gens).contains(n):
-        return None
-    return least_factorization_over(n, gens, range(len(gens)))
-
-
 def least_factorization_over(n: int, gens: Sequence[int],
                              idx: Sequence[int]) -> tuple[int, ...]:
     """The lex-least exponent vector with value n over the gens[i], i in

@@ -220,7 +220,6 @@ def _lagrange_coeffs(f: Poly, g: Poly) -> Iterator:
     """[s^0], [s^1], ... of :func:`reparametrize`, untruncated: [s^k]
     reads f and g only below t^k."""
     field = f.field
-    zero = field.zero
     n = int(f.order)
     a = [{0: f.coeffs.get(n + i, 0)} for i in range(1, int(f.degree) - n + 1)]
     dg = sorted(g.derivative().coeffs.items())
@@ -228,13 +227,13 @@ def _lagrange_coeffs(f: Poly, g: Poly) -> Iterator:
     for k in count(1):
         terms = [(e, c) for e, c in dg if e < k]
         if not terms:
-            yield zero
+            yield 0
             continue
         v = _miller(a, Fraction(-k, n), k - terms[0][0])
-        total = zero
+        total = 0
         for e, c in terms:
             N, s = v[k - 1 - e]
-            total = field.add(total, field.mul(c, rational(N.get(0, 0), s)))
+            total += c * rational(N.get(0, 0), s)
         yield field.div(total, k)
 
 
@@ -258,7 +257,7 @@ def reparametrize(f: Poly, g: Poly, prec: int) -> Poly:
     n = int(f.order)
     if n < 1:
         raise ValueError("first generator must have positive order")
-    if f.trailing_coeff != field.one:
+    if f.trailing_coeff != 1:
         raise ValueError("first generator must have trailing coefficient 1")
     if prec < 1:
         raise ValueError("precision must be positive")

@@ -50,6 +50,7 @@ borrow of 1 upward.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 from .fields import QQ, check_same_field, rational
@@ -129,7 +130,7 @@ class Poly:
         return self._exps[-1] if self._exps else -math.inf
 
     def coeff(self, exp: int):
-        return self.coeffs.get(exp, self.field.zero)
+        return self.coeffs.get(exp, 0)
 
     @property
     def trailing_coeff(self):
@@ -146,22 +147,22 @@ class Poly:
     # -- arithmetic --------------------------------------------------
 
     def _termwise(self, other: "Poly", op) -> "Poly":
-        """self op other term by term, for the field's ``add`` or ``sub``."""
+        """self op other term by term, for ``operator.add`` or
+        ``operator.sub``; the constructor makes each result canonical."""
         check_same_field(self.field, other.field)
         acc = dict(self.coeffs)
-        zero = self.field.zero
         for e, c in other.coeffs.items():
-            acc[e] = op(acc.get(e, zero), c)
+            acc[e] = op(acc.get(e, 0), c)
         return Poly(self.field, acc)
 
     def __add__(self, other: "Poly") -> "Poly":
-        return self._termwise(other, self.field.add)
+        return self._termwise(other, operator.add)
 
     def __neg__(self) -> "Poly":
         return Poly(self.field, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self._termwise(other, self.field.sub)
+        return self._termwise(other, operator.sub)
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Exact product through one integer product of the two operands:

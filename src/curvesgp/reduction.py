@@ -78,6 +78,20 @@ start or at the last step that grew it.  Coefficients over Q are rebuilt
 (``fields.rational``: an ``int`` when integral, else a ``Fraction``) only
 for what the caller sees: the recorded coefficients (for a caller that
 reads them), the terms moved into the remainder and the remainder itself.
+
+The coefficient budget
+----------------------
+Over Q the integers of the lifted form can swell while the answer stays
+small: on some three-generator global inputs the loop adjoins the values
+that it adjoins over GF(p), but each new element's integers are about 2.6
+times as long in bits as the last one's, and the division runs for
+minutes.  So after each step that grew D, next to the content gcd, and
+after the step that forms a relation element, the bit lengths of D and
+of the largest |W_k| are compared with ``MAX_COEFF_BITS`` (2^18), and
+:class:`LimitExceeded` is raised past it.  The check is one pass over W
+beside the step or the gcd that already makes one, there is none over
+GF(p), and no input
+known to answer comes near the budget (the largest peaks at 75 159 bits).
 """
 
 from __future__ import annotations
@@ -93,8 +107,10 @@ from .poly import Poly, _int_mul, _int_pow, _lift, _sub_scaled, _unlift
 
 class LimitExceeded(RuntimeError):
     """A growth guard tripped (exit 3): the escape bound of a local division
-    with gcd > 1, ``MAX_ELEMENTS``, ``planebranch.PRECISION_CAP`` or the
-    parser's size cap on a power or a product of sums, ``parsing._SIZE_CAP``."""
+    with gcd > 1, ``MAX_ELEMENTS``, the coefficient budget of a lifted
+    division over Q, ``MAX_COEFF_BITS``, ``planebranch.PRECISION_CAP`` or
+    the parser's size cap on a power or a product of sums,
+    ``parsing._SIZE_CAP``."""
 
 
 class BasisElement(NamedTuple):
@@ -210,6 +226,21 @@ def _step(work: dict, den: int, prod: dict, e: int, p: int) -> tuple[dict, int]:
     return work, den
 
 
+MAX_COEFF_BITS = 1 << 18
+
+
+def _check_budget(work: dict, den: int, e: int, ctx: ReductionContext) -> None:
+    """Raise :class:`LimitExceeded` when the denominator D or the largest
+    numerator |W_k| of a lifted polynomial over Q is longer than
+    ``MAX_COEFF_BITS`` bits (module docstring)."""
+    bits = max(den.bit_length(), max(map(int.bit_length, work.values()), default=0))
+    if bits > MAX_COEFF_BITS:
+        raise LimitExceeded(
+            f"coefficients reached {bits} bits, past the budget "
+            f"MAX_COEFF_BITS={MAX_COEFF_BITS}, at exponent {e} with "
+            f"{len(ctx.elements)} basis elements")
+
+
 def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
                 bound: int | None = None, record: bool = True) -> ReductionOutcome:
     """Divide f by the basis of ``ctx`` according to ``mode``.
@@ -267,6 +298,7 @@ def reduce_poly(f: Poly, ctx: ReductionContext, mode: str,
             if g != 1:
                 work = {k: v // g for k, v in work.items()}
                 den //= g
+            _check_budget(work, den, e, ctx)
 
     def strip_lead(e: int) -> None:
         v = work.pop(e)
@@ -317,8 +349,6 @@ class ValueBasis(ReductionContext):
 
 
 MAX_ELEMENTS = 64
-
-
 def value_of(p: Poly, setting: str) -> int:
     """The valuation of the setting: the order of p in the local setting,
     its degree in the global one."""
@@ -338,7 +368,7 @@ def basis_element(p: Poly, setting: str) -> BasisElement:
         raise ValueError("zero or constant generator")
     value = value_of(p, setting)
     lead = p.coeffs[value]
-    return BasisElement(p if lead == field.one else p.scale(field.inv(lead)),
+    return BasisElement(p if lead == 1 else p.scale(field.inv(lead)),
                         value)
 
 
@@ -359,7 +389,10 @@ def relation_element(ctx: ReductionContext, alpha, beta) -> tuple[Poly, object]:
     p = ctx.field.char
     kappa = a[e] * pow(b[e], -1, p) % p if p else rational(a[e] * db, da * b[e])
     # the cache may share a with a power, so the step gets a copy
-    return _unlift(ctx.field, *_step(dict(a), da, b, e, p)), kappa
+    work, den = _step(dict(a), da, b, e, p)
+    if not p:
+        _check_budget(work, den, e, ctx)
+    return _unlift(ctx.field, work, den), kappa
 
 
 def build_basis(gens: list[Poly], setting: str) -> ValueBasis:

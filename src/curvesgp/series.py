@@ -95,7 +95,7 @@ def nth_root_series(s: SeriesApprox, n: int) -> SeriesApprox:
     if n < 1:
         raise ValueError("root index must be positive")
     f = s.field
-    if s.coeff(0) != f.one:
+    if s.coeff(0) != 1:
         raise ValueError("series must have constant term 1")
     if f.char and n % f.char == 0:
         raise ValueError(f"characteristic {f.char} divides root index {n}")
@@ -138,7 +138,7 @@ def reverse_series(u: SeriesApprox) -> SeriesApprox:
     Requires o(u) = 1 with linear coefficient exactly 1.
     """
     f = u.field
-    if u.poly.is_zero or u.poly.order != 1 or u.coeff(1) != f.one:
+    if u.poly.is_zero or u.poly.order != 1 or u.coeff(1) != 1:
         raise ValueError("series must start with x (unit linear coefficient)")
     prec = u.prec
     x = Poly.x_power(1, f)

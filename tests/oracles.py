@@ -29,6 +29,7 @@ relations that cannot change the semigroup, to its elements, in order.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import NamedTuple
 
@@ -38,6 +39,7 @@ from curvesgp.parsing import ParseError
 from curvesgp.poly import Poly
 from curvesgp.reduction import (MAX_ELEMENTS, BasisElement, LimitExceeded, ValueBasis,
                                 basis_element, reduce_poly, relation_element)
+from util import to_poly
 
 
 class Token(NamedTuple):
@@ -100,9 +102,9 @@ class _Parser:
         f = self.field
         acc = dict(self.term().coeffs)
         while self.peek().kind == "op" and self.peek().value in "+-":
-            combine = f.add if self.advance().value == "+" else f.sub
+            combine = operator.add if self.advance().value == "+" else operator.sub
             for e, c in self.term().coeffs.items():
-                acc[e] = combine(acc.get(e, f.zero), c)
+                acc[e] = f.coerce(combine(acc.get(e, 0), c))
         return MPoly(self.vars, f, acc)
 
     def term(self) -> MPoly:
@@ -165,7 +167,7 @@ def parse_poly(text: str, char: int = 0) -> Poly:
     """Univariate parse; the variable may be named x or t, but not both."""
     mp = parse_mpoly(text, ("x", "t"), char)
     try:
-        return mp.to_poly()
+        return to_poly(mp)
     except ValueError:
         raise ParseError("use a single variable (x or t) per polynomial", 0) from None
 
@@ -325,14 +327,13 @@ def local_echelon(gens: list[Poly], N: int) -> dict[int, Poly]:
         for i, x in a.items():
             for j, y in b.items():
                 if i + j <= N:
-                    out[i + j] = field.add(out.get(i + j, field.zero),
-                                           field.mul(x, y))
+                    out[i + j] = field.coerce(out.get(i + j, 0) + x * y)
         return {e: c for e, c in out.items() if c}
 
     def subtract(row: dict, c, other: dict) -> None:
         """row -= c * other, in place."""
         for e, y in other.items():
-            z = field.sub(row.get(e, field.zero), field.mul(c, y))
+            z = field.coerce(row.get(e, 0) - c * y)
             if not z:
                 row.pop(e, None)
             else:
@@ -340,7 +341,7 @@ def local_echelon(gens: list[Poly], N: int) -> dict[int, Poly]:
 
     # every alpha once, as a nondecreasing sequence of factor indices:
     # (f^alpha, alpha . v, index of the last factor)
-    monomials = [({0: field.one}, 0, 0)]
+    monomials = [({0: 1}, 0, 0)]
     for prod, weight, last in monomials:  # grows while it is walked
         for i in range(last, len(fs)):
             if weight + orders[i] <= N:
@@ -352,7 +353,7 @@ def local_echelon(gens: list[Poly], N: int) -> dict[int, Poly]:
             e = min(row)
             if e not in rows:
                 inv = field.inv(row[e])
-                rows[e] = {k: field.mul(c, inv) for k, c in row.items()}
+                rows[e] = {k: field.coerce(c * inv) for k, c in row.items()}
                 break
             subtract(row, row[e], rows[e])
     # Gauss-Jordan, lowest pivot first: a row only has terms at or past

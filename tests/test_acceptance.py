@@ -159,8 +159,7 @@ def test_criterion_08_deformations():
         out = {}
         for e, c in mp.coeffs.items():
             key = (0,) + e[1:]
-            out[key] = f.add(out.get(key, f.zero),
-                             f.mul(c, f.coerce(value) ** e[0]))
+            out[key] = f.coerce(out.get(key, 0) + c * f.coerce(value) ** e[0])
         return MPoly(mp.vars, f, out)
 
     def verify(ds):

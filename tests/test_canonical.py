@@ -19,6 +19,8 @@ from util import (P, is_canonical, reference_basis_element,
                   reference_reduced_basis)
 
 POOL = (1, -1, 2, -3, 6, "1/2", "-2/3", "3/4", "5/6", "-7/3")
+OPERANDS = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
+DIVISORS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 3))
 
 
 def coefficients(value):
@@ -45,12 +47,45 @@ def test_rational_is_canonical():
         for den in (1, -1, 2, -3, 4, 6, 12):
             q = rational(num, den)
             assert is_canonical(q) and q == Fraction(num, den), (num, den)
-    for a in (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)):
-        for b in (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 3)):
-            got = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.div(a, b),
-                   QQ.inv(b), QQ.neg(a), QQ.coerce(b), QQ.coerce(str(b))]
+    for a in OPERANDS:
+        for b in DIVISORS:
+            got = [QQ.div(a, b), QQ.inv(b), QQ.coerce(b), QQ.coerce(str(b))]
             assert all(map(is_canonical, got)), (a, b, got)
-            assert got[3] == Fraction(a) / Fraction(b)
+            assert got[0] == Fraction(a) / Fraction(b)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_polynomial_arithmetic_is_canonical(field):
+    # sums, differences, products and scalings of Poly and MPoly values
+    # hold canonical coefficients (residues in [0, p) over GF(p)) and drop
+    # the terms that cancel, as at a = b, a = -b and a = 0 below
+    def canonical(c):
+        return (type(c) is int and 0 < c < field.char if field.char
+                else c != 0 and is_canonical(c))
+
+    def want(terms):
+        return {e: v for e, c in terms.items() if (v := field.coerce(c))}
+
+    for a in OPERANDS:
+        for b in DIVISORS:
+            f = Poly(field, {0: a, 1: 1, 2: b})
+            g = Poly(field, {0: b, 1: -1, 3: a})
+            exps = f.coeffs.keys() | g.coeffs.keys()
+            prod: dict = {}
+            for e1, c1 in f.coeffs.items():
+                for e2, c2 in g.coeffs.items():
+                    prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
+            wants = [want({e: f.coeff(e) + g.coeff(e) for e in exps}),
+                     want({e: f.coeff(e) - g.coeff(e) for e in exps}),
+                     want(prod),
+                     want({e: c * field.coerce(b) for e, c in f.coeffs.items()})]
+            F, G = (MPoly.from_poly(h, ("x", "y"), "y") for h in (f, g))
+            cases = [*zip([f + g, f - g, f * g, f.scale(b)], wants),
+                     *zip([F + G, F - G, F * G, F.scale(b)],
+                          [{(0, e): c for e, c in w.items()} for w in wants])]
+            for got, coeffs in cases:
+                assert got.coeffs == coeffs, (a, b, got)
+                assert all(map(canonical, got.coeffs.values())), (a, b, got)
 
 
 def test_constructors_store_canonical_coefficients():

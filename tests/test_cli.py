@@ -533,6 +533,22 @@ def test_basis_past_max_elements_exits_3(capsys, monkeypatch):
     assert err == "error[LimitExceeded]: basis grew past max_elements=3\n"
 
 
+@pytest.mark.parametrize("gens", [
+    "7/3*x^13-2*x^9+7/3*x^4+1,-5/4*x^9-2/3*x^6-5/4*x^2,5/4*x^11-5/4*x^6+1/2*x^3",
+    "7*x^2+100/3*x^0+2*x^9-5/2*x^8,-5/2*x^5-2/3*x^13,-2*x^5+1*x^14",
+])
+def test_swelling_global_divisions_exit_3_at_the_coefficient_budget(capsys, gens):
+    # over GF(p) these answer <2, 3> and <2, 5> at once; over Q the loop's
+    # integers grow about 2.6 times in bits per adjoined element, and
+    # without the budget it ran for minutes
+    assert reduction.MAX_COEFF_BITS == 2 ** 18
+    with deadline(10):
+        code, out, err = run(capsys, "global", gens)
+    assert (code, out) == (3, "")
+    assert err.startswith("error[LimitExceeded]: coefficients reached ")
+    assert " bits, past the budget MAX_COEFF_BITS=262144, at exponent " in err
+
+
 def test_presentation_computed_only_for_json(capsys, monkeypatch):
     calls = []
     original = numsgp.presentation_for_generators

@@ -23,7 +23,7 @@ from curvesgp import (
 )
 from curvesgp.planebranch import char_sequence_from_support, delta_sequence
 from curvesgp.reduction import build_basis
-from util import UX, P, deadline, subs, xp
+from util import UX, P, deadline, subs, to_poly, xp
 
 
 def specialize_u(mp: MPoly, value) -> MPoly:
@@ -32,8 +32,7 @@ def specialize_u(mp: MPoly, value) -> MPoly:
     out = {}
     for e, c in mp.coeffs.items():
         key = (0,) + e[1:]
-        term = f.mul(c, f.coerce(value) ** e[0])
-        out[key] = f.add(out.get(key, f.zero), term)
+        out[key] = f.coerce(out.get(key, 0) + c * f.coerce(value) ** e[0])
     return MPoly(mp.vars, f, out)
 
 
@@ -55,9 +54,9 @@ def extremal_product(gens, exps, setting):
     """The extremal coefficient of prod gens_i^exps_i: the product of the
     generators' own."""
     f = gens[0].field
-    out = f.one
+    out = 1
     for g, k in zip(gens, exps):
-        out = f.mul(out, g.coeffs[value_of(g, setting)] ** k)
+        out = f.coerce(out * g.coeffs[value_of(g, setting)] ** k)
     return out
 
 
@@ -73,8 +72,8 @@ def check_invariants(ds):
         # coefficients of f^alpha and f^beta, so nonzero
         kappa = field.div(extremal_product(ds.generators, rel.alpha, ds.setting),
                           extremal_product(ds.generators, rel.beta, ds.setting))
-        assert rel.toric.coeffs == {(0,) + tuple(rel.alpha): field.one,
-                                    (0,) + tuple(rel.beta): field.neg(kappa)}
+        assert rel.toric.coeffs == {(0,) + tuple(rel.alpha): 1,
+                                    (0,) + tuple(rel.beta): field.coerce(-kappa)}
         # every other term of H is a step's, at u^{|D_theta - value|} >= 1
         for e in rel.homogenized.coeffs.keys() - rel.toric.coeffs.keys():
             weight = sum(t * v for t, v in zip(e[1:], values))
@@ -99,7 +98,7 @@ def test_homogenize_local_examples():
 def test_homogenize_local_specialises_to_input():
     f = P((4, 1), (6, -2), (9, "1/3"))
     H = homogenize(f, "local")
-    assert specialize_u(H, 1).to_poly() == f
+    assert to_poly(specialize_u(H, 1)) == f
 
 
 def test_homogenize_global_examples():
@@ -108,7 +107,7 @@ def test_homogenize_global_examples():
     assert homogenize(xp(6) + xp(1), "global") == MPoly(
         ("u", "x"), xp(1).field, {(0, 6): 1, (5, 1): 1})
     f = P((0, 2), (3, -1), (7, 4))
-    assert specialize_u(homogenize(f, "global"), 1).to_poly() == f
+    assert to_poly(specialize_u(homogenize(f, "global"), 1)) == f
 
 
 def test_plane_deformation_local_paper_relators():

@@ -8,7 +8,7 @@ from curvesgp import (GF, QQ, MixedFieldError, MPoly, Poly, curve_resultant,
 from curvesgp.mpoly import _symmetric_of_values, sylvester_resultant
 from curvesgp.poly import _integral_roots
 from curvesgp.planebranch import intersection_degree
-from util import XY, P, schoolbook_mul, xp
+from util import XY, P, deadline, schoolbook_mul, xp
 
 
 def test_resultant_t7_vs_t4_plus_t2():
@@ -119,6 +119,28 @@ def test_exact_div_round_trip():
     assert (a * b).exact_div(a) == b
     with pytest.raises(ArithmeticError):
         (a * b + MPoly.constant(("x", "y"), 1)).exact_div(a)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)])
+def test_exact_div_round_trip_on_seeded_products(field):
+    # over GF(p) a remainder coefficient that is a nonzero multiple of p
+    # must be reduced to 0 before the division can drop it; kept, it would
+    # be the lead forever, each step subtracting a zero multiple
+    rng = random.Random(f"exact-div-{field!r}")
+    pool = [c for c in (1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-4, 3))
+            if not field.char or Fraction(c).denominator % field.char]
+    vars = ("x", "y")
+
+    def draw():
+        return MPoly(vars, field, {(rng.randrange(4), rng.randrange(4)):
+                                   rng.choice(pool) for _ in range(4)})
+
+    with deadline(10):
+        for _ in range(60):
+            a, b = draw(), draw()
+            if b.is_zero:
+                continue
+            assert (a * b).exact_div(b) == a, (a, b)
 
 
 def test_bareiss_determinant_with_zero_pivot():

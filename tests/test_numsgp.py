@@ -7,11 +7,12 @@ import pytest
 
 from curvesgp import (NumSgp, RelationPair, ci_relations, cli, is_free, numsgp,
                       presentation_for_generators)
-from curvesgp.numsgp import gcd_chain, least_factorization
+from curvesgp.numsgp import gcd_chain
 from curvesgp.reduction import BasisElement, ReductionContext
 from util import (betti_graphs_by_full_sweep, brute_conductor, brute_semigroup_members,
                   deadline, factorization_components, factorization_table,
-                  presentation_by_enumeration, presentation_is_complete, presentation_sweep, xp)
+                  least_factorization, presentation_by_enumeration,
+                  presentation_is_complete, presentation_sweep, xp)
 
 
 def test_from_generators_conductor_18():

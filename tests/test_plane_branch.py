@@ -586,7 +586,7 @@ def test_gamma_curve_infinity_rejects_a_reducible_curve():
     with pytest.raises(NotOnePlaceAtInfinity, match=r"root y\^2-x\^3 shares"):
         gamma_curve_infinity(F)
     # a curve not in (x, y) keeps the refusal of intersection_degree
-    G = MPoly(("y", "x"), QQ, {(2, 0): QQ.one, (0, 3): -QQ.one})
+    G = MPoly(("y", "x"), QQ, {(2, 0): 1, (0, 3): -1})
     with pytest.raises(ValueError, match="must be in \\(x, y\\)") as info:
         gamma_curve_infinity(G)
     assert type(info.value) is ValueError

@@ -99,7 +99,7 @@ def test_primality_matches_trial_division_and_rejects_strong_pseudoprimes():
 
 def test_division_by_zero_is_an_error():
     with pytest.raises(ZeroDivisionError):
-        QQ.inv(QQ.zero)
+        QQ.inv(0)
     with pytest.raises(ZeroDivisionError):
         GF(5).inv(0)
 
@@ -253,5 +253,5 @@ def test_mul_zero_and_constants():
         assert _check_product(zero, zero).is_zero
         assert _check_product(c, f) == f.scale(c.coeff(0))
         assert _check_product(f, c) == f.scale(c.coeff(0))
-        assert _check_product(c, c) == Poly.constant(field.mul(c.coeff(0), c.coeff(0)),
-                                                     field)
+        assert _check_product(c, c) == Poly.constant(
+            field.coerce(c.coeff(0) * c.coeff(0)), field)

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from curvesgp import (GF, QQ, BasisElement, MixedFieldError, Poly,
-                      deform_from_basis, global_basis, local_basis)
+                      deform_from_basis, global_basis, local_basis, parse_poly,
+                      parse_poly_list, reduction)
 from curvesgp.numsgp import presentation_for_generators
 from curvesgp.reduction import (LimitExceeded, ReductionContext, build_basis,
                                 reduce_poly, reduced_basis, relation_element)
@@ -179,7 +180,7 @@ def test_relation_elements_match_their_formula():
                 gens = []
                 for v in values:
                     c = _coeff(rng, field)
-                    while c == field.one:
+                    while c == 1:
                         c = _coeff(rng, field)
                     gens.append(_generator(rng, field, setting, v).scale(c))
                 ctx = ReductionContext(_elements(gens, setting), setting)
@@ -267,3 +268,39 @@ def test_bases_refuse_generators_over_two_fields():
     for build in (local_basis, global_basis):
         with pytest.raises(MixedFieldError):
             build(gens)
+
+
+@pytest.mark.parametrize("gens", [
+    # 2^-40: D reaches 81 bits while every numerator stays below 43
+    "x^4,x^6+1/2^40*x^7",
+    # integral: the numerators reach 81 bits while D stays 1
+    "x^4,x^6+2^40*x^7",
+])
+def test_coefficient_budget_bounds_the_denominator_and_each_numerator(
+        monkeypatch, gens):
+    # both answer <4, 6, 13> under the real budget; at 64 bits each trips
+    # on its relation element, one through D and one through a numerator
+    assert local_basis(parse_poly_list(gens)).values == (4, 6, 13)
+    monkeypatch.setattr(reduction, "MAX_COEFF_BITS", 64)
+    with pytest.raises(LimitExceeded, match=(
+            r"^coefficients reached 81 bits, past the budget MAX_COEFF_BITS=64, "
+            r"at exponent 12 with 2 basis elements$")):
+        local_basis(parse_poly_list(gens))
+    # over GF(p) the residues stay below p, and nothing is checked
+    monkeypatch.setattr(reduction, "MAX_COEFF_BITS", 0)
+    assert local_basis(parse_poly_list(gens, char=101)).values == (4, 6, 13)
+
+
+def test_coefficient_budget_is_checked_where_a_division_grows_d(monkeypatch):
+    def context(g):
+        return ReductionContext([BasisElement(parse_poly(g), 6)], "local")
+
+    # x^6 - 2^80 (x^6 + 2^-80 x^7) / 2^80 leaves -x^7 / 2^80
+    monkeypatch.setattr(reduction, "MAX_COEFF_BITS", 64)
+    for mode in MODES:
+        with pytest.raises(LimitExceeded, match=(
+                "reached 81 bits.* at exponent 6 with 1 basis elements$")):
+            reduce_poly(Poly.x_power(6), context("x^6+1/2^80*x^7"), mode)
+    # a step that leaves D as it was checks nothing
+    out = reduce_poly(Poly.x_power(6), context("x^6+2^80*x^7"), "expression")
+    assert out.remainder == parse_poly("-2^80*x^7")

@@ -10,6 +10,7 @@ from functools import reduce
 
 from curvesgp import MPoly, Poly, QQ, RelationPair
 from curvesgp.fields import check_same_field
+from curvesgp.numsgp import _monoid, least_factorization_over
 from curvesgp.reduction import LimitExceeded, ReductionOutcome
 
 
@@ -31,6 +32,26 @@ def UX(terms: dict, nvars: int, field=QQ) -> MPoly:
     """MPoly in (u, X0..X{nvars-1}) from {(eu, e0, ...): coefficient}."""
     vars = ("u",) + tuple(f"X{i}" for i in range(nvars))
     return MPoly(vars, field, {k: field.coerce(v) for k, v in terms.items()})
+
+
+def to_poly(mp: MPoly) -> Poly:
+    """Collapse an MPoly to a univariate Poly; needs at most one active
+    variable."""
+    active = [i for i in range(len(mp.vars)) if any(e[i] for e in mp.coeffs)]
+    if len(active) > 1:
+        raise ValueError("more than one variable present")
+    i = active[0] if active else 0
+    return Poly(mp.field, {e[i]: c for e, c in mp.coeffs.items()})
+
+
+def least_factorization(n: int, gens) -> tuple[int, ...] | None:
+    """The lex-least exponent vector over gens with value n, or None when
+    n is not in their monoid (one table of the whole tuple decides that);
+    members go to ``numsgp.least_factorization_over``."""
+    gens = tuple(gens)
+    if not _monoid(gens).contains(n):
+        return None
+    return least_factorization_over(n, gens, range(len(gens)))
 
 
 def substitute(f: Poly, g: Poly) -> Poly:
@@ -69,14 +90,14 @@ def subs(F: MPoly, values: dict) -> MPoly:
 
 
 def schoolbook_mul(a: Poly, b: Poly) -> Poly:
-    """Reference product: the double loop over term pairs, one field
-    multiply and one field add per pair."""
+    """Reference product: the double loop over term pairs, one product and
+    one canonicalised sum per pair."""
     f = a.field
     acc: dict = {}
     for e1, c1 in a.coeffs.items():
         for e2, c2 in b.coeffs.items():
             e = e1 + e2
-            acc[e] = f.add(acc.get(e, f.zero), f.mul(c1, c2))
+            acc[e] = f.coerce(acc.get(e, 0) + c1 * c2)
     return Poly(f, acc)
 
 
