@@ -19,7 +19,17 @@ since the 1-norm of a Sylvester determinant is at most the product of its
 rows' 1-norms.  When the power sums would take more packed bits than their
 dict terms warrant (one rule, ``_BITS_PER_TERM`` bits a term), it runs the
 same recurrence on dicts, every product a ``poly._int_mul`` and every sum
-a ``poly._sub_scaled``.
+a ``poly._sub_scaled``.  Both forms compute only what the answer reads.
+The power sums S_j are computed only at the j <= n m in the monoid
+generated by the indices i with B_i != 0 (``numsgp.NumSgp.elements_upto``,
+from its Apery set): at every other j, Newton's recurrence makes S_j zero,
+by induction on j.  Each power h^k is read only at those exponents.  When
+h is constant in X, as in every :func:`curve_resultant` call, and few of
+the S_j are nonzero, h^k is one Kronecker-packed int, built by one product
+per k, and only its live slots are read (``poly._unpack_at``).  Powers of
+an h that depends on X stay dicts, one ``poly._int_mul`` each: a two-level
+packing of them made the bench's ``curve-infinity`` jobs about twice as
+slow (95-113% slower).
 The approximate roots (``planebranch.approximate_root``, from the same
 scaled coefficients, read by :meth:`MPoly.rows` as the intersection
 numbers read theirs) and their evaluation (:meth:`MPoly.eval_univariate`,
@@ -32,12 +42,15 @@ their reference route.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from operator import add, itemgetter, mul, sub
 from typing import Mapping, Sequence
 
 from .fields import QQ, check_same_field, rational
+from .numsgp import _members
 from .poly import (Poly, _int_mul, _int_pow, _integral_roots, _join_terms,
-                   _lift, _power, _reduced, _sub_scaled, _unlift, _unpack)
+                   _lift, _pack, _power, _reduced, _sub_scaled, _unlift,
+                   _unpack, _unpack_at)
 
 
 class MPoly:
@@ -439,11 +452,21 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
     integrally closed by Gauss's lemma); a remainder raises
     ArithmeticError.  Over GF(p) it needs p > n.
 
+    S_j is computed only for j in the monoid generated by the i with
+    B_i != 0: by induction on j, every other S_j is zero, since then B_j = 0
+    and no j - i with B_i != 0 lies in the monoid.  P_k reads h^k only at
+    those j.
+
     One recurrence runs in one of two forms of Z[X], picked by
-    :func:`_slot_bytes` (the rule at ``_BITS_PER_TERM``); each power h^k is
-    one ``poly._int_mul``.  Packed, each polynomial in X is its value at
-    X = 2^beta, one Python int (Kronecker substitution, as in
-    ``poly._int_mul``), and h^k is a dict t-exponent -> int.  Evaluation at
+    :func:`_slot_bytes` (the rule at ``_BITS_PER_TERM``).  Packed, each
+    polynomial in X is its value at X = 2^beta, one Python int (Kronecker
+    substitution, as in ``poly._int_mul``).  There h^k is a dict
+    t-exponent -> int, one ``poly._int_mul`` each, unless h is constant in
+    X and at most about half of the S_j are nonzero: then
+    h = t^lo g(t^d) with d the gcd of the differences of its exponents,
+    g^k is one int packed at 2^(8 hbytes) (its coefficients are at most
+    |g|_1^n), built by one product per k, and ``poly._unpack_at`` reads
+    only the slots of the nonzero S_j, one ``to_bytes`` per k.  Evaluation at
     2^beta is a ring homomorphism, so every step, the divisions by k
     included, is exact whatever the size of its values, and beta only has
     to be wide enough for ``poly._unpack`` to read each E_k back.  Its
@@ -459,7 +482,8 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
     because E_k is an integer polynomial in the inputs.  Sparse, each
     polynomial in X is a :class:`_ZX`, reduced mod p as it goes, and h is
     packed into one polynomial in X, t^j X^e to X^(j w + e) with
-    w = n deg_X h + 1, which no power h^k, k <= n, overflows.
+    w = n deg_X h + 1, which no power h^k, k <= n, overflows; each h^k is
+    one ``poly._int_mul``, and only its rows at nonzero S_j are kept.
     """
     n = len(b)
     if 0 < p <= n:
@@ -477,12 +501,30 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
 
         zero = int  # int() == 0
 
-        def powers(live: list):
-            H = {j: lift(hj) for j, hj in h.items()}
-            hk = {0: 1}
-            for _ in range(n):
-                hk = _int_mul(hk, H, 0) if H else {}
-                yield hk
+        def powers(support: list):
+            # reading slots one by one pays only when few S_j are nonzero
+            if (2 * len(support) > n * m + 1
+                    or any(max(hj) for hj in h.values())):
+                H = {j: lift(hj) for j, hj in h.items()}
+                hk = {0: 1}
+                for _ in range(n):
+                    hk = _int_mul(hk, H, 0) if H else {}
+                    yield hk.items()
+                return
+            lo = min(h)  # h = t^lo g(t^d), and g^k is one packed int
+            d = math.gcd(*(j - lo for j in h)) or 1
+            top = (m - lo) // d
+            g = {(j - lo) // d: hj[0] for j, hj in h.items()}
+            hbytes = ((sum(map(abs, g.values())) ** n).bit_length() + 8) // 8
+            packed, V = _pack(g, 0, top, hbytes), 1
+            for k in range(1, n + 1):
+                V *= packed
+                base = k * lo
+                js = [j for j in support[bisect_left(support, base):
+                                         bisect_right(support, k * m)]
+                      if (j - base) % d == 0]
+                yield zip(js, _unpack_at(V, [(j - base) // d for j in js],
+                                         k * top + 1, hbytes))
     else:
         def lift(c: dict) -> _ZX:
             return _ZX(c, p)
@@ -493,7 +535,8 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
         def zero() -> _ZX:  # a fresh value, since += writes into it
             return _ZX({}, p)
 
-        def powers(live: list):
+        def powers(support: list):
+            live = set(support)
             w = n * max((max(hj) for hj in h.values()), default=0) + 1
             H = {j * w + e: c for j, hj in h.items() for e, c in hj.items()}
             hk = {0: 1}
@@ -502,28 +545,30 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
                 rows: dict = {}
                 for x, c in hk.items():
                     j, e = divmod(x, w)
-                    if live[j]:  # a row that meets a zero power sum is not read
+                    if j in live:  # a row that meets a zero power sum is not read
                         rows.setdefault(j, {})[e] = c
-                yield {j: _ZX(row, p) for j, row in rows.items()}
+                yield ((j, _ZX(row, p)) for j, row in rows.items())
     B = [lift(bi) for bi in b]
     terms = [(i, Bi) for i, Bi in enumerate(B, 1) if Bi]
-    sums = [lift({0: n})]
-    live = [True]  # S_j != 0, read without a call per test; S_0 = n
-    for j in range(1, n * m + 1):
+    sums = [lift({0: n})] + [zero()] * (n * m)  # S_0, ..., S_N; zeros only read
+    support = [0]  # the j with S_j != 0, in increasing order
+    for j in (_members([i for i, _ in terms]).elements_upto(n * m)[1:]
+              if terms else ()):
         acc = B[j - 1] * lift({0: -j}) if j <= n else zero()
         for i, Bi in terms:
             if i >= j:
                 break
-            if live[j - i]:
-                acc -= Bi * sums[j - i]
-        sums.append(acc)
-        live.append(bool(acc))
+            if S := sums[j - i]:
+                acc -= Bi * S
+        if acc:
+            sums[j] = acc
+            support.append(j)
     traces = [zero()]
-    for hk in powers(live):
+    for hk in powers(support):
         acc = zero()
-        for j, c in hk.items():
-            if live[j]:
-                acc += c * sums[j]
+        for j, c in hk:
+            if S := sums[j]:
+                acc += c * S
         traces.append(acc)
     E = [lift({0: 1})]
     live = [True]  # now E_k != 0
@@ -622,7 +667,14 @@ def intersection_degree(F: MPoly, G: MPoly) -> int:
     those of G.  Its E_n is a nonzero constant multiple of e_n, so the
     degree is deg_x E_n.  The kernel picks its form, packed or sparse, for
     the pair, and computes the power sums of the scaled roots of F as far
-    as deg_y G needs.
+    as deg_y G needs, only at the exponents in the monoid of the i with a
+    nonzero y^(n-i) row of F.  G's powers are dicts whenever its y-rows
+    depend on x, whatever its degree or leading coefficient.  Its cost
+    grows with n = deg_y F times deg_y G: so
+    ``planebranch.gamma_curve_infinity`` puts the approximate root, of
+    y-degree below F's, first and F reduced modulo it second, which
+    leaves the degree unchanged, as Res_y(F, G) = +-Res_y(G, F mod G) for
+    G monic in y.
     """
     field = F.field
     n = F.degree_in("y")

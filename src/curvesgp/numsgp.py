@@ -137,6 +137,12 @@ class NumSgp:
         self._require_numerical()
         return 2 * self.genus == self._c
 
+    def elements_upto(self, n: int) -> list[int]:
+        """The elements of the monoid from 0 to n, in increasing order: the
+        class of r mod m holds Ap[r], Ap[r] + m, ..., each times d."""
+        d, m = self.d, self._m
+        return sorted(d * k for w in self._ap for k in range(w, n // d + 1, m))
+
     def apery_set(self, n: int) -> list[int]:
         """Least element of S in each residue class mod n; needs n in S."""
         self._require_numerical()

@@ -453,17 +453,35 @@ def gamma_at_infinity(f: Poly, g: Poly) -> PlaneResult:
     return PlaneResult(_monoid(seq.r), seq, F, roots, evaluated, [f, g])
 
 
+def _y_remainder(F: MPoly, G: MPoly) -> MPoly:
+    """F mod G for F and G in (x, y), G monic in y: the R with F = Q G + R
+    and deg_y R < deg_y G, by long division on the y-rows of F."""
+    rows, tail = F.rows("y"), G.rows("y")
+    q = max(tail)
+    del tail[q]  # the leading row, {0: 1}
+    for k in range(max(rows), q - 1, -1):
+        for e1, c1 in rows.pop(k, {}).items():
+            for j, gj in tail.items():
+                _sub_scaled(rows.setdefault(k - q + j, {}), c1,
+                            {e1 + e2: c2 for e2, c2 in gj.items()}, 0)
+    return MPoly(F.vars, F.field, {(e, k): c for k, row in rows.items()
+                                   for e, c in row.items()})
+
+
 def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     """Degree semigroup of a plane curve with one place at infinity.
 
     Only the necessary delta-sequence conditions are checked; when they
     fail the input cannot have one place at infinity and the error says
-    so.  The value of a root G is the intersection number int(F, G) of
-    :func:`intersection_degree`.  G has y-degree below deg_y F, so it
-    shares a component with F only when F is reducible or not reduced;
-    a curve monic in y with one place at infinity is irreducible, since
-    each factor of positive y-degree meets the line at infinity, and such
-    a G raises :class:`NotOnePlaceAtInfinity` naming it.
+    so.  The value of a root G = App_d(F) is the intersection number
+    int(F, G) = deg_x Res_y(F, G).  G is monic in y, so Res_y(F, G) =
+    +-Res_y(G, F) = +-Res_y(G, R) for the remainder R = F mod G of
+    :func:`_y_remainder`, and :func:`intersection_degree` (G, R) runs its
+    kernel over the n/d roots of G, not the n of F.  G has y-degree below
+    deg_y F, so it shares a component with F only when F is reducible or
+    not reduced; a curve monic in y with one place at infinity is
+    irreducible, since each factor of positive y-degree meets the line at
+    infinity, and such a G raises :class:`NotOnePlaceAtInfinity` naming it.
     """
     if F.field.char != 0:
         raise ValueError("the plane-branch pipeline needs characteristic zero")
@@ -476,11 +494,11 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     F = F.scale(F.field.inv(lead.constant_value()))
 
     def value(G: MPoly) -> int:
+        if F.vars != ("x", "y"):
+            raise ValueError("the curve must be in (x, y)")
         try:
-            return intersection_degree(F, G)
+            return intersection_degree(G, _y_remainder(F, G))
         except ValueError:
-            if F.vars != ("x", "y"):  # intersection_degree's own refusal
-                raise
             raise NotOnePlaceAtInfinity(
                 f"the approximate root {G} shares a component with the "
                 "curve, which is reducible or not reduced") from None

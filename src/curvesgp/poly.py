@@ -377,6 +377,19 @@ def _unpack(value: int, lo: int, slots: int, nbytes: int) -> dict:
     return out
 
 
+def _unpack_at(value: int, slots: Iterable[int], size: int, nbytes: int) -> list:
+    """The coefficients c_s of :func:`_unpack` (lo = 0) at the given slots
+    only, in their order, zeros included, for a value of at most ``size``
+    slots: one ``to_bytes`` in two's complement, then each slot read alone
+    as a signed int plus its borrow.  The part of value below slot s is
+    less than 2^(w s - 1) in size, so it is negative, and slot s borrows 1,
+    exactly when the top bit of slot s - 1 is set."""
+    buf = value.to_bytes(size * nbytes, "little", signed=True)
+    read = int.from_bytes
+    return [read(buf[i:i + nbytes], "little", signed=True) + (i and buf[i - 1] >> 7)
+            for i in [s * nbytes for s in slots]]
+
+
 def _join_terms(terms) -> str:
     """The signed sum of (coefficient string, monomial) terms in the given
     order: a coefficient 1 is elided before a monomial, only a negative

@@ -24,6 +24,13 @@ basis to its pivots and rows.
 round divides the relation element of every pair of the full minimal
 presentation.  ``test_reduction.py`` holds ``build_basis``, which skips the
 relations that cannot change the semigroup, to its elements, in order.
+
+``symmetric_by_full_recurrence`` is the resultant kernel's recurrence with
+nothing skipped: every power sum S_0, ..., S_{n m}, every power h^k in full,
+each trace over every exponent, on integer polynomials in X as plain dicts.
+``test_mpoly.py`` holds ``mpoly._symmetric_of_values``, which computes the
+power sums only on the monoid of the indices of the nonzero B_i and reads
+h^k only there, to it.
 """
 
 from __future__ import annotations
@@ -394,3 +401,57 @@ def basis_loop(gens: list[Poly], setting: str) -> ValueBasis:
             break
         else:
             return basis
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two integer polynomials in X given as dicts."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def _add_to(acc: dict, c: int, a: dict) -> None:
+    """acc <- acc + c a, zeros kept."""
+    for e, v in a.items():
+        acc[e] = acc.get(e, 0) + c * v
+
+
+def symmetric_by_full_recurrence(b: list, h: dict, p: int) -> list[dict]:
+    """E_0, ..., E_n of the values h(tau_i) at the roots of
+    t^n + sum_i B_i t^(n-i), as ``mpoly._symmetric_of_values`` takes and
+    returns them: S_j = -(j B_j + sum_{i<j} B_i S_{j-i}) for every
+    j <= n m, P_k = sum_j [t^j]h^k S_j, k E_k = sum_i (-1)^(i-1) E_{k-i} P_i,
+    all over Z, then each E_k reduced mod p when p > 0."""
+    n = len(b)
+    m = max(h, default=0)
+    sums = [{0: n}]
+    for j in range(1, n * m + 1):
+        acc: dict = {}
+        if j <= n:
+            _add_to(acc, -j, b[j - 1])
+        for i in range(1, min(j - 1, n) + 1):
+            _add_to(acc, -1, _times(b[i - 1], sums[j - i]))
+        sums.append(acc)
+    traces = [{}]
+    hk = {0: {0: 1}}
+    for _ in range(n):
+        power: dict = {}
+        for j1, c1 in hk.items():
+            for j2, c2 in h.items():
+                _add_to(power.setdefault(j1 + j2, {}), 1, _times(c1, c2))
+        hk = power
+        acc = {}
+        for j, c in hk.items():
+            _add_to(acc, 1, _times(c, sums[j]))
+        traces.append(acc)
+    E = [{0: 1}]
+    for k in range(1, n + 1):
+        acc = {}
+        for i in range(1, k + 1):
+            _add_to(acc, 1 if i % 2 else -1, _times(E[k - i], traces[i]))
+        assert all(v % k == 0 for v in acc.values()), k
+        E.append({e: v // k for e, v in acc.items()})
+    return [{e: v % p if p else v for e, v in Ek.items() if (v % p if p else v)}
+            for Ek in E]

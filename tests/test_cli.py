@@ -154,7 +154,8 @@ def test_curve_infinity_refuses_a_reducible_or_nonreduced_curve(capsys, curve,
     assert code == 1
     assert out == ""
     assert err.startswith("error[NotOnePlaceAtInfinity]: the approximate root ")
-    assert "reducible or not reduced" in err
+    assert "shares a component with the curve, which is reducible or not " \
+        "reduced" in err
 
 
 def test_plane_infinity(capsys):

@@ -8,6 +8,7 @@ from curvesgp import (GF, QQ, MixedFieldError, MPoly, Poly, curve_resultant,
 from curvesgp.mpoly import _symmetric_of_values, sylvester_resultant
 from curvesgp.poly import _integral_roots
 from curvesgp.planebranch import intersection_degree
+from oracles import symmetric_by_full_recurrence
 from util import XY, P, deadline, schoolbook_mul, xp
 
 
@@ -331,6 +332,70 @@ def _known_roots_check():
             E = _symmetric_of_values(B, {2: {0: 1}}, field.char)
             assert E == [_int_coeffs(ek.scale(D ** (2 * k)))
                          for k, ek in enumerate(squares)], (field, n)
+
+
+def _sparse_mu_case(rng, shape: str, p: int) -> tuple[list, dict]:
+    """(b, h) for the kernel: mu = t^n - X, a binomial t^n + B_i t^(n-i)
+    - X, or B_i nonzero only at multiples i of 2 or 3; h has one to three
+    terms in t, constant in X or not.  Over GF(p) the coefficients are
+    residues, and a zero one is dropped."""
+    def coeff() -> int:
+        c = rng.choice((1, -1, 2, -3, 5))
+        return c % p if p else c
+
+    def poly_in_x(top: int) -> dict:
+        terms = {rng.randrange(top + 1): coeff() for _ in range(rng.randint(1, 2))}
+        return {e: c for e, c in terms.items() if c}
+
+    g = rng.choice((2, 3)) if shape == "gcd" else 1
+    n = g * rng.randint(1, 6 // g) if shape == "gcd" else rng.randint(2, 6)
+    b = [{} for _ in range(n)]
+    b[-1] = {1: coeff()} | ({0: coeff()} if rng.random() < 0.5 else {})
+    if shape == "binomial" and n > 1:
+        b[rng.randrange(n - 1)] = poly_in_x(2)
+    if shape == "gcd":
+        for i in range(g, n, g):
+            if rng.random() < 0.6:
+                b[i - 1] = poly_in_x(2)
+    xdeg = rng.choice((0, 0, 2))
+    h = {j: poly_in_x(xdeg) for j in rng.sample(range(1, 7), rng.randint(1, 3))}
+    return b, {j: hj for j, hj in h.items() if hj}
+
+
+def test_power_sums_on_sparse_supports_match_full_recurrence(monkeypatch):
+    # the kernel computes S_j only on the monoid of the indices of the
+    # nonzero B_i and reads h^k only there; the reference computes every
+    # S_j and every h^k in full.  Both forms, over Q and GF(p); the packed
+    # form reads constant values h^k from live slots (poly._unpack_at)
+    rng = random.Random(59)
+    cases = []
+    for k in range(150):
+        p = (0, 0, 11, 13, 101)[k % 5]
+        b, h = _sparse_mu_case(rng, ("t^n - X", "binomial", "gcd")[k % 3], p)
+        if h:
+            cases.append((b, h, p, symmetric_by_full_recurrence(b, h, p)))
+    live_reads = []
+    unpack_at = mpoly._unpack_at
+
+    def spy(*args):
+        live_reads.append(args)
+        return unpack_at(*args)
+
+    monkeypatch.setattr(mpoly, "_unpack_at", spy)
+    monkeypatch.setattr(mpoly, "_BITS_PER_TERM", 1 << 60)  # the rule packs all
+    rule = mpoly._slot_bytes
+    for form in ("packed", "sparse"):
+        forms = set()
+
+        def pick(*args):
+            forms.add(bool(nbytes := rule(*args) if form == "packed" else 0))
+            return nbytes
+
+        monkeypatch.setattr(mpoly, "_slot_bytes", pick)
+        for b, h, p, want in cases:
+            assert _symmetric_of_values(b, h, p) == want, (form, b, h, p)
+        assert forms == {form == "packed"}
+    assert len(cases) > 140 and len(live_reads) > 40
 
 
 def _dense_pair(rng, field):

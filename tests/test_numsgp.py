@@ -84,6 +84,17 @@ def test_apery_against_brute_force():
         assert max(got) - n == S.frobenius
 
 
+def test_elements_upto_against_brute_force():
+    # numerical and gcd > 1 monoids, bounds below, at and past the conductor
+    rng = random.Random(41)
+    for _ in range(60):
+        d = rng.choice((1, 1, 2, 3, 5))
+        gens = [d * rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        n = rng.randint(0, 80)
+        table = brute_semigroup_members(gens, n)
+        assert NumSgp(gens).elements_upto(n) == [k for k in range(n + 1) if table[k]]
+
+
 def test_type_set():
     assert NumSgp([4, 6, 13, 15]).type_set() == [2, 9, 11]
     assert NumSgp([2, 3]).type_set() == [1]

@@ -30,7 +30,7 @@ from curvesgp import (
     reparametrize,
     reverse_series,
 )
-from curvesgp import numsgp
+from curvesgp import numsgp, planebranch
 from curvesgp.mpoly import sylvester_resultant
 from curvesgp.planebranch import intersection_degree
 from curvesgp.reduction import ValueBasis, basis_element, minimal_basis
@@ -315,6 +315,44 @@ def test_intersection_degree_scalings_match_sylvester_route():
             assert intersection_degree(F, G) == res.degree_in("x"), (F, G)
             compared += 1
     assert compared >= 25
+
+
+def test_intersection_number_on_the_approximate_roots_side():
+    # gamma_curve_infinity values G = App_d(F) as intersection_degree(G, R)
+    # with R = F mod G: F - R is a multiple of G, deg_y R < deg_y G, and
+    # the degree is the Sylvester route's deg_x Res_y(F, G) and the kernel's
+    # on F's side, int(F, G); seeded F monic in y, from parametrisations
+    # (one place at infinity) and with random rows (shared components too)
+    rng = random.Random(43)
+    coeffs = (1, -1, 2, "1/2", "-3/4")
+    curves = [curve_resultant(xp(n) + xp(rng.randrange(1, n), rng.choice(coeffs)),
+                              xp(m) + xp(rng.randrange(1, m), rng.choice(coeffs)))
+              for n, m in ((4, 6), (4, 10), (6, 4), (6, 9), (6, 8))]
+    for n in (4, 4, 6, 6, 6):
+        terms = {(ex, j): rng.choice(coeffs) for j in range(n)
+                 for ex in range(4) if rng.random() < 0.3}
+        curves.append(XY({**terms, (0, n): 1}))
+    compared = shared = 0
+    for F in curves:
+        n = F.degree_in("y")
+        for d in (d for d in range(2, n + 1) if n % d == 0):
+            G = approximate_root(F, d)
+            R = planebranch._y_remainder(F, G)
+            assert R.degree_in("y") < G.degree_in("y") == n // d
+            assert (F - R).exact_div(G) * G == F - R, (F, G)
+            res = sylvester_resultant(F, G, "y")
+            if res.is_zero:
+                with pytest.raises(ValueError, match="share a component"):
+                    intersection_degree(G, R)
+                shared += 1
+            else:
+                degree = intersection_degree(G, R)
+                assert degree == res.degree_in("x") == intersection_degree(F, G)
+                compared += 1
+    assert compared >= 20 and shared
+    # (y^2 - x^3)^2 is its second root times itself: R = 0
+    F = XY({(0, 2): 1, (3, 0): -1}) ** 2
+    assert planebranch._y_remainder(F, approximate_root(F, 2)).is_zero
 
 
 def test_gamma_at_infinity_x6x3_x4():

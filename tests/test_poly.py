@@ -255,3 +255,29 @@ def test_mul_zero_and_constants():
         assert _check_product(f, c) == f.scale(c.coeff(0))
         assert _check_product(c, c) == Poly.constant(
             field.coerce(c.coeff(0) * c.coeff(0)), field)
+
+
+def test_unpack_at_reads_the_slots_of_unpack():
+    # seeded packed values whose coefficients reach the slot bound
+    # +-(2^(w-1) - 1), with zeros between them and totals of both signs:
+    # the live-slot read equals poly._unpack slot by slot, in the order
+    # asked, each slot borrowing from the top bit of the slot below
+    rng = random.Random(89)
+    pack, unpack = poly_module._pack, poly_module._unpack
+    negative = borrowed = 0
+    for _ in range(400):
+        nbytes = rng.choice((1, 1, 2, 3, 8))
+        edge = (1 << (8 * nbytes - 1)) - 1
+        slots = rng.randint(1, 12)
+        coeffs = {e: c for e in range(slots)
+                  if (c := rng.choice((edge, -edge, 1, -1, 0,
+                                       rng.randint(-edge, edge))))}
+        value = pack(coeffs, 0, slots - 1, nbytes)
+        assert unpack(value, 0, slots, nbytes) == coeffs
+        size = slots + rng.randint(0, 2)
+        read = rng.sample(range(size), rng.randint(0, size))
+        assert (poly_module._unpack_at(value, read, size, nbytes)
+                == [coeffs.get(s, 0) for s in read]), (coeffs, read, nbytes)
+        negative += value < 0
+        borrowed += any(coeffs.get(s - 1, 0) < 0 for s in read)
+    assert negative > 100 and borrowed > 100
