@@ -9,17 +9,19 @@ identities, without a matrix (Bostan, Flajolet, Salvy and Schost, J. Symb.
 Comp. 41, 2006), in one integer kernel, :func:`_symmetric_of_values`,
 behind one front end, :func:`_norm_values`: over Q, roots and values are
 scaled to integral ones, so every division in Newton's identities is
-exact.  The curve and the intersection numbers of
-:func:`intersection_degree` (one call per pair of curves) both go through
-it.  When the input is dense, the kernel runs on packed integers: each
-polynomial in X becomes its value at X = 2^beta, one Python int, and each
-result is unpacked once.  beta comes from a proven bound: the results are
-coefficients of Res_t(mu, Y - h), at most |mu|_1^m (1 + |h|_1)^n in size,
-since the 1-norm of a Sylvester determinant is at most the product of its
-rows' 1-norms.  When the power sums would take more packed bits than their
-dict terms warrant (one rule, ``_BITS_PER_TERM`` bits a term), it runs the
-same recurrence on dicts, every product a ``poly._int_mul`` and every sum
-a ``poly._sub_scaled``.  Both forms compute only what the answer reads.
+exact; over GF(p), the residues run through it as integers and each
+result is reduced mod p once, so every p answers.  The curve and the
+intersection numbers of :func:`intersection_degree` (one call per pair of
+curves) both go through it.  When the input is dense, the kernel runs
+on packed integers: each polynomial in X becomes its value at X = 2^beta,
+one Python int, and each result is unpacked once.  beta comes from a
+proven bound: the results are coefficients of Res_t(mu, Y - h), at most
+|mu|_1^m (1 + |h|_1)^n in size, since the 1-norm of a Sylvester
+determinant is at most the product of its rows' 1-norms.  When the power
+sums would take more packed bits than their dict terms warrant (one rule,
+``_BITS_PER_TERM`` bits a term), it runs the same recurrence on dicts,
+every product a ``poly._int_mul`` and every sum a ``poly._sub_scaled``.
+Both forms compute only what the answer reads.
 The power sums S_j are computed only at the j <= n m in the monoid
 generated by the indices i with B_i != 0 (``numsgp.NumSgp.elements_upto``,
 from its Apery set): at every other j, Newton's recurrence makes S_j zero,
@@ -376,44 +378,37 @@ _BITS_PER_TERM = 1 << 10
 
 
 class _ZX:
-    """An integer polynomial in X, a dict exponent -> nonzero int (residues
-    in [0, p) when p > 0): the sparse form of the ring that
-    :func:`_symmetric_of_values` runs in, with the operations its
-    recurrence uses.  Each product is one ``poly._int_mul``; ``+=`` and
-    ``-=`` are one ``poly._sub_scaled`` each and write into the left
-    operand, which must be a fresh value."""
+    """An integer polynomial in X, a dict exponent -> nonzero int: the
+    sparse form of Z[X], the ring that :func:`_symmetric_of_values` runs
+    in over Q and GF(p) alike, with the operations its recurrence uses.
+    Each product is one ``poly._int_mul``; ``+=`` and ``-=`` are one
+    ``poly._sub_scaled`` each and write into the left operand, which must
+    be a fresh value."""
 
-    __slots__ = ("c", "p")
+    __slots__ = ("c",)
 
-    def __init__(self, c: dict, p: int):
+    def __init__(self, c: dict):
         self.c = c
-        self.p = p
 
     def __bool__(self) -> bool:
         return bool(self.c)
 
     def __iadd__(self, other: "_ZX") -> "_ZX":
-        _sub_scaled(self.c, -1, other.c, self.p)
+        _sub_scaled(self.c, -1, other.c, 0)
         return self
 
     def __isub__(self, other: "_ZX") -> "_ZX":
-        _sub_scaled(self.c, 1, other.c, self.p)
+        _sub_scaled(self.c, 1, other.c, 0)
         return self
 
     def __mul__(self, other: "_ZX") -> "_ZX":
-        if self.c and other.c:
-            return _ZX(_int_mul(self.c, other.c, self.p), self.p)
-        return _ZX({}, self.p)
+        return _ZX(_int_mul(self.c, other.c, 0) if self.c and other.c else {})
 
     def __divmod__(self, k: int) -> tuple["_ZX", "_ZX"]:
-        """(q, r) with self = k q + r; over GF(p), q = self / k and r = 0."""
-        p = self.p
-        if p:
-            inv = pow(k, -1, p)
-            return _ZX({e: v * inv % p for e, v in self.c.items()}, p), _ZX({}, p)
+        """(q, r) with self = k q + r, coefficient by coefficient."""
         qr = [(e, *divmod(v, k)) for e, v in self.c.items()]
-        return (_ZX({e: q for e, q, _ in qr if q}, 0),
-                _ZX({e: r for e, _, r in qr if r}, 0))
+        return (_ZX({e: q for e, q, _ in qr if q}),
+                _ZX({e: r for e, _, r in qr if r}))
 
 
 def _slot_bytes(b: list, h: dict, n: int, m: int) -> int:
@@ -441,8 +436,8 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
     h(tau_i) at the n roots tau_i of mu(t) = t^n + sum_i B_i t^(n-i).
 
     b lists B_1, ..., B_n and h maps j to the coefficient h_j of t^j; all
-    are integer polynomials in X as dicts exponent -> int (residues over
-    GF(p), p > 0), empty for zero, and h has no empty entry.  Newton's
+    are integer polynomials in X as dicts exponent -> nonzero int (residues
+    over GF(p), p > 0), empty for zero, and h has no empty entry.  Newton's
     recurrence S_j = -(j B_j + sum_{i<j} B_i S_{j-i}) gives the power sums
     of the tau_i without division, the traces P_k = sum_j [t^j]h^k S_j
     follow, then k E_k = sum_{i=1}^{k} (-1)^(i-1) E_{k-i} P_i.  That
@@ -450,7 +445,13 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
     integer coefficients in the tau_i, hence an integer polynomial in the
     B_i (equivalently, it lies in Q[X] and is integral over Z[X], which is
     integrally closed by Gauss's lemma); a remainder raises
-    ArithmeticError.  Over GF(p) it needs p > n.
+    ArithmeticError.
+
+    Over GF(p) the residues are lifted to Z as they are, the recurrence
+    runs over Z in both forms, and each E_k is reduced mod p once, at the
+    end: E_k is an integer polynomial in the inputs, so its value at the
+    residues, reduced mod p, is its value over GF(p), and no step divides
+    by p, whatever n is.
 
     S_j is computed only for j in the monoid generated by the i with
     B_i != 0: by induction on j, every other S_j is zero, since then B_j = 0
@@ -477,17 +478,12 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
     (expand it over permutations, and |ab|_1 <= |a|_1 |b|_1), so every such
     coefficient is at most |mu|_1^m (1 + |h|_1)^n, the norms taken over all
     coefficients in t and X; beta is that bound's bit length plus a sign
-    bit, in whole bytes.  Over GF(p) the packed form runs on the residues
-    as integers and reduces each E_k after the unpack, which is right
-    because E_k is an integer polynomial in the inputs.  Sparse, each
-    polynomial in X is a :class:`_ZX`, reduced mod p as it goes, and h is
-    packed into one polynomial in X, t^j X^e to X^(j w + e) with
+    bit, in whole bytes.  Sparse, each polynomial in X is a :class:`_ZX`,
+    and h is packed into one polynomial in X, t^j X^e to X^(j w + e) with
     w = n deg_X h + 1, which no power h^k, k <= n, overflows; each h^k is
     one ``poly._int_mul``, and only its rows at nonzero S_j are kept.
     """
     n = len(b)
-    if 0 < p <= n:
-        raise ValueError(f"characteristic {p} does not exceed the degree {n}")
     m = max(h, default=0)
     nbytes = _slot_bytes(b, h, n, m)
     if nbytes:
@@ -526,14 +522,13 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
                 yield zip(js, _unpack_at(V, [(j - base) // d for j in js],
                                          k * top + 1, hbytes))
     else:
-        def lift(c: dict) -> _ZX:
-            return _ZX(c, p)
+        lift = _ZX
 
         def coeffs(v: _ZX) -> dict:
             return v.c
 
         def zero() -> _ZX:  # a fresh value, since += writes into it
-            return _ZX({}, p)
+            return _ZX({})
 
         def powers(support: list):
             live = set(support)
@@ -541,13 +536,13 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
             H = {j * w + e: c for j, hj in h.items() for e, c in hj.items()}
             hk = {0: 1}
             for _ in range(n):
-                hk = _int_mul(hk, H, p) if H else {}
+                hk = _int_mul(hk, H, 0) if H else {}
                 rows: dict = {}
                 for x, c in hk.items():
                     j, e = divmod(x, w)
                     if j in live:  # a row that meets a zero power sum is not read
                         rows.setdefault(j, {})[e] = c
-                yield ((j, _ZX(row, p)) for j, row in rows.items())
+                yield ((j, _ZX(row)) for j, row in rows.items())
     B = [lift(bi) for bi in b]
     terms = [(i, Bi) for i, Bi in enumerate(B, 1) if Bi]
     sums = [lift({0: n})] + [zero()] * (n * m)  # S_0, ..., S_N; zeros only read
@@ -571,14 +566,10 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
                 acc += c * S
         traces.append(acc)
     E = [lift({0: 1})]
-    live = [True]  # now E_k != 0
-    nonzero = [i for i in range(1, n + 1) if traces[i]]
     for k in range(1, n + 1):
         acc = zero()
-        for i in nonzero:
-            if i > k:
-                break
-            if live[k - i]:
+        for i in range(1, k + 1):
+            if traces[i] and E[k - i]:
                 if i % 2:
                     acc += E[k - i] * traces[i]
                 else:
@@ -588,7 +579,6 @@ def _symmetric_of_values(b: list, h: dict, p: int) -> list[dict]:
             raise ArithmeticError(f"Newton's identity for E_{k} is not "
                                   f"divisible by {k}")
         E.append(q)
-        live.append(bool(q))
     return [_reduced(coeffs(Ek), p) for Ek in E]
 
 
@@ -636,9 +626,7 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
     of its rows' 1-norms), mu = t^n + sum_i D^i b_i t^(n-i).  A sparse pair,
     whose packed power sums would take more than ``_BITS_PER_TERM`` bits
     for each of their input terms, runs the same recurrence on dicts.  The
-    last step divides by 1, ..., n, so the characteristic must be 0 or
-    exceed deg f.  The value equals :func:`resultant_eliminate` on the same
-    pair.
+    value equals :func:`resultant_eliminate` on the same pair.
     """
     check_same_field(f.field, g.field)
     field = f.field
@@ -653,7 +641,7 @@ def curve_resultant(f: Poly, g: Poly) -> MPoly:
     for k, Ek in enumerate(E):
         for ex, v in Ek.items():
             v = -v if k % 2 else v
-            out[(ex, n - k)] = v % field.char if field.char else rational(v, Mk)
+            out[(ex, n - k)] = rational(v, Mk)  # over GF(p), Mk = 1; MPoly reduces
         Mk *= M
     return MPoly(("x", "y"), field, out)
 

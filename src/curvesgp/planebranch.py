@@ -485,6 +485,8 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     """
     if F.field.char != 0:
         raise ValueError("the plane-branch pipeline needs characteristic zero")
+    if F.vars != ("x", "y"):
+        raise ValueError("the curve must be in (x, y)")
     n = F.degree_in("y")
     if n <= 0:
         raise ValueError("curve must involve y")
@@ -494,8 +496,6 @@ def gamma_curve_infinity(F: MPoly) -> PlaneResult:
     F = F.scale(F.field.inv(lead.constant_value()))
 
     def value(G: MPoly) -> int:
-        if F.vars != ("x", "y"):
-            raise ValueError("the curve must be in (x, y)")
         try:
             return intersection_degree(G, _y_remainder(F, G))
         except ValueError:

@@ -42,9 +42,9 @@ most min(#a, #b) terms a_i b_j, so its absolute value is at most the
 signed bound B = max|a| * max|b| * min(#a, #b) < 2^(w-1) for w =
 bitlength(B) + 1, rounded up to whole bytes for ``int.to_bytes``.  A
 negative coefficient borrows 2^w from the slot above, so unpacking reads
-the slots from the lowest up, adds the borrow of the slot below, and
-reads a value of at least 2^(w-1) as that value minus 2^w, passing a
-borrow of 1 upward.
+each slot of the two's complement bytes as a signed int and adds 1 when
+the part of the value below it is negative, which the top bit of the slot
+below tells (``_unpack_at``).
 """
 
 from __future__ import annotations
@@ -351,28 +351,17 @@ def _pack(coeffs: dict, lo: int, hi: int, nbytes: int) -> int:
 
 def _unpack(value: int, lo: int, slots: int, nbytes: int) -> dict:
     """Coefficients c_k with value = sum_k c_k 2^(w k), w = 8 nbytes and
-    |c_k| < 2^(w-1), keyed by lo + k; a slot read as at least 2^(w-1) is
-    negative and borrows 1 from the slot above."""
-    sign = 1
-    if value < 0:
-        value, sign = -value, -1
+    |c_k| < 2^(w-1), keyed by lo + k: each slot read as a signed int plus
+    the borrow that :func:`_unpack_at` proves, the top bit of the slot
+    below."""
     size = slots * nbytes
-    buf = value.to_bytes(size, "little")
+    buf = value.to_bytes(size, "little", signed=True)
     read = int.from_bytes
-    half = 1 << (8 * nbytes - 1)
-    full = half << 1
     out = {}
-    borrow = 0
     e = lo
     for i in range(0, size, nbytes):
-        c = read(buf[i:i + nbytes], "little") + borrow
-        if c >= half:
-            c -= full
-            borrow = 1
-        else:
-            borrow = 0
-        if c:
-            out[e] = sign * c
+        if c := read(buf[i:i + nbytes], "little", signed=True) + (i and buf[i - 1] >> 7):
+            out[e] = c
         e += 1
     return out
 

@@ -270,12 +270,10 @@ def test_curve_resultant_scalings_vanish_on_large_pairs():
 def test_curve_resultant_characteristic_and_degree_conditions():
     F5 = GF(5)
     g = Poly.x_power(2, F5)
-    # p > deg f is fine, p <= deg f divides by p in Newton's identities
-    assert curve_resultant(Poly.x_power(4, F5), g) == \
-        _sylvester_curve(Poly.x_power(4, F5), g)
-    for n in (5, 6):
-        with pytest.raises(ValueError, match="characteristic 5"):
-            curve_resultant(Poly.x_power(n, F5), g)
+    # p <= deg f too: Newton's identities run over Z, reduced mod p once
+    for n in (4, 5, 6):
+        f = Poly.x_power(n, F5)
+        assert curve_resultant(f, g) == _sylvester_curve(f, g), n
     for f in (P((0, 3)), Poly.zero()):
         with pytest.raises(ValueError, match="positive degree"):
             curve_resultant(f, xp(2))
@@ -359,6 +357,7 @@ def _sparse_mu_case(rng, shape: str, p: int) -> tuple[list, dict]:
                 b[i - 1] = poly_in_x(2)
     xdeg = rng.choice((0, 0, 2))
     h = {j: poly_in_x(xdeg) for j in rng.sample(range(1, 7), rng.randint(1, 3))}
+    b[-1] = {e: c for e, c in b[-1].items() if c}
     return b, {j: hj for j, hj in h.items() if hj}
 
 
@@ -366,11 +365,13 @@ def test_power_sums_on_sparse_supports_match_full_recurrence(monkeypatch):
     # the kernel computes S_j only on the monoid of the indices of the
     # nonzero B_i and reads h^k only there; the reference computes every
     # S_j and every h^k in full.  Both forms, over Q and GF(p); the packed
-    # form reads constant values h^k from live slots (poly._unpack_at)
+    # form reads constant values h^k from live slots (poly._unpack_at); the
+    # p <= n of GF(2), GF(3) and GF(5) divide by p nowhere, as the kernel
+    # runs over Z and reduces once
     rng = random.Random(59)
     cases = []
-    for k in range(150):
-        p = (0, 0, 11, 13, 101)[k % 5]
+    for k in range(240):
+        p = (0, 0, 11, 13, 101, 2, 3, 5)[k % 8]
         b, h = _sparse_mu_case(rng, ("t^n - X", "binomial", "gcd")[k % 3], p)
         if h:
             cases.append((b, h, p, symmetric_by_full_recurrence(b, h, p)))
@@ -395,7 +396,7 @@ def test_power_sums_on_sparse_supports_match_full_recurrence(monkeypatch):
         for b, h, p, want in cases:
             assert _symmetric_of_values(b, h, p) == want, (form, b, h, p)
         assert forms == {form == "packed"}
-    assert len(cases) > 140 and len(live_reads) > 40
+    assert len(cases) > 220 and len(live_reads) > 60
 
 
 def _dense_pair(rng, field):
@@ -415,7 +416,9 @@ def test_kernel_forms_match_sylvester_route(monkeypatch):
     # seeded pairs over Q and GF(p) and seeded pairs of curves, each by the
     # kernel's rule and again in its sparse form, against the Sylvester
     # route; the rule packs the dense pairs and leaves the curves with
-    # sparse x^1000 coefficients and 800-bit constants to the sparse form
+    # sparse x^1000 coefficients and 800-bit constants to the sparse form.
+    # Curves over GF(3) and pairs over GF(2) and GF(3) with deg f >= p
+    # reach Newton's identities at k = p, which the kernel divides over Z
     picked = []
     rule = mpoly._slot_bytes
 
@@ -430,9 +433,9 @@ def test_kernel_forms_match_sylvester_route(monkeypatch):
         f, g = _dense_pair(rng, field)
         cases.append((curve_resultant, (f, g), _sylvester_curve(f, g)))
     big = 7 ** 300
-    for k in range(40):
-        field = GF(rng.choice((11, 13))) if k % 4 == 3 else QQ
-        xdeg, c = (1000, big) if k % 2 else (2, 3)
+    for k in range(60):
+        field = GF(3) if k >= 40 else GF(rng.choice((11, 13))) if k % 4 == 3 else QQ
+        xdeg, c = (1000, big) if k % 2 else (2, 3 if k < 40 else 5)  # 5 mod 3 != 0
 
         def curve(deg: int, top) -> MPoly:
             terms = {(rng.randrange(xdeg + 1), j): rng.choice((1, -2, c))
@@ -444,12 +447,19 @@ def test_kernel_forms_match_sylvester_route(monkeypatch):
         res = sylvester_resultant(F, G, "y")
         if not res.is_zero:
             cases.append((intersection_degree, (F, G), res.degree_in("x")))
+    for k in range(40):
+        field = GF(p := (2, 3)[k % 2])
+        n, m = rng.randint(p, 6), rng.randint(1, 9)
+        f = P(*[(e, rng.randrange(p)) for e in range(n)], (n, 1), field=field)
+        g = P(*[(e, rng.randrange(p)) for e in range(m)], (m, rng.randrange(1, p)),
+              field=field)
+        cases.append((curve_resultant, (f, g), _sylvester_curve(f, g)))
     for form in ("rule", "sparse"):
         monkeypatch.setattr(mpoly, "_slot_bytes", spy if form == "rule"
                             else lambda *args: 0)
         for fn, args, want in cases:
             assert fn(*args) == want, (form, fn.__name__, args)
-    assert len(cases) > 150
+    assert len(cases) > 210
     assert 0 in picked and sum(map(bool, picked)) > 120
 
 

@@ -623,11 +623,13 @@ def test_gamma_curve_infinity_rejects_a_reducible_curve():
     F = XY({(0, 2): 1, (3, 0): -1}) ** 2
     with pytest.raises(NotOnePlaceAtInfinity, match=r"root y\^2-x\^3 shares"):
         gamma_curve_infinity(F)
-    # a curve not in (x, y) keeps the refusal of intersection_degree
-    G = MPoly(("y", "x"), QQ, {(2, 0): 1, (0, 3): -1})
-    with pytest.raises(ValueError, match="must be in \\(x, y\\)") as info:
-        gamma_curve_infinity(G)
-    assert type(info.value) is ValueError
+    # a curve not in (x, y) keeps the refusal of intersection_degree, also
+    # at y-degree 1, whose descent computes no intersection number
+    for G in (MPoly(("y", "x"), QQ, {(2, 0): 1, (0, 3): -1}),
+              MPoly(("u", "y"), QQ, {(0, 1): 1, (2, 0): 1})):
+        with pytest.raises(ValueError, match="must be in \\(x, y\\)") as info:
+            gamma_curve_infinity(G)
+        assert type(info.value) is ValueError
 
 
 def test_delta_check():
